@@ -481,6 +481,9 @@ fn stream_cmd(args: &Args) -> Result<()> {
 struct StreamRun {
     engine: loom_core::engine::OnlineEngine,
     source: Box<dyn loom_core::graph::EdgeSource>,
+    /// The stream's declared label alphabet (`--labels`, the workload
+    /// header): a text feed only learns its own line by line.
+    num_labels: usize,
     budget: Option<u64>,
     stop_after: u64,
     out: Option<String>,
@@ -780,6 +783,7 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
     Ok(StreamRun {
         engine,
         source,
+        num_labels,
         budget,
         stop_after,
         out,
@@ -793,6 +797,7 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
     let StreamRun {
         mut engine,
         mut source,
+        num_labels: _,
         budget,
         stop_after,
         out,
@@ -914,7 +919,9 @@ fn serve_cmd(args: &Args) -> Result<()> {
         publish_every,
     });
     // Publish an initial (possibly empty) view so readers that connect
-    // before the first cadence get real replies, not `ERR not ready`.
+    // before the first cadence get real replies, not `ERR not ready` —
+    // and, knowing the alphabet, not `ERR label out of range` either.
+    run.engine.declare_labels(run.num_labels);
     run.engine.publish_view_now();
 
     let cell = Arc::clone(&handle.view);

@@ -218,8 +218,8 @@ pub struct OnlineEngine {
     /// hooks of [`OnlineEngine::attach_wal`] /
     /// [`OnlineEngine::resume_from_wal`].
     wal: Option<WalState>,
-    /// Epoch-snapshot serving, when enabled: the horizon ring and the
-    /// publication cell of [`OnlineEngine::enable_serving`].
+    /// Epoch-snapshot serving, when enabled: the live view state and
+    /// the publication cell of [`OnlineEngine::enable_serving`].
     serve: Option<ServeState>,
 }
 
@@ -244,8 +244,9 @@ impl OnlineEngine {
     }
 
     /// Enable epoch-snapshot serving (DESIGN.md §16): the engine keeps
-    /// a ring of the most recent [`ServeOptions::horizon_edges`] edges
-    /// and publishes an immutable [`loom_query::ReadView`] into the
+    /// a live graph over the most recent
+    /// [`ServeOptions::horizon_edges`] edges and publishes an immutable
+    /// [`loom_query::ReadView`] sharing its unchanged pages into the
     /// returned handle's cell at batch-boundary commit points, every
     /// [`ServeOptions::publish_every`] ingested edges (plus once at
     /// [`OnlineEngine::finish`]). Readers load views via
@@ -255,22 +256,33 @@ impl OnlineEngine {
     /// Serving is pure observation: enabling it changes no assignment,
     /// counter, snapshot field (beyond [`Snapshot::serving`] becoming
     /// `Some`), or RNG draw — enforced by the serving-equivalence
-    /// suite. Enabling mid-stream is allowed; the horizon then starts
-    /// from the current edge.
+    /// suite. Enabling mid-stream is allowed (it copies the assignment
+    /// so far, once); the horizon then starts from the current edge.
     pub fn enable_serving(&mut self, opts: ServeOptions) -> ServeHandle {
-        let state = ServeState::new(opts);
+        let state = ServeState::new(opts, self.partitioner.state(), self.edges > 0);
         let handle = state.handle();
         self.serve = Some(state);
         handle
     }
 
-    /// Rebuild and publish a read view right now, regardless of the
-    /// publication cadence. No-op when serving is off. Called
-    /// internally at due batch boundaries and at `finish`; exposed so
-    /// a server can force an initial view before the first cadence.
+    /// Tell serving the stream's label alphabet (an
+    /// [`EdgeSource::num_labels`], a `--labels` flag), so that views
+    /// published before every label has been seen — the start-up view
+    /// above all — answer `MATCH` on a declared label with 0 matches
+    /// and not with a range error. No-op when serving is off.
+    pub fn declare_labels(&mut self, num_labels: usize) {
+        if let Some(srv) = &mut self.serve {
+            srv.declare_labels(num_labels);
+        }
+    }
+
+    /// Publish a read view right now, regardless of the publication
+    /// cadence. No-op when serving is off. Called internally at due
+    /// batch boundaries and at `finish`; exposed so a server can force
+    /// an initial view before the first cadence.
     pub fn publish_view_now(&mut self) {
         let Some(srv) = &mut self.serve else { return };
-        let view = srv.build_view(
+        srv.publish(
             self.edges,
             self.cut_edges,
             self.resolved_edges,
@@ -278,14 +290,13 @@ impl OnlineEngine {
             self.partitioner.arena(),
             self.partitioner.adjacency(),
         );
-        srv.cell.publish(view);
     }
 
-    /// Serving hook at a commit point: record the committed chunk into
-    /// the horizon ring and publish when the cadence is due.
+    /// Serving hook at a commit point: slide the live graph over the
+    /// committed chunk and publish when the cadence is due.
     fn serve_commit(&mut self, chunk: &[StreamEdge]) {
         let Some(srv) = &mut self.serve else { return };
-        srv.observe(chunk);
+        srv.observe(chunk, self.partitioner.state());
         if srv.due(self.edges) {
             self.publish_view_now();
         }

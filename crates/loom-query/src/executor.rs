@@ -21,7 +21,7 @@ use std::collections::HashSet;
 /// The read surface the executor needs from a data graph: labels,
 /// degrees and adjacency. Implemented by the materialised
 /// [`LabeledGraph`] and by the serving layer's immutable
-/// [`ViewGraph`](crate::view::ViewGraph), so the same backtracking
+/// [`ViewGraph`](crate::paged::ViewGraph), so the same backtracking
 /// search answers post-hoc experiment queries and live `loom serve`
 /// requests (DESIGN.md §16).
 pub trait GraphAccess {

@@ -2,10 +2,13 @@
 //! (DESIGN.md §16 + appendix B).
 //!
 //! A [`ReadView`] is what the online engine publishes at a batch
-//! boundary: a frozen copy of the partition assignment, the retained
+//! boundary: the partition assignment as of that boundary, the retained
 //! adjacency over the last *horizon* edges (as a [`ViewGraph`] the
 //! generic [`QueryExecutor`] runs over unchanged), and the window /
-//! occupancy statistics of the moment. Reader threads receive it
+//! occupancy statistics of the moment. The two big members are
+//! persistent structures ([`crate::paged`]) sharing every page the
+//! engine has not written since, so a view costs what changed, not what
+//! exists. Reader threads receive it
 //! behind an `Arc` swapped through `loom_runtime::EpochCell`, so every
 //! query in this module takes `&ReadView` and performs **zero
 //! synchronisation**: by the time a request handler runs, the view is
@@ -17,9 +20,11 @@
 //! drift between them.
 
 use crate::executor::{GraphAccess, QueryExecutor};
-use loom_graph::{EdgeId, Label, PatternGraph, StreamEdge, VertexId};
+use crate::paged::{FrozenAssignment, ViewGraph};
+use loom_graph::{Label, PatternGraph, VertexId};
 use loom_matcher::ArenaOccupancy;
-use loom_partition::{AdjacencyOccupancy, Assignment};
+use loom_partition::AdjacencyOccupancy;
+use std::collections::HashSet;
 
 /// Default cap on vertices a `KHOP` traversal may visit.
 pub const DEFAULT_KHOP_LIMIT: usize = 100_000;
@@ -29,79 +34,11 @@ pub const DEFAULT_MATCH_LIMIT: usize = 1_000;
 /// request from turning into an unbounded enumeration).
 pub const MAX_REQUEST_LIMIT: usize = 1_000_000;
 
-/// An immutable, query-ready snapshot of the recently-ingested graph:
-/// per-vertex labels and adjacency rebuilt from the last *horizon*
-/// retained [`StreamEdge`]s. Parallel edges are kept (the executor
-/// dedups matches by edge set, and k-hop traversal is id-based), and
-/// vertices outside every retained edge have degree 0, which every
-/// query treats as "not retained".
-#[derive(Clone, Debug, Default)]
-pub struct ViewGraph {
-    labels: Vec<Label>,
-    adj: Vec<Vec<(VertexId, EdgeId)>>,
-    num_labels: usize,
-    num_edges: usize,
-}
-
-impl ViewGraph {
-    /// Build from retained edges. `min_labels` widens the label
-    /// alphabet beyond what the retained edges mention (the engine
-    /// passes every label it has ever seen, so a `MATCH` on a label
-    /// momentarily absent from the horizon is "0 matches", not an
-    /// out-of-range error).
-    pub fn from_edges(edges: &[StreamEdge], min_labels: usize) -> ViewGraph {
-        let mut n = 0usize;
-        let mut num_labels = min_labels.max(1);
-        for e in edges {
-            n = n.max(e.src.index() + 1).max(e.dst.index() + 1);
-            num_labels = num_labels
-                .max(e.src_label.index() + 1)
-                .max(e.dst_label.index() + 1);
-        }
-        let mut labels = vec![Label(0); n];
-        let mut adj = vec![Vec::new(); n];
-        for e in edges {
-            labels[e.src.index()] = e.src_label;
-            labels[e.dst.index()] = e.dst_label;
-            adj[e.src.index()].push((e.dst, e.id));
-            adj[e.dst.index()].push((e.src, e.id));
-        }
-        ViewGraph {
-            labels,
-            adj,
-            num_labels,
-            num_edges: edges.len(),
-        }
-    }
-
-    /// Retained edges this view was built from.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-}
-
-impl GraphAccess for ViewGraph {
-    fn num_vertices(&self) -> usize {
-        self.labels.len()
-    }
-    fn num_labels(&self) -> usize {
-        self.num_labels
-    }
-    fn label(&self, v: VertexId) -> Label {
-        self.labels[v.index()]
-    }
-    fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
-    }
-    fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adj[v.index()]
-    }
-}
-
 /// One published epoch of engine state: everything a reader needs to
 /// answer stats, partition-lookup, k-hop and pattern-match queries
 /// without touching the live engine. Immutable by construction —
 /// publication hands out `Arc<ReadView>` and never mutates one.
+/// `Clone` is shallow: the assignment and the graph share their pages.
 #[derive(Clone, Debug)]
 pub struct ReadView {
     /// Publication sequence number (1-based; monotone per engine).
@@ -124,8 +61,8 @@ pub struct ReadView {
     pub cut_edges: u64,
     /// Running resolved-edge counter at publication.
     pub resolved_edges: u64,
-    /// Frozen copy of the partition assignment.
-    pub assignment: Assignment,
+    /// The partition assignment as of publication.
+    pub assignment: FrozenAssignment,
     /// Retained adjacency over the serve horizon.
     pub graph: ViewGraph,
     /// The horizon the ring was configured with (edges).
@@ -164,9 +101,10 @@ pub fn khop(view: &ReadView, start: VertexId, depth: usize, limit: usize) -> Kho
         };
     }
     let home = view.assignment.partition_of(start);
-    let mut seen = vec![false; g.num_vertices()];
+    // Sized by what the traversal reaches (at most `limit`), not by the
+    // graph: a dense bitmap would cost O(vertices) per request.
+    let mut seen = HashSet::from([start]);
     let mut frontier = vec![start];
-    seen[start.index()] = true;
     let mut visited = 1usize;
     let mut remote = 0usize;
     let mut capped = false;
@@ -174,10 +112,9 @@ pub fn khop(view: &ReadView, start: VertexId, depth: usize, limit: usize) -> Kho
         let mut next = Vec::new();
         for &v in &frontier {
             for &(w, _) in g.neighbors(v) {
-                if seen[w.index()] {
+                if !seen.insert(w) {
                     continue;
                 }
-                seen[w.index()] = true;
                 if visited >= limit {
                     capped = true;
                     break 'hops;
@@ -364,6 +301,7 @@ fn try_handle(view: Option<&ReadView>, line: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loom_graph::{EdgeId, PartitionId, StreamEdge};
 
     fn edge(id: u32, src: u32, sl: u16, dst: u32, dl: u16) -> StreamEdge {
         StreamEdge {
@@ -385,9 +323,9 @@ mod tests {
             edge(3, 1, 1, 4, 0),
         ];
         let graph = ViewGraph::from_edges(&edges, 3);
-        let mut assignment = Assignment::unassigned(2, 5);
+        let mut assignment = FrozenAssignment::default();
         for (v, p) in [(0u32, 0u32), (1, 0), (4, 0), (2, 1), (3, 1)] {
-            assignment.assign(VertexId(v), loom_graph::PartitionId(p));
+            assignment.assign(VertexId(v), PartitionId(p));
         }
         ReadView {
             epoch: 7,
