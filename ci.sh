@@ -73,30 +73,53 @@ trap report EXIT
 # Wall time of a command in milliseconds (its stdout and stderr are
 # dropped). Every perf gate below compares these: whole-second
 # arithmetic cannot see a 0.2 s run, which is how the old gates came
-# to skip themselves.
+# to skip themselves. Returns the command's own exit status — carried
+# out by hand, because bash clears -e inside $(...): a command that
+# dies at start-up would otherwise be the fastest run there is.
 wall_ms() {
-  local t0
+  local t0 status=0
   t0=$(date +%s%N)
-  "$@" > /dev/null 2>&1
+  "$@" > /dev/null 2>&1 || status=$?
   echo $(( ($(date +%s%N) - t0) / 1000000 ))
+  return "$status"
 }
 # The fastest of three runs: the gates compare two sub-second
 # processes on a shared box, and one descheduled run is not a
-# regression.
+# regression. Fails, printing nothing, as soon as one run fails.
 best_ms() {
   local best="" ms
   for _ in 1 2 3; do
-    ms=$(wall_ms "$@")
+    ms=$(wall_ms "$@") || return $?
     if [ -z "$best" ] || [ "$ms" -lt "$best" ]; then best=$ms; fi
   done
   echo "$best"
 }
+
+stage "gate self-test (a failing command cannot be timed)"
+# Every timing gate below is `X_MS=$(best_ms ...)` under set -e, so it
+# is only a gate if best_ms fails when the command it times does.
+if best_ms false > /dev/null; then
+  echo "gate self-test: best_ms timed a failing command as a pass" >&2
+  exit 1
+fi
+if [ -z "$(best_ms true)" ]; then
+  echo "gate self-test: best_ms printed no time for a passing command" >&2
+  exit 1
+fi
+echo "gate self-test: best_ms false fails, best_ms true prints a time"
 
 stage "tier-1: build"
 cargo build --release --offline
 
 stage "tier-1: test"
 cargo test -q --offline
+
+stage "benchmark package builds against the workspace"
+# benchmark/ is a package of its own (empty [workspace] table), so the
+# tier-1 build never compiles it: a change to an API it calls —
+# loom-wal's write_checkpoint / scan_journal / JournalWriter, the
+# engine's resume_from_wal — has to break here, not at the driver.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 stage "batch-equivalence suite"
 # The batched-ingest contract, by name: batch mode must be
@@ -401,18 +424,21 @@ if [ "$MODE" = full ]; then
     exit 1
   fi
   echo "recovery smoke: WAL-on and WAL-off outputs identical (wal segment aside)"
-  # The WAL-overhead gate. Measured on the 2-core box: 2.3x (475 ms
-  # against 205 ms, best of three each); the gate is that + 30%. Most
-  # of it is the four O(vertices-ever-seen) checkpoints — ROADMAP
-  # direction 2's open half, O(delta) checkpoints, is what brings this
-  # toward the 1.3x the gate was written for. Each WAL-on run starts
-  # from an empty directory: a fresh journal, not a resume.
+  # The WAL-overhead gate. Measured on the 2-core box, best of three
+  # each: 1.47x in this script (461 ms against 313 ms) and 1.34-1.83x
+  # over five stand-alone repeats (median 1.56x; the tree before the
+  # CRC kernel and one-pass framing read 1.82-2.17x beside them); the
+  # gate is the median + 30%. What is left is mostly encoding the four
+  # O(vertices-ever-seen) checkpoints field by field — ROADMAP
+  # direction 3b, the bulk column codec — on the way to 1.3x. Each
+  # WAL-on run starts from an empty directory: a fresh journal, not a
+  # resume.
   wal_fresh() { rm -rf "$WAL_DIR"; ./target/release/loom stream "${WAL_ARGS[@]}"; }
   WAL_OFF_MS=$(best_ms ./target/release/loom stream "${SMOKE_ARGS[@]}" --threads 1 --shards 1)
   WAL_ON_MS=$(best_ms wal_fresh)
   echo "recovery smoke timing: WAL-off ${WAL_OFF_MS}ms, WAL-on ${WAL_ON_MS}ms, $(du -sh "$WAL_DIR" | cut -f1) on disk"
-  if [ $((10 * WAL_ON_MS)) -gt $((30 * WAL_OFF_MS)) ]; then
-    echo "recovery smoke: WAL overhead over 3.0x (WAL-off ${WAL_OFF_MS}ms, WAL-on ${WAL_ON_MS}ms)" >&2
+  if [ $((10 * WAL_ON_MS)) -gt $((20 * WAL_OFF_MS)) ]; then
+    echo "recovery smoke: WAL overhead over 2.0x (WAL-off ${WAL_OFF_MS}ms, WAL-on ${WAL_ON_MS}ms)" >&2
     exit 1
   fi
   echo "recovery smoke: overhead gate passed"

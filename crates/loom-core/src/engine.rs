@@ -16,7 +16,7 @@
 //! through it in prescient mode reproduces every figure bit for bit
 //! (see `tests/determinism.rs` and the pipeline tests).
 
-use crate::persist::{decode_edges_record, encode_edges_record, RecoveryStats, WalState};
+use crate::persist::{decode_replay_tail, encode_edges_record, RecoveryStats, WalState};
 use crate::serve::{ServeHandle, ServeOptions, ServeState};
 use loom_graph::{EdgeSource, LabeledGraph, StreamEdge, Workload};
 use loom_matcher::ArenaOccupancy;
@@ -627,6 +627,10 @@ impl OnlineEngine {
             // of erroring thousands of edges in at the first boundary.
             self.partitioner.save_state(&mut ByteWriter::new())?;
         }
+        // A directory cleared by hand to start over can still hold a
+        // killed run's checkpoint temp file, which the checks above
+        // cannot see.
+        loom_wal::sweep_checkpoint_temps(&*backend)?;
         let journal = JournalWriter::open(&*backend, 0)?;
         self.wal = Some(WalState {
             backend,
@@ -711,12 +715,16 @@ impl OnlineEngine {
             // clean checksummed prefix.
             backend.truncate(JOURNAL_FILE, scan.valid_len)?;
         }
-        let mut edges: Vec<StreamEdge> = Vec::new();
-        for (i, rec) in scan.records.iter().enumerate() {
-            decode_edges_record(rec, edges.len() as u64, i, &mut edges)?;
-        }
-        let durable = edges.len() as u64;
+        // The scan owns its records; the file's bytes are done with.
+        drop(journal_bytes);
+        // A kill between a checkpoint's write and its rename leaves the
+        // temp file behind, where no listing or pruning ever sees it.
+        loom_wal::sweep_checkpoint_temps(&*backend)?;
+        // Every record's header is checked; only the records reaching
+        // past the checkpoint are decoded.
         let start = ckpt.as_ref().map_or(0, |c| c.edges);
+        let tail = decode_replay_tail(&scan.records, start)?;
+        let durable = tail.durable;
         if durable < start {
             return Err(WalError::Corrupt(format!(
                 "checkpoint claims {start} edges but the journal holds only {durable}: \
@@ -742,7 +750,7 @@ impl OnlineEngine {
             checkpoints_written: 0,
             replayed_edges: durable - start,
         });
-        self.ingest_batch(&edges[start as usize..], &mut on_snapshot)
+        self.ingest_batch(&tail.edges, &mut on_snapshot)
             .map_err(|e| WalError::Corrupt(format!("journal replay failed: {e}")))?;
         Ok(durable)
     }

@@ -84,15 +84,16 @@ pub(crate) fn encode_edges_record(first_index: u64, edges: &[StreamEdge]) -> Vec
     w.into_bytes()
 }
 
-/// Decode one journal record into `out`, enforcing that it starts
-/// exactly at `expected_first` (the number of edges decoded from the
-/// records before it). `record_no` names the record in errors.
-pub(crate) fn decode_edges_record(
+/// Check one journal record's header — it starts exactly at
+/// `expected_first` (the number of edges in the records before it) and
+/// its `count` accounts for every payload byte — and return `count`
+/// with a reader positioned at the first edge. The one place these
+/// checks live; `record_no` names the record in errors.
+fn edges_record_header(
     payload: &[u8],
     expected_first: u64,
     record_no: usize,
-    out: &mut Vec<StreamEdge>,
-) -> Result<(), WalError> {
+) -> Result<(usize, ByteReader<'_>), WalError> {
     let mut r = ByteReader::new(payload);
     let first = r.u64()?;
     if first != expected_first {
@@ -111,11 +112,56 @@ pub(crate) fn decode_edges_record(
             r.remaining()
         )));
     }
+    Ok((count, r))
+}
+
+/// Decode one journal record into `out`, enforcing that it starts
+/// exactly at `expected_first` (the number of edges decoded from the
+/// records before it). `record_no` names the record in errors.
+pub(crate) fn decode_edges_record(
+    payload: &[u8],
+    expected_first: u64,
+    record_no: usize,
+    out: &mut Vec<StreamEdge>,
+) -> Result<(), WalError> {
+    let (count, mut r) = edges_record_header(payload, expected_first, record_no)?;
     out.reserve(count);
     for _ in 0..count {
         out.push(StreamEdge::wal_decode(&mut r)?);
     }
     r.expect_end()
+}
+
+/// What recovery needs from a scanned journal: how many edges it
+/// durably holds, and the ones past the checkpoint.
+pub(crate) struct ReplayTail {
+    /// Edges in the journal, from stream edge 0.
+    pub durable: u64,
+    /// Stream edges `[start, durable)`; empty when `durable <= start`.
+    pub edges: Vec<StreamEdge>,
+}
+
+/// Walk every record of a scanned journal, checking each header for
+/// continuity and length exactly as [`decode_edges_record`] does, but
+/// decoding only the records that reach past stream edge `start` (the
+/// checkpoint's edge count): restart cost follows the replay tail, not
+/// the journal's length. A record wholly before `start` that fails its
+/// header check still fails recovery, with the same message.
+pub(crate) fn decode_replay_tail(records: &[Vec<u8>], start: u64) -> Result<ReplayTail, WalError> {
+    let mut durable = 0u64;
+    let mut edges = Vec::new();
+    for (i, rec) in records.iter().enumerate() {
+        let (count, _) = edges_record_header(rec, durable, i)?;
+        let end = durable + count as u64;
+        if end > start {
+            decode_edges_record(rec, durable, i, &mut edges)?;
+            // The checkpoint can fall inside the first record decoded
+            // (nothing is decoded before it): drop the edges it covers.
+            edges.drain(..start.saturating_sub(durable) as usize);
+        }
+        durable = end;
+    }
+    Ok(ReplayTail { durable, edges })
 }
 
 #[cfg(test)]
@@ -150,6 +196,66 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("record 3"), "names the record: {msg}");
         assert!(msg.contains("discontinuous"), "names the failure: {msg}");
+    }
+
+    /// Records of the given sizes, back to back from stream edge 0.
+    fn records(sizes: &[u32]) -> (Vec<Vec<u8>>, Vec<StreamEdge>) {
+        let all: Vec<StreamEdge> = (0..sizes.iter().sum()).map(se).collect();
+        let mut first = 0usize;
+        let recs = sizes
+            .iter()
+            .map(|&n| {
+                let rec = encode_edges_record(first as u64, &all[first..first + n as usize]);
+                first += n as usize;
+                rec
+            })
+            .collect();
+        (recs, all)
+    }
+
+    #[test]
+    fn replay_tail_is_exactly_the_edges_past_the_checkpoint() {
+        // An empty record and uneven sizes; every possible checkpoint
+        // position: before, mid-record, on each boundary, at durable,
+        // and past it (the caller's "journal lost records" case).
+        let (recs, all) = records(&[5, 1, 0, 7, 3]);
+        for start in 0..=all.len() as u64 + 2 {
+            let tail = decode_replay_tail(&recs, start).unwrap();
+            assert_eq!(tail.durable, all.len() as u64, "start {start}");
+            let want = all.get(start as usize..).unwrap_or(&[]);
+            assert_eq!(tail.edges, want, "start {start}");
+        }
+        let none = decode_replay_tail(&[], 0).unwrap();
+        assert_eq!((none.durable, none.edges.len()), (0, 0));
+    }
+
+    #[test]
+    fn replay_tail_checks_records_it_does_not_decode() {
+        // Both header faults, planted in a record wholly before the
+        // checkpoint, fail with decode_edges_record's own message.
+        let (recs, all) = records(&[4, 4, 4, 4]);
+        let start = 12;
+
+        let mut gap = recs.clone();
+        gap[1] = encode_edges_record(5, &all[4..8]);
+        let got = decode_replay_tail(&gap, start).err().unwrap().to_string();
+        let want = decode_edges_record(&gap[1], 4, 1, &mut Vec::new())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(got, want);
+        assert!(
+            got.contains("record 1") && got.contains("discontinuous"),
+            "{got}"
+        );
+
+        let mut long = recs.clone();
+        long[0].extend_from_slice(&[0; EDGE_WIRE_BYTES]);
+        let got = decode_replay_tail(&long, start).err().unwrap().to_string();
+        let want = decode_edges_record(&long[0], 0, 0, &mut Vec::new())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(got, want);
+        assert!(got.contains("claims 4 edges"), "{got}");
     }
 
     #[test]

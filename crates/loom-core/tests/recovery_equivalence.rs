@@ -21,7 +21,8 @@
 
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
 use loom_core::wal::{
-    list_checkpoints, FaultPlan, FaultyBackend, MemBackend, StorageBackend, WalError, JOURNAL_FILE,
+    list_checkpoints, scan_journal, FaultPlan, FaultyBackend, FileBackend, JournalWriter,
+    MemBackend, StorageBackend, WalError, JOURNAL_FILE,
 };
 use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
 use loom_partition::{
@@ -741,4 +742,200 @@ fn refusals_are_loud_and_specific() {
         e.resume_from_wal(Box::new(MemBackend::new()), 32, FP, |_| {}),
         Err(WalError::Refused(_))
     ));
+}
+
+/// A WAL left by `kill` edges of a Loom run at batch 16, and the
+/// digest of the uninterrupted run over the whole stream.
+fn loom_wal_after(
+    edges: &[StreamEdge],
+    workload: &Workload,
+    ckpt_every: u64,
+    kill: u64,
+) -> (MemBackend, Vec<u8>) {
+    let mut reference = engine_with(Box::new(loom(3, 16, 96, workload)), 16, 0);
+    reference
+        .run(&mut VecSource::new(edges), None, |_| {})
+        .unwrap();
+    let backend = MemBackend::new();
+    let mut victim = engine_with(Box::new(loom(3, 16, 96, workload)), 16, 0);
+    victim
+        .attach_wal(Box::new(backend.clone()), ckpt_every, FP)
+        .unwrap();
+    victim
+        .run(&mut VecSource::new(edges), Some(kill), |_| {})
+        .unwrap();
+    drop(victim);
+    (backend, reference.state_digest().unwrap())
+}
+
+/// Resume from `backend`, run the rest of the stream, and return the
+/// engine with what resume reported.
+fn resume_and_finish(
+    backend: Box<dyn StorageBackend>,
+    edges: &[StreamEdge],
+    workload: &Workload,
+    ckpt_every: u64,
+) -> (OnlineEngine, u64) {
+    let mut resumed = engine_with(Box::new(loom(3, 16, 96, workload)), 16, 0);
+    let durable = resumed
+        .resume_from_wal(backend, ckpt_every, FP, |_| {})
+        .unwrap();
+    let mut source = VecSource::new(edges);
+    source.skip_edges(durable);
+    resumed.run(&mut source, None, |_| {}).unwrap();
+    (resumed, durable)
+}
+
+/// Resume decodes only the records that reach past the checkpoint, so
+/// where the checkpoint falls against the record boundaries matters:
+/// inside a record, exactly between two, and at the journal's end
+/// (nothing to replay). Each resumes digest-identical to the run that
+/// never stopped, replaying exactly `kill - checkpoint` edges.
+#[test]
+fn checkpoint_mid_record_on_a_boundary_and_at_durable() {
+    let (edges, workload) = hub_stream(100, 0x7a11);
+    let kill = 40u64; // records [0,16) [16,32) [32,40)
+    for (ckpt_every, on_boundary, what) in [
+        (24u64, false, "mid-record"),
+        (32, true, "on a record boundary"),
+        (40, true, "at durable"),
+    ] {
+        let (backend, ref_digest) = loom_wal_after(&edges, &workload, ckpt_every, kill);
+        // The premise: where the newest checkpoint sits in the journal.
+        let scan = scan_journal(&backend.contents(JOURNAL_FILE).unwrap());
+        let firsts: Vec<u64> = scan
+            .records
+            .iter()
+            .map(|r| u64::from_le_bytes(r[..8].try_into().unwrap()))
+            .collect();
+        assert_eq!(firsts, vec![0, 16, 32], "{what}: record boundaries");
+        let (seq, _) = *list_checkpoints(&backend).unwrap().last().unwrap();
+        assert_eq!(seq * ckpt_every, ckpt_every, "{what}: one checkpoint");
+        assert_eq!(
+            firsts.contains(&ckpt_every) || ckpt_every == kill,
+            on_boundary,
+            "{what}"
+        );
+
+        let (resumed, durable) =
+            resume_and_finish(Box::new(backend), &edges, &workload, ckpt_every);
+        assert_eq!(durable, kill, "{what}: durable");
+        assert_eq!(
+            resumed.recovery_stats().unwrap().replayed_edges,
+            kill - ckpt_every,
+            "{what}: replayed"
+        );
+        assert_eq!(
+            resumed.state_digest().unwrap(),
+            ref_digest,
+            "{what}: digest"
+        );
+    }
+}
+
+/// Every record's header is still checked, decoded or not: a record
+/// that lies wholly before the checkpoint and does not start where
+/// the previous one ended, or whose count disagrees with its length,
+/// fails resume with the message it always had.
+#[test]
+fn header_faults_before_the_checkpoint_still_fail_resume() {
+    let (edges, workload) = hub_stream(100, 0xfa17);
+    let (pristine, _) = loom_wal_after(&edges, &workload, 64, 100);
+    let records = scan_journal(&pristine.contents(JOURNAL_FILE).unwrap()).records;
+    assert!(records.len() > 4, "checkpoint 64 lies past record 1");
+
+    // Re-frame the journal with record 1 (edges 16..32) altered, so the
+    // fault passes every CRC and only the header check can catch it.
+    let damaged = |alter: &dyn Fn(&mut Vec<u8>)| {
+        let b = MemBackend::new();
+        for (_, name) in list_checkpoints(&pristine).unwrap() {
+            b.set_contents(&name, pristine.contents(&name).unwrap());
+        }
+        let mut w = JournalWriter::open(&b, 0).unwrap();
+        for (i, rec) in records.iter().enumerate() {
+            let mut rec = rec.clone();
+            if i == 1 {
+                alter(&mut rec);
+            }
+            w.append_record(&rec).unwrap();
+        }
+        w.flush().unwrap();
+        b
+    };
+    let resume_err = |b: MemBackend| {
+        let mut e = engine_with(Box::new(loom(3, 16, 96, &workload)), 16, 0);
+        match e.resume_from_wal(Box::new(b), 64, FP, |_| {}) {
+            Err(WalError::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    };
+
+    let gap = damaged(&|rec| rec[..8].copy_from_slice(&17u64.to_le_bytes()));
+    assert_eq!(
+        resume_err(gap),
+        "journal record 1 starts at stream edge 17, but the records before it \
+         hold 16 edges — the journal is discontinuous"
+    );
+    let miscount = damaged(&|rec| rec[8..12].copy_from_slice(&15u32.to_le_bytes()));
+    assert_eq!(
+        resume_err(miscount),
+        "journal record 1 claims 15 edges (240 bytes) but carries 256 payload bytes"
+    );
+}
+
+/// A kill between a checkpoint's write and its rename leaves
+/// `ckpt-<seq>.tmp`, as large as a checkpoint and invisible to listing
+/// and pruning. Resume and attach sweep it, on both backends, and the
+/// resumed state is unchanged.
+#[test]
+fn leaked_checkpoint_temp_files_are_swept() {
+    let (edges, workload) = hub_stream(100, 0x7e3f);
+    let (mem, ref_digest) = loom_wal_after(&edges, &workload, 64, 100);
+    let leaked = "ckpt-00000000000000000002.tmp";
+
+    // Plant the leak through `view`, resume through `backend` (both
+    // open the same files), finish the stream.
+    let check = |what: &str, backend: Box<dyn StorageBackend>, view: &dyn StorageBackend| {
+        view.write_atomic(leaked, &[0xAB; 4096]).unwrap();
+        assert!(
+            view.list().unwrap().contains(&leaked.to_string()),
+            "{what}: planted"
+        );
+        let (resumed, durable) = resume_and_finish(backend, &edges, &workload, 64);
+        assert_eq!(durable, 100, "{what}: durable");
+        assert_eq!(
+            resumed.state_digest().unwrap(),
+            ref_digest,
+            "{what}: digest"
+        );
+        // Swept, and nothing but the journal and the checkpoints the
+        // finished run keeps is left.
+        assert_eq!(
+            view.list().unwrap(),
+            [
+                "ckpt-00000000000000000005",
+                "ckpt-00000000000000000006",
+                JOURNAL_FILE
+            ],
+            "{what}: directory after resume"
+        );
+    };
+
+    let dir = std::env::temp_dir().join(format!("loom-recovery-tmp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let files = FileBackend::new(&dir).unwrap();
+    for name in mem.list().unwrap() {
+        std::fs::write(dir.join(&name), mem.contents(&name).unwrap()).unwrap();
+    }
+    check("file", Box::new(FileBackend::new(&dir).unwrap()), &files);
+    let _ = std::fs::remove_dir_all(&dir);
+    check("mem", Box::new(mem.clone()), &mem);
+
+    // Attach: a directory holding nothing but the leak is accepted
+    // (it always was) and now comes out clean.
+    let fresh = MemBackend::new();
+    fresh.set_contents(leaked, vec![0xAB; 4096]);
+    let mut e = engine_with(Box::new(loom(3, 16, 96, &workload)), 16, 0);
+    e.attach_wal(Box::new(fresh.clone()), 64, FP).unwrap();
+    assert!(fresh.contents(leaked).is_none(), "attach sweeps the leak");
 }

@@ -27,6 +27,10 @@ pub enum WalError {
     /// The operation was refused up front (e.g. attaching a fresh WAL
     /// over an existing journal, or resuming with an ipt probe).
     Refused(String),
+    /// A payload too long for its frame's `u32` length field. Refused
+    /// at write time: the wrapped length would be a header every later
+    /// read rejects.
+    TooLarge { what: &'static str, bytes: usize },
 }
 
 impl fmt::Display for WalError {
@@ -40,6 +44,12 @@ impl fmt::Display for WalError {
             ),
             WalError::Unsupported(m) => write!(f, "wal unsupported: {m}"),
             WalError::Refused(m) => write!(f, "wal refused: {m}"),
+            WalError::TooLarge { what, bytes } => write!(
+                f,
+                "wal frame too large: a {what} of {bytes} bytes does not fit the frame's \
+                 u32 length field (limit {} bytes)",
+                u32::MAX
+            ),
         }
     }
 }
@@ -52,8 +62,19 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The length field of a frame (journal record or checkpoint) for a
+/// payload of `bytes` bytes, or [`WalError::TooLarge`] when it does not
+/// fit — `as u32` here would wrap silently past 4 GiB.
+pub(crate) fn frame_len(what: &'static str, bytes: usize) -> Result<u32, WalError> {
+    u32::try_from(bytes).map_err(|_| WalError::TooLarge { what, bytes })
+}
+
+/// Slicing-by-16 tables: `t[0]` is the classic byte-at-a-time table,
+/// and `t[k][b]` is the CRC state contributed by byte `b` followed by
+/// `k` zero bytes, so sixteen input bytes fold in with sixteen
+/// independent lookups instead of a sixteen-step dependency chain.
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -66,22 +87,81 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+/// CRC-32 (IEEE 802.3 polynomial) over input that arrives in pieces:
+/// [`Crc32::update`] each piece in order, then [`Crc32::finish`]. The
+/// result is that of [`crc32`] over the concatenation, wherever the
+/// cuts fall.
+pub(crate) struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.state;
+        let mut chunks = bytes.chunks_exact(16);
+        for chunk in &mut chunks {
+            let chunk: &[u8; 16] = chunk.try_into().expect("chunks_exact(16)");
+            let word = |at: usize| {
+                u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
+            };
+            let (w0, w1, w2, w3) = (word(0) ^ c, word(4), word(8), word(12));
+            c = t[15][(w0 & 0xFF) as usize]
+                ^ t[14][((w0 >> 8) & 0xFF) as usize]
+                ^ t[13][((w0 >> 16) & 0xFF) as usize]
+                ^ t[12][(w0 >> 24) as usize]
+                ^ t[11][(w1 & 0xFF) as usize]
+                ^ t[10][((w1 >> 8) & 0xFF) as usize]
+                ^ t[9][((w1 >> 16) & 0xFF) as usize]
+                ^ t[8][(w1 >> 24) as usize]
+                ^ t[7][(w2 & 0xFF) as usize]
+                ^ t[6][((w2 >> 8) & 0xFF) as usize]
+                ^ t[5][((w2 >> 16) & 0xFF) as usize]
+                ^ t[4][(w2 >> 24) as usize]
+                ^ t[3][(w3 & 0xFF) as usize]
+                ^ t[2][((w3 >> 8) & 0xFF) as usize]
+                ^ t[1][((w3 >> 16) & 0xFF) as usize]
+                ^ t[0][(w3 >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    pub(crate) fn finish(self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
 
 /// CRC-32 (IEEE 802.3 polynomial), the checksum of every journal
 /// record and checkpoint payload.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.finish()
 }
 
 /// Append-only little-endian byte sink.
@@ -93,6 +173,13 @@ pub struct ByteWriter {
 impl ByteWriter {
     pub fn new() -> Self {
         ByteWriter::default()
+    }
+
+    /// A sink whose buffer already holds room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
@@ -255,6 +342,104 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition, one bit at a time and no table: what the
+    /// sliced kernel is compared against. Test-only on purpose.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn seeded_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_at_every_offset_and_length() {
+        // Every alignment of the 16-byte loop against the buffer, and
+        // every split between whole chunks and the bytewise tail.
+        let buf = seeded_bytes(16 + 200, 0x10_0d);
+        for offset in 0..16 {
+            for len in 0..=200 {
+                let piece = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(piece),
+                    crc32_bitwise(piece),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_on_a_large_buffer() {
+        let buf = seeded_bytes((1 << 20) + 7, 0xb16);
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+    }
+
+    #[test]
+    fn streamed_crc_is_independent_of_the_cut_points() {
+        let buf = seeded_bytes(300, 0x57e4);
+        let whole = crc32_bitwise(&buf);
+        for cut in 0..=buf.len() {
+            let mut c = Crc32::new();
+            c.update(&buf[..cut]);
+            c.update(&buf[cut..]);
+            assert_eq!(c.finish(), whole, "cut at {cut}");
+        }
+        // Three pieces, the middle one shorter than a chunk.
+        for cut in 0..buf.len() - 5 {
+            let mut c = Crc32::new();
+            c.update(&buf[..cut]);
+            c.update(&buf[cut..cut + 5]);
+            c.update(&buf[cut + 5..]);
+            assert_eq!(c.finish(), whole, "cuts at {cut} and {}", cut + 5);
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn frame_len_refuses_what_a_u32_cannot_hold() {
+        assert_eq!(frame_len("record", 0).unwrap(), 0);
+        assert_eq!(
+            frame_len("record", u32::MAX as usize).unwrap(),
+            u32::MAX,
+            "the largest frame still fits"
+        );
+        for bytes in [u32::MAX as usize + 1, (u32::MAX as usize + 1) * 3 + 17] {
+            match frame_len("checkpoint payload", bytes) {
+                Err(WalError::TooLarge { what, bytes: b }) => {
+                    assert_eq!((what, b), ("checkpoint payload", bytes));
+                }
+                other => panic!("{bytes} bytes must be refused, got {other:?}"),
+            }
+        }
+        let msg = frame_len("journal record", 1 << 33)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            msg.contains("journal record") && msg.contains("8589934592"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! so a crash mid-checkpoint leaves the previous checkpoint intact
 //! rather than a torn file.
 
-use crate::bytes::{crc32, ByteReader, ByteWriter, WalError};
+use crate::bytes::{crc32, frame_len, ByteReader, ByteWriter, Crc32, WalError};
 use crate::journal::StorageBackend;
 
 const MAGIC: u32 = 0x4C4F_4F4D; // "LOOM"
@@ -35,27 +35,33 @@ pub fn checkpoint_name(seq: u64) -> String {
     format!("ckpt-{seq:020}")
 }
 
-/// Write a checkpoint atomically.
+/// Write a checkpoint atomically. The payload is checksummed where it
+/// lies — the small head, then the caller's state bytes — and copied
+/// once, into the framed file.
 pub fn write_checkpoint(backend: &dyn StorageBackend, ckpt: &Checkpoint) -> Result<(), WalError> {
-    let mut p = ByteWriter::new();
-    p.str(&ckpt.fingerprint);
-    p.u64(ckpt.seq);
-    p.u64(ckpt.edges);
-    p.raw(&ckpt.state);
-    let payload = p.into_bytes();
-    let mut w = ByteWriter::new();
+    let mut head = ByteWriter::new();
+    head.str(&ckpt.fingerprint);
+    head.u64(ckpt.seq);
+    head.u64(ckpt.edges);
+    let len = head.len() + ckpt.state.len();
+    let len_field = frame_len("checkpoint payload", len)?;
+    let mut crc = Crc32::new();
+    crc.update(head.as_bytes());
+    crc.update(&ckpt.state);
+    let mut w = ByteWriter::with_capacity(16 + len);
     w.u32(MAGIC);
     w.u32(VERSION);
-    w.u32(crc32(&payload));
-    w.u32(payload.len() as u32);
-    w.raw(&payload);
+    w.u32(crc.finish());
+    w.u32(len_field);
+    w.raw(head.as_bytes());
+    w.raw(&ckpt.state);
     backend.write_atomic(&checkpoint_name(ckpt.seq), w.as_bytes())?;
     Ok(())
 }
 
 /// Read and validate one checkpoint file.
 pub fn read_checkpoint(backend: &dyn StorageBackend, name: &str) -> Result<Checkpoint, WalError> {
-    let bytes = backend.read(name)?;
+    let mut bytes = backend.read(name)?;
     let mut r = ByteReader::new(&bytes);
     let magic = r.u32()?;
     if magic != MAGIC {
@@ -87,12 +93,15 @@ pub fn read_checkpoint(backend: &dyn StorageBackend, name: &str) -> Result<Check
     let fingerprint = pr.str()?;
     let seq = pr.u64()?;
     let edges = pr.u64()?;
-    let state = payload[payload.len() - pr.remaining()..].to_vec();
+    // The state is the rest of the buffer already in hand: drop the
+    // header in place rather than copying the state out.
+    let state_at = bytes.len() - pr.remaining();
+    bytes.drain(..state_at);
     Ok(Checkpoint {
         seq,
         fingerprint,
         edges,
-        state,
+        state: bytes,
     })
 }
 
@@ -110,6 +119,22 @@ pub fn list_checkpoints(backend: &dyn StorageBackend) -> Result<Vec<(u64, String
     }
     found.sort();
     Ok(found)
+}
+
+/// Remove what a kill between `write_atomic`'s write and its rename
+/// leaves behind: `ckpt-*.tmp` files, each the size of a checkpoint,
+/// which [`list_checkpoints`] — and so pruning — never sees. Returns
+/// how many were removed. Only for a directory no other process is
+/// checkpointing into, which attach and resume already require.
+pub fn sweep_checkpoint_temps(backend: &dyn StorageBackend) -> Result<usize, WalError> {
+    let mut swept = 0;
+    for name in backend.list()? {
+        if name.starts_with("ckpt-") && name.ends_with(".tmp") {
+            backend.remove(&name)?;
+            swept += 1;
+        }
+    }
+    Ok(swept)
 }
 
 #[cfg(test)]

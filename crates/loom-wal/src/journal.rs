@@ -9,7 +9,7 @@
 //! checksummed prefix, everything after is a torn tail to be truncated
 //! — a corrupt record is *detected*, never decoded.
 
-use crate::bytes::crc32;
+use crate::bytes::{crc32, frame_len};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
@@ -368,6 +368,9 @@ impl StorageBackend for FaultyBackend {
 pub struct JournalWriter {
     file: Box<dyn WalFile>,
     appended: u64,
+    /// The frame being appended, kept between records so a batch
+    /// costs no allocation.
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -378,18 +381,23 @@ impl JournalWriter {
         Ok(JournalWriter {
             file: backend.open_append(JOURNAL_FILE)?,
             appended: existing_bytes,
+            frame: Vec::new(),
         })
     }
 
     /// Frame and append one record. Not durable until
-    /// [`JournalWriter::flush`].
+    /// [`JournalWriter::flush`]. A payload past the frame's `u32`
+    /// length field is refused (`InvalidInput` carrying
+    /// [`crate::WalError::TooLarge`]) with nothing appended.
     pub fn append_record(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.append(&frame)?;
-        self.appended += frame.len() as u64;
+        let len = frame_len("journal record", payload.len())
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&len.to_le_bytes());
+        self.frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.frame.extend_from_slice(payload);
+        self.file.append(&self.frame)?;
+        self.appended += self.frame.len() as u64;
         Ok(())
     }
 

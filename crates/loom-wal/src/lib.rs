@@ -23,7 +23,8 @@ mod journal;
 
 pub use bytes::{crc32, ByteReader, ByteWriter, WalError};
 pub use checkpoint::{
-    checkpoint_name, list_checkpoints, read_checkpoint, write_checkpoint, Checkpoint,
+    checkpoint_name, list_checkpoints, read_checkpoint, sweep_checkpoint_temps, write_checkpoint,
+    Checkpoint,
 };
 pub use journal::{
     scan_journal, FaultPlan, FaultyBackend, FileBackend, JournalScan, JournalWriter, MemBackend,
