@@ -1,62 +1,70 @@
-//! The CI perf/memory regression gate: compare a freshly regenerated
-//! `BENCH_results.json` against the committed copy.
+//! The CI quality gate: compare the summary of a fresh run against the
+//! committed `BENCH_results.json`.
 //!
 //! Quality numbers (`weighted_ipt`, `imbalance`) are deterministic
 //! functions of the seed, so the gate demands they match *exactly* —
 //! any drift means a PR changed partitioning behaviour without saying
-//! so. Throughput (`ms_per_10k_edges`) is wall-clock and noisy, so it
-//! only fails on a regression beyond a tolerance (CI uses 30%).
-//! Faster is never a failure; the printed table makes improvements
-//! visible so the committed baseline can be refreshed deliberately.
+//! so. `ms_per_10k_edges` is Table 2's wall-clock column: it is written
+//! and printed for information but never gated. Throughput is measured
+//! from outside by `benchmark/` (`benchmark -- compare`).
 //!
-//! The parser is hand-rolled against the fixed shape
-//! [`crate::suites::bench_summary`] writes — the workspace is offline
-//! and carries no JSON dependency.
+//! One struct, one writer ([`BenchSummary::to_json`]) and one reader
+//! ([`BenchSummary::parse`], hand-rolled against that fixed shape — the
+//! workspace is offline and carries no JSON dependency). A summary
+//! built from results carries exactly the digits the file does, so the
+//! gate compares the fresh value with the parsed committed file
+//! directly.
+
+use loom_core::{ExperimentResult, System, SystemResult};
 
 /// One system's summary row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemSummary {
     /// System name ("Hash", "LDG", "Fennel", "Loom").
     pub name: String,
-    /// Mean wall milliseconds per 10k edges across ipt cells.
+    /// Mean wall milliseconds per 10k edges across ipt cells (ungated).
     pub ms_per_10k_edges: f64,
     /// Mean frequency-weighted workload ipt across ipt cells.
     pub weighted_ipt: f64,
     /// Mean imbalance across ipt cells.
     pub imbalance: f64,
-    /// Ingest worker count the row's timed legs ran with (1 =
-    /// sequential; summaries written before the field existed parse
-    /// as 1).
-    pub threads: u64,
     /// Number of ipt cells averaged.
     pub cells: u64,
 }
 
-/// A parsed `BENCH_results.json`.
+/// A run summary: what `--bench-json` writes and `BENCH_results.json`
+/// holds.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchSummary {
     /// Dataset scale the run used.
     pub scale: String,
     /// Master seed.
     pub seed: u64,
-    /// Effective parallelism of the machine that produced the summary
-    /// (summaries written before the field existed parse as 1). Rows
-    /// timed at `threads` beyond this measured pool overhead on a
-    /// starved machine, not parallel speedup, so the gate only
-    /// compares their throughput where both machines could actually
-    /// run them in parallel.
-    pub parallelism: u64,
+    /// Suites that ran, in run order.
+    pub suites: Vec<String>,
     /// Total ipt cells.
     pub cells: u64,
-    /// Per-system rows, in file order.
+    /// Per-system rows, in `System::ALL` order.
     pub systems: Vec<SystemSummary>,
+}
+
+/// `x` as the `decimals`-place number the summary file carries.
+fn written(x: f64, decimals: usize) -> f64 {
+    format!("{x:.decimals$}")
+        .parse()
+        .expect("a formatted f64 parses")
+}
+
+/// The text following `"key":` in `text` (first match), leading
+/// whitespace trimmed.
+fn after<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    Some(text[text.find(&needle)? + needle.len()..].trim_start())
 }
 
 /// Extract the number following `"key": ` in `text` (first match).
 fn number_after(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
+    let rest = after(text, key)?;
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
         .unwrap_or(rest.len());
@@ -65,21 +73,90 @@ fn number_after(text: &str, key: &str) -> Option<f64> {
 
 /// Extract the string following `"key": "` in `text` (first match).
 fn string_after(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix('"')?;
+    let rest = after(text, key)?.strip_prefix('"')?;
     Some(rest[..rest.find('"')?].to_string())
 }
 
+/// Extract the string array following `"key": [` in `text`.
+fn strings_after(text: &str, key: &str) -> Option<Vec<String>> {
+    let rest = after(text, key)?.strip_prefix('[')?;
+    let body = &rest[..rest.find(']')?];
+    body.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|s| Some(s.strip_prefix('"')?.strip_suffix('"')?.to_string()))
+        .collect()
+}
+
+impl SystemSummary {
+    fn from_rows(name: &str, rows: &[&SystemResult]) -> SystemSummary {
+        let n = rows.len() as f64;
+        let mean = |f: fn(&SystemResult) -> f64| rows.iter().map(|&s| f(s)).sum::<f64>() / n;
+        SystemSummary {
+            name: name.to_string(),
+            ms_per_10k_edges: written(mean(|s| s.ms_per_10k_edges()), 3),
+            weighted_ipt: written(mean(|s| s.weighted_ipt), 4),
+            imbalance: written(mean(|s| s.metrics.imbalance), 5),
+            cells: rows.len() as u64,
+        }
+    }
+}
+
 impl BenchSummary {
-    /// Parse the fixed format [`crate::suites::bench_summary`] writes.
-    /// Returns a message naming what is malformed otherwise.
+    /// Summarise a run: per-system means over every ipt cell in
+    /// `results`, rounded to the digits the file carries.
+    pub fn from_results(
+        scale: &str,
+        seed: u64,
+        suites: &[&str],
+        results: &[ExperimentResult],
+    ) -> BenchSummary {
+        let systems = System::ALL
+            .into_iter()
+            .filter_map(|sys| {
+                let rows: Vec<&SystemResult> =
+                    results.iter().filter_map(|r| r.system(sys)).collect();
+                (!rows.is_empty()).then(|| SystemSummary::from_rows(sys.name(), &rows))
+            })
+            .collect();
+        BenchSummary {
+            scale: scale.to_string(),
+            seed,
+            suites: suites.iter().map(|s| s.to_string()).collect(),
+            cells: results.len() as u64,
+            systems,
+        }
+    }
+
+    /// The `BENCH_results.json` text: one system row per line.
+    pub fn to_json(&self) -> String {
+        let suites: Vec<String> = self.suites.iter().map(|s| format!("\"{s}\"")).collect();
+        let rows: Vec<String> = self
+            .systems
+            .iter()
+            .map(|s| {
+                format!(
+                    "    \"{}\": {{\"ms_per_10k_edges\": {:.3}, \"weighted_ipt\": {:.4}, \"imbalance\": {:.5}, \"cells\": {}}}",
+                    s.name, s.ms_per_10k_edges, s.weighted_ipt, s.imbalance, s.cells
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"suites\": [{}],\n  \"cells\": {},\n  \"systems\": {{\n{}\n  }}\n}}\n",
+            self.scale,
+            self.seed,
+            suites.join(", "),
+            self.cells,
+            rows.join(",\n")
+        )
+    }
+
+    /// Parse the format [`BenchSummary::to_json`] writes. Returns a
+    /// message naming what is malformed otherwise.
     pub fn parse(text: &str) -> Result<BenchSummary, String> {
         let scale = string_after(text, "scale").ok_or("missing \"scale\"")?;
         let seed = number_after(text, "seed").ok_or("missing \"seed\"")? as u64;
-        // Header-only key; summaries predating it parse as 1 (the most
-        // conservative reading: every threads>1 row gets skipped).
-        let parallelism = (number_after(text, "parallelism").unwrap_or(1.0) as u64).max(1);
+        let suites = strings_after(text, "suites").ok_or("missing \"suites\"")?;
         let cells = number_after(text, "cells").ok_or("missing \"cells\"")? as u64;
         let systems_at = text
             .find("\"systems\"")
@@ -97,15 +174,13 @@ impl BenchSummary {
             let get = |key: &str| {
                 number_after(line, key).ok_or_else(|| format!("row '{name}' missing {key}"))
             };
-            let row = SystemSummary {
+            systems.push(SystemSummary {
                 ms_per_10k_edges: get("ms_per_10k_edges")?,
                 weighted_ipt: get("weighted_ipt")?,
                 imbalance: get("imbalance")?,
-                threads: number_after(line, "threads").unwrap_or(1.0) as u64,
                 cells: get("cells")? as u64,
-                name: name.clone(),
-            };
-            systems.push(row);
+                name,
+            });
         }
         if systems.is_empty() {
             return Err("no system rows found".into());
@@ -113,7 +188,7 @@ impl BenchSummary {
         Ok(BenchSummary {
             scale,
             seed,
-            parallelism,
+            suites,
             cells,
             systems,
         })
@@ -128,10 +203,6 @@ pub struct GateReport {
     pub table: String,
     /// Violations; the gate passes iff this is empty.
     pub failures: Vec<String>,
-    /// Non-fatal notices (e.g. a throughput comparison skipped because
-    /// a row's thread count exceeds a machine's parallelism). Printed
-    /// alongside the table; never fail the gate.
-    pub notes: Vec<String>,
 }
 
 impl GateReport {
@@ -143,19 +214,11 @@ impl GateReport {
 
 /// Compare a fresh run against the committed baseline.
 ///
-/// Rules: the run shape (scale/seed/cells and the system set) must
-/// match; `weighted_ipt` and `imbalance` must be exactly equal (both
-/// files carry the same fixed-precision formatting, so determinism
-/// means string-equal numbers); `ms_per_10k_edges` may not exceed the
-/// baseline by more than `ms_tolerance` (fractional, e.g. 0.30).
-pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64) -> GateReport {
+/// Rules: the run shape (scale, seed, cells and the system set) must
+/// match, and every system's `weighted_ipt`, `imbalance` and cell count
+/// must be bit-equal. `ms_per_10k_edges` is shown, never gated.
+pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary) -> GateReport {
     let mut failures = Vec::new();
-    let mut notes = Vec::new();
-    // Throughput rows timed at more workers than either machine can
-    // actually run in parallel measured pool overhead, not speedup —
-    // comparing them is apples to oranges, so those rows get quality
-    // checks only.
-    let effective_parallelism = baseline.parallelism.min(fresh.parallelism);
     if baseline.scale != fresh.scale || baseline.seed != fresh.seed {
         failures.push(format!(
             "run shape changed: baseline scale '{}' seed {} vs fresh scale '{}' seed {}",
@@ -175,25 +238,18 @@ pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64)
             failures.push(format!("system '{}' missing from the fresh run", base.name));
             continue;
         };
-        let delta_pct = if base.ms_per_10k_edges > 0.0 {
-            (new.ms_per_10k_edges / base.ms_per_10k_edges - 1.0) * 100.0
-        } else {
-            0.0
-        };
         let mut status = "ok";
-        if new.weighted_ipt != base.weighted_ipt {
-            status = "FAIL";
-            failures.push(format!(
-                "{}: weighted_ipt drifted {} -> {} (quality must be bit-stable)",
-                base.name, base.weighted_ipt, new.weighted_ipt
-            ));
-        }
-        if new.imbalance != base.imbalance {
-            status = "FAIL";
-            failures.push(format!(
-                "{}: imbalance drifted {} -> {} (quality must be bit-stable)",
-                base.name, base.imbalance, new.imbalance
-            ));
+        for (field, was, now) in [
+            ("weighted_ipt", base.weighted_ipt, new.weighted_ipt),
+            ("imbalance", base.imbalance, new.imbalance),
+        ] {
+            if was.to_bits() != now.to_bits() {
+                status = "FAIL";
+                failures.push(format!(
+                    "{}: {field} drifted {was} -> {now} (quality must be bit-stable)",
+                    base.name
+                ));
+            }
         }
         if new.cells != base.cells {
             status = "FAIL";
@@ -202,46 +258,13 @@ pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64)
                 base.name, base.cells, new.cells
             ));
         }
-        if new.threads != base.threads {
-            status = "FAIL";
-            failures.push(format!(
-                "{}: ingest worker count changed {} -> {} (throughput rows are only comparable at the same thread count)",
-                base.name, base.threads, new.threads
-            ));
-        }
-        if base.threads > effective_parallelism {
-            if status == "ok" {
-                status = "ok (ms skipped)";
-            }
-            notes.push(format!(
-                "{}: throughput comparison skipped — row timed at {} workers but the \
-                 effective parallelism is {} (baseline machine {}, this machine {}); \
-                 quality still checked",
-                base.name,
-                base.threads,
-                effective_parallelism,
-                baseline.parallelism,
-                fresh.parallelism
-            ));
-        } else if new.ms_per_10k_edges > base.ms_per_10k_edges * (1.0 + ms_tolerance) {
-            status = "FAIL";
-            failures.push(format!(
-                "{}: ms/10k-edges regressed {:.3} -> {:.3} ({:+.1}%, tolerance {:.0}%)",
-                base.name,
-                base.ms_per_10k_edges,
-                new.ms_per_10k_edges,
-                delta_pct,
-                ms_tolerance * 100.0
-            ));
-        }
         rows.push(format!(
-            "| {} | {:.3} | {:.3} | {:+.1}% | {:.4} | {:.5} | {} |",
+            "| {} | {:.4} | {:.5} | {:.3} | {:.3} | {} |",
             base.name,
-            base.ms_per_10k_edges,
-            new.ms_per_10k_edges,
-            delta_pct,
             new.weighted_ipt,
             new.imbalance,
+            base.ms_per_10k_edges,
+            new.ms_per_10k_edges,
             status
         ));
     }
@@ -255,106 +278,75 @@ pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64)
     }
 
     let table = format!(
-        "| system | ms/10k (committed) | ms/10k (fresh) | Δ | weighted_ipt | imbalance | status |\n|---|---|---|---|---|---|---|\n{}\n",
+        "| system | weighted_ipt | imbalance | ms/10k committed | ms/10k fresh (ungated) | status |\n|---|---|---|---|---|---|\n{}\n",
         rows.join("\n")
     );
-    GateReport {
-        table,
-        failures,
-        notes,
-    }
+    GateReport { table, failures }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_at(ms: f64, ipt: f64, parallelism: u64) -> String {
-        format!(
-            "{{\n  \"scale\": \"small\",\n  \"seed\": 42,\n  \"parallelism\": {parallelism},\n  \"suites\": [\"fig7\", \"fig8\"],\n  \"cells\": 24,\n  \"systems\": {{\n    \"Hash\": {{\"ms_per_10k_edges\": 0.111, \"weighted_ipt\": 38985.4146, \"imbalance\": 0.05314, \"threads\": 1, \"cells\": 24}},\n    \"Loom\": {{\"ms_per_10k_edges\": {ms}, \"weighted_ipt\": {ipt}, \"imbalance\": 0.08989, \"threads\": 1, \"cells\": 24}},\n    \"Loom@t4\": {{\"ms_per_10k_edges\": {ms}, \"weighted_ipt\": {ipt}, \"imbalance\": 0.08989, \"threads\": 4, \"cells\": 24}}\n  }}\n}}\n"
-        )
+    fn sample() -> BenchSummary {
+        let row = |name: &str, ms, ipt, imbalance| SystemSummary {
+            name: name.to_string(),
+            ms_per_10k_edges: ms,
+            weighted_ipt: ipt,
+            imbalance,
+            cells: 24,
+        };
+        BenchSummary {
+            scale: "small".into(),
+            seed: 42,
+            suites: vec!["fig7".into(), "fig8".into()],
+            cells: 24,
+            systems: vec![
+                row("Hash", 0.087, 38985.4146, 0.05314),
+                row("Loom", 3.033, 19998.9554, 0.08989),
+            ],
+        }
     }
 
-    fn sample(ms: f64, ipt: f64) -> String {
-        sample_at(ms, ipt, 4)
+    fn next_ulp(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
     }
 
     #[test]
     fn parses_the_writer_format() {
-        let s = BenchSummary::parse(&sample(2.943, 19998.9554)).unwrap();
-        assert_eq!(s.scale, "small");
-        assert_eq!(s.seed, 42);
-        assert_eq!(s.cells, 24);
-        assert_eq!(s.systems.len(), 3);
-        assert_eq!(s.systems[1].name, "Loom");
-        assert_eq!(s.systems[1].ms_per_10k_edges, 2.943);
-        assert_eq!(s.systems[1].weighted_ipt, 19998.9554);
-        assert_eq!(s.systems[1].threads, 1);
-        assert_eq!(s.systems[1].cells, 24);
-        assert_eq!(s.systems[2].name, "Loom@t4");
-        assert_eq!(s.systems[2].threads, 4);
+        let s = sample();
+        assert_eq!(BenchSummary::parse(&s.to_json()).unwrap(), s);
     }
 
     #[test]
-    fn missing_threads_parses_as_sequential() {
-        // Summaries written before the parallel-ingest work carry no
-        // "threads" key; they must parse as threads = 1, not error.
-        let legacy = sample(2.0, 19998.9554).replace("\"threads\": 1, ", "");
-        let s = BenchSummary::parse(&legacy).unwrap();
-        assert_eq!(s.systems[0].threads, 1);
-        assert_eq!(s.systems[1].threads, 1);
-    }
-
-    #[test]
-    fn missing_parallelism_parses_as_one() {
-        let legacy = sample(2.0, 19998.9554).replace("  \"parallelism\": 4,\n", "");
-        let s = BenchSummary::parse(&legacy).unwrap();
-        assert_eq!(s.parallelism, 1);
-        assert_eq!(
-            BenchSummary::parse(&sample(2.0, 1.0)).unwrap().parallelism,
-            4
+    fn summary_of_real_results_round_trips() {
+        let mut cfg = loom_core::ExperimentConfig::evaluation_defaults(
+            loom_core::graph::DatasetKind::ProvGen,
+            loom_core::graph::Scale::Tiny,
+            loom_core::graph::StreamOrder::BreadthFirst,
         );
+        cfg.k = 2;
+        cfg.limit_per_query = 5_000;
+        let results = [loom_core::run_experiment(&cfg)];
+        let s = BenchSummary::from_results("tiny", 42, &["fig8"], &results);
+        assert_eq!(s.cells, 1);
+        assert_eq!(s.systems.len(), System::ALL.len());
+        assert_eq!(BenchSummary::parse(&s.to_json()).unwrap(), s);
+        assert!(compare(&s, &s).passed());
     }
 
     #[test]
-    fn threads_beyond_parallelism_skip_ms_but_not_quality() {
-        // Baseline measured on a single-core machine: its Loom@t4 row
-        // (threads 4) recorded pool overhead. A 10x ms regression on
-        // that row must NOT fail the gate — only a notice.
-        let base = BenchSummary::parse(&sample_at(2.0, 19998.9554, 1)).unwrap();
-        let mut fresh = BenchSummary::parse(&sample_at(2.0, 19998.9554, 8)).unwrap();
-        fresh.systems[2].ms_per_10k_edges = 20.0;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.notes.len(), 1, "notes: {:?}", r.notes);
-        assert!(r.notes[0].contains("Loom@t4"), "{:?}", r.notes);
-        assert!(r.table.contains("ok (ms skipped)"));
-        // Quality on the skipped row is still gated exactly.
-        fresh.systems[2].weighted_ipt += 0.0001;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("weighted_ipt"), "{:?}", r.failures);
-    }
-
-    #[test]
-    fn ms_still_gated_when_both_machines_are_parallel() {
-        let base = BenchSummary::parse(&sample_at(2.0, 19998.9554, 4)).unwrap();
-        let mut fresh = base.clone();
-        fresh.systems[2].ms_per_10k_edges = 20.0;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("Loom@t4"), "{:?}", r.failures);
-        assert!(r.notes.is_empty(), "{:?}", r.notes);
-    }
-
-    #[test]
-    fn thread_count_change_fails_the_gate() {
-        let base = BenchSummary::parse(&sample(2.0, 19998.9554)).unwrap();
-        let mut fresh = base.clone();
-        fresh.systems[1].threads = 4;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("worker count"), "{:?}", r.failures);
+    fn parses_the_committed_baseline() {
+        // The hand-edited committed file must parse, hold the quality
+        // digits, and be exactly what the writer would produce.
+        let text = include_str!("../../../BENCH_results.json");
+        let s = BenchSummary::parse(text).expect("committed BENCH_results.json unparsable");
+        assert_eq!((s.scale.as_str(), s.seed, s.cells), ("small", 42, 24));
+        let names: Vec<&str> = s.systems.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["Hash", "LDG", "Fennel", "Loom"]);
+        let loom = &s.systems[3];
+        assert_eq!((loom.weighted_ipt, loom.imbalance), (19998.9554, 0.08989));
+        assert_eq!(s.to_json(), text);
     }
 
     #[test]
@@ -362,7 +354,7 @@ mod tests {
         // A partially-written baseline (interrupted run, bad merge)
         // must surface as Err naming the first missing field — the
         // gate binary maps any such Err to its own exit code.
-        let full = sample(2.943, 19998.9554);
+        let full = sample().to_json();
         assert!(BenchSummary::parse("").unwrap_err().contains("scale"));
         // Cut before the systems object: header parses, rows do not.
         let cut = &full[..full.find("\"systems\"").unwrap()];
@@ -373,17 +365,16 @@ mod tests {
         let cut = &full[..full.find("\"Loom\"").unwrap()];
         let partial = BenchSummary::parse(cut).expect("complete rows still parse");
         assert_eq!(partial.systems.len(), 1);
-        let fresh = BenchSummary::parse(&full).unwrap();
-        let report = compare(&partial, &fresh, 0.30);
         assert!(
-            !report.passed(),
+            !compare(&partial, &sample()).passed(),
             "a system missing from the baseline must fail the gate"
         );
     }
 
     #[test]
     fn corrupt_row_names_the_field() {
-        let broken = sample(2.943, 19998.9554)
+        let broken = sample()
+            .to_json()
             .replace("\"weighted_ipt\": 19998.9554", "\"weighted_ipt\": oops");
         let err = BenchSummary::parse(&broken).unwrap_err();
         assert!(
@@ -393,58 +384,80 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_committed_baseline() {
-        // The actual committed file must always stay parsable.
-        let text = include_str!("../../../BENCH_results.json");
-        let s = BenchSummary::parse(text).expect("committed BENCH_results.json unparsable");
-        assert_eq!(s.scale, "small");
-        assert!(s.systems.iter().any(|r| r.name == "Loom"));
-    }
-
-    #[test]
     fn identical_runs_pass() {
-        let a = BenchSummary::parse(&sample(2.9, 19998.9554)).unwrap();
-        let r = compare(&a, &a.clone(), 0.30);
+        let r = compare(&sample(), &sample());
         assert!(r.passed(), "failures: {:?}", r.failures);
         assert!(r.table.contains("| Loom |"));
     }
 
     #[test]
     fn faster_is_not_a_failure() {
-        let base = BenchSummary::parse(&sample(2.9, 19998.9554)).unwrap();
-        let fresh = BenchSummary::parse(&sample(1.0, 19998.9554)).unwrap();
-        assert!(compare(&base, &fresh, 0.30).passed());
+        let mut fresh = sample();
+        fresh.systems[1].ms_per_10k_edges = 1.0;
+        assert!(compare(&sample(), &fresh).passed());
     }
 
     #[test]
-    fn slow_regression_fails_beyond_tolerance() {
-        let base = BenchSummary::parse(&sample(2.0, 19998.9554)).unwrap();
-        let within = BenchSummary::parse(&sample(2.5, 19998.9554)).unwrap();
-        assert!(compare(&base, &within, 0.30).passed(), "25% is tolerated");
-        let beyond = BenchSummary::parse(&sample(2.7, 19998.9554)).unwrap();
-        let r = compare(&base, &beyond, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("regressed"), "{:?}", r.failures);
+    fn tenfold_ms_change_passes() {
+        for factor in [10.0, 0.1] {
+            let mut fresh = sample();
+            for s in &mut fresh.systems {
+                s.ms_per_10k_edges *= factor;
+            }
+            let r = compare(&sample(), &fresh);
+            assert!(r.passed(), "x{factor}: {:?}", r.failures);
+        }
     }
 
     #[test]
     fn quality_drift_fails_exactly() {
-        let base = BenchSummary::parse(&sample(2.0, 19998.9554)).unwrap();
-        let drift = BenchSummary::parse(&sample(2.0, 19998.9555)).unwrap();
-        let r = compare(&base, &drift, 0.30);
+        let mut ipt = sample();
+        ipt.systems[1].weighted_ipt = next_ulp(ipt.systems[1].weighted_ipt);
+        let r = compare(&sample(), &ipt);
         assert!(!r.passed());
         assert!(r.failures[0].contains("weighted_ipt"), "{:?}", r.failures);
         assert!(r.table.contains("FAIL"));
+
+        let mut imbalance = sample();
+        imbalance.systems[0].imbalance = next_ulp(imbalance.systems[0].imbalance);
+        let r = compare(&sample(), &imbalance);
+        assert!(!r.passed());
+        assert!(r.failures[0].contains("imbalance"), "{:?}", r.failures);
     }
 
     #[test]
     fn missing_system_fails() {
-        let base = BenchSummary::parse(&sample(2.0, 19998.9554)).unwrap();
-        let mut fresh = base.clone();
+        let mut fresh = sample();
         fresh.systems.pop();
-        let r = compare(&base, &fresh, 0.30);
+        let r = compare(&sample(), &fresh);
         assert!(!r.passed());
         assert!(r.failures[0].contains("missing"), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn extra_system_fails() {
+        let mut fresh = sample();
+        let mut extra = fresh.systems[1].clone();
+        extra.name = "Loom@t4".into();
+        fresh.systems.push(extra);
+        let r = compare(&sample(), &fresh);
+        assert!(!r.passed());
+        assert!(r.failures[0].contains("Loom@t4"), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn run_shape_change_fails() {
+        let changes: [fn(&mut BenchSummary); 3] = [
+            |s| s.cells = 12,
+            |s| s.scale = "tiny".into(),
+            |s| s.seed = 7,
+        ];
+        for change in changes {
+            let mut fresh = sample();
+            change(&mut fresh);
+            let r = compare(&sample(), &fresh);
+            assert!(!r.passed(), "{fresh:?} passed the gate");
+        }
     }
 
     #[test]

@@ -2,44 +2,33 @@
 //!
 //! ```text
 //! repro [--experiment all|fig4|table1|fig7|fig8|table2|fig9|ablations|online]
-//!       [--scale tiny|small|medium|large] [--seed N] [--threads N|auto] [--jsonl PATH]
-//!       [--bench-json PATH|none] [--compare-bench PATH] [--history PATH]
+//!       [--scale tiny|small|medium|large] [--seed N] [--jsonl PATH]
+//!       [--bench-json PATH|none] [--compare-bench PATH]
 //! ```
 //!
-//! `--threads N` runs every timed partition leg with N ingest workers
-//! (default 1 = sequential; `auto` resolves the machine's parallelism
-//! and prints it). Quality numbers are bit-identical for any value —
-//! parallelism only fans out the pure probe phase (DESIGN.md §13) —
-//! so this moves only the throughput columns.
-//!
-//! `--history PATH` (with `--compare-bench`) appends one JSON line per
-//! gate run to PATH — the cross-PR perf trajectory log; CI points it
-//! at the git-ignored `BENCH_history.jsonl`. The history hook also
-//! runs two in-process drills whose outcomes land in the same line:
-//! the crash-recovery kill/resume drill (`"recovery"`) and the
-//! `loom serve` loopback QPS/latency drill (`"serve"`).
-//!
 //! Prints paper-style markdown tables to stdout; with `--jsonl` also
-//! writes machine-readable result rows for the ipt experiments. Every
-//! run additionally writes a `BENCH_results.json` summary (per-system
-//! ms/10k-edges and weighted ipt averaged over the run's ipt cells) so
-//! the perf trajectory is tracked PR over PR — `--bench-json none`
-//! suppresses it.
+//! writes machine-readable result rows for the ipt experiments. A run
+//! that produced ipt cells (`all`, `fig7`, `fig8`) additionally writes
+//! a `BENCH_results.json` summary (per-system weighted ipt, imbalance
+//! and Table 2's ms/10k-edges, averaged over the cells) —
+//! `--bench-json none` suppresses it.
 //!
-//! `--compare-bench PATH` turns the run into the CI regression gate:
-//! the fresh summary is compared against the committed copy at PATH
-//! (quality numbers must match exactly, throughput may not regress
-//! more than 30%), a before/after table is printed to stderr, and the
-//! process exits non-zero on any violation.
+//! `--compare-bench PATH` turns the run into the CI quality gate: the
+//! fresh summary is compared against the committed copy at PATH (run
+//! shape and quality digits must match exactly; ms/10k-edges is shown,
+//! never gated — throughput is measured by `benchmark/`), a
+//! before/after table is printed to stderr, and the process exits
+//! non-zero on any violation.
 //!
-//! Exit codes: `0` pass, `1` perf-gate violation, `2` bad invocation,
-//! `3` the committed baseline at PATH is missing or unparsable (the
-//! gate could not run — distinct from a regression so CI can report
-//! "refresh/commit the baseline" instead of "investigate a slowdown").
+//! Exit codes: `0` pass, `1` quality-gate violation, `2` bad invocation
+//! (including an output path that cannot be written), `3` the committed
+//! baseline at PATH is missing or unparsable (the gate could not run —
+//! distinct from a violation so CI can report "refresh/commit the
+//! baseline" instead of "investigate a quality drift").
 
 use loom_bench::suites::{self, SuiteOptions};
+use loom_bench::BenchSummary;
 use loom_core::graph::Scale;
-use std::io::Write as _;
 
 struct Args {
     experiment: String,
@@ -47,13 +36,7 @@ struct Args {
     jsonl: Option<String>,
     bench_json: Option<String>,
     compare_bench: Option<String>,
-    history: Option<String>,
 }
-
-/// Throughput tolerance of the regression gate: `ms_per_10k_edges`
-/// may exceed the committed baseline by at most this fraction
-/// (wall-clock noise allowance; quality numbers get zero tolerance).
-const GATE_MS_TOLERANCE: f64 = 0.30;
 
 /// `--help` text. Tested against [`FLAGS`]: every long flag the
 /// parser matches must appear here and vice versa, so `repro --help`
@@ -61,8 +44,8 @@ const GATE_MS_TOLERANCE: f64 = 0.30;
 /// `loom` binary's USAGE carries).
 const HELP: &str =
     "repro [--experiment all|fig4|table1|fig7|fig8|table2|fig9|ablations|online]\n      \
-[--scale tiny|small|medium|large] [--seed N] [--threads N|auto] [--jsonl PATH]\n      \
-[--bench-json PATH|none] [--compare-bench PATH] [--history PATH] [--help]";
+[--scale tiny|small|medium|large] [--seed N] [--jsonl PATH]\n      \
+[--bench-json PATH|none] [--compare-bench PATH] [--help]";
 
 /// The experiment names `--experiment` accepts.
 const EXPERIMENTS: [&str; 9] = [
@@ -77,13 +60,16 @@ const EXPERIMENTS: [&str; 9] = [
     "online",
 ];
 
+/// The experiments that produce ipt cells — the only runs with a
+/// summary to write or gate.
+const IPT_EXPERIMENTS: [&str; 3] = ["all", "fig7", "fig8"];
+
 fn parse_args_from(argv: &[String]) -> Result<Args, String> {
     let mut experiment = "all".to_string();
     let mut options = SuiteOptions::default();
     let mut jsonl = None;
     let mut bench_json = Some("BENCH_results.json".to_string());
     let mut compare_bench = None;
-    let mut history = None;
     let mut i = 0;
     while i < argv.len() {
         let take_value = |i: &mut usize| -> Result<String, String> {
@@ -108,25 +94,12 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?
             }
-            "--threads" | "-t" => {
-                let v = take_value(&mut i)?;
-                if v == "auto" {
-                    options.threads = loom_core::runtime::available_parallelism();
-                    eprintln!("--threads auto resolved to {}", options.threads);
-                } else {
-                    options.threads = v.parse().map_err(|e| format!("bad thread count: {e}"))?;
-                    if options.threads == 0 {
-                        return Err("--threads must be >= 1 (1 = sequential), or 'auto'".into());
-                    }
-                }
-            }
             "--jsonl" => jsonl = Some(take_value(&mut i)?),
             "--bench-json" => {
                 let v = take_value(&mut i)?;
                 bench_json = if v == "none" { None } else { Some(v) };
             }
             "--compare-bench" => compare_bench = Some(take_value(&mut i)?),
-            "--history" => history = Some(take_value(&mut i)?),
             "--help" | "-h" => {
                 println!("{HELP}");
                 std::process::exit(0);
@@ -143,13 +116,21 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
             EXPERIMENTS.join("|")
         ));
     }
+    // Likewise a gate over an experiment with no ipt cells would run
+    // the suite and only then find nothing to compare.
+    if compare_bench.is_some() && !IPT_EXPERIMENTS.contains(&experiment.as_str()) {
+        return Err(format!(
+            "--compare-bench gates ipt cells and experiment '{experiment}' produces none; \
+             use --experiment {}",
+            IPT_EXPERIMENTS.join("|")
+        ));
+    }
     Ok(Args {
         experiment,
         options,
         jsonl,
         bench_json,
         compare_bench,
-        history,
     })
 }
 
@@ -158,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Runs one named suite and returns its markdown; ipt experiment rows
-/// are appended to `all_results` for `--jsonl`.
+/// are appended to `all_results` for `--jsonl` and the summary.
 fn run_suite(
     name: &str,
     opts: &SuiteOptions,
@@ -185,6 +166,14 @@ fn run_suite(
     }
 }
 
+/// Write `text` to `path`, or exit 2 naming the path and the OS error.
+fn write_or_exit(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -194,12 +183,29 @@ fn main() {
         }
     };
     let opts = args.options;
+
+    // Read the committed baseline BEFORE the run and any write: with
+    // the default --bench-json path, `--compare-bench
+    // BENCH_results.json` names the same file the fresh summary is
+    // about to land in, and a write-then-read would gate the fresh run
+    // against itself. A missing or corrupt baseline is not a quality
+    // violation: it exits with its own code (3).
+    let baseline = args.compare_bench.as_ref().map(|path| {
+        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("error: cannot read committed baseline {path}: {e}");
+            std::process::exit(3);
+        });
+        BenchSummary::parse(&committed).unwrap_or_else(|e| {
+            eprintln!("error: committed baseline {path} unparsable: {e}");
+            std::process::exit(3);
+        })
+    });
+
     println!(
         "# Loom reproduction — scale `{}`, seed {}\n",
         opts.scale.name(),
         opts.seed
     );
-
     let mut all_results = Vec::new();
     let mut suites_run: Vec<&str> = Vec::new();
     // Dispatch is driven by the same EXPERIMENTS table that validates
@@ -216,47 +222,15 @@ fn main() {
         println!("{text}\n");
     }
 
-    if let Some(path) = args.jsonl {
-        let mut f = std::fs::File::create(&path).expect("create jsonl file");
-        f.write_all(suites::jsonl(&all_results).as_bytes())
-            .expect("write jsonl");
+    if let Some(path) = &args.jsonl {
+        write_or_exit(path, &suites::jsonl(&all_results));
         eprintln!("wrote {} result rows to {path}", all_results.len() * 4);
     }
-
-    // The parallel-ingest trajectory row: rerun the Loom legs at 4
-    // ingest workers (quality provably identical, throughput tracked
-    // PR over PR as "Loom@t4"). Only when a summary is actually
-    // consumed — the rerun costs a full Loom pass per ipt cell.
-    const PARALLEL_ROW_THREADS: usize = 4;
-    let loom_t4 =
-        if !all_results.is_empty() && (args.bench_json.is_some() || args.compare_bench.is_some()) {
-            suites::loom_parallel_rerun(&all_results, PARALLEL_ROW_THREADS)
-        } else {
-            Vec::new()
-        };
-    let summary = suites::bench_summary(
-        &suites_run,
-        &opts,
-        &all_results,
-        Some((PARALLEL_ROW_THREADS, &loom_t4)),
-    );
-    // Read the committed baseline BEFORE any write: with the default
-    // --bench-json path, `--compare-bench BENCH_results.json` names
-    // the same file the fresh summary is about to land in, and a
-    // write-then-read would gate the fresh run against itself.
-    // A missing or corrupt baseline is NOT a perf regression: it exits
-    // with its own code (3) so CI can tell "the gate fired" (1) from
-    // "the gate could not run" (3) and from "bad invocation" (2).
-    let baseline = args.compare_bench.as_ref().map(|path| {
-        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read committed baseline {path}: {e}");
-            std::process::exit(3);
-        });
-        loom_bench::BenchSummary::parse(&committed).unwrap_or_else(|e| {
-            eprintln!("error: committed baseline {path} unparsable: {e}");
-            std::process::exit(3);
-        })
-    });
+    if all_results.is_empty() {
+        return; // no ipt cells: nothing to summarise or gate
+    }
+    let summary =
+        BenchSummary::from_results(opts.scale.name(), opts.seed, &suites_run, &all_results);
     if let Some(path) = &args.bench_json {
         if args.compare_bench.as_deref() == Some(path.as_str()) {
             eprintln!(
@@ -264,221 +238,24 @@ fn main() {
                  gating against the previous contents, then refreshing the file"
             );
         }
-        let mut f = std::fs::File::create(path).expect("create bench json");
-        f.write_all(summary.as_bytes()).expect("write bench json");
+        write_or_exit(path, &summary.to_json());
         eprintln!("wrote bench summary to {path}");
     }
 
-    // The CI regression gate: compare the fresh summary against the
-    // committed baseline. The table goes to stderr so `repro ... >
+    // The CI quality gate. The table goes to stderr so `repro ... >
     // /dev/null` (CI hides the suite markdown) still shows it.
-    if let (Some(path), Some(baseline)) = (args.compare_bench, baseline) {
-        let fresh = loom_bench::BenchSummary::parse(&summary)
-            .expect("the summary this run just produced must parse");
-        let report = loom_bench::compare(&baseline, &fresh, GATE_MS_TOLERANCE);
-        eprintln!("## Perf gate: fresh run vs committed {path}\n");
+    if let (Some(path), Some(baseline)) = (&args.compare_bench, &baseline) {
+        let report = loom_bench::compare(baseline, &summary);
+        eprintln!("## Quality gate: fresh run vs committed {path}\n");
         eprintln!("{}", report.table);
-        for n in &report.notes {
-            eprintln!("perf gate note: {n}");
-        }
-        // Record the run in the perf-trajectory log (git-ignored, one
-        // JSON line per gate run) before any exit path. The history
-        // hook also runs the in-process crash-recovery drill, so the
-        // trajectory tracks recovery outcomes (checkpoints written,
-        // edges replayed, journal size) alongside throughput — and a
-        // broken recovery fails the gate like any other regression.
-        if let Some(hpath) = &args.history {
-            let drill = match recovery_drill() {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("perf gate FAILURE: recovery drill: {e}");
-                    std::process::exit(1);
-                }
-            };
-            eprintln!(
-                "recovery drill: {} checkpoints, {} edges replayed, {:.3}MB journal",
-                drill.checkpoints, drill.replayed_edges, drill.wal_mb
-            );
-            // The serve drill rides the same hook: a broken or
-            // zero-reply read path fails the gate like any regression.
-            let serve = match loom_bench::serve_drill(&loom_bench::ServeBenchOptions::default()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("perf gate FAILURE: serve drill: {e}");
-                    std::process::exit(1);
-                }
-            };
-            eprintln!(
-                "serve drill: {} queries over {:.0}ms from {} readers — {:.0} qps, \
-                 p50 {}µs p99 {}µs, {} refused",
-                serve.queries,
-                serve.elapsed_ms,
-                loom_bench::ServeBenchOptions::default().readers,
-                serve.qps,
-                serve.p50_us,
-                serve.p99_us,
-                serve.refused,
-            );
-            match append_history(hpath, &fresh, report.passed(), &drill, &serve) {
-                Ok(()) => eprintln!("appended gate summary to {hpath}"),
-                Err(e) => eprintln!("warning: cannot append history to {hpath}: {e}"),
-            }
-        }
-        if report.passed() {
-            eprintln!(
-                "perf gate: ok (quality bit-stable, throughput within {:.0}%)",
-                GATE_MS_TOLERANCE * 100.0
-            );
-        } else {
+        if !report.passed() {
             for f in &report.failures {
-                eprintln!("perf gate FAILURE: {f}");
+                eprintln!("quality gate FAILURE: {f}");
             }
             std::process::exit(1);
         }
+        eprintln!("quality gate: ok (run shape and quality digits bit-stable)");
     }
-}
-
-/// Outcome of the crash-recovery drill — the numbers `--history`
-/// records per gate run.
-struct RecoveryDrill {
-    /// Checkpoints written across the killed and the resumed process.
-    checkpoints: u64,
-    /// Journal edges replayed past the newest checkpoint on resume.
-    replayed_edges: u64,
-    /// Final journal size in MB.
-    wal_mb: f64,
-}
-
-/// The in-process kill/resume drill run under `--history`: ingest a
-/// synthetic stream with a WAL attached, "crash" by dropping the
-/// engine at an edge that is neither a snapshot nor a checkpoint
-/// boundary, resume into a fresh engine, run to the end, and require
-/// the recovered state digest to be byte-identical to one
-/// uninterrupted run. Any divergence is an `Err`, and the gate fails:
-/// recovery breaking is as much a regression as a slowdown.
-fn recovery_drill() -> Result<RecoveryDrill, String> {
-    use loom_core::prelude::*;
-    use loom_core::wal::MemBackend;
-
-    const TOTAL: u64 = 20_000;
-    const KILL: u64 = 13_000;
-    const CHECKPOINT_EVERY: u64 = 4_000;
-    const FP: &str = "repro recovery drill v1 ldg k=4 seed=42";
-
-    fn fresh() -> OnlineEngine {
-        OnlineEngine::new(
-            Box::new(LdgPartitioner::new(4, CapacityModel::Adaptive)),
-            EngineConfig {
-                snapshot_every: 5_000,
-                batch_size: 256,
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    let mut reference = fresh();
-    reference
-        .run(&mut SyntheticEdgeSource::new(42, 4), Some(TOTAL), |_| {})
-        .map_err(|e| format!("reference run: {e}"))?;
-    let want = reference
-        .state_digest()
-        .map_err(|e| format!("reference digest: {e}"))?;
-
-    // The kill: the MemBackend clone shares the durable file map, so
-    // dropping the engine loses exactly what a crash would lose.
-    let backend = MemBackend::new();
-    let mut first = fresh();
-    first
-        .attach_wal(Box::new(backend.clone()), CHECKPOINT_EVERY, FP)
-        .map_err(|e| format!("attach: {e}"))?;
-    first
-        .run(&mut SyntheticEdgeSource::new(42, 4), Some(KILL), |_| {})
-        .map_err(|e| format!("killed run: {e}"))?;
-    let first_stats = first.recovery_stats().expect("wal attached");
-    drop(first);
-
-    let mut second = fresh();
-    let durable = second
-        .resume_from_wal(Box::new(backend), CHECKPOINT_EVERY, FP, |_| {})
-        .map_err(|e| format!("resume: {e}"))?;
-    if durable != KILL {
-        return Err(format!(
-            "expected {KILL} durable edges, recovered {durable}"
-        ));
-    }
-    let mut src = SyntheticEdgeSource::new(42, 4);
-    if src.skip_edges(durable) != durable {
-        return Err("source ended inside the durable prefix".into());
-    }
-    second
-        .run(&mut src, Some(TOTAL), |_| {})
-        .map_err(|e| format!("resumed run: {e}"))?;
-    if second
-        .state_digest()
-        .map_err(|e| format!("resumed digest: {e}"))?
-        != want
-    {
-        return Err("recovered state digest diverged from the uninterrupted run".into());
-    }
-    let stats = second.recovery_stats().expect("wal attached");
-    Ok(RecoveryDrill {
-        checkpoints: first_stats.checkpoints_written + stats.checkpoints_written,
-        replayed_edges: stats.replayed_edges,
-        wal_mb: stats.journal_bytes as f64 / 1e6,
-    })
-}
-
-/// Append one JSON line summarising a perf-gate run to `path` — the
-/// cross-PR perf trajectory (`BENCH_history.jsonl`, git-ignored): when
-/// it ran, on what machine shape, whether the gate passed, every
-/// system's throughput/quality numbers, and the recovery-drill
-/// outcomes.
-fn append_history(
-    path: &str,
-    fresh: &loom_bench::BenchSummary,
-    passed: bool,
-    drill: &RecoveryDrill,
-    serve: &loom_bench::ServeBenchResult,
-) -> std::io::Result<()> {
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut line = format!(
-        "{{\"ts\": {ts}, \"scale\": \"{}\", \"seed\": {}, \"parallelism\": {}, \"cells\": {}, \"gate\": \"{}\", \"systems\": {{",
-        fresh.scale,
-        fresh.seed,
-        fresh.parallelism,
-        fresh.cells,
-        if passed { "pass" } else { "fail" },
-    );
-    for (i, s) in fresh.systems.iter().enumerate() {
-        if i > 0 {
-            line.push_str(", ");
-        }
-        line.push_str(&format!(
-            "\"{}\": {{\"ms_per_10k_edges\": {}, \"weighted_ipt\": {}, \"imbalance\": {}, \"threads\": {}}}",
-            s.name, s.ms_per_10k_edges, s.weighted_ipt, s.imbalance, s.threads
-        ));
-    }
-    line.push_str(&format!(
-        "}}, \"recovery\": {{\"checkpoints\": {}, \"replayed_edges\": {}, \"wal_mb\": {:.3}}}, \
-         \"serve\": {{\"qps\": {:.0}, \"queries\": {}, \"p50_us\": {}, \"p99_us\": {}, \"refused\": {}}}}}\n",
-        drill.checkpoints,
-        drill.replayed_edges,
-        drill.wal_mb,
-        serve.qps,
-        serve.queries,
-        serve.p50_us,
-        serve.p99_us,
-        serve.refused,
-    ));
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(line.as_bytes())
 }
 
 #[cfg(test)]
@@ -491,15 +268,13 @@ mod tests {
 
     /// Every long flag `parse_args_from` matches (short aliases
     /// aside) — the registry [`HELP`] is tested against.
-    const FLAGS: [&str; 9] = [
+    const FLAGS: [&str; 7] = [
         "experiment",
         "scale",
         "seed",
-        "threads",
         "jsonl",
         "bench-json",
         "compare-bench",
-        "history",
         "help",
     ];
 
@@ -533,12 +308,32 @@ mod tests {
         assert_eq!(a.experiment, "all");
     }
 
+    /// Regression: `--experiment fig4 --compare-bench ...` ran the
+    /// suite, then panicked finding no system rows to gate.
+    #[test]
+    fn compare_bench_needs_ipt_cells() {
+        for e in EXPERIMENTS {
+            let parsed = parse_args_from(&args(&[
+                "--experiment",
+                e,
+                "--compare-bench",
+                "BENCH_results.json",
+            ]));
+            if IPT_EXPERIMENTS.contains(&e) {
+                assert!(parsed.is_ok(), "{e} has ipt cells to gate");
+            } else {
+                let err = parsed.err().expect("no ipt cells must be rejected");
+                assert!(err.contains(e) && err.contains("fig7"), "{err}");
+            }
+        }
+    }
+
     /// The `repro --help` drift guard: the flag registry and the help
     /// text must name exactly the same long flags.
     #[test]
     fn help_and_flag_registry_agree() {
         use std::collections::BTreeSet;
-        let declared: BTreeSet<&str> = FLAGS.into_iter().collect();
+        let declared: BTreeSet<String> = FLAGS.iter().map(|s| s.to_string()).collect();
         let mut documented: BTreeSet<String> = BTreeSet::new();
         for (i, _) in HELP.match_indices("--") {
             let name: String = HELP[i + 2..]
@@ -549,7 +344,6 @@ mod tests {
                 documented.insert(name);
             }
         }
-        let declared: BTreeSet<String> = declared.iter().map(|s| s.to_string()).collect();
         assert_eq!(
             declared, documented,
             "repro --help and the FLAGS registry drifted apart"
@@ -569,7 +363,7 @@ mod tests {
             let value = match f {
                 "experiment" => "fig4",
                 "scale" => "tiny",
-                "seed" | "threads" => "1",
+                "seed" => "1",
                 _ => "/tmp/x",
             };
             assert!(
@@ -578,5 +372,6 @@ mod tests {
             );
         }
         assert!(parse_args_from(&args(&["--bogus", "x"])).is_err());
+        assert!(parse_args_from(&args(&["--threads", "4"])).is_err());
     }
 }

@@ -14,14 +14,14 @@
 //! | Ablations (DESIGN.md §7) | [`suites::ablations`] | `ablation_allocation` |
 //! | Online vs prescient (DESIGN.md §8) | [`suites::online`] | — |
 //!
-//! The `repro` binary prints the suites and writes a machine-readable
-//! `BENCH_results.json` summary (per-system ms/10k-edges and weighted
-//! ipt); the criterion benches measure the hot paths behind them.
+//! The `repro` binary prints the suites, writes a `BENCH_results.json`
+//! summary of the ipt cells ([`BenchSummary`]) and gates its quality
+//! digits against the committed copy ([`compare`]); the criterion
+//! benches measure the hot paths behind them. End-to-end throughput is
+//! measured by `benchmark/`, not here.
 
 pub mod bench_compare;
-pub mod serve_bench;
 pub mod suites;
 
 pub use bench_compare::{compare, BenchSummary, GateReport};
-pub use serve_bench::{serve_drill, ServeBenchOptions, ServeBenchResult};
-pub use suites::{ablations, bench_summary, fig4, fig7, fig8, fig9, online, table1, table2};
+pub use suites::{ablations, fig4, fig7, fig8, fig9, online, table1, table2};

@@ -20,10 +20,6 @@ pub struct SuiteOptions {
     pub scale: Scale,
     /// Master seed.
     pub seed: u64,
-    /// Ingest worker count for every timed partition leg (1 = fully
-    /// sequential). Quality numbers are bit-identical for any value
-    /// (DESIGN.md §13); this only moves the throughput columns.
-    pub threads: usize,
 }
 
 impl Default for SuiteOptions {
@@ -31,7 +27,6 @@ impl Default for SuiteOptions {
         SuiteOptions {
             scale: Scale::Small,
             seed: 42,
-            threads: 1,
         }
     }
 }
@@ -39,7 +34,6 @@ impl Default for SuiteOptions {
 fn cfg_for(opts: &SuiteOptions, dataset: DatasetKind, order: StreamOrder) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::evaluation_defaults(dataset, opts.scale, order);
     cfg.seed = opts.seed;
-    cfg.threads = opts.threads.max(1);
     cfg
 }
 
@@ -619,117 +613,6 @@ pub fn jsonl(results: &[loom_core::ExperimentResult]) -> String {
     out
 }
 
-/// Re-run the Loom leg of every ipt cell at `threads` ingest workers
-/// and return the timed rows — the `Loom@t{threads}` line of the bench
-/// summary, which tracks the *parallel* ingest trajectory PR over PR.
-///
-/// Parallel ingest is bit-identical to sequential by contract
-/// (`crates/loom-core/tests/parallel_equivalence.rs`), so the quality
-/// numbers of the rerun must equal the sequential Loom rows to every
-/// digit; this asserts it per cell rather than trusting the suite.
-pub fn loom_parallel_rerun(
-    results: &[loom_core::ExperimentResult],
-    threads: usize,
-) -> Vec<loom_core::SystemResult> {
-    let mut rows = Vec::new();
-    for r in results {
-        let Some(seq) = r.system(System::Loom) else {
-            continue;
-        };
-        let mut cfg = r.config.clone();
-        cfg.threads = threads;
-        let graph = datasets::generate(cfg.dataset, cfg.scale, cfg.seed);
-        let workload = workload_for(cfg.dataset);
-        let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
-        let (assignment, took) = loom_core::partition_timed(System::Loom, &cfg, &stream, &workload);
-        let metrics = PartitionMetrics::measure(&graph, &assignment);
-        let report = count_ipt(&graph, &assignment, &workload, cfg.limit_per_query);
-        assert_eq!(
-            report.weighted_ipt.to_bits(),
-            seq.weighted_ipt.to_bits(),
-            "Loom@t{threads} weighted_ipt diverged from sequential Loom on {:?}",
-            cfg.dataset
-        );
-        assert_eq!(
-            metrics.imbalance.to_bits(),
-            seq.metrics.imbalance.to_bits(),
-            "Loom@t{threads} imbalance diverged from sequential Loom on {:?}",
-            cfg.dataset
-        );
-        rows.push(loom_core::SystemResult {
-            system: System::Loom,
-            weighted_ipt: report.weighted_ipt,
-            total_ipt: report.total_ipt(),
-            matches: report.total_matches(),
-            metrics,
-            partition_time: took,
-            edges: graph.num_edges(),
-        });
-    }
-    rows
-}
-
-fn summary_row(name: &str, threads: usize, rows: &[&loom_core::SystemResult]) -> String {
-    let n = rows.len() as f64;
-    let ms = rows.iter().map(|s| s.ms_per_10k_edges()).sum::<f64>() / n;
-    let ipt = rows.iter().map(|s| s.weighted_ipt).sum::<f64>() / n;
-    let imb = rows.iter().map(|s| s.metrics.imbalance).sum::<f64>() / n;
-    format!(
-        "    \"{name}\": {{\"ms_per_10k_edges\": {ms:.3}, \"weighted_ipt\": {ipt:.4}, \"imbalance\": {imb:.5}, \"threads\": {threads}, \"cells\": {}}}",
-        rows.len(),
-    )
-}
-
-/// Machine-readable run summary for `BENCH_results.json`: per-system
-/// mean throughput (ms/10k edges) and weighted ipt across every ipt
-/// experiment cell the run produced, keyed by the suites that ran.
-/// Tracks the perf trajectory PR over PR. `parallel_loom` adds an
-/// extra `Loom@t{N}` row from [`loom_parallel_rerun`].
-pub fn bench_summary(
-    suites_run: &[&str],
-    opts: &SuiteOptions,
-    results: &[loom_core::ExperimentResult],
-    parallel_loom: Option<(usize, &[loom_core::SystemResult])>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n  \"seed\": {},\n  \"parallelism\": {},\n  \"suites\": [{}],\n  \"cells\": {},\n",
-        opts.scale.name(),
-        opts.seed,
-        // The measuring machine's effective parallelism: rows timed at
-        // more workers than this recorded pool overhead, not speedup,
-        // so the perf gate knows when a throughput comparison would be
-        // apples to oranges (bench_compare skips it with a notice).
-        loom_core::runtime::available_parallelism(),
-        suites_run
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-        results.len(),
-    ));
-    out.push_str("  \"systems\": {\n");
-    let mut lines = Vec::new();
-    for sys in System::ALL {
-        let rows: Vec<&loom_core::SystemResult> =
-            results.iter().filter_map(|r| r.system(sys)).collect();
-        if rows.is_empty() {
-            continue;
-        }
-        lines.push(summary_row(sys.name(), opts.threads.max(1), &rows));
-    }
-    if let Some((threads, rows)) = parallel_loom {
-        if !rows.is_empty() {
-            let refs: Vec<&loom_core::SystemResult> = rows.iter().collect();
-            lines.push(summary_row(&format!("Loom@t{threads}"), threads, &refs));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,7 +621,6 @@ mod tests {
         SuiteOptions {
             scale: Scale::Tiny,
             seed: 42,
-            threads: 1,
         }
     }
 

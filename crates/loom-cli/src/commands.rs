@@ -426,10 +426,13 @@ fn write_assignment<W: Write>(a: &Assignment, g: &LabeledGraph, w: &mut W) -> Re
     Ok(())
 }
 
-/// Read an assignment back (the `evaluate` input).
+/// Read an assignment back (the `evaluate` input). A vertex given
+/// twice or a partition id ≥ |V| is a `line N:` error, so the state
+/// is never sized past |V|.
 fn read_assignment<R: BufRead>(r: R, num_vertices: usize) -> Result<Assignment> {
     use loom_core::graph::{PartitionId, VertexId};
     let mut rows: Vec<(u32, u32)> = Vec::new();
+    let mut first_line: Vec<usize> = vec![0; num_vertices];
     let mut max_p = 0u32;
     for (i, line) in r.lines().enumerate() {
         let line = line?;
@@ -451,6 +454,22 @@ fn read_assignment<R: BufRead>(r: R, num_vertices: usize) -> Result<Assignment> 
         if (v as usize) >= num_vertices {
             return Err(format!("line {}: vertex {v} outside graph", i + 1).into());
         }
+        if (p as usize) >= num_vertices {
+            return Err(format!(
+                "line {}: partition {p} not below the graph's {num_vertices} vertices",
+                i + 1
+            )
+            .into());
+        }
+        let first = &mut first_line[v as usize];
+        if *first != 0 {
+            return Err(format!(
+                "line {}: vertex {v} already assigned on line {first}",
+                i + 1
+            )
+            .into());
+        }
+        *first = i + 1;
         max_p = max_p.max(p);
         rows.push((v, p));
     }
@@ -1383,5 +1402,20 @@ mod tests {
             read_assignment("1\n".as_bytes(), 4).is_err(),
             "missing partition"
         );
+        // Hostile rows: each once panicked, aborted on a 32 GB
+        // allocation, or wrapped onto the unassigned sentinel.
+        for (rows, want) in [
+            (
+                "0\t0\n0\t1\n",
+                "line 2: vertex 0 already assigned on line 1",
+            ),
+            ("0\t4294967295\n", "line 1: partition 4294967295"),
+            ("0\t4000000000\n", "line 1: partition 4000000000"),
+            ("0\t4\n", "line 1: partition 4"),
+        ] {
+            let err = read_assignment(rows.as_bytes(), 4).unwrap_err().to_string();
+            assert!(err.contains(want), "{rows:?}: {err}");
+        }
+        assert!(read_assignment("0\t3\n1\t0\n".as_bytes(), 4).is_ok());
     }
 }
