@@ -8,11 +8,12 @@
 # Usage: ci.sh [--quick|--full]
 #
 #   --full  (default) everything: lints, bench compile, the 1M-edge
-#           bounded-memory smoke, and the quality gate against the
-#           committed BENCH_results.json.
+#           bounded-memory smoke with its WAL-on twin, and the quality
+#           gate against the committed BENCH_results.json.
 #   --quick the fast pre-commit loop: build, tests, fmt, the micro
-#           bench suites and a 200k-edge smoke; skips clippy, the full
-#           bench compile and the quality gate.
+#           bench suites and the serve and bounded-memory smokes at
+#           200k edges; skips clippy, the full bench compile, the WAL
+#           twin and the quality gate.
 #
 # The run is split into named stages; a failure reports the stage by
 # name, and a per-stage timing table prints on every exit.
@@ -291,48 +292,17 @@ stage "long stream smoke (bounded-memory plateaus)"
 # of the smallest mid-stream snapshot — a plateau, not a ramp. Full
 # mode drives 1M edges under the default window-tied horizon (64
 # windows); quick mode drives 200k.
-#
-# Full mode drives the ingest through the batched path (the engine
-# default); quick mode forces the edge-at-a-time loop, so both CLI
-# ingest paths see end-to-end coverage and the plateau assertions —
-# which batch equivalence guarantees are mode-independent — hold
-# identically for each.
 if [ "$MODE" = full ]; then
   SMOKE_EDGES=1000000
   SMOKE_EVERY=100000
-  SMOKE_BATCH=256
 else
   SMOKE_EDGES=200000
   SMOKE_EVERY=20000
-  SMOKE_BATCH=1
 fi
 SMOKE_ARGS=(--k 4 --system loom --source synthetic
   --max-edges "$SMOKE_EDGES" --window 1024 --snapshot-every "$SMOKE_EVERY"
-  --batch "$SMOKE_BATCH" --workload "$WORKLOAD" --labels 4)
-# Prints wall milliseconds and returns the ingest's own exit status,
-# carried out by hand as in wall_ms: under $(...) a 1M smoke that dies
-# would otherwise be timed and diffed as if it had run.
-smoke_run() { # smoke_run THREADS SHARDS OUTFILE
-  local t0 status=0
-  t0=$(date +%s%N)
-  ./target/release/loom stream "${SMOKE_ARGS[@]}" --threads "$1" --shards "$2" \
-      2>/dev/null > "$3" || status=$?
-  echo $(( ($(date +%s%N) - t0) / 1000000 ))
-  return "$status"
-}
-if [ "$MODE" = full ]; then
-  # Full mode drives the smoke three times — sequential, at 4 ingest
-  # workers, and at 4 workers x 4 shards — so the 1M-edge run also
-  # exercises the parallel pipeline and the sharded state layout end
-  # to end. The plateau assertions below read the t4 output.
-  T1_MS=$(smoke_run 1 1 target/ci-smoke-t1.txt)
-  T4_MS=$(smoke_run 4 1 target/ci-smoke-t4.txt)
-  S4_MS=$(smoke_run 4 4 target/ci-smoke-t4s4.txt)
-  SMOKE_OUT=target/ci-smoke-t4.txt
-else
-  smoke_run 1 1 target/ci-smoke-t1.txt > /dev/null
-  SMOKE_OUT=target/ci-smoke-t1.txt
-fi
+  --workload "$WORKLOAD" --labels 4)
+./target/release/loom stream "${SMOKE_ARGS[@]}" 2>/dev/null > target/ci-smoke.txt
 awk '
     /^snapshot .* arena .* adjacency / {
       # First "gen" on the line belongs to the arena, second to the
@@ -362,61 +332,21 @@ awk '
       }
       print "long smoke: arena plateau at " last_arena " cells (min " min_arena ", gen " arena_gen ")"
       print "long smoke: adjacency plateau at " last_adj " entries (min " min_adj ", gen " adj_gen ")"
-    }' "$SMOKE_OUT"
+    }' target/ci-smoke.txt
 
 if [ "$MODE" = full ]; then
-  stage "parallel ingest equivalence (CLI, t4 vs t1)"
-  # The only permitted difference between the t1 and t4 runs is the
-  # per-snapshot phase-timing suffix ("threads N probe Xms commit Yms",
-  # absent at t1 by design): every counter, size vector, capacity and
-  # occupancy digit must match. This is the end-to-end CLI face of
-  # crates/loom-core/tests/parallel_equivalence.rs.
-  sed 's/  threads .*$//' target/ci-smoke-t4.txt > target/ci-smoke-t4-stripped.txt
-  if ! diff -u target/ci-smoke-t1.txt target/ci-smoke-t4-stripped.txt; then
-    echo "parallel equivalence: t4 output diverged from t1" >&2
-    exit 1
-  fi
-  echo "parallel equivalence: t1 and t4 outputs identical (timing suffix aside)"
-  echo "parallel smoke timing: t1 ${T1_MS}ms, t4 ${T4_MS}ms, t4s4 ${S4_MS}ms ($(nproc) core(s))"
-  # Speedup is only a meaningful assertion when the host has real
-  # parallelism; on 1-2 cores the extra workers measure coordination
-  # overhead, which the threads=1 default never pays.
-  CORES=$(nproc)
-  if [ "$CORES" -ge 4 ]; then
-    # >= 1.6x at 4 workers (16*t4 <= 10*t1).
-    if [ $((16 * T4_MS)) -gt $((10 * T1_MS)) ]; then
-      echo "parallel smoke: expected >=1.6x speedup at 4 workers on $CORES cores (t1 ${T1_MS}ms, t4 ${T4_MS}ms)" >&2
-      exit 1
-    fi
-    echo "parallel smoke: speedup gate passed"
-  else
-    echo "parallel smoke: speedup gate skipped ($CORES core(s))"
-  fi
-
-  stage "sharded ingest equivalence (CLI, t4s4 vs t1)"
-  # Same contract for the sharded layout (DESIGN.md §14): the 1M-edge
-  # run at 4 workers x 4 shards must match the unsharded sequential
-  # run on every digit, timing suffix aside. This is the end-to-end
-  # CLI face of crates/loom-core/tests/shard_equivalence.rs.
-  sed 's/  threads .*$//' target/ci-smoke-t4s4.txt > target/ci-smoke-t4s4-stripped.txt
-  if ! diff -u target/ci-smoke-t1.txt target/ci-smoke-t4s4-stripped.txt; then
-    echo "shard equivalence: t4s4 output diverged from unsharded t1" >&2
-    exit 1
-  fi
-  echo "shard equivalence: t4s4 and t1 outputs identical (timing suffix aside)"
-
   stage "recovery smoke (1M edges with --wal)"
   # The 1M-edge smoke once more with a WAL attached: every digit of
-  # the snapshot stream must match the WAL-off t1 run once the wal
+  # the snapshot stream must match the WAL-off run once the wal
   # bookkeeping segment is stripped (the journal and checkpoints are
   # pure observation), and journaling + checkpointing stay within the
   # overhead gate below.
   WAL_DIR=target/ci-smoke-wal
-  WAL_ARGS=("${SMOKE_ARGS[@]}" --threads 1 --shards 1 --wal "$WAL_DIR" --checkpoint-every 250000)
+  WAL_ARGS=("${SMOKE_ARGS[@]}" --wal "$WAL_DIR" --checkpoint-every 250000)
   rm -rf "$WAL_DIR"
   ./target/release/loom stream "${WAL_ARGS[@]}" 2>/dev/null > target/ci-smoke-wal.txt
   sed 's/  wal .*$//' target/ci-smoke-wal.txt > target/ci-smoke-wal-stripped.txt
-  if ! diff -u target/ci-smoke-t1.txt target/ci-smoke-wal-stripped.txt; then
+  if ! diff -u target/ci-smoke.txt target/ci-smoke-wal-stripped.txt; then
     echo "recovery smoke: WAL-on output diverged from WAL-off" >&2
     exit 1
   fi
@@ -427,11 +357,11 @@ if [ "$MODE" = full ]; then
   # CRC kernel and one-pass framing read 1.82-2.17x beside them); the
   # gate is the median + 30%. What is left is mostly encoding the four
   # O(vertices-ever-seen) checkpoints field by field — ROADMAP
-  # direction 3b, the bulk column codec — on the way to 1.3x. Each
+  # direction 4a, the checkpoint encode — on the way to 1.3x. Each
   # WAL-on run starts from an empty directory: a fresh journal, not a
   # resume.
   wal_fresh() { rm -rf "$WAL_DIR"; ./target/release/loom stream "${WAL_ARGS[@]}"; }
-  WAL_OFF_MS=$(best_ms ./target/release/loom stream "${SMOKE_ARGS[@]}" --threads 1 --shards 1)
+  WAL_OFF_MS=$(best_ms ./target/release/loom stream "${SMOKE_ARGS[@]}")
   WAL_ON_MS=$(best_ms wal_fresh)
   echo "recovery smoke timing: WAL-off ${WAL_OFF_MS}ms, WAL-on ${WAL_ON_MS}ms, $(du -sh "$WAL_DIR" | cut -f1) on disk"
   if [ $((10 * WAL_ON_MS)) -gt $((20 * WAL_OFF_MS)) ]; then

@@ -30,16 +30,8 @@ commands:
              [--window N] [--threshold 0.4] [--seed N] [--out FILE]
              [--restream N] [--refine N]
   evaluate   --graph FILE --workload FILE --assignment FILE [--limit N]
-  stream     --k N [--input FILE|-] [--source text|synthetic]
+  stream     --k N [--source text|synthetic] [--input FILE|- (text only)]
              [--system hash|ldg|fennel|loom] [--workload FILE]
-             [--batch N (ingest batch size; 1 = edge-at-a-time,
-              bit-identical either way; default 256)]
-             [--threads N|auto (ingest worker count; default 1 =
-              sequential; auto = the machine's parallelism, printed;
-              results are bit-identical for any value — workers only
-              fan out the pure probe phase)]
-             [--shards N (shard count for the per-vertex state columns;
-              default 1 = flat; bit-identical for any value)]
              [--snapshot-every N] [--max-edges N] [--window N]
              [--adjacency-horizon N|unbounded (loom only: edges kept in
               the scored neighbourhood; default 64 windows)]
@@ -119,9 +111,6 @@ pub(crate) const STREAM_FLAGS: &[&str] = &[
     "source",
     "system",
     "workload",
-    "batch",
-    "threads",
-    "shards",
     "snapshot-every",
     "max-edges",
     "window",
@@ -204,27 +193,26 @@ fn parse_order(name: &str) -> Result<StreamOrder> {
     })
 }
 
-/// Parse a `--threads` value: a positive count, or `auto` to resolve
-/// the machine's effective parallelism (printed, so runs are
-/// attributable).
-fn parse_threads_flag(flag: Option<String>) -> Result<usize> {
-    match flag.as_deref() {
-        None => Ok(1),
-        Some("auto") => {
-            let n = loom_core::runtime::available_parallelism();
-            eprintln!("--threads auto resolved to {n}");
-            Ok(n)
-        }
-        Some(v) => {
-            let n = v
-                .parse::<usize>()
-                .map_err(|e| format!("bad value for --threads: {e}"))?;
-            if n == 0 {
-                return Err("--threads must be >= 1 (1 = sequential), or 'auto'".into());
-            }
-            Ok(n)
-        }
+/// `--threshold`: a relative motif support, so in [0, 1]. NaN fails the
+/// range check too; the motif index asserts the same range.
+fn parse_threshold(args: &Args) -> Result<f64> {
+    let threshold = args.parsed_or("threshold", 0.4f64)?;
+    if !(0.0..=1.0).contains(&threshold) {
+        return Err(
+            format!("--threshold must be in [0, 1] (a relative support), got {threshold}").into(),
+        );
     }
+    Ok(threshold)
+}
+
+/// `--window`: the match window's edge capacity, which the matcher
+/// asserts is positive.
+fn parse_window(args: &Args, default: usize) -> Result<usize> {
+    let window = args.parsed_or("window", default)?;
+    if window == 0 {
+        return Err("--window must be >= 1".into());
+    }
+    Ok(window)
 }
 
 fn out_writer(path: Option<String>) -> Result<Box<dyn Write>> {
@@ -278,8 +266,11 @@ fn workload_cmd(args: &Args) -> Result<()> {
 
 fn motifs(args: &Args) -> Result<()> {
     let (workload, names) = read_workload_file(&args.required("workload")?)?;
-    let threshold = args.parsed_or("threshold", 0.4f64)?;
+    let threshold = parse_threshold(args)?;
     let prime = args.parsed_or("prime", loom_core::motif::DEFAULT_PRIME)?;
+    if prime < 2 {
+        return Err("--prime must be >= 2 (the signature modulus)".into());
+    }
     let seed = args.parsed_or("seed", 42u64)?;
     args.finish_against(MOTIFS_FLAGS)?;
 
@@ -335,8 +326,8 @@ fn partition(args: &Args) -> Result<()> {
     let system = args.optional("system").unwrap_or_else(|| "loom".into());
     let order = parse_order(&args.optional("order").unwrap_or_else(|| "generated".into()))?;
     let seed = args.parsed_or("seed", 42u64)?;
-    let window = args.parsed_or("window", (graph.num_edges() / 50).clamp(64, 10_000))?;
-    let threshold = args.parsed_or("threshold", 0.4f64)?;
+    let window = parse_window(args, (graph.num_edges() / 50).clamp(64, 10_000))?;
+    let threshold = parse_threshold(args)?;
     let restream = args.parsed_or("restream", 0usize)?;
     let refine = args.parsed_or("refine", 0usize)?;
     let workload_path = args.optional("workload");
@@ -524,32 +515,14 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
     }
     let system = args.optional("system").unwrap_or_else(|| "ldg".into());
     let source_kind = args.optional("source").unwrap_or_else(|| "text".into());
-    let input = args.optional("input").unwrap_or_else(|| "-".into());
+    let input = args.optional("input");
     let snapshot_every = args.parsed_or("snapshot-every", 5_000usize)?;
     // 0 keeps the engine's documented meaning: no periodic snapshots
     // (the final one still prints).
     let max_edges = args.parsed_or("max-edges", 0u64)?;
-    // Ingest batch size. Batched and edge-at-a-time ingest are
-    // bit-identical (tests/batch_equivalence.rs), so this is purely a
-    // throughput knob; 1 forces the edge-at-a-time loop.
-    let batch = args.parsed_or("batch", loom_core::pipeline::DEFAULT_BATCH)?;
-    if batch == 0 {
-        return Err("--batch must be >= 1 (1 = edge-at-a-time)".into());
-    }
-    // Ingest worker count. Like --batch, purely a throughput knob:
-    // assignments, stats and snapshots are bit-identical for any value
-    // (tests/parallel_equivalence.rs). "auto" asks the machine.
-    let threads = parse_threads_flag(args.optional("threads"))?;
-    // Shard count for the per-vertex state columns: the third pure
-    // throughput knob, bit-identical for any value
-    // (loom-core/tests/shard_equivalence.rs).
-    let shards = args.parsed_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be >= 1 (1 = the flat layout)".into());
-    }
     let seed = args.parsed_or("seed", 42u64)?;
-    let window = args.parsed_or("window", 1_024usize)?;
-    let threshold = args.parsed_or("threshold", 0.4f64)?;
+    let window = parse_window(args, 1_024)?;
+    let threshold = parse_threshold(args)?;
     // Adjacency retention: how many recent edges stay in the scored
     // neighbourhood. Defaults to 64 sliding windows, the bounded-
     // memory setting an unbounded ingest wants; "unbounded" restores
@@ -657,14 +630,19 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
     // The source: a line-oriented text feed (never materialised) or
     // the infinite generator. Boxed so the engine loop is shared.
     let mut source: Box<dyn EdgeSource> = match source_kind.as_str() {
-        "text" => {
-            if input == "-" {
-                Box::new(TextEdgeSource::new(BufReader::new(std::io::stdin())))
-            } else {
-                Box::new(TextEdgeSource::new(BufReader::new(File::open(&input)?)))
-            }
-        }
+        "text" => match input.as_deref() {
+            None | Some("-") => Box::new(TextEdgeSource::new(BufReader::new(std::io::stdin()))),
+            Some(path) => Box::new(TextEdgeSource::new(BufReader::new(File::open(path)?))),
+        },
         "synthetic" => {
+            // The generator reads no feed; a silently ignored --input
+            // would let an operator believe they partitioned their file.
+            if input.is_some() {
+                return Err(
+                    "--input only applies to --source text (synthetic generates its own edges)"
+                        .into(),
+                );
+            }
             if max_edges == 0 && stop_after == 0 {
                 return Err("--source synthetic is infinite; give --max-edges".into());
             }
@@ -682,7 +660,7 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
         });
     }
 
-    let mut partitioner: Box<dyn StreamPartitioner> = match system.to_ascii_lowercase().as_str() {
+    let partitioner: Box<dyn StreamPartitioner> = match system.to_ascii_lowercase().as_str() {
         "hash" => Box::new(HashPartitioner::new(k, seed)),
         "ldg" => Box::new(LdgPartitioner::new(k, CapacityModel::Adaptive)),
         "fennel" => Box::new(FennelPartitioner::new(
@@ -710,16 +688,12 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
         }
         other => return Err(format!("unknown system '{other}'").into()),
     };
-    // Shards before threads: set_shards re-keys the (still empty)
-    // state columns the threaded commit path will own.
-    partitioner.set_shards(shards);
-    partitioner.set_threads(threads);
 
     let mut engine = OnlineEngine::new(
         partitioner,
         EngineConfig {
             snapshot_every,
-            batch_size: batch,
+            batch_size: loom_core::pipeline::DEFAULT_BATCH,
             ..EngineConfig::default()
         },
     );
@@ -733,10 +707,9 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
     let mut last_printed: Option<(u64, usize, u64, u64)> = None;
     // Attach or resume the WAL before the first edge flows. The
     // fingerprint covers every quality-affecting knob, so a resume
-    // under a different stream definition refuses loudly; the pure
-    // throughput knobs (--batch, --threads, --shards) are deliberately
-    // absent — results are bit-identical for any value, so they may
-    // change across a crash.
+    // under a different stream definition refuses loudly. Its text must
+    // not change: a WAL written by an earlier build has to keep
+    // resuming.
     let mut resumed_edges = 0u64;
     if let Some(dir) = &wal_dir {
         let backend = loom_core::wal::FileBackend::new(dir)?;
@@ -822,12 +795,10 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
         out,
         mut last_printed,
     } = run;
-    // A worker panic during a parallel batch surfaces as a clean
-    // engine error naming the batch and the stream-global edge; the
-    // partitioner's state is unspecified afterwards, so bail before
-    // finish() rather than drain a poisoned window. With a WAL
-    // attached the failed batch is already durable — `--resume true`
-    // replays to the exact failure edge and continues.
+    // A WAL write failure surfaces as an engine error naming the batch
+    // and the stream-global edge; the run stops there, so bail before
+    // finish() rather than drain the window past it. `--resume true`
+    // continues from whatever the WAL made durable.
     engine.run(source.as_mut(), budget, |s| {
         last_printed = Some((s.edges, s.vertices, s.cut_edges, s.resolved_edges));
         print_snapshot(s);
@@ -1144,18 +1115,6 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         ),
         None => String::new(),
     };
-    // Parallel-ingest phase split, only when running with more than
-    // one worker — threads=1 output stays byte-identical to the
-    // sequential builds (ci.sh diffs the two directly).
-    let ingest = match &s.ingest {
-        Some(p) => format!(
-            "  threads {}  probe {:.0}ms commit {:.0}ms",
-            p.threads,
-            p.probe_ns as f64 / 1e6,
-            p.commit_ns as f64 / 1e6
-        ),
-        None => String::new(),
-    };
     // Recovery bookkeeping, present exactly when a WAL is attached —
     // WAL-off output stays byte-identical, and ci.sh verifies a WAL-on
     // run matches after stripping this one segment.
@@ -1181,7 +1140,7 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         None => String::new(),
     };
     println!(
-        "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}{}{}",
+        "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}{}",
         s.seq,
         s.edges,
         s.vertices,
@@ -1193,7 +1152,6 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         ipt,
         arena,
         adjacency,
-        ingest,
         wal,
         serving,
     );

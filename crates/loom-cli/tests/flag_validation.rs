@@ -1,0 +1,103 @@
+//! Hostile and retired flag values through the real `loom` binary: each
+//! must be refused with exit 1 and an `error:` line naming the flag —
+//! never a panic (exit 101) from an assert deep in a linked crate, and
+//! never a silent success that ignores what the operator asked for.
+
+use std::process::Command;
+
+fn loom() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_loom"))
+}
+
+#[test]
+fn hostile_and_retired_flags_are_named_errors() {
+    let dir = std::env::temp_dir().join(format!("loom-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let workload = dir.join("q.lw");
+    let graph = dir.join("g.lg");
+    let absent = dir.join("absent.lg");
+    let (wl, g, absent) = (
+        workload.to_str().unwrap(),
+        graph.to_str().unwrap(),
+        absent.to_str().unwrap(),
+    );
+    for setup in [
+        vec!["workload", "--dataset", "dblp", "--out", wl],
+        vec![
+            "generate",
+            "--dataset",
+            "dblp",
+            "--scale",
+            "tiny",
+            "--out",
+            g,
+        ],
+    ] {
+        let o = loom().args(&setup).output().expect("spawn loom");
+        assert!(o.status.success(), "setup {setup:?} failed: {o:?}");
+    }
+
+    // Every base line is valid on its own; only the appended flag is not.
+    let online = |cmd| {
+        vec![
+            cmd,
+            "--k",
+            "2",
+            "--source",
+            "synthetic",
+            "--max-edges",
+            "1000",
+            "--system",
+            "loom",
+            "--workload",
+            wl,
+        ]
+    };
+    let (stream, serve) = (online("stream"), online("serve"));
+    let partition = vec![
+        "partition",
+        "--graph",
+        g,
+        "--k",
+        "2",
+        "--system",
+        "loom",
+        "--workload",
+        wl,
+    ];
+    let motifs = vec!["motifs", "--workload", wl];
+
+    let mut cases: Vec<(&Vec<&str>, [&str; 2], String)> = Vec::new();
+    for base in [&stream, &serve, &partition] {
+        cases.push((base, ["--window", "0"], "error: --window".into()));
+    }
+    for base in [&stream, &serve, &partition, &motifs] {
+        for bad in ["5", "-1", "NaN"] {
+            cases.push((base, ["--threshold", bad], "error: --threshold".into()));
+        }
+    }
+    for bad in ["0", "1"] {
+        cases.push((&motifs, ["--prime", bad], "error: --prime".into()));
+    }
+    for base in [&stream, &serve] {
+        cases.push((base, ["--input", absent], "error: --input".into()));
+        for retired in [["--threads", "2"], ["--shards", "2"], ["--batch", "1"]] {
+            let want = format!("error: unknown flag {}", retired[0]);
+            cases.push((base, retired, want));
+        }
+    }
+
+    for (base, [flag, value], want) in &cases {
+        let o = loom()
+            .args(*base)
+            .args([flag, value])
+            .output()
+            .expect("spawn loom");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        let what = format!("{} {flag} {value}", base[0]);
+        assert_eq!(o.status.code(), Some(1), "{what}: exit code\n{stderr}");
+        assert!(stderr.starts_with(want.as_str()), "{what}: {stderr:?}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
