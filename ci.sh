@@ -151,11 +151,18 @@ stage "recovery suite (kill/resume matrix)"
 # its WAL must be bit-identical to one uninterrupted run, across
 # shards x threads x batch sizes; torn journal tails and corrupt or
 # missing checkpoints must recover from the checksummed prefix or
-# fail loudly naming the record (DESIGN.md §15). Both suites are also
-# in tier-1 above; the second drives the real binary end to end
-# (--stop-after / --resume).
+# fail loudly naming the record (DESIGN.md §15). Also in tier-1 above;
+# the binary's end of it (--stop-after / --resume) is in the CLI
+# surface stage.
 cargo test -q --offline -p loom-core --test recovery_equivalence
-cargo test -q --offline -p loom-cli --test stop_after
+
+stage "CLI surface (loom and repro binaries)"
+# Both binaries end to end: the flag table (unknown flags, hostile and
+# out-of-bound values as named exit-1 errors, --help on every command),
+# stop/resume through the WAL, serve against its stream twin, and
+# repro's exit codes. Also in tier-1 above; re-run so a flag
+# regression names its stage.
+cargo test -q --offline -p loom-cli
 
 stage "format"
 cargo fmt --check

@@ -1,10 +1,5 @@
-//! `repro` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! repro [--experiment all|fig4|table1|fig7|fig8|table2|fig9|ablations|online]
-//!       [--scale tiny|small|medium|large] [--seed N] [--jsonl PATH]
-//!       [--bench-json PATH|none] [--compare-bench PATH]
-//! ```
+//! `repro` — regenerate the paper's tables and figures. `repro --help`
+//! lists the flags, rendered from [`REPRO`].
 //!
 //! Prints paper-style markdown tables to stdout; with `--jsonl` also
 //! writes machine-readable result rows for the ipt experiments. A run
@@ -28,24 +23,33 @@
 
 use loom_bench::suites::{self, SuiteOptions};
 use loom_bench::BenchSummary;
-use loom_core::graph::Scale;
+use loom_cli::{parse_scale, ArgError, Args, Command};
 
-struct Args {
+/// `repro`'s command line; `--help` is rendered from it.
+#[rustfmt::skip]
+const REPRO: Command = Command {
+    name: "repro",
+    about: "print the paper's tables and figures; gate the ipt cells' quality digits",
+    flags: &[&[
+        ("experiment", "NAME", "all (default), table1, fig4, fig7, fig8, fig9, table2, ablations, online"),
+        ("scale", "tiny|small|medium|large", "dataset size (default small)"),
+        ("seed", "N", "master seed (default 42)"),
+        ("jsonl", "PATH", "also write the ipt result rows as JSON lines"),
+        ("bench-json", "PATH|none", "the ipt cells' summary (default BENCH_results.json)"),
+        ("compare-bench", "PATH", "gate the summary against the committed one (exit 1 on drift)"),
+    ]],
+};
+
+const SYNOPSIS: &str = "repro [--flag value]...  (--help / -h prints this text)";
+
+/// A run, read off the parsed line.
+struct Run {
     experiment: String,
     options: SuiteOptions,
     jsonl: Option<String>,
     bench_json: Option<String>,
     compare_bench: Option<String>,
 }
-
-/// `--help` text. Tested against [`FLAGS`]: every long flag the
-/// parser matches must appear here and vice versa, so `repro --help`
-/// cannot drift from the implementation (the same guarantee the
-/// `loom` binary's USAGE carries).
-const HELP: &str =
-    "repro [--experiment all|fig4|table1|fig7|fig8|table2|fig9|ablations|online]\n      \
-[--scale tiny|small|medium|large] [--seed N] [--jsonl PATH]\n      \
-[--bench-json PATH|none] [--compare-bench PATH] [--help]";
 
 /// The experiment names `--experiment` accepts.
 const EXPERIMENTS: [&str; 9] = [
@@ -64,78 +68,46 @@ const EXPERIMENTS: [&str; 9] = [
 /// summary to write or gate.
 const IPT_EXPERIMENTS: [&str; 3] = ["all", "fig7", "fig8"];
 
-fn parse_args_from(argv: &[String]) -> Result<Args, String> {
-    let mut experiment = "all".to_string();
-    let mut options = SuiteOptions::default();
-    let mut jsonl = None;
-    let mut bench_json = Some("BENCH_results.json".to_string());
-    let mut compare_bench = None;
-    let mut i = 0;
-    while i < argv.len() {
-        let take_value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--experiment" | "-e" => experiment = take_value(&mut i)?,
-            "--scale" | "-s" => {
-                options.scale = match take_value(&mut i)?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "medium" => Scale::Medium,
-                    "large" => Scale::Large,
-                    other => return Err(format!("unknown scale {other}")),
-                }
-            }
-            "--seed" => {
-                options.seed = take_value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?
-            }
-            "--jsonl" => jsonl = Some(take_value(&mut i)?),
-            "--bench-json" => {
-                let v = take_value(&mut i)?;
-                bench_json = if v == "none" { None } else { Some(v) };
-            }
-            "--compare-bench" => compare_bench = Some(take_value(&mut i)?),
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
+fn run_of(args: &Args) -> Result<Run, ArgError> {
+    let defaults = SuiteOptions::default();
+    let experiment = args.optional("experiment")?.unwrap_or_else(|| "all".into());
+    let options = SuiteOptions {
+        scale: match args.optional("scale")? {
+            Some(name) => parse_scale(&name)?,
+            None => defaults.scale,
+        },
+        seed: args.parsed_or("seed", defaults.seed)?,
+    };
+    let bench_json = match args.optional("bench-json")? {
+        Some(v) if v == "none" => None,
+        Some(v) => Some(v),
+        None => Some("BENCH_results.json".to_string()),
+    };
+    let compare_bench = args.optional("compare-bench")?;
     // A typo'd experiment would otherwise select no suites and exit 0
     // silently — reject it up front.
     if !EXPERIMENTS.contains(&experiment.as_str()) {
-        return Err(format!(
+        return Err(ArgError::Refused(format!(
             "unknown experiment '{experiment}'; expected one of {}",
             EXPERIMENTS.join("|")
-        ));
+        )));
     }
     // Likewise a gate over an experiment with no ipt cells would run
     // the suite and only then find nothing to compare.
     if compare_bench.is_some() && !IPT_EXPERIMENTS.contains(&experiment.as_str()) {
-        return Err(format!(
+        return Err(ArgError::Refused(format!(
             "--compare-bench gates ipt cells and experiment '{experiment}' produces none; \
              use --experiment {}",
             IPT_EXPERIMENTS.join("|")
-        ));
+        )));
     }
-    Ok(Args {
+    Ok(Run {
         experiment,
         options,
-        jsonl,
+        jsonl: args.optional("jsonl")?,
         bench_json,
         compare_bench,
     })
-}
-
-fn parse_args() -> Result<Args, String> {
-    parse_args_from(&std::env::args().skip(1).collect::<Vec<_>>())
 }
 
 /// Runs one named suite and returns its markdown; ipt experiment rows
@@ -175,14 +147,19 @@ fn write_or_exit(path: &str, text: &str) {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let parsed = Args::parse(&REPRO, std::env::args().skip(1));
+    if parsed.as_ref().is_ok_and(|a| a.help) {
+        print!("{}", loom_cli::usage(SYNOPSIS, &[REPRO]));
+        return;
+    }
+    let run = match parsed.and_then(|a| run_of(&a)) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
-    let opts = args.options;
+    let opts = run.options;
 
     // Read the committed baseline BEFORE the run and any write: with
     // the default --bench-json path, `--compare-bench
@@ -190,7 +167,7 @@ fn main() {
     // about to land in, and a write-then-read would gate the fresh run
     // against itself. A missing or corrupt baseline is not a quality
     // violation: it exits with its own code (3).
-    let baseline = args.compare_bench.as_ref().map(|path| {
+    let baseline = run.compare_bench.as_ref().map(|path| {
         let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read committed baseline {path}: {e}");
             std::process::exit(3);
@@ -214,7 +191,7 @@ fn main() {
     // time it is selected, and a match arm without a table entry is
     // unreachable because validation rejects the name first.
     for name in EXPERIMENTS.iter().filter(|&&n| n != "all") {
-        if args.experiment != "all" && args.experiment != *name {
+        if run.experiment != "all" && run.experiment != *name {
             continue;
         }
         let text = run_suite(name, &opts, &mut all_results);
@@ -222,7 +199,7 @@ fn main() {
         println!("{text}\n");
     }
 
-    if let Some(path) = &args.jsonl {
+    if let Some(path) = &run.jsonl {
         write_or_exit(path, &suites::jsonl(&all_results));
         eprintln!("wrote {} result rows to {path}", all_results.len() * 4);
     }
@@ -231,8 +208,8 @@ fn main() {
     }
     let summary =
         BenchSummary::from_results(opts.scale.name(), opts.seed, &suites_run, &all_results);
-    if let Some(path) = &args.bench_json {
-        if args.compare_bench.as_deref() == Some(path.as_str()) {
+    if let Some(path) = &run.bench_json {
+        if run.compare_bench.as_deref() == Some(path.as_str()) {
             eprintln!(
                 "note: --bench-json and --compare-bench both name {path}; \
                  gating against the previous contents, then refreshing the file"
@@ -244,7 +221,7 @@ fn main() {
 
     // The CI quality gate. The table goes to stderr so `repro ... >
     // /dev/null` (CI hides the suite markdown) still shows it.
-    if let (Some(path), Some(baseline)) = (&args.compare_bench, &baseline) {
+    if let (Some(path), Some(baseline)) = (&run.compare_bench, &baseline) {
         let report = loom_bench::compare(baseline, &summary);
         eprintln!("## Quality gate: fresh run vs committed {path}\n");
         eprintln!("{}", report.table);
@@ -262,27 +239,17 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn run(list: &[&str]) -> Result<Run, String> {
+        Args::parse(&REPRO, list.iter().map(|s| s.to_string()))
+            .and_then(|a| run_of(&a))
+            .map_err(|e| e.to_string())
     }
-
-    /// Every long flag `parse_args_from` matches (short aliases
-    /// aside) — the registry [`HELP`] is tested against.
-    const FLAGS: [&str; 7] = [
-        "experiment",
-        "scale",
-        "seed",
-        "jsonl",
-        "bench-json",
-        "compare-bench",
-        "help",
-    ];
 
     #[test]
     fn unknown_experiment_is_rejected() {
         // Regression: `repro --experiment fig99` used to select zero
         // suites and exit 0 silently.
-        let err = parse_args_from(&args(&["--experiment", "fig99"]))
+        let err = run(&["--experiment", "fig99"])
             .err()
             .expect("fig99 must be rejected");
         assert!(
@@ -295,17 +262,15 @@ mod tests {
     #[test]
     fn every_advertised_experiment_parses() {
         for e in EXPERIMENTS {
-            assert!(
-                parse_args_from(&args(&["--experiment", e])).is_ok(),
-                "{e} should be accepted"
-            );
+            assert!(run(&["--experiment", e]).is_ok(), "{e} should be accepted");
         }
     }
 
     #[test]
     fn defaults_to_all() {
-        let a = parse_args_from(&[]).unwrap();
-        assert_eq!(a.experiment, "all");
+        let r = run(&[]).unwrap();
+        assert_eq!(r.experiment, "all");
+        assert_eq!(r.bench_json.as_deref(), Some("BENCH_results.json"));
     }
 
     /// Regression: `--experiment fig4 --compare-bench ...` ran the
@@ -313,12 +278,7 @@ mod tests {
     #[test]
     fn compare_bench_needs_ipt_cells() {
         for e in EXPERIMENTS {
-            let parsed = parse_args_from(&args(&[
-                "--experiment",
-                e,
-                "--compare-bench",
-                "BENCH_results.json",
-            ]));
+            let parsed = run(&["--experiment", e, "--compare-bench", "BENCH_results.json"]);
             if IPT_EXPERIMENTS.contains(&e) {
                 assert!(parsed.is_ok(), "{e} has ipt cells to gate");
             } else {
@@ -326,52 +286,5 @@ mod tests {
                 assert!(err.contains(e) && err.contains("fig7"), "{err}");
             }
         }
-    }
-
-    /// The `repro --help` drift guard: the flag registry and the help
-    /// text must name exactly the same long flags.
-    #[test]
-    fn help_and_flag_registry_agree() {
-        use std::collections::BTreeSet;
-        let declared: BTreeSet<String> = FLAGS.iter().map(|s| s.to_string()).collect();
-        let mut documented: BTreeSet<String> = BTreeSet::new();
-        for (i, _) in HELP.match_indices("--") {
-            let name: String = HELP[i + 2..]
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
-                .collect();
-            if !name.is_empty() {
-                documented.insert(name);
-            }
-        }
-        assert_eq!(
-            declared, documented,
-            "repro --help and the FLAGS registry drifted apart"
-        );
-    }
-
-    /// And the registry must match what the parser actually accepts:
-    /// every declared flag (with a dummy value) parses, and a flag the
-    /// parser would take but the registry omits cannot exist because
-    /// unknown flags are rejected.
-    #[test]
-    fn every_declared_flag_parses() {
-        for f in FLAGS {
-            if f == "help" {
-                continue; // exits the process by design
-            }
-            let value = match f {
-                "experiment" => "fig4",
-                "scale" => "tiny",
-                "seed" => "1",
-                _ => "/tmp/x",
-            };
-            assert!(
-                parse_args_from(&args(&[&format!("--{f}"), value])).is_ok(),
-                "--{f} should parse"
-            );
-        }
-        assert!(parse_args_from(&args(&["--bogus", "x"])).is_err());
-        assert!(parse_args_from(&args(&["--threads", "4"])).is_err());
     }
 }

@@ -16,23 +16,21 @@
 mod args;
 mod commands;
 
-use args::Args;
+use loom_cli::ArgError;
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = match Args::parse(argv) {
-        Ok(args) => match commands::run(&args) {
+    let code = match args::parse(std::env::args().skip(1)) {
+        Err(ArgError::Malformed(e)) => {
+            eprint!("error: {e}\n\n{}", args::usage());
+            2
+        }
+        parsed => match parsed.map_err(Into::into).and_then(|a| commands::run(&a)) {
             Ok(()) => 0,
             Err(e) => {
                 eprintln!("error: {e}");
                 1
             }
         },
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", commands::USAGE);
-            2
-        }
     };
     std::process::exit(code);
 }

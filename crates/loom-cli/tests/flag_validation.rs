@@ -1,7 +1,8 @@
 //! Hostile and retired flag values through the real `loom` binary: each
 //! must be refused with exit 1 and an `error:` line naming the flag —
-//! never a panic (exit 101) from an assert deep in a linked crate, and
-//! never a silent success that ignores what the operator asked for.
+//! never a panic (exit 101) from an assert deep in a linked crate, an
+//! abort on a size nothing bounded, or a silent success that ignores
+//! what the operator asked for.
 
 use std::process::Command;
 
@@ -66,6 +67,20 @@ fn hostile_and_retired_flags_are_named_errors() {
         wl,
     ];
     let motifs = vec!["motifs", "--workload", wl];
+    // The same lines with one flag left out, for the rows that set it.
+    let unsized_lines = [&stream, &serve, &partition].map(|base| without(base, "--k"));
+    let unlabeled = without(&stream, "--workload");
+    // A workload whose header declares 70 000 labels.
+    let wide = dir.join("wide.lw");
+    let header = (0..70_000).map(|i| format!(" l{i}")).collect::<String>();
+    let text = std::fs::read_to_string(wl).unwrap();
+    let text = text.replacen(
+        text.lines().find(|l| l.starts_with("labels")).unwrap(),
+        &format!("labels{header}"),
+        1,
+    );
+    std::fs::write(&wide, text).unwrap();
+    let wide = wide.to_str().unwrap();
 
     let mut cases: Vec<(&Vec<&str>, [&str; 2], String)> = Vec::new();
     for base in [&stream, &serve, &partition] {
@@ -87,6 +102,39 @@ fn hostile_and_retired_flags_are_named_errors() {
         }
     }
 
+    // Sizes that aborted on a 32-78 GB allocation (an abort, exit 134);
+    // the error names the bound.
+    let huge = "4000000000";
+    for base in &unsized_lines {
+        cases.push((base, ["--k", huge], "error: --k must be <= 65536".into()));
+    }
+    for base in [&stream, &serve, &partition] {
+        cases.push((
+            base,
+            ["--window", huge],
+            "error: --window must be <= 16777216".into(),
+        ));
+    }
+    for base in [&stream, &serve] {
+        cases.push((
+            base,
+            ["--labels", huge],
+            "error: --labels must be <= 4096".into(),
+        ));
+    }
+    cases.push((
+        &unlabeled,
+        ["--workload", wide],
+        "error: --workload declares 70000 labels; at most 4096".into(),
+    ));
+    // Every view would retain nothing, and every KHOP/MATCH answer OK
+    // with nothing.
+    cases.push((
+        &serve,
+        ["--serve-horizon", "0"],
+        "error: --serve-horizon must be >= 1".into(),
+    ));
+
     for (base, [flag, value], want) in &cases {
         let o = loom()
             .args(*base)
@@ -100,4 +148,13 @@ fn hostile_and_retired_flags_are_named_errors() {
         assert!(!stderr.contains("panicked"), "{what}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `base` without `flag` and its value.
+fn without<'a>(base: &[&'a str], flag: &str) -> Vec<&'a str> {
+    let i = base
+        .iter()
+        .position(|t| *t == flag)
+        .expect("flag in the base line");
+    [&base[..i], &base[i + 2..]].concat()
 }
