@@ -7,13 +7,12 @@
 #
 # Usage: ci.sh [--quick|--full]
 #
-#   --full  (default) everything: lints, bench compile, the 1M-edge
-#           bounded-memory smoke with its WAL-on twin, and the quality
-#           gate against the committed BENCH_results.json.
-#   --quick the fast pre-commit loop: build, tests, fmt, the micro
-#           bench suites and the serve and bounded-memory smokes at
-#           200k edges; skips clippy, the full bench compile, the WAL
-#           twin and the quality gate.
+#   --full  (default) everything: lints, the 1M-edge bounded-memory
+#           smoke with its WAL-on twin, and the quality gate against
+#           the committed BENCH_results.json.
+#   --quick the fast pre-commit loop: build, tests, fmt and the serve
+#           and bounded-memory smokes at 200k edges; skips clippy, the
+#           WAL twin and the quality gate.
 #
 # The run is split into named stages; a failure reports the stage by
 # name, and a per-stage timing table prints on every exit.
@@ -170,26 +169,7 @@ cargo fmt --check
 if [ "$MODE" = full ]; then
   stage "lints (clippy -D warnings)"
   cargo clippy --offline --workspace --all-targets -- -D warnings
-
-  stage "benches compile"
-  cargo bench --offline --no-run -q
 fi
-
-stage "matcher micro-suite (1 sample)"
-# Keeps the hub-scaling / match-dense / bypass-heavy benches from
-# rotting: they must build AND run end to end on every CI pass.
-LOOM_BENCH_SAMPLES=1 cargo bench --offline -q --bench matcher_micro
-
-stage "partition micro-suite (1 sample)"
-# Same contract for the scoring/assignment hot paths: hub-fallback,
-# assignment-burst, restream, and the mixed Loom edge loop.
-LOOM_BENCH_SAMPLES=1 cargo bench --offline -q --bench partition_micro
-
-stage "adjacency micro-suite (1 sample)"
-# And for the bounded neighbourhood store: unbounded baseline vs
-# bounded churn (expiry + generational compaction) vs full counter
-# maintenance under eviction.
-LOOM_BENCH_SAMPLES=1 cargo bench --offline -q --bench adjacency_churn
 
 stage "stream smoke (stdin ingest, online engine)"
 # A small-scale generate emits ~15k edges; stream must ingest them from

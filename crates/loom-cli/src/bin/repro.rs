@@ -2,7 +2,8 @@
 //! lists the flags, rendered from [`REPRO`].
 //!
 //! Prints paper-style markdown tables to stdout; with `--jsonl` also
-//! writes machine-readable result rows for the ipt experiments. A run
+//! writes machine-readable result rows for the ipt experiments (and
+//! refuses an experiment without them, as `--compare-bench` does). A run
 //! that produced ipt cells (`all`, `fig7`, `fig8`) additionally writes
 //! a `BENCH_results.json` summary (per-system weighted ipt, imbalance
 //! and Table 2's ms/10k-edges, averaged over the cells) —
@@ -21,8 +22,8 @@
 //! distinct from a violation so CI can report "refresh/commit the
 //! baseline" instead of "investigate a quality drift").
 
-use loom_bench::suites::{self, SuiteOptions};
-use loom_bench::BenchSummary;
+use loom_cli::bench_compare::{self, BenchSummary};
+use loom_cli::suites::{self, SuiteOptions};
 use loom_cli::{parse_scale, ArgError, Args, Command};
 
 /// `repro`'s command line; `--help` is rendered from it.
@@ -84,6 +85,7 @@ fn run_of(args: &Args) -> Result<Run, ArgError> {
         None => Some("BENCH_results.json".to_string()),
     };
     let compare_bench = args.optional("compare-bench")?;
+    let jsonl = args.optional("jsonl")?;
     // A typo'd experiment would otherwise select no suites and exit 0
     // silently — reject it up front.
     if !EXPERIMENTS.contains(&experiment.as_str()) {
@@ -92,19 +94,26 @@ fn run_of(args: &Args) -> Result<Run, ArgError> {
             EXPERIMENTS.join("|")
         )));
     }
-    // Likewise a gate over an experiment with no ipt cells would run
-    // the suite and only then find nothing to compare.
-    if compare_bench.is_some() && !IPT_EXPERIMENTS.contains(&experiment.as_str()) {
-        return Err(ArgError::Refused(format!(
-            "--compare-bench gates ipt cells and experiment '{experiment}' produces none; \
-             use --experiment {}",
-            IPT_EXPERIMENTS.join("|")
-        )));
+    // Likewise a gate or a JSON-lines file over an experiment with no
+    // ipt cells would run the suite and only then find nothing to
+    // compare or write.
+    let needs_ipt = [
+        ("--compare-bench gates", compare_bench.is_some()),
+        ("--jsonl writes", jsonl.is_some()),
+    ];
+    for (flag, given) in needs_ipt {
+        if given && !IPT_EXPERIMENTS.contains(&experiment.as_str()) {
+            return Err(ArgError::Refused(format!(
+                "{flag} ipt cells and experiment '{experiment}' produces none; \
+                 use --experiment {}",
+                IPT_EXPERIMENTS.join("|")
+            )));
+        }
     }
     Ok(Run {
         experiment,
         options,
-        jsonl: args.optional("jsonl")?,
+        jsonl,
         bench_json,
         compare_bench,
     })
@@ -200,8 +209,9 @@ fn main() {
     }
 
     if let Some(path) = &run.jsonl {
-        write_or_exit(path, &suites::jsonl(&all_results));
-        eprintln!("wrote {} result rows to {path}", all_results.len() * 4);
+        let rows = suites::jsonl(&all_results);
+        write_or_exit(path, &rows);
+        eprintln!("wrote {} result rows to {path}", rows.lines().count());
     }
     if all_results.is_empty() {
         return; // no ipt cells: nothing to summarise or gate
@@ -222,7 +232,7 @@ fn main() {
     // The CI quality gate. The table goes to stderr so `repro ... >
     // /dev/null` (CI hides the suite markdown) still shows it.
     if let (Some(path), Some(baseline)) = (&run.compare_bench, &baseline) {
-        let report = loom_bench::compare(baseline, &summary);
+        let report = bench_compare::compare(baseline, &summary);
         eprintln!("## Quality gate: fresh run vs committed {path}\n");
         eprintln!("{}", report.table);
         if !report.passed() {
@@ -273,17 +283,27 @@ mod tests {
         assert_eq!(r.bench_json.as_deref(), Some("BENCH_results.json"));
     }
 
-    /// Regression: `--experiment fig4 --compare-bench ...` ran the
-    /// suite, then panicked finding no system rows to gate.
+    /// Regressions: `--experiment fig4 --compare-bench ...` ran the
+    /// suite, then panicked finding no system rows to gate; `--experiment
+    /// table1 --jsonl x.jsonl` ran the suite, then wrote an empty file
+    /// and exited 0.
     #[test]
     fn compare_bench_needs_ipt_cells() {
-        for e in EXPERIMENTS {
-            let parsed = run(&["--experiment", e, "--compare-bench", "BENCH_results.json"]);
-            if IPT_EXPERIMENTS.contains(&e) {
-                assert!(parsed.is_ok(), "{e} has ipt cells to gate");
-            } else {
-                let err = parsed.err().expect("no ipt cells must be rejected");
-                assert!(err.contains(e) && err.contains("fig7"), "{err}");
+        for (flag, value) in [
+            ("--compare-bench", "BENCH_results.json"),
+            ("--jsonl", "x.jsonl"),
+        ] {
+            for e in EXPERIMENTS {
+                let parsed = run(&["--experiment", e, flag, value]);
+                if IPT_EXPERIMENTS.contains(&e) {
+                    assert!(parsed.is_ok(), "{e} {flag}: has ipt cells");
+                } else {
+                    let err = parsed.err().expect("no ipt cells must be rejected");
+                    assert!(
+                        err.contains(flag) && err.contains(e) && err.contains("fig7"),
+                        "{err}"
+                    );
+                }
             }
         }
     }

@@ -1,4 +1,5 @@
-//! The flag parser the `loom` and `repro` binaries share.
+//! The flag parser the `loom` and `repro` binaries share, and the
+//! paper suites `repro` prints.
 //!
 //! Each binary declares its command line once, as `const` [`Command`]s
 //! whose flags are `(name, value placeholder, help line)` triples.
@@ -6,6 +7,29 @@
 //! getter refuses a name the command does not declare, and [`usage`]
 //! renders `--help` from the same declaration — so the help text, the
 //! flags a line may carry and the flags the code reads are one list.
+//!
+//! [`suites`] regenerates every table and figure of the paper's
+//! evaluation (§5):
+//!
+//! | Paper artefact | Suite function |
+//! |---|---|
+//! | Fig. 4 (collision probabilities) | [`suites::fig4`] |
+//! | Table 1 (datasets) | [`suites::table1`] |
+//! | Fig. 7 (ipt vs Hash, stream orders) | [`suites::fig7`] |
+//! | Fig. 8 (ipt vs Hash, k sweep) | [`suites::fig8`] |
+//! | Table 2 (partitioning throughput) | [`suites::table2`] |
+//! | Fig. 9 (window-size sweep) | [`suites::fig9`] |
+//! | §5.2 imbalance note | folded into [`suites::fig7`] |
+//! | Ablations (DESIGN.md §7) | [`suites::ablations`] |
+//! | Online vs prescient (DESIGN.md §8) | [`suites::online`] |
+//!
+//! `repro` prints them, writes a `BENCH_results.json` summary of the
+//! ipt cells ([`bench_compare::BenchSummary`]) and gates its quality
+//! digits against the committed copy ([`bench_compare::compare`]).
+//! Throughput is measured by `benchmark/`, not here.
+
+pub mod bench_compare;
+pub mod suites;
 
 use loom_core::graph::Scale;
 use std::fmt::Display;

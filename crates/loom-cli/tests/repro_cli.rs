@@ -53,3 +53,20 @@ fn unknown_and_retired_arguments_exit_2_naming_them() {
         );
     }
 }
+
+/// `--jsonl` over an experiment with no ipt cells is refused before
+/// any suite runs: exit 2, nothing printed to stdout, no file written.
+#[test]
+fn jsonl_without_ipt_cells_exits_2_and_writes_nothing() {
+    let path = std::env::temp_dir().join(format!("repro-cli-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let o = repro(&["--experiment", "table1", "--jsonl", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --jsonl") && stderr.contains("table1"),
+        "{stderr}"
+    );
+    assert!(o.stdout.is_empty(), "a suite ran before the refusal");
+    assert!(!path.exists(), "refused run wrote {}", path.display());
+}
