@@ -356,6 +356,27 @@ if [ "$MODE" = full ]; then
     exit 1
   fi
   echo "recovery smoke: overhead gate passed"
+  # The disk ceiling (ROADMAP 6(d)). Pruning keeps two checkpoints and
+  # rotation keeps the journal from the older one on, so however long
+  # the stream, the directory holds at most two ckpt-* files and two
+  # checkpoint intervals of journal at 16.1 B an edge (16 B of edge,
+  # the rest record framing). Finding no journal file fails as well:
+  # a ceiling with nothing to measure would pass silently.
+  CKPT_FILES=$(find "$WAL_DIR" -maxdepth 1 -type f -name 'ckpt-*' | wc -l)
+  JOURNAL_FILES=$(find "$WAL_DIR" -maxdepth 1 -type f -name 'journal*' | wc -l)
+  JOURNAL_BYTES=$(find "$WAL_DIR" -maxdepth 1 -type f -name 'journal*' -printf '%s\n' \
+    | awk '{ s += $1 } END { print s + 0 }')
+  JOURNAL_CEILING=$((2 * 250000 * 161 / 10))
+  echo "recovery smoke ceiling: ${CKPT_FILES} checkpoints, ${JOURNAL_FILES} journal files of ${JOURNAL_BYTES} bytes (ceiling ${JOURNAL_CEILING})"
+  if [ "$JOURNAL_FILES" -eq 0 ]; then
+    echo "recovery smoke: no journal file in $WAL_DIR — the disk ceiling measured nothing" >&2
+    exit 1
+  fi
+  if [ "$CKPT_FILES" -gt 2 ] || [ "$JOURNAL_BYTES" -gt "$JOURNAL_CEILING" ]; then
+    echo "recovery smoke: WAL directory over its ceiling (${CKPT_FILES} checkpoints > 2, or ${JOURNAL_BYTES} journal bytes > ${JOURNAL_CEILING})" >&2
+    exit 1
+  fi
+  echo "recovery smoke: disk ceiling holds"
   rm -rf "$WAL_DIR"
 fi
 rm -f "$WORKLOAD"

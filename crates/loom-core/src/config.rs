@@ -1,5 +1,5 @@
-//! Experiment configuration shared by the pipeline, the `repro` binary
-//! and the criterion benches.
+//! Experiment configuration shared by the pipeline and the paper
+//! suites the `repro` binary prints (`loom-cli`'s `suites` module).
 
 use loom_graph::{DatasetKind, Scale, StreamOrder};
 

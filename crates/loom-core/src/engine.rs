@@ -16,7 +16,7 @@
 //! through it in prescient mode reproduces every figure bit for bit
 //! (see `tests/determinism.rs` and the pipeline tests).
 
-use crate::persist::{decode_replay_tail, encode_edges_record, RecoveryStats, WalState};
+use crate::persist::{read_journal, RecoveryStats, Segment, WalState};
 use crate::serve::{ServeHandle, ServeOptions, ServeState};
 use loom_graph::{EdgeSource, LabeledGraph, StreamEdge, Workload};
 use loom_matcher::ArenaOccupancy;
@@ -26,8 +26,8 @@ use loom_partition::{
 use loom_query::count_ipt;
 use loom_runtime::ServeStats;
 use loom_wal::{
-    list_checkpoints, read_checkpoint, scan_journal, write_checkpoint, ByteReader, ByteWriter,
-    Checkpoint, JournalWriter, StorageBackend, WalError, JOURNAL_FILE,
+    list_checkpoints, list_segments, read_checkpoint, segment_name, write_checkpoint, ByteReader,
+    ByteWriter, Checkpoint, StorageBackend, WalError,
 };
 use std::collections::VecDeque;
 
@@ -588,7 +588,10 @@ impl OnlineEngine {
     /// Attach a fresh write-ahead log: every ingested edge is appended
     /// to `backend`'s journal (flushed at batch boundaries, before the
     /// partitioner sees the edges), and a full engine checkpoint is
-    /// written every `checkpoint_every` edges (0 = journal only).
+    /// written every `checkpoint_every` edges (0 = journal only). The
+    /// journal is a run of segments, a new one from each checkpoint's
+    /// edge on, and a checkpoint deletes the segments that only the
+    /// checkpoints it pruned could replay.
     /// `fingerprint` names the run configuration; it is stamped into
     /// every checkpoint and [`OnlineEngine::resume_from_wal`] refuses
     /// on any mismatch.
@@ -605,15 +608,14 @@ impl OnlineEngine {
         fingerprint: &str,
     ) -> Result<(), WalError> {
         self.wal_preconditions()?;
-        match backend.read(JOURNAL_FILE) {
-            Ok(bytes) if !bytes.is_empty() => {
+        for (_, name) in list_segments(&*backend)? {
+            if !backend.read(&name)?.is_empty() {
                 return Err(WalError::Refused(
                     "the WAL directory already holds a journal; resume to continue it, \
                      or point the WAL at an empty directory"
                         .to_string(),
                 ));
             }
-            _ => {}
         }
         if !list_checkpoints(&*backend)?.is_empty() {
             return Err(WalError::Refused(
@@ -631,18 +633,18 @@ impl OnlineEngine {
         // killed run's checkpoint temp file, which the checks above
         // cannot see.
         loom_wal::sweep_checkpoint_temps(&*backend)?;
-        let journal = JournalWriter::open(&*backend, 0)?;
-        self.wal = Some(WalState {
+        let first = Segment {
+            first: 0,
+            name: segment_name(0),
+            bytes: 0,
+        };
+        self.wal = Some(WalState::new(
             backend,
-            journal,
             checkpoint_every,
-            fingerprint: fingerprint.to_string(),
-            keep_checkpoints: 2,
-            journaled_edges: 0,
-            checkpoint_seq: 0,
-            checkpoints_written: 0,
-            replayed_edges: 0,
-        });
+            fingerprint,
+            VecDeque::new(),
+            first,
+        )?);
         Ok(())
     }
 
@@ -653,15 +655,18 @@ impl OnlineEngine {
     /// configuration and is checked against the checkpoint before any
     /// state is touched.
     ///
-    /// Recovery: pick the newest readable checkpoint (a corrupt or
-    /// missing newest falls back to the one before it; none at all
-    /// means full replay from edge 0), load its engine + partitioner
-    /// state, scan the journal — truncating a torn tail after the last
-    /// checksummed record — and replay the durable edges past the
-    /// checkpoint through the normal ingest path, re-firing cadence
-    /// snapshots into `on_snapshot` as they are crossed. Because every
-    /// structure was serialized verbatim (dead entries and all), the
-    /// resumed engine is bit-identical to one that never stopped.
+    /// Recovery: pick the newest readable checkpoint at or after the
+    /// journal's first edge (a corrupt or missing newest falls back to
+    /// the one before it; none at all means full replay from edge 0 —
+    /// possible only while the journal still starts there, before the
+    /// first rotation), load its engine + partitioner state, read the
+    /// journal's segments in order — truncating a torn tail after the
+    /// last checksummed record of the last segment — and replay the
+    /// durable edges past the checkpoint through the normal ingest
+    /// path, re-firing cadence snapshots into `on_snapshot` as they are
+    /// crossed. Because every structure was serialized verbatim (dead
+    /// entries and all), the resumed engine is bit-identical to one
+    /// that never stopped.
     ///
     /// Returns the number of durable edges recovered; the caller skips
     /// that many edges of its source before continuing the stream.
@@ -673,58 +678,72 @@ impl OnlineEngine {
         mut on_snapshot: impl FnMut(&Snapshot),
     ) -> Result<u64, WalError> {
         self.wal_preconditions()?;
-        // Newest readable checkpoint wins; Io/Corrupt fall back to the
-        // previous one (atomic writes mean at most the newest is torn,
-        // but degraded media can lose any of them).
+        let segments = list_segments(&*backend)?;
+        let Some(&(journal_first, _)) = segments.first() else {
+            if !list_checkpoints(&*backend)?.is_empty() {
+                return Err(WalError::Corrupt(
+                    "checkpoints exist but the journal is missing".to_string(),
+                ));
+            }
+            return Err(WalError::Refused(
+                "nothing to resume: the WAL directory holds no journal".to_string(),
+            ));
+        };
+        // Newest readable checkpoint the journal still reaches wins;
+        // Io/Corrupt fall back to the previous one (atomic writes mean
+        // at most the newest is torn, but degraded media can lose any
+        // of them).
         let mut ckpt: Option<Checkpoint> = None;
         for (_, name) in list_checkpoints(&*backend)?.iter().rev() {
             match read_checkpoint(&*backend, name) {
-                Ok(c) => {
+                Ok(c) if c.edges >= journal_first => {
                     ckpt = Some(c);
                     break;
                 }
+                // Older ones start further before the journal.
+                Ok(_) => break,
                 Err(WalError::Io(_)) | Err(WalError::Corrupt(_)) => continue,
                 Err(e) => return Err(e),
             }
         }
-        if let Some(c) = &ckpt {
-            if c.fingerprint != fingerprint {
+        match &ckpt {
+            None if journal_first > 0 => {
+                return Err(WalError::Corrupt(format!(
+                    "no readable checkpoint at or after stream edge {journal_first}, where \
+                     the journal starts (rotation deleted the segments before it): \
+                     there is nothing to replay from"
+                )));
+            }
+            None => {}
+            Some(c) if c.fingerprint != fingerprint => {
                 return Err(WalError::ConfigMismatch {
                     expected: fingerprint.to_string(),
                     found: c.fingerprint.clone(),
                 });
             }
-        }
-        let journal_bytes = match backend.read(JOURNAL_FILE) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if ckpt.is_some() {
-                    return Err(WalError::Corrupt(
-                        "checkpoints exist but the journal is missing".to_string(),
-                    ));
-                }
-                return Err(WalError::Refused(
-                    "nothing to resume: the WAL directory holds no journal".to_string(),
-                ));
+            // Pruning finds a checkpoint's edge from its seq: the
+            // cadence is part of the WAL.
+            Some(c) if c.seq.checked_mul(checkpoint_every) != Some(c.edges) => {
+                return Err(WalError::ConfigMismatch {
+                    expected: format!("checkpoint-every={checkpoint_every}"),
+                    found: format!(
+                        "checkpoint-every={} (checkpoint {} at stream edge {})",
+                        c.edges / c.seq.max(1),
+                        c.seq,
+                        c.edges
+                    ),
+                });
             }
-            Err(e) => return Err(e.into()),
-        };
-        let scan = scan_journal(&journal_bytes);
-        if scan.torn.is_some() {
-            // Drop the torn tail so this session's appends continue a
-            // clean checksummed prefix.
-            backend.truncate(JOURNAL_FILE, scan.valid_len)?;
+            Some(_) => {}
         }
-        // The scan owns its records; the file's bytes are done with.
-        drop(journal_bytes);
-        // A kill between a checkpoint's write and its rename leaves the
-        // temp file behind, where no listing or pruning ever sees it.
-        loom_wal::sweep_checkpoint_temps(&*backend)?;
         // Every record's header is checked; only the records reaching
         // past the checkpoint are decoded.
         let start = ckpt.as_ref().map_or(0, |c| c.edges);
-        let tail = decode_replay_tail(&scan.records, start)?;
-        let durable = tail.durable;
+        let journal = read_journal(&*backend, &segments, start)?;
+        // A kill between a checkpoint's write and its rename leaves the
+        // temp file behind, where no listing or pruning ever sees it.
+        loom_wal::sweep_checkpoint_temps(&*backend)?;
+        let durable = journal.tail.durable;
         if durable < start {
             return Err(WalError::Corrupt(format!(
                 "checkpoint claims {start} edges but the journal holds only {durable}: \
@@ -738,19 +757,18 @@ impl OnlineEngine {
         // Install the WAL *before* replay: `journaled_edges = durable`
         // suppresses re-appending what is already on disk while the
         // replayed edges flow through the normal ingest path.
-        let journal = JournalWriter::open(&*backend, scan.valid_len)?;
-        self.wal = Some(WalState {
+        let mut wal = WalState::new(
             backend,
-            journal,
             checkpoint_every,
-            fingerprint: fingerprint.to_string(),
-            keep_checkpoints: 2,
-            journaled_edges: durable,
-            checkpoint_seq: ckpt.as_ref().map_or(0, |c| c.seq),
-            checkpoints_written: 0,
-            replayed_edges: durable - start,
-        });
-        self.ingest_batch(&tail.edges, &mut on_snapshot)
+            fingerprint,
+            journal.closed,
+            journal.open,
+        )?;
+        wal.journaled_edges = durable;
+        wal.checkpoint_seq = ckpt.as_ref().map_or(0, |c| c.seq);
+        wal.replayed_edges = durable - start;
+        self.wal = Some(wal);
+        self.ingest_batch(&journal.tail.edges, &mut on_snapshot)
             .map_err(|e| WalError::Corrupt(format!("journal replay failed: {e}")))?;
         Ok(durable)
     }
@@ -782,7 +800,7 @@ impl OnlineEngine {
     /// flushed at every batch boundary). Call before a clean exit.
     pub fn flush_wal(&mut self) -> Result<(), WalError> {
         if let Some(wal) = &mut self.wal {
-            wal.journal.flush()?;
+            wal.flush()?;
         }
         Ok(())
     }
@@ -792,22 +810,11 @@ impl OnlineEngine {
         self.wal.as_ref().map(|w| w.stats())
     }
 
-    /// Append the not-yet-journaled suffix of `edges` (a slice whose
-    /// first element is stream edge `self.edges`) and flush. Replayed
-    /// prefixes are skipped via `journaled_edges`; a slice that spans
-    /// the durable boundary appends exactly its fresh suffix.
+    /// Journal `edges`, a slice whose first element is stream edge
+    /// `self.edges` ([`WalState::append_edges`]).
     fn journal_edges(&mut self, edges: &[StreamEdge]) -> Result<(), WalError> {
         let wal = self.wal.as_mut().expect("caller checked wal.is_some()");
-        let first = self.edges;
-        let skip = wal.journaled_edges.saturating_sub(first) as usize;
-        if skip >= edges.len() {
-            return Ok(());
-        }
-        let record = encode_edges_record(first + skip as u64, &edges[skip..]);
-        wal.journal.append_record(&record)?;
-        wal.journal.flush()?;
-        wal.journaled_edges = first + edges.len() as u64;
-        Ok(())
+        wal.append_edges(self.edges, edges)
     }
 
     fn checkpoint_due(&self) -> bool {
@@ -818,13 +825,14 @@ impl OnlineEngine {
         })
     }
 
-    /// Write (and prune) a checkpoint at the current edge boundary.
-    /// The journal is flushed first so a checkpoint never claims edges
-    /// the journal does not durably hold.
+    /// Write a checkpoint at the current edge boundary, then prune the
+    /// checkpoints and journal segments it makes unneeded. The journal
+    /// is flushed first so a checkpoint never claims edges the journal
+    /// does not durably hold.
     fn write_checkpoint_now(&mut self) -> Result<(), WalError> {
         let state = self.checkpoint_payload()?;
         let wal = self.wal.as_mut().expect("checkpoint_due checked wal");
-        wal.journal.flush()?;
+        wal.flush()?;
         let seq = self.edges / wal.checkpoint_every;
         write_checkpoint(
             &*wal.backend,
@@ -837,13 +845,7 @@ impl OnlineEngine {
         )?;
         wal.checkpoint_seq = seq;
         wal.checkpoints_written += 1;
-        let list = list_checkpoints(&*wal.backend)?;
-        if list.len() > wal.keep_checkpoints {
-            for (_, name) in &list[..list.len() - wal.keep_checkpoints] {
-                wal.backend.remove(name)?;
-            }
-        }
-        Ok(())
+        wal.prune()
     }
 
     /// The engine's recoverable state: its own counters, the pending

@@ -5,14 +5,17 @@
 //!
 //! The kill points are adversarial on purpose: exactly at a checkpoint
 //! boundary, one edge past it, mid-batch, and deep into the stream
-//! after checkpoint pruning has discarded the early files. On top of
-//! the clean kills, the suite corrupts the WAL itself — checkpoint
-//! bit-flips (fall back to the older checkpoint, or to full replay),
-//! exhaustive journal truncation and bit-flip sweeps (checksummed-
-//! prefix recovery or a loud failure naming the record, never a
-//! silently wrong state), short writes from a failing device, and a
-//! worker panic mid-ingest whose journal flush makes the failure point
-//! itself durable.
+//! after checkpoint pruning and journal rotation have discarded the
+//! early files. On top of the clean kills, the suite corrupts the WAL
+//! itself — checkpoint bit-flips (fall back to the older checkpoint,
+//! or to full replay while the journal still reaches edge 0),
+//! exhaustive truncation and bit-flip sweeps over every journal
+//! segment (checksummed-prefix recovery in the last segment, a loud
+//! failure naming the segment and the record in any other, never a
+//! silently wrong state), short writes from a failing device — one of
+//! them between the two records of a batch the checkpoint cadence
+//! cuts — and a worker panic mid-ingest whose journal flush makes the
+//! failure point itself durable.
 //!
 //! Bit-identity is judged by [`OnlineEngine::state_digest`] — the
 //! serialized engine + partitioner state, dead entries and all — plus
@@ -21,8 +24,8 @@
 
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
 use loom_core::wal::{
-    list_checkpoints, scan_journal, FaultPlan, FaultyBackend, FileBackend, JournalWriter,
-    MemBackend, StorageBackend, WalError, JOURNAL_FILE,
+    list_checkpoints, list_segments, scan_journal, segment_name, FaultPlan, FaultyBackend,
+    FileBackend, JournalWriter, MemBackend, StorageBackend, WalError, JOURNAL_FILE,
 };
 use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
 use loom_partition::{
@@ -378,9 +381,12 @@ fn wal_is_quality_invisible() {
     assert_eq!(off_digest, on_digest, "state digest");
 }
 
-/// A corrupt newest checkpoint falls back to the one before it; all
-/// checkpoints gone falls back to full replay from edge 0. Both stay
-/// bit-identical.
+/// A corrupt newest checkpoint falls back to the one before it. All
+/// checkpoints gone falls back to full replay from edge 0 while the
+/// journal still starts there — a single-file journal written before
+/// segments — and, once rotation has deleted the journal's start, is a
+/// `Corrupt` error naming the edge the journal now starts at. Every
+/// resume that succeeds is bit-identical.
 #[test]
 fn corrupt_or_missing_checkpoints_fall_back() {
     let (edges, workload) = hub_stream(300, 0xc0de);
@@ -404,13 +410,20 @@ fn corrupt_or_missing_checkpoints_fall_back() {
         .unwrap();
     drop(victim);
 
-    // Checkpoints at 300/600/900, pruned to the newest two.
+    // Checkpoints at 300/600/900, pruned to the newest two; the journal
+    // from the older of them on.
     let names: Vec<String> = list_checkpoints(&backend)
         .unwrap()
         .into_iter()
         .map(|(_, n)| n)
         .collect();
     assert_eq!(names.len(), 2, "pruning keeps the newest two");
+    let segments: Vec<u64> = list_segments(&backend)
+        .unwrap()
+        .into_iter()
+        .map(|(first, _)| first)
+        .collect();
+    assert_eq!(segments, [600, 900], "rotation keeps the journal from 600");
 
     // Flip a byte mid-payload of the newest: resume must fall back to
     // the older checkpoint and replay the longer suffix.
@@ -432,13 +445,16 @@ fn corrupt_or_missing_checkpoints_fall_back() {
         "fallback digest"
     );
 
-    // Remove every checkpoint: full replay from edge 0.
+    // A single-file journal from edge 0 (the layout before segments)
+    // beside the same checkpoints, then every checkpoint removed: full
+    // replay from edge 0.
+    let legacy = legacy_wal(&backend, &edges, make(), 64, 1000);
     for name in &names {
-        backend.remove(name).unwrap();
+        legacy.remove(name).unwrap();
     }
     let mut replayed = engine_with(make(), 64, 0);
     let durable = replayed
-        .resume_from_wal(Box::new(backend.clone()), 300, FP, |_| {})
+        .resume_from_wal(Box::new(legacy), 300, FP, |_| {})
         .unwrap();
     assert_eq!(durable, 1000);
     assert_eq!(
@@ -451,13 +467,72 @@ fn corrupt_or_missing_checkpoints_fall_back() {
         ref_digest,
         "full-replay digest"
     );
+
+    // The rotated journal starts at 600: with every checkpoint removed
+    // there is nothing to replay from, and resume says where it starts.
+    // A readable checkpoint from before that edge (300, taken from a run
+    // stopped at 500) changes nothing: the journal cannot continue it.
+    for name in &names {
+        backend.remove(name).unwrap();
+    }
+    let early = MemBackend::new();
+    let mut e = engine_with(make(), 64, 0);
+    e.attach_wal(Box::new(early.clone()), 300, FP).unwrap();
+    e.run(&mut VecSource::new(&edges), Some(500), |_| {})
+        .unwrap();
+    let (_, ckpt_300) = list_checkpoints(&early).unwrap().remove(0);
+    for planted in [false, true] {
+        if planted {
+            backend.set_contents(&ckpt_300, early.contents(&ckpt_300).unwrap());
+        }
+        let mut e = engine_with(make(), 64, 0);
+        match e.resume_from_wal(Box::new(backend.clone()), 300, FP, |_| {}) {
+            Err(WalError::Corrupt(m)) => assert!(
+                m.contains("no readable checkpoint at or after stream edge 600"),
+                "planted {planted}: {m}"
+            ),
+            other => panic!("planted {planted}: expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
-/// Exhaustive torn-tail and bit-flip property: cut the journal at
-/// EVERY byte offset (and flip a bit at every offset) — resume either
-/// recovers exactly the checksummed prefix, bit-identical to a clean
-/// run over that many edges, or fails loudly naming a record or the
-/// checkpoint. Never a silently wrong state.
+/// A WAL directory in the layout before journal segments: `ckpts`'
+/// checkpoints beside one `journal` file from edge 0, written with
+/// `JournalWriter::open`, one record per batch of a `batch`-edge run of
+/// `make` over the first `n` edges.
+fn legacy_wal(
+    ckpts: &MemBackend,
+    edges: &[StreamEdge],
+    make: Box<dyn StreamPartitioner>,
+    batch: usize,
+    n: u64,
+) -> MemBackend {
+    // A journal-only WAL never rotates: one segment from edge 0.
+    let journal_only = MemBackend::new();
+    let mut e = engine_with(make, batch, 0);
+    e.attach_wal(Box::new(journal_only.clone()), 0, FP).unwrap();
+    e.run(&mut VecSource::new(edges), Some(n), |_| {}).unwrap();
+    let records = scan_journal(&journal_only.contents(&segment_name(0)).unwrap()).records;
+
+    let legacy = MemBackend::new();
+    for (_, name) in list_checkpoints(ckpts).unwrap() {
+        legacy.set_contents(&name, ckpts.contents(&name).unwrap());
+    }
+    let mut w = JournalWriter::open(&legacy, 0).unwrap();
+    for rec in &records {
+        w.append_record(rec).unwrap();
+    }
+    w.flush().unwrap();
+    legacy
+}
+
+/// Exhaustive torn-tail and bit-flip property over every journal
+/// segment: cut each segment at EVERY byte offset (and flip a bit at
+/// every offset). Damage in the last segment — the one a crash can
+/// tear — recovers exactly a checksummed prefix, bit-identical to a
+/// clean run over that many edges. Damage in an earlier segment is not
+/// a crash artefact: resume fails with `Corrupt`, naming the segment
+/// and the record. Never a silently wrong state.
 #[test]
 fn journal_truncation_and_bitflip_sweep() {
     let (edges, _) = hub_stream(50, 0x70a7); // 199 edges
@@ -465,24 +540,19 @@ fn journal_truncation_and_bitflip_sweep() {
     let make = || -> Box<dyn StreamPartitioner> {
         Box::new(LdgPartitioner::new(4, CapacityModel::Adaptive))
     };
-    let (batch, ckpt_every) = (16usize, 64u64);
+    // A cadence off the 16-edge batch grid: the batches over 72 and 144
+    // are each journaled as two records, one per segment.
+    let (batch, ckpt_every) = (16usize, 72u64);
 
-    // Reference digests for every possible durable prefix: record
-    // boundaries fall at batch flush points.
-    let mut boundary_digest = std::collections::HashMap::new();
-    let mut boundaries = Vec::new();
-    let mut at = 0u64;
-    loop {
-        boundaries.push(at);
-        let mut r = engine_with(make(), batch, 0);
-        r.run(&mut VecSource::new(&edges), Some(at), |_| {})
-            .unwrap();
-        boundary_digest.insert(at, r.state_digest().unwrap());
-        if at >= n {
-            break;
-        }
-        at = (at + batch as u64).min(n);
-    }
+    // Reference digests for every durable prefix.
+    let prefix_digest: Vec<Vec<u8>> = (0..=n)
+        .map(|at| {
+            let mut r = engine_with(make(), batch, 0);
+            r.run(&mut VecSource::new(&edges), Some(at), |_| {})
+                .unwrap();
+            r.state_digest().unwrap()
+        })
+        .collect();
 
     let pristine = MemBackend::new();
     let mut victim = engine_with(make(), batch, 0);
@@ -493,8 +563,7 @@ fn journal_truncation_and_bitflip_sweep() {
         .run(&mut VecSource::new(&edges), None, |_| {})
         .unwrap();
     drop(victim);
-    let journal = pristine.contents(JOURNAL_FILE).unwrap();
-    let ckpts: Vec<(String, Vec<u8>)> = list_checkpoints(&pristine)
+    let segments: Vec<(String, Vec<u8>)> = list_segments(&pristine)
         .unwrap()
         .into_iter()
         .map(|(_, name)| {
@@ -502,50 +571,222 @@ fn journal_truncation_and_bitflip_sweep() {
             (name, bytes)
         })
         .collect();
+    let names: Vec<&str> = segments.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [segment_name(72), segment_name(144)],
+        "checkpoints 72 and 144 keep the journal from 72"
+    );
+    // Where a damaged last segment may end: its start (the newest
+    // checkpoint) and each record's end.
+    let mut boundaries = vec![144u64];
+    for rec in scan_journal(&segments[1].1).records {
+        let first = u64::from_le_bytes(rec[..8].try_into().unwrap());
+        let count = u32::from_le_bytes(rec[8..12].try_into().unwrap());
+        boundaries.push(first + count as u64);
+    }
+    assert_eq!(boundaries, [144, 160, 176, 192, 199]);
 
-    let damaged_backend = |journal_bytes: Vec<u8>| {
+    let check = |damaged: usize, bytes: Vec<u8>, what: &str| {
         let b = MemBackend::new();
-        b.set_contents(JOURNAL_FILE, journal_bytes);
-        for (name, bytes) in &ckpts {
-            b.set_contents(name, bytes.clone());
+        for (_, name) in list_checkpoints(&pristine).unwrap() {
+            b.set_contents(&name, pristine.contents(&name).unwrap());
         }
-        b
-    };
-    let check = |b: MemBackend, what: &str| {
+        for (i, (name, clean)) in segments.iter().enumerate() {
+            let kept = if i == damaged { &bytes } else { clean };
+            b.set_contents(name, kept.clone());
+        }
+        let undamaged = bytes == segments[damaged].1;
         let mut engine = engine_with(make(), batch, 0);
-        match engine.resume_from_wal(Box::new(b), ckpt_every, FP, |_| {}) {
-            Ok(durable) => {
-                assert!(
-                    boundaries.contains(&durable),
-                    "{what}: recovered {durable} edges, not a record boundary"
-                );
-                assert_eq!(
-                    engine.state_digest().unwrap(),
-                    boundary_digest[&durable],
-                    "{what}: prefix of {durable} edges is not bit-identical"
-                );
+        let got = engine.resume_from_wal(Box::new(b.clone()), ckpt_every, FP, |_| {});
+        if damaged + 1 == segments.len() || undamaged {
+            let durable = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(
+                boundaries.contains(&durable),
+                "{what}: recovered {durable} edges, not a record boundary"
+            );
+            assert_eq!(
+                engine.state_digest().unwrap(),
+                prefix_digest[durable as usize],
+                "{what}: prefix of {durable} edges is not bit-identical"
+            );
+        } else {
+            match got {
+                Err(WalError::Corrupt(m)) => assert!(
+                    m.contains(&segments[damaged].0) && m.contains("record"),
+                    "{what}: failure does not name the segment and the record: {m}"
+                ),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
-            Err(e) => {
-                let msg = e.to_string();
-                assert!(
-                    msg.contains("record") || msg.contains("journal") || msg.contains("checkpoint"),
-                    "{what}: failure does not name the problem: {msg}"
-                );
-            }
+            // Refused before touching anything: no segment truncated.
+            assert_eq!(
+                b.contents(&segments[damaged].0),
+                Some(bytes),
+                "{what}: a refused resume changed the damaged segment"
+            );
         }
     };
 
-    for cut in 0..=journal.len() {
-        check(
-            damaged_backend(journal[..cut].to_vec()),
-            &format!("cut at {cut}"),
+    for (i, (name, clean)) in segments.iter().enumerate() {
+        for cut in 0..=clean.len() {
+            check(i, clean[..cut].to_vec(), &format!("{name} cut at {cut}"));
+        }
+        for pos in 0..clean.len() {
+            let mut flipped = clean.clone();
+            flipped[pos] ^= 0x20;
+            check(i, flipped, &format!("{name} flip at {pos}"));
+        }
+    }
+}
+
+/// A kill exactly between the two records of a batch the checkpoint
+/// cadence cuts: the first is flushed into the old segment, the second
+/// never reaches the new one, which may or may not have been created.
+/// Both resume digest-identical to the run that never stopped.
+#[test]
+fn kill_between_the_halves_of_a_straddling_batch() {
+    let (edges, _) = hub_stream(50, 0x57ad);
+    let make = || -> Box<dyn StreamPartitioner> {
+        Box::new(LdgPartitioner::new(4, CapacityModel::Adaptive))
+    };
+    let (batch, ckpt_every) = (16usize, 72u64);
+    let mut reference = engine_with(make(), batch, 0);
+    reference
+        .run(&mut VecSource::new(&edges), None, |_| {})
+        .unwrap();
+    let ref_digest = reference.state_digest().unwrap();
+
+    for new_segment_created in [false, true] {
+        let what = format!("new segment created: {new_segment_created}");
+        // Records [0,16) .. [48,64) and [64,72) go through; [72,80), the
+        // second half of the batch over 72, is the first append to
+        // journal-72 and writes nothing.
+        let mem = MemBackend::new();
+        let faulty = FaultyBackend::new(mem.clone(), FaultPlan::short_write(5, 0));
+        let mut engine = engine_with(make(), batch, 0);
+        engine.attach_wal(Box::new(faulty), ckpt_every, FP).unwrap();
+        engine
+            .run(&mut VecSource::new(&edges), None, |_| {})
+            .expect_err("the device dies between the halves");
+        assert_eq!(engine.edges_ingested(), 64, "{what}: the batch never ran");
+        drop(engine);
+        assert_eq!(list_segments(&mem).unwrap(), [(0, segment_name(0))]);
+        if new_segment_created {
+            mem.set_contents(&segment_name(72), Vec::new());
+        }
+
+        let mut resumed = engine_with(make(), batch, 0);
+        let durable = resumed
+            .resume_from_wal(Box::new(mem.clone()), ckpt_every, FP, |_| {})
+            .unwrap();
+        assert_eq!(durable, 72, "{what}: the first half is durable");
+        let mut source = VecSource::new(&edges);
+        source.skip_edges(durable);
+        resumed.run(&mut source, None, |_| {}).unwrap();
+        assert_eq!(resumed.state_digest().unwrap(), ref_digest, "{what}");
+        assert_eq!(
+            list_segments(&mem).unwrap(),
+            [(72, segment_name(72)), (144, segment_name(144))],
+            "{what}: rotation carried on from the resumed run"
         );
     }
-    for pos in 0..journal.len() {
-        let mut flipped = journal.clone();
-        flipped[pos] ^= 0x20;
-        check(damaged_backend(flipped), &format!("flip at {pos}"));
-    }
+}
+
+/// A WAL directory from before journal segments — one `journal` file
+/// from edge 0, written by `JournalWriter::open`, beside its two
+/// checkpoints — resumes digest-identical. The single file is read as
+/// the segment from edge 0, takes appends until the next cadence edge,
+/// and is pruned like any other segment once no kept checkpoint
+/// replays from it.
+#[test]
+fn single_file_journal_resumes_and_is_pruned_away() {
+    let (edges, workload) = hub_stream(100, 0x1e9a);
+    let (rotated, ref_digest) = loom_wal_after(&edges, &workload, 64, 200);
+    let legacy = legacy_wal(
+        &rotated,
+        &edges,
+        Box::new(loom(3, 16, 96, &workload)),
+        16,
+        200,
+    );
+    assert_eq!(
+        legacy.list().unwrap(),
+        [
+            "ckpt-00000000000000000002",
+            "ckpt-00000000000000000003",
+            JOURNAL_FILE
+        ]
+    );
+
+    let mut resumed = engine_with(Box::new(loom(3, 16, 96, &workload)), 16, 0);
+    let durable = resumed
+        .resume_from_wal(Box::new(legacy.clone()), 64, FP, |_| {})
+        .unwrap();
+    assert_eq!(durable, 200);
+    let stats = resumed.recovery_stats().unwrap();
+    assert_eq!(stats.replayed_edges, 200 - 192, "from checkpoint 192");
+    assert_eq!(
+        stats.journal_bytes,
+        legacy.contents(JOURNAL_FILE).unwrap().len() as u64,
+        "journal bytes are the bytes on disk"
+    );
+
+    // The single file now ends at 256, where the cadence opened a
+    // segment. Checkpoint 256 keeps 192 and 256, so it stays; checkpoint
+    // 320 keeps 256 and 320, so it goes.
+    let mut source = VecSource::new(&edges);
+    source.skip_edges(durable);
+    resumed.run(&mut source, Some(300), |_| {}).unwrap();
+    assert!(legacy.contents(JOURNAL_FILE).is_some(), "still needed");
+    resumed.run(&mut source, None, |_| {}).unwrap();
+    assert_eq!(resumed.state_digest().unwrap(), ref_digest, "digest");
+    assert_eq!(
+        legacy.list().unwrap(),
+        [
+            "ckpt-00000000000000000005".to_string(),
+            "ckpt-00000000000000000006".to_string(),
+            segment_name(320),
+            segment_name(384),
+        ],
+        "the single file was pruned away"
+    );
+}
+
+/// The journal on disk stays within the two checkpoint intervals the
+/// kept checkpoints can replay (plus the batch in flight), however long
+/// the stream, and `RecoveryStats::journal_bytes` is exactly its size.
+#[test]
+fn journal_on_disk_spans_at_most_two_checkpoint_intervals() {
+    let (edges, workload) = hub_stream(300, 0xd15c);
+    let (batch, ckpt_every) = (16u64, 100u64);
+    let backend = MemBackend::new();
+    let mut engine = engine_with(Box::new(loom(3, 16, 96, &workload)), batch as usize, 8);
+    engine
+        .attach_wal(Box::new(backend.clone()), ckpt_every, FP)
+        .unwrap();
+    let mut snapshots = 0;
+    engine
+        .run(&mut VecSource::new(&edges), None, |s| {
+            snapshots += 1;
+            let segments = list_segments(&backend).unwrap();
+            let on_disk: usize = segments
+                .iter()
+                .map(|(_, name)| backend.contents(name).map_or(0, |b| b.len()))
+                .sum();
+            let stats = s.recovery.expect("wal attached");
+            assert_eq!(stats.journal_bytes, on_disk as u64, "at edge {}", s.edges);
+            let first = segments[0].0;
+            assert!(
+                first + 2 * ckpt_every >= s.edges / ckpt_every * ckpt_every,
+                "at edge {}: the journal still starts at {first}",
+                s.edges
+            );
+            assert!(segments.len() <= 3, "at edge {}: {segments:?}", s.edges);
+        })
+        .unwrap();
+    assert_eq!(snapshots, edges.len() / 8);
+    let first = list_segments(&backend).unwrap()[0].0;
+    assert_eq!(first, (edges.len() as u64 / ckpt_every - 1) * ckpt_every);
 }
 
 /// A journal device that dies mid-record (short write) surfaces as an
@@ -697,6 +938,24 @@ fn refusals_are_loud_and_specific() {
         Err(WalError::ConfigMismatch { .. })
     ));
 
+    // A resume at another checkpoint cadence would prune the journal
+    // by the wrong edges: ConfigMismatch naming both cadences.
+    let mut e = engine_with(
+        Box::new(LdgPartitioner::new(4, CapacityModel::Adaptive)),
+        16,
+        0,
+    );
+    match e.resume_from_wal(Box::new(backend.clone()), 16, FP, |_| {}) {
+        Err(WalError::ConfigMismatch { expected, found }) => {
+            assert_eq!(expected, "checkpoint-every=16");
+            assert_eq!(
+                found,
+                "checkpoint-every=32 (checkpoint 2 at stream edge 64)"
+            );
+        }
+        other => panic!("expected ConfigMismatch, got {other:?}"),
+    }
+
     // Attach over existing state: refused, resume is the way in.
     let mut e = engine_with(
         Box::new(LdgPartitioner::new(4, CapacityModel::Adaptive)),
@@ -788,34 +1047,68 @@ fn resume_and_finish(
 
 /// Resume decodes only the records that reach past the checkpoint, so
 /// where the checkpoint falls against the record boundaries matters:
-/// inside a record, exactly between two, and at the journal's end
-/// (nothing to replay). Each resumes digest-identical to the run that
-/// never stopped, replaying exactly `kill - checkpoint` edges.
+/// inside a record (a single-file journal from before segments, where
+/// records run across checkpoints), where the cadence cut a batch in
+/// two, exactly between two records, and at the journal's end (nothing
+/// to replay). Each resumes digest-identical to the run that never
+/// stopped, replaying exactly `kill - checkpoint` edges.
 #[test]
 fn checkpoint_mid_record_on_a_boundary_and_at_durable() {
     let (edges, workload) = hub_stream(100, 0x7a11);
-    let kill = 40u64; // records [0,16) [16,32) [32,40)
-    for (ckpt_every, on_boundary, what) in [
-        (24u64, false, "mid-record"),
-        (32, true, "on a record boundary"),
-        (40, true, "at durable"),
+    let kill = 40u64; // batches [0,16) [16,32) [32,40)
+    let journal = |name: &str, firsts: &[u64]| (name.to_string(), firsts.to_vec());
+    for (ckpt_every, single_file, layout, what) in [
+        (
+            24u64,
+            true,
+            vec![journal(JOURNAL_FILE, &[0, 16, 32])],
+            "mid-record",
+        ),
+        (
+            24,
+            false,
+            vec![journal(&segment_name(24), &[24, 32])],
+            "where the cadence cut a batch",
+        ),
+        (
+            32,
+            false,
+            vec![
+                journal(&segment_name(0), &[0, 16]),
+                journal(&segment_name(32), &[32]),
+            ],
+            "on a record boundary",
+        ),
+        (
+            40,
+            false,
+            vec![journal(&segment_name(0), &[0, 16, 32])],
+            "at durable",
+        ),
     ] {
-        let (backend, ref_digest) = loom_wal_after(&edges, &workload, ckpt_every, kill);
+        let (mut backend, ref_digest) = loom_wal_after(&edges, &workload, ckpt_every, kill);
+        if single_file {
+            let make = Box::new(loom(3, 16, 96, &workload));
+            backend = legacy_wal(&backend, &edges, make, 16, kill);
+        }
         // The premise: where the newest checkpoint sits in the journal.
-        let scan = scan_journal(&backend.contents(JOURNAL_FILE).unwrap());
-        let firsts: Vec<u64> = scan
-            .records
-            .iter()
-            .map(|r| u64::from_le_bytes(r[..8].try_into().unwrap()))
+        let got: Vec<(String, Vec<u64>)> = list_segments(&backend)
+            .unwrap()
+            .into_iter()
+            .map(|(_, name)| {
+                let firsts = scan_journal(&backend.contents(&name).unwrap())
+                    .records
+                    .iter()
+                    .map(|r| u64::from_le_bytes(r[..8].try_into().unwrap()))
+                    .collect();
+                (name, firsts)
+            })
             .collect();
-        assert_eq!(firsts, vec![0, 16, 32], "{what}: record boundaries");
+        assert_eq!(got, layout, "{what}: segments and record boundaries");
         let (seq, _) = *list_checkpoints(&backend).unwrap().last().unwrap();
         assert_eq!(seq * ckpt_every, ckpt_every, "{what}: one checkpoint");
-        assert_eq!(
-            firsts.contains(&ckpt_every) || ckpt_every == kill,
-            on_boundary,
-            "{what}"
-        );
+        let on_boundary = layout.iter().any(|(_, f)| f.contains(&ckpt_every));
+        assert_eq!(on_boundary || ckpt_every == kill, !single_file, "{what}");
 
         let (resumed, durable) =
             resume_and_finish(Box::new(backend), &edges, &workload, ckpt_every);
@@ -836,50 +1129,69 @@ fn checkpoint_mid_record_on_a_boundary_and_at_durable() {
 /// Every record's header is still checked, decoded or not: a record
 /// that lies wholly before the checkpoint and does not start where
 /// the previous one ended, or whose count disagrees with its length,
-/// fails resume with the message it always had.
+/// fails resume with the message it always had, which now names the
+/// segment that holds it.
 #[test]
 fn header_faults_before_the_checkpoint_still_fail_resume() {
     let (edges, workload) = hub_stream(100, 0xfa17);
-    let (pristine, _) = loom_wal_after(&edges, &workload, 64, 100);
-    let records = scan_journal(&pristine.contents(JOURNAL_FILE).unwrap()).records;
-    assert!(records.len() > 4, "checkpoint 64 lies past record 1");
+    let (pristine, _) = loom_wal_after(&edges, &workload, 32, 100);
+    // Checkpoints 64 and 96 keep the journal from 64 on.
+    let segments: Vec<(String, Vec<Vec<u8>>)> = list_segments(&pristine)
+        .unwrap()
+        .into_iter()
+        .map(|(_, name)| {
+            let records = scan_journal(&pristine.contents(&name).unwrap()).records;
+            (name, records)
+        })
+        .collect();
+    assert_eq!(segments[0].0, segment_name(64));
+    assert_eq!(segments[0].1.len(), 2, "records [64,80) and [80,96)");
+    assert_eq!(
+        segments.len(),
+        2,
+        "checkpoint 96 lies past the first segment"
+    );
 
-    // Re-frame the journal with record 1 (edges 16..32) altered, so the
-    // fault passes every CRC and only the header check can catch it.
+    // Re-frame the journal with record 1 of the first segment (edges
+    // 80..96) altered, so the fault passes every CRC and only the
+    // header check can catch it.
     let damaged = |alter: &dyn Fn(&mut Vec<u8>)| {
         let b = MemBackend::new();
         for (_, name) in list_checkpoints(&pristine).unwrap() {
             b.set_contents(&name, pristine.contents(&name).unwrap());
         }
-        let mut w = JournalWriter::open(&b, 0).unwrap();
-        for (i, rec) in records.iter().enumerate() {
-            let mut rec = rec.clone();
-            if i == 1 {
-                alter(&mut rec);
+        for (s, (name, records)) in segments.iter().enumerate() {
+            let mut w = JournalWriter::open_named(&b, name, 0).unwrap();
+            for (i, rec) in records.iter().enumerate() {
+                let mut rec = rec.clone();
+                if (s, i) == (0, 1) {
+                    alter(&mut rec);
+                }
+                w.append_record(&rec).unwrap();
             }
-            w.append_record(&rec).unwrap();
+            w.flush().unwrap();
         }
-        w.flush().unwrap();
         b
     };
     let resume_err = |b: MemBackend| {
         let mut e = engine_with(Box::new(loom(3, 16, 96, &workload)), 16, 0);
-        match e.resume_from_wal(Box::new(b), 64, FP, |_| {}) {
+        match e.resume_from_wal(Box::new(b), 32, FP, |_| {}) {
             Err(WalError::Corrupt(m)) => m,
             other => panic!("expected Corrupt, got {other:?}"),
         }
     };
 
-    let gap = damaged(&|rec| rec[..8].copy_from_slice(&17u64.to_le_bytes()));
+    let gap = damaged(&|rec| rec[..8].copy_from_slice(&81u64.to_le_bytes()));
     assert_eq!(
         resume_err(gap),
-        "journal record 1 starts at stream edge 17, but the records before it \
-         hold 16 edges — the journal is discontinuous"
+        "journal segment journal-00000000000000000064 record 1 starts at stream edge 81, \
+         but the journal before it ends at edge 80 — the journal is discontinuous"
     );
     let miscount = damaged(&|rec| rec[8..12].copy_from_slice(&15u32.to_le_bytes()));
     assert_eq!(
         resume_err(miscount),
-        "journal record 1 claims 15 edges (240 bytes) but carries 256 payload bytes"
+        "journal segment journal-00000000000000000064 record 1 claims 15 edges (240 bytes) \
+         but carries 256 payload bytes"
     );
 }
 
@@ -908,14 +1220,15 @@ fn leaked_checkpoint_temp_files_are_swept() {
             ref_digest,
             "{what}: digest"
         );
-        // Swept, and nothing but the journal and the checkpoints the
-        // finished run keeps is left.
+        // Swept, and nothing but the checkpoints the finished run keeps
+        // and the journal from the older of them on is left.
         assert_eq!(
             view.list().unwrap(),
             [
-                "ckpt-00000000000000000005",
-                "ckpt-00000000000000000006",
-                JOURNAL_FILE
+                "ckpt-00000000000000000005".to_string(),
+                "ckpt-00000000000000000006".to_string(),
+                segment_name(320),
+                segment_name(384),
             ],
             "{what}: directory after resume"
         );

@@ -1,16 +1,19 @@
 //! Golden bytes of the WAL (DESIGN.md §15): a fixed seeded run must
-//! leave exactly these bytes on disk. The lengths and FNV-1a hashes
-//! below were recorded at the commit *before* the CRC kernel, the
-//! checkpoint framing and the journal writer were rewritten to handle
-//! each byte once — a change to how the bytes are produced must not
-//! change a single one of them, and a deliberate format change has to
-//! edit this file (and bump the checkpoint `VERSION`) to land.
+//! leave exactly these bytes on disk. The checkpoints' lengths and
+//! FNV-1a hashes below were recorded at the commit *before* the CRC
+//! kernel, the checkpoint framing and the journal writer were
+//! rewritten to handle each byte once, and journal rotation left them
+//! alone too; the journal's row is per segment, recorded when the
+//! journal was split into segments. A change to how the bytes are
+//! produced must not change a single one of them, and a deliberate
+//! format change has to edit this file (and bump the checkpoint
+//! `VERSION`) to land.
 
 use loom_core::engine::{EngineConfig, OnlineEngine};
 use loom_core::graph::{DatasetKind, SyntheticEdgeSource};
 use loom_core::partition::{CapacityModel, EoParams, LoomConfig, LoomPartitioner};
 use loom_core::query::workload_for;
-use loom_core::wal::{list_checkpoints, MemBackend, JOURNAL_FILE};
+use loom_core::wal::{list_checkpoints, list_segments, segment_name, MemBackend};
 
 const FP: &str = "system=Loom k=4 seed=42 window=1024 test=wal-golden";
 
@@ -58,8 +61,16 @@ fn seeded_run_leaves_the_recorded_bytes() {
         .unwrap();
     engine.flush_wal().unwrap();
 
+    // Checkpoints 40 000 and 60 000 survive, so the journal does from
+    // edge 40 000: 20 000 edges in 79 records, the first one cut at the
+    // cadence edge out of the batch that straddles it.
+    let journal = segment_name(40_000);
     let want = [
-        (JOURNAL_FILE, 964_700usize, 7_815_862_940_534_548_168u64),
+        (
+            journal.as_str(),
+            321_580usize,
+            13_903_255_286_358_939_815u64,
+        ),
         (
             "ckpt-00000000000000000002",
             1_398_885,
@@ -77,6 +88,12 @@ fn seeded_run_leaves_the_recorded_bytes() {
         .map(|(_, name)| name)
         .collect();
     assert_eq!(kept, [want[1].0, want[2].0], "surviving checkpoints");
+    let segments: Vec<String> = list_segments(&backend)
+        .unwrap()
+        .into_iter()
+        .map(|(_, name)| name)
+        .collect();
+    assert_eq!(segments, [want[0].0], "surviving journal segments");
     for (name, len, hash) in want {
         let bytes = backend.contents(name).unwrap();
         assert_eq!(

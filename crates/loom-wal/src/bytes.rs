@@ -127,23 +127,21 @@ impl Crc32 {
             let word = |at: usize| {
                 u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
             };
-            let (w0, w1, w2, w3) = (word(0) ^ c, word(4), word(8), word(12));
-            c = t[15][(w0 & 0xFF) as usize]
-                ^ t[14][((w0 >> 8) & 0xFF) as usize]
-                ^ t[13][((w0 >> 16) & 0xFF) as usize]
-                ^ t[12][(w0 >> 24) as usize]
-                ^ t[11][(w1 & 0xFF) as usize]
-                ^ t[10][((w1 >> 8) & 0xFF) as usize]
-                ^ t[9][((w1 >> 16) & 0xFF) as usize]
-                ^ t[8][(w1 >> 24) as usize]
-                ^ t[7][(w2 & 0xFF) as usize]
-                ^ t[6][((w2 >> 8) & 0xFF) as usize]
-                ^ t[5][((w2 >> 16) & 0xFF) as usize]
-                ^ t[4][(w2 >> 24) as usize]
-                ^ t[3][(w3 & 0xFF) as usize]
-                ^ t[2][((w3 >> 8) & 0xFF) as usize]
-                ^ t[1][((w3 >> 16) & 0xFF) as usize]
-                ^ t[0][(w3 >> 24) as usize];
+            let (w1, w2, w3) = (word(4), word(8), word(12));
+            // The twelve lookups that do not read the carried state
+            // first, so they overlap the previous chunk's; then the four
+            // that do, as a two-level tree — the state is two XORs deep
+            // in the result, not at the head of a fifteen-XOR chain.
+            let free = (t[11][(w1 & 0xFF) as usize] ^ t[10][((w1 >> 8) & 0xFF) as usize])
+                ^ (t[9][((w1 >> 16) & 0xFF) as usize] ^ t[8][(w1 >> 24) as usize])
+                ^ ((t[7][(w2 & 0xFF) as usize] ^ t[6][((w2 >> 8) & 0xFF) as usize])
+                    ^ (t[5][((w2 >> 16) & 0xFF) as usize] ^ t[4][(w2 >> 24) as usize]))
+                ^ ((t[3][(w3 & 0xFF) as usize] ^ t[2][((w3 >> 8) & 0xFF) as usize])
+                    ^ (t[1][((w3 >> 16) & 0xFF) as usize] ^ t[0][(w3 >> 24) as usize]));
+            let w0 = word(0) ^ c;
+            c = free
+                ^ ((t[15][(w0 & 0xFF) as usize] ^ t[14][((w0 >> 8) & 0xFF) as usize])
+                    ^ (t[13][((w0 >> 16) & 0xFF) as usize] ^ t[12][(w0 >> 24) as usize]));
         }
         for &b in chunks.remainder() {
             c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

@@ -8,15 +8,47 @@
 //! fails framing or checksum: everything before is the recovered
 //! checksummed prefix, everything after is a torn tail to be truncated
 //! — a corrupt record is *detected*, never decoded.
+//!
+//! A journal is a run of segment files, `journal-<first edge>` with
+//! the edge zero-padded so lexical order is stream order; the engine
+//! decides where one ends and the next begins. A lone `journal` file,
+//! the layout before segments, reads as the segment from edge 0.
 
-use crate::bytes::{crc32, frame_len};
+use crate::bytes::{crc32, frame_len, WalError};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// The journal's file name within a backend.
+/// The single-file journal's name: what [`JournalWriter::open`] writes,
+/// and what [`list_segments`] reads as the segment from edge 0.
 pub const JOURNAL_FILE: &str = "journal";
+
+/// File name of the journal segment whose first record starts at
+/// stream edge `first_edge` (zero-padded for lexical order).
+pub fn segment_name(first_edge: u64) -> String {
+    format!("journal-{first_edge:020}")
+}
+
+/// Every journal segment in the backend, as `(first edge, name)`
+/// ascending by first edge; [`JOURNAL_FILE`] counts as the segment from
+/// edge 0. Other names are skipped (they are not segments).
+pub fn list_segments(backend: &dyn StorageBackend) -> Result<Vec<(u64, String)>, WalError> {
+    let mut found = Vec::new();
+    for name in backend.list()? {
+        let first = if name == JOURNAL_FILE {
+            Some(0)
+        } else {
+            name.strip_prefix("journal-")
+                .and_then(|s| s.parse::<u64>().ok())
+        };
+        if let Some(first) = first {
+            found.push((first, name));
+        }
+    }
+    found.sort();
+    Ok(found)
+}
 
 /// One append-only file of a [`StorageBackend`].
 pub trait WalFile: Send {
@@ -364,7 +396,7 @@ impl StorageBackend for FaultyBackend {
 
 // --------------------------------------------------------------- writer
 
-/// Appends framed records to the journal file.
+/// Appends framed records to one journal file.
 pub struct JournalWriter {
     file: Box<dyn WalFile>,
     appended: u64,
@@ -374,12 +406,23 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Open the backend's journal for appending (created if absent).
-    /// `existing_bytes` is what the journal already durably holds, so
-    /// [`JournalWriter::bytes_appended`] reports the whole file.
+    /// Open the backend's single-file journal, [`JOURNAL_FILE`], for
+    /// appending (created if absent). `existing_bytes` is what it
+    /// already durably holds, so [`JournalWriter::bytes_appended`]
+    /// reports the whole file.
     pub fn open(backend: &dyn StorageBackend, existing_bytes: u64) -> io::Result<Self> {
+        JournalWriter::open_named(backend, JOURNAL_FILE, existing_bytes)
+    }
+
+    /// [`JournalWriter::open`] on the file `name` — a segment from
+    /// [`segment_name`].
+    pub fn open_named(
+        backend: &dyn StorageBackend,
+        name: &str,
+        existing_bytes: u64,
+    ) -> io::Result<Self> {
         Ok(JournalWriter {
-            file: backend.open_append(JOURNAL_FILE)?,
+            file: backend.open_append(name)?,
             appended: existing_bytes,
             frame: Vec::new(),
         })
@@ -406,7 +449,7 @@ impl JournalWriter {
         self.file.flush()
     }
 
-    /// Total journal bytes (existing + appended this session).
+    /// Total bytes of the file (existing + appended this session).
     pub fn bytes_appended(&self) -> u64 {
         self.appended
     }
@@ -607,6 +650,32 @@ mod tests {
         );
         assert!(scan.torn.is_some(), "short write must be reported");
         assert!(scan.valid_len < bytes.len() as u64);
+    }
+
+    #[test]
+    fn segments_list_in_stream_order_with_the_single_file_at_zero() {
+        let backend = MemBackend::new();
+        for first in [250_000u64, 0, 1_000_000] {
+            backend.set_contents(&segment_name(first), vec![]);
+        }
+        for other in [
+            JOURNAL_FILE,
+            "ckpt-00000000000000000001",
+            "journal-x",
+            "journal-7.tmp",
+        ] {
+            backend.set_contents(other, vec![]);
+        }
+        assert_eq!(segment_name(250_000), "journal-00000000000000250000");
+        assert_eq!(
+            list_segments(&backend).unwrap(),
+            [
+                (0, JOURNAL_FILE.to_string()),
+                (0, segment_name(0)),
+                (250_000, segment_name(250_000)),
+                (1_000_000, segment_name(1_000_000)),
+            ]
+        );
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub use checkpoint::{
     Checkpoint,
 };
 pub use journal::{
-    scan_journal, FaultPlan, FaultyBackend, FileBackend, JournalScan, JournalWriter, MemBackend,
-    StorageBackend, WalFile, JOURNAL_FILE,
+    list_segments, scan_journal, segment_name, FaultPlan, FaultyBackend, FileBackend, JournalScan,
+    JournalWriter, MemBackend, StorageBackend, WalFile, JOURNAL_FILE,
 };
