@@ -96,17 +96,22 @@ best_ms() {
 }
 
 stage "gate self-test (a failing command cannot be timed)"
-# Every timing gate below is `X_MS=$(best_ms ...)` under set -e, so it
-# is only a gate if best_ms fails when the command it times does.
+# Every timing gate below is `X_MS=$(best_ms ...)` or `$(wall_ms ...)`
+# under set -e, so it is only a gate if both fail when the command they
+# time does.
 if best_ms false > /dev/null; then
   echo "gate self-test: best_ms timed a failing command as a pass" >&2
+  exit 1
+fi
+if wall_ms false > /dev/null; then
+  echo "gate self-test: wall_ms timed a failing command as a pass" >&2
   exit 1
 fi
 if [ -z "$(best_ms true)" ]; then
   echo "gate self-test: best_ms printed no time for a passing command" >&2
   exit 1
 fi
-echo "gate self-test: best_ms false fails, best_ms true prints a time"
+echo "gate self-test: best_ms and wall_ms fail on false, best_ms true prints a time"
 
 stage "tier-1: build"
 cargo build --release --offline
@@ -248,23 +253,33 @@ echo "serve smoke: $SERVED queries served across 4 live readers, outputs identic
 # The serve-cost gate: what view publication costs ingest when nobody
 # is reading. `loom serve` with zero clients at the default
 # --publish-every against `loom stream` on the same Loom-partitioned
-# synthetic stream (1M edges in full mode, 200k in quick). Measured on
-# the 2-core box: 3.2x at 1M (657 ms against 204 ms), 3.0x at 200k,
-# about 25 ms of either being the listener's start and stop; the gate
-# is that + 30%. Rebuilding each view from scratch measured 45x here,
-# so a return of that cliff fails by name. (DESIGN.md §16 says where
-# the remaining time goes and why 1.5x is out of reach of per-vertex
-# rows.)
+# synthetic stream (1M edges in full mode, 200k in quick). The gate
+# reads the median of five serve/stream ratios, each from a stream run
+# and a serve run back to back, so a slow spell on the shared box hits
+# both sides of a ratio: the two sides' separate best-of-3 times
+# overlapped here. Medians measured on the 2-core box, 6-11 rounds
+# each: with the views built on their own thread 1.61-2.43x at 200k and
+# 1.65-2.40x at 1M; with that upkeep on the ingest thread 2.98-3.30x
+# and 3.06-3.68x. The gate sits between them at 2.8x, so a return of the
+# upkeep to the ingest thread fails it, and rebuilding each view from
+# scratch (45x) fails it by far. (DESIGN.md §16, "Publication off the
+# ingest thread", says where the time goes.)
 WORKLOAD=target/ci-smoke-workload.wl
 ./target/release/loom workload --dataset dblp --out "$WORKLOAD" 2>/dev/null
 if [ "$MODE" = full ]; then GATE_EDGES=1000000; else GATE_EDGES=200000; fi
 GATE_ARGS=(--k 4 --system loom --source synthetic --max-edges "$GATE_EDGES"
   --window 1024 --workload "$WORKLOAD" --labels 4)
-STREAM_MS=$(best_ms ./target/release/loom stream "${GATE_ARGS[@]}")
-SERVE_MS=$(best_ms ./target/release/loom serve "${GATE_ARGS[@]}")
-echo "serve-cost gate: stream ${STREAM_MS}ms, zero-client serve ${SERVE_MS}ms over $GATE_EDGES edges"
-if [ $((10 * SERVE_MS)) -gt $((42 * STREAM_MS)) ]; then
-  echo "serve-cost gate: zero-client serve over 4.2x stream (${SERVE_MS}ms against ${STREAM_MS}ms)" >&2
+RATIOS=()
+for _ in 1 2 3 4 5; do
+  STREAM_MS=$(wall_ms ./target/release/loom stream "${GATE_ARGS[@]}")
+  SERVE_MS=$(wall_ms ./target/release/loom serve "${GATE_ARGS[@]}")
+  RATIOS+=($((100 * SERVE_MS / (STREAM_MS > 0 ? STREAM_MS : 1))))
+done
+RATIO_X100=$(printf '%s\n' "${RATIOS[@]}" | sort -n | sed -n 3p)
+echo "serve-cost gate: zero-client serve / stream over $GATE_EDGES edges," \
+  "median $((RATIO_X100 / 100)).$(printf '%02d' $((RATIO_X100 % 100)))x of (x100) ${RATIOS[*]}"
+if [ "$RATIO_X100" -gt 280 ]; then
+  echo "serve-cost gate: zero-client serve over 2.8x stream: is view upkeep back on the ingest thread?" >&2
   exit 1
 fi
 

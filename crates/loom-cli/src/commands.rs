@@ -821,12 +821,17 @@ fn serve_cmd(args: &Args) -> Result<()> {
     result
 }
 
+/// How long `loom query` waits for one reply line before giving up.
+const QUERY_REPLY_TIMEOUT_S: u64 = 10;
+
 /// `loom query` — a tiny line-protocol client for `loom serve`:
 /// connect, send the request list `--count` times, print each reply to
 /// stdout, summarise ok/err on stderr. Tolerates the server closing
 /// the connection mid-run (shutdown, `ERR busy` refusal) — whatever
-/// was answered still counts.
+/// was answered still counts. A server that keeps the connection open
+/// and does not answer within [`QUERY_REPLY_TIMEOUT_S`] is an error.
 fn query_cmd(args: &Args) -> Result<()> {
+    use std::io::ErrorKind;
     use std::net::TcpStream;
 
     let connect = args.required("connect")?;
@@ -843,6 +848,7 @@ fn query_cmd(args: &Args) -> Result<()> {
     }
 
     let stream = TcpStream::connect(&connect)?;
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(QUERY_REPLY_TIMEOUT_S)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     // Locked stdout with explicit error handling: a downstream
@@ -858,6 +864,12 @@ fn query_cmd(args: &Args) -> Result<()> {
             }
             let mut line = String::new();
             match reader.read_line(&mut line) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(format!(
+                        "query: no reply within {QUERY_REPLY_TIMEOUT_S}s to '{req}'"
+                    )
+                    .into());
+                }
                 Ok(0) | Err(_) => {
                     closed = true;
                     break 'outer;

@@ -32,9 +32,10 @@ use loom_wal::{
 use std::collections::VecDeque;
 
 /// A fatal ingest failure: a worker panicked while probing an edge of
-/// a parallel batch. The engine names the batch and the stream-global
-/// edge so the failure is reproducible; the run is abandoned (the
-/// partitioner's state after an error is unspecified).
+/// a parallel batch, a WAL write failed, or the serving view builder
+/// died. The engine names the batch and the stream-global edge so the
+/// failure is reproducible; the run is abandoned (the partitioner's
+/// state after an error is unspecified).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineError {
     /// 1-based ordinal of the failing batch (as handed to the
@@ -42,7 +43,8 @@ pub struct EngineError {
     pub batch: u64,
     /// 0-based stream-global index of the failing edge.
     pub edge_index: u64,
-    /// The worker's panic message.
+    /// What failed: the worker's or the view builder's panic message,
+    /// or the WAL error.
     pub message: String,
 }
 
@@ -249,7 +251,10 @@ impl OnlineEngine {
     /// [`loom_query::ReadView`] sharing its unchanged pages into the
     /// returned handle's cell at batch-boundary commit points, every
     /// [`ServeOptions::publish_every`] ingested edges (plus once at
-    /// [`OnlineEngine::finish`]). Readers load views via
+    /// [`OnlineEngine::finish`]). The graph is kept up to date and the
+    /// views are published by a builder thread this call spawns; the
+    /// ingest thread hands it each due view and goes on (see
+    /// [`OnlineEngine::await_views`]). Readers load views via
     /// `handle.view.load()` — an `Arc` clone, never a lock the ingest
     /// path contends on.
     ///
@@ -277,11 +282,41 @@ impl OnlineEngine {
     }
 
     /// Publish a read view right now, regardless of the publication
-    /// cadence. No-op when serving is off. Called internally at due
-    /// batch boundaries and at `finish`; exposed so a server can force
-    /// an initial view before the first cadence.
+    /// cadence, and return once it is in the cell (every view sent
+    /// before it is then in too). No-op when serving is off. Called at
+    /// `finish`; exposed so a server can force an initial view before
+    /// the first cadence.
+    ///
+    /// Panics with the builder's panic message if the view builder
+    /// thread has died.
     pub fn publish_view_now(&mut self) {
-        let Some(srv) = &mut self.serve else { return };
+        if let Err(message) = self.publish_view(true) {
+            panic!("{message}");
+        }
+    }
+
+    /// Wait until every view this engine has sent to its builder is in
+    /// the cell: after it, `handle.view.load()` is the view of the last
+    /// due boundary. Cadence publications do not wait: a view becomes
+    /// visible once the builder has taken in the edges before it, up to
+    /// three publications later (two queued, one being built). No-op
+    /// when serving is off.
+    ///
+    /// `Err` names the builder's panic if its thread has died.
+    pub fn await_views(&mut self) -> Result<(), EngineError> {
+        let Some(srv) = &mut self.serve else {
+            return Ok(());
+        };
+        srv.wait().map_err(|message| self.error_here(message))
+    }
+
+    /// Send the current state to the view builder, and with `wait`
+    /// return only once it is published. `Err` is the builder's panic
+    /// message.
+    fn publish_view(&mut self, wait: bool) -> Result<(), String> {
+        let Some(srv) = &mut self.serve else {
+            return Ok(());
+        };
         srv.publish(
             self.edges,
             self.cut_edges,
@@ -289,16 +324,33 @@ impl OnlineEngine {
             self.partitioner.state(),
             self.partitioner.arena(),
             self.partitioner.adjacency(),
-        );
+        )?;
+        if wait {
+            srv.wait()?;
+        }
+        Ok(())
     }
 
-    /// Serving hook at a commit point: slide the live graph over the
-    /// committed chunk and publish when the cadence is due.
-    fn serve_commit(&mut self, chunk: &[StreamEdge]) {
-        let Some(srv) = &mut self.serve else { return };
+    /// Serving hook at a commit point: hand the committed chunk to the
+    /// serving state and send a view when the cadence is due.
+    fn serve_commit(&mut self, chunk: &[StreamEdge]) -> Result<(), EngineError> {
+        let Some(srv) = &mut self.serve else {
+            return Ok(());
+        };
         srv.observe(chunk, self.partitioner.state());
         if srv.due(self.edges) {
-            self.publish_view_now();
+            self.publish_view(false)
+                .map_err(|message| self.error_here(message))?;
+        }
+        Ok(())
+    }
+
+    /// An [`EngineError`] at the current batch and edge.
+    fn error_here(&self, message: String) -> EngineError {
+        EngineError {
+            batch: self.batches,
+            edge_index: self.edges,
+            message,
         }
     }
 
@@ -334,9 +386,11 @@ impl OnlineEngine {
     /// With a WAL attached the edge is journaled and flushed before it
     /// reaches the partitioner; a journal or checkpoint failure on
     /// this infallible convenience path panics with the storage error.
-    /// Use [`OnlineEngine::ingest_batch`] / [`OnlineEngine::run`] to
-    /// get recoverable [`EngineError`]s instead (they also amortise
-    /// the per-edge flush).
+    /// With serving on, a view due at this edge panics the same way,
+    /// with the builder's panic message, if the view builder thread
+    /// has died. Use [`OnlineEngine::ingest_batch`] (or
+    /// [`OnlineEngine::run`] batched or with a WAL) to get recoverable
+    /// [`EngineError`]s instead (they also amortise the per-edge flush).
     pub fn ingest(&mut self, e: &StreamEdge) -> Option<Snapshot> {
         if self.wal.is_some() {
             self.journal_edges(std::slice::from_ref(e))
@@ -367,8 +421,8 @@ impl OnlineEngine {
                 }
             }
         }
-        if self.serve.is_some() {
-            self.serve_commit(std::slice::from_ref(e));
+        if let Err(e) = self.serve_commit(std::slice::from_ref(e)) {
+            panic!("{}", e.message);
         }
         let snap = if self.config.snapshot_every > 0
             && self.edges.is_multiple_of(self.config.snapshot_every as u64)
@@ -396,9 +450,10 @@ impl OnlineEngine {
     /// way).
     ///
     /// `Err` means a worker panicked probing an edge of a parallel
-    /// batch ([`loom_partition::IngestError`]): the error names the
-    /// batch and the stream-global edge, and the run must be
-    /// abandoned. Sequential ingest (threads = 1) cannot fail.
+    /// batch ([`loom_partition::IngestError`]), a WAL write failed, or
+    /// a due view found the serving view builder dead (the message is
+    /// its panic's): the error names the batch and the stream-global
+    /// edge, and the run must be abandoned.
     pub fn ingest_batch(
         &mut self,
         edges: &[StreamEdge],
@@ -461,9 +516,7 @@ impl OnlineEngine {
                     }
                 }
             }
-            if self.serve.is_some() {
-                self.serve_commit(chunk);
-            }
+            self.serve_commit(chunk)?;
             if self.config.snapshot_every > 0
                 && self.edges.is_multiple_of(self.config.snapshot_every as u64)
             {
@@ -486,9 +539,10 @@ impl OnlineEngine {
     /// `None` for infinite sources). Pulls and ingests in batches of
     /// [`EngineConfig::batch_size`] when one is configured.
     ///
-    /// `Err` propagates a worker panic from a parallel batch (see
-    /// [`OnlineEngine::ingest_batch`]); the edge-at-a-time path cannot
-    /// fail.
+    /// `Err` propagates a worker panic from a parallel batch or a dead
+    /// view builder (see [`OnlineEngine::ingest_batch`]). The
+    /// edge-at-a-time path (batch size ≤ 1, no WAL) returns no `Err`:
+    /// it panics where [`OnlineEngine::ingest`] does.
     pub fn run<S: EdgeSource + ?Sized>(
         &mut self,
         source: &mut S,
@@ -916,17 +970,15 @@ impl OnlineEngine {
     }
 
     fn wal_engine_error(&self, e: WalError) -> EngineError {
-        EngineError {
-            batch: self.batches,
-            edge_index: self.edges,
-            message: format!("wal: {e}"),
-        }
+        self.error_here(format!("wal: {e}"))
     }
 
     /// End of stream: flush the partitioner's buffers (Loom drains its
     /// window) and return the final snapshot. With serving enabled the
     /// drained end state is published as one last view, so readers
-    /// catch up with the final assignments.
+    /// catch up with the final assignments; it is in the cell when this
+    /// returns, and a dead view builder panics here as in
+    /// [`OnlineEngine::publish_view_now`].
     pub fn finish(&mut self) -> Snapshot {
         self.partitioner.finish();
         if self.serve.is_some() {
@@ -947,6 +999,9 @@ mod tests {
     use super::*;
     use loom_graph::{DatasetKind, GraphStream, Scale, StreamOrder, SyntheticEdgeSource, VertexId};
     use loom_partition::{CapacityModel, HashPartitioner, LdgPartitioner};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     fn ldg_engine(cadence: usize) -> OnlineEngine {
         OnlineEngine::new(
@@ -1079,6 +1134,91 @@ mod tests {
             baseline_snap.adjacency.is_none(),
             "edge-stream baselines keep no adjacency"
         );
+    }
+
+    /// A Hash engine serving a view every 64 edges, whose view builder
+    /// panics with "boom" at the first view it is sent.
+    fn doomed_serving_engine() -> OnlineEngine {
+        let mut engine = OnlineEngine::new(
+            Box::new(HashPartitioner::new(4, 1)),
+            EngineConfig::default(),
+        );
+        engine.enable_serving(ServeOptions {
+            horizon_edges: 256,
+            publish_every: 64,
+        });
+        engine.serve.as_mut().expect("serving").doom_builder("boom");
+        engine
+    }
+
+    /// Run `body` on a thread of its own and fail if it is still
+    /// running after 30 s: nothing may wait on a dead builder.
+    fn within_cap(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        if done.recv_timeout(Duration::from_secs(30)) == Err(RecvTimeoutError::Timeout) {
+            panic!("still blocked after 30 s");
+        }
+        if let Err(payload) = worker.join() {
+            resume_unwind(payload);
+        }
+    }
+
+    #[test]
+    fn a_dead_view_builder_fails_a_due_view_by_name() {
+        within_cap(|| {
+            let mut engine = doomed_serving_engine();
+            let mut source = SyntheticEdgeSource::new(3, 2);
+            let mut buf = Vec::new();
+            // The builder takes one view and dies; the channel holds
+            // two more, so the fourth due view finds it gone at the
+            // latest.
+            let mut failure = None;
+            for _ in 0..4 {
+                buf.clear();
+                source.next_batch_into(&mut buf, 64);
+                if let Err(e) = engine.ingest_batch(&buf, |_| {}) {
+                    failure = Some(e);
+                    break;
+                }
+            }
+            let e = failure.expect("a due view found the builder dead");
+            assert_eq!(e.message, "the view builder panicked: boom");
+            assert_eq!(e.edge_index, engine.edges_ingested());
+            // Every later call says the same.
+            assert_eq!(engine.await_views(), Err(e.clone()));
+            buf.clear();
+            source.next_batch_into(&mut buf, 64);
+            assert_eq!(
+                engine.ingest_batch(&buf, |_| {}).map_err(|e| e.message),
+                Err("the view builder panicked: boom".to_string())
+            );
+        });
+    }
+
+    #[test]
+    fn a_dead_view_builder_panics_a_forced_view_and_finish_by_name() {
+        for finish in [false, true] {
+            within_cap(move || {
+                let mut engine = doomed_serving_engine();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if finish {
+                        engine.finish();
+                    } else {
+                        engine.publish_view_now();
+                    }
+                }));
+                let payload = outcome.expect_err("a dead builder panics the call");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("the view builder panicked: boom"),
+                    "finish: {finish}"
+                );
+            });
+        }
     }
 
     #[test]

@@ -1,15 +1,41 @@
 //! Engine-side epoch publication for `loom serve` (DESIGN.md §16).
 //!
-//! The engine owns a [`ServeState`]: a ring of the most recent stream
-//! edges, the [`ViewGraph`] over the last *serve horizon* of them, a
-//! [`FrozenAssignment`], and the `EpochCell` it publishes
-//! [`ReadView`]s into. The graph and the assignment are persistent
-//! (pages behind `Arc`, copied on write only while a published view
-//! shares them), so a publication is a clone of two page tables after
-//! bringing them up to date with what committed since the last one:
-//! its cost follows what changed, not the vertex count or the horizon.
-//! Between publications an edge costs a ring slot and two queue
-//! entries.
+//! Serving is split over two threads. The ingest thread owns a
+//! [`ServeState`]: the edges observed since the last publication, a
+//! [`FrozenAssignment`] column, and the publication cadence. A
+//! *builder* thread, one per serving engine, owns the ring of the most
+//! recent stream edges and the [`ViewGraph`] over the last *serve
+//! horizon* of them, and publishes [`ReadView`]s into the `EpochCell`.
+//! The graph and the assignment are persistent (pages behind `Arc`,
+//! copied on write only while a published view shares them), so a
+//! publication is a clone of two page tables after bringing them up to
+//! date with what committed since the last one: its cost follows what
+//! changed, not the vertex count or the horizon. Between publications
+//! an edge costs the ingest thread a buffer slot and two queue entries.
+//!
+//! At a due boundary the ingest thread settles the assignment column,
+//! fills in every field of the view but the graph, and sends that, the
+//! new edges and the clone of the column's page table to the builder
+//! over a channel [`CHANNEL_DEPTH`] deep. It does not wait. The builder
+//! slides the graph over the new edges, clones its page table into the
+//! view and publishes it: every view carries the epoch number and the
+//! contents it would have had if the ingest thread had built it, and
+//! only the moment it becomes visible moves. Publications land in the
+//! order they were sent. After a send returns, at most
+//! `CHANNEL_DEPTH + 1` sent views have yet to land — `CHANNEL_DEPTH`
+//! queued and one in the builder's hands — so the newest view lags the
+//! ingest thread by at most that many publications plus the one it is
+//! accumulating; a send past that waits for the builder. A barrier
+//! ([`ServeState::wait`]) waits until every view sent has landed; a
+//! forced publication and the one at `finish` take it, so they return
+//! with their view in the cell.
+//!
+//! `settle`, which fills the assignment column, stays on the ingest
+//! thread because it reads the partitioner's live `PartitionState`:
+//! moving it would mean handing the builder a copy of the state or
+//! locking it. It costs the ingest thread a probe per queued endpoint —
+//! on the synthetic feed 0.19 s a million edges, against 1.3 s for the
+//! graph's upkeep.
 //!
 //! The newest view is always held by the cell, so on its own
 //! copy-on-write would copy every page an epoch touches — on a stream
@@ -26,14 +52,18 @@
 //! identically for every partitioner and, crucially, cannot perturb
 //! ingest: nothing in here touches the partitioner, the cut counters,
 //! the pending deque or the RNGs. Serving off means none of this code
-//! runs, which is the whole serving-off byte-identity argument.
+//! runs and no builder thread exists, which is the whole serving-off
+//! byte-identity argument.
 //!
 //! Publication cadence: a view is published whenever at least
 //! [`ServeOptions::publish_every`] edges have been ingested since the
 //! last publication, checked only at batch-boundary commit points (the
 //! same boundaries snapshots and checkpoints use), plus once more at
-//! `finish`. It happens on the ingest thread; readers pay only an
-//! `Arc` clone.
+//! `finish`. Readers pay only an `Arc` clone.
+//!
+//! A builder that panics is not waited on: the channel and the
+//! acknowledgements both disconnect when its thread unwinds, and every
+//! later send or barrier returns the panic's message.
 
 use loom_graph::{StreamEdge, VertexId};
 use loom_matcher::ArenaOccupancy;
@@ -41,7 +71,9 @@ use loom_partition::{AdjacencyOccupancy, PartitionState};
 use loom_query::{FrozenAssignment, ReadView, ViewGraph};
 use loom_runtime::{EpochCell, ServeMetrics};
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Serving knobs for [`crate::OnlineEngine::enable_serving`].
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +111,23 @@ pub struct ServeHandle {
 /// the queue stays small however rarely views are published.
 const SETTLE_AT_LEAST: usize = 4_096;
 
+/// Publications the ingest thread may queue for the builder beyond the
+/// one it is building; a due boundary past that waits for it.
+const CHANNEL_DEPTH: usize = 2;
+
+/// One publication on its way to the builder.
+struct Publication {
+    /// Every field final except `graph`, which the builder fills in.
+    view: ReadView,
+    /// Widest label alphabet declared or observed so far.
+    labels: usize,
+    /// Edges observed since the previous publication — the newest
+    /// horizon of them, when there were more.
+    edges: VecDeque<StreamEdge>,
+    /// Edges observed in all, `edges` included.
+    seen: u64,
+}
+
 /// One of the two copies of the horizon graph: `graph` holds the last
 /// horizon of the first `upto` edges observed.
 #[derive(Debug, Default)]
@@ -87,11 +136,10 @@ struct Turn {
     upto: u64,
 }
 
-/// The engine's serving side-state (one per engine, present only when
-/// serving was enabled).
-#[derive(Debug)]
-pub(crate) struct ServeState {
-    opts: ServeOptions,
+/// The builder thread's state: the two graph copies and the ring they
+/// are brought up to date from.
+struct HorizonGraphs {
+    horizon: usize,
     /// The most recent observed edges, oldest first — up to two
     /// horizons of them: what the staler graph copy has yet to take in,
     /// and what that pushes out of its horizon.
@@ -103,8 +151,183 @@ pub(crate) struct ServeState {
     next: Turn,
     /// The copy the newest view shares its pages with.
     resting: Turn,
+    cell: Arc<EpochCell<ReadView>>,
+}
+
+impl HorizonGraphs {
+    /// Publish every publication sent, acknowledging each once it is in
+    /// the cell, until the ingest side hangs up.
+    fn run(mut self, jobs: Receiver<Publication>, acks: Sender<()>) {
+        for job in jobs {
+            self.publish(job);
+            // The ingest side drops its receiver only after hanging up.
+            let _ = acks.send(());
+        }
+    }
+
+    /// Append the edges observed since the last publication to the
+    /// ring. Edges the ingest side left out (more than a horizon came
+    /// in between) leave every copy a horizon behind, so what the ring
+    /// held before them is of no further use.
+    fn take_in(&mut self, edges: VecDeque<StreamEdge>, seen: u64) {
+        if seen - self.seen > edges.len() as u64 {
+            self.ring.clear();
+        }
+        let keep = 2 * self.horizon;
+        for e in edges {
+            if self.ring.len() == keep {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(e);
+        }
+        self.seen = seen;
+    }
+
+    /// Slide `next`'s horizon over the edges observed since its last
+    /// turn: each arriving edge is appended to its endpoints' rows and
+    /// pushes the edge one horizon older off the head of its own.
+    fn catch_up(&mut self) {
+        let horizon = self.horizon as u64;
+        let Turn { graph, upto } = &mut self.next;
+        if self.seen - *upto >= horizon {
+            // Everything the copy retains has left the horizon, and so
+            // will everything it missed but the last horizon: start
+            // over from there.
+            *graph = ViewGraph::default();
+            *upto = self.seen - horizon;
+        }
+        let oldest = self.seen - self.ring.len() as u64;
+        let ring = &self.ring;
+        let edge = |number: u64| &ring[(number - oldest) as usize];
+        for number in *upto..self.seen {
+            if graph.num_edges() as u64 == horizon {
+                graph.expire(edge(number - horizon));
+            }
+            graph.insert(edge(number));
+        }
+        *upto = self.seen;
+    }
+
+    /// Publish `job`'s view.
+    fn publish(&mut self, job: Publication) {
+        let Publication {
+            mut view,
+            labels,
+            edges,
+            seen,
+        } = job;
+        self.take_in(edges, seen);
+        self.catch_up();
+        view.graph = self.next.graph.clone();
+        view.graph.widen_labels(labels);
+        self.cell.publish(view);
+        // The cell has just let go of the view that shared `resting`'s
+        // pages: it takes the next turn, and the copy just published
+        // rests until the one after.
+        std::mem::swap(&mut self.next, &mut self.resting);
+    }
+}
+
+/// The ingest thread's end of the builder thread.
+struct Builder {
+    /// `None` only while dropping: hanging up ends the builder's loop.
+    jobs: Option<SyncSender<Publication>>,
+    acks: Receiver<()>,
+    thread: Option<JoinHandle<()>>,
+    /// Publications sent and not yet acknowledged.
+    in_flight: usize,
+    /// The builder's panic message, once it has died.
+    died: Option<String>,
+}
+
+impl Builder {
+    fn spawn(body: impl FnOnce(Receiver<Publication>, Sender<()>) + Send + 'static) -> Builder {
+        let (jobs, job_rx) = sync_channel(CHANNEL_DEPTH);
+        let (ack_tx, acks) = channel();
+        let thread = std::thread::Builder::new()
+            .name("loom-view-builder".to_string())
+            .spawn(move || body(job_rx, ack_tx))
+            .expect("spawn the view builder thread");
+        Builder {
+            jobs: Some(jobs),
+            acks,
+            thread: Some(thread),
+            in_flight: 0,
+            died: None,
+        }
+    }
+
+    /// Queue `job`, waiting only while the channel is full.
+    fn send(&mut self, job: Publication) -> Result<(), String> {
+        if let Some(message) = &self.died {
+            return Err(message.clone());
+        }
+        // Count in what has landed, so acknowledgements do not pile up
+        // on a stream that never waits.
+        while self.acks.try_recv().is_ok() {
+            self.in_flight -= 1;
+        }
+        let jobs = self.jobs.as_ref().expect("open until dropped");
+        if jobs.send(job).is_err() {
+            return Err(self.death());
+        }
+        self.in_flight += 1;
+        Ok(())
+    }
+
+    /// Wait until every publication sent is in the cell.
+    fn wait(&mut self) -> Result<(), String> {
+        if let Some(message) = &self.died {
+            return Err(message.clone());
+        }
+        while self.in_flight > 0 {
+            match self.acks.recv() {
+                Ok(()) => self.in_flight -= 1,
+                Err(_) => return Err(self.death()),
+            }
+        }
+        Ok(())
+    }
+
+    /// The channel disconnected: the builder is gone. Join it and keep
+    /// its panic message for every later call.
+    fn death(&mut self) -> String {
+        let panic = match self.thread.take().map(JoinHandle::join) {
+            Some(Err(payload)) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a panic without a message".to_string()),
+            _ => "it exited".to_string(),
+        };
+        let message = format!("the view builder panicked: {panic}");
+        self.died = Some(message.clone());
+        message
+    }
+}
+
+impl Drop for Builder {
+    /// Hang up and join: the builder finishes what is queued (at most
+    /// [`CHANNEL_DEPTH`] publications) and exits.
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The engine's serving side-state (one per engine, present only when
+/// serving was enabled).
+pub(crate) struct ServeState {
+    opts: ServeOptions,
+    /// Edges observed since the last publication, oldest first — the
+    /// newest horizon of them at most.
+    fresh: VecDeque<StreamEdge>,
+    /// Edges observed so far.
+    seen: u64,
     /// Widest label alphabet declared or observed over the whole
-    /// stream (not just the ring), so label validation outlives
+    /// stream (not just the horizon), so label validation outlives
     /// horizon turnover.
     labels_seen: usize,
     /// The assignment column: every placement of an observed endpoint
@@ -119,16 +342,18 @@ pub(crate) struct ServeState {
     /// what the last one left behind, so probing stays amortised O(1)
     /// per endpoint even when many stay unplaced.
     settle_at: usize,
-    pub(crate) cell: Arc<EpochCell<ReadView>>,
+    cell: Arc<EpochCell<ReadView>>,
     pub(crate) metrics: Arc<ServeMetrics>,
     /// Edge count at the last publication (0 = none yet).
     last_published: u64,
     /// Views published so far (becomes the next view's epoch).
     epochs: u64,
+    builder: Builder,
 }
 
 impl ServeState {
-    /// Serving state for an engine whose partitioner is at `state`.
+    /// Serving state for an engine whose partitioner is at `state`, and
+    /// its builder thread.
     /// Enabled `mid_stream` (edges already ingested), this takes the
     /// one full pass over the vertex range serving ever makes: placed
     /// vertices are copied, and unplaced ids are queued — one of them
@@ -144,20 +369,28 @@ impl ServeState {
                 None => pending.push(v),
             }
         }
-        ServeState {
-            opts,
+        let cell = Arc::new(EpochCell::new());
+        let graphs = HorizonGraphs {
+            horizon: opts.horizon_edges,
             ring: VecDeque::new(),
             seen: 0,
             next: Turn::default(),
             resting: Turn::default(),
+            cell: Arc::clone(&cell),
+        };
+        ServeState {
+            opts,
+            fresh: VecDeque::new(),
+            seen: 0,
             labels_seen: 1,
             assignment,
             settle_at: SETTLE_AT_LEAST.max(2 * pending.len()),
             pending,
-            cell: Arc::new(EpochCell::new()),
+            cell,
             metrics: Arc::new(ServeMetrics::new()),
             last_published: 0,
             epochs: 0,
+            builder: Builder::spawn(move |jobs, acks| graphs.run(jobs, acks)),
         }
     }
 
@@ -173,18 +406,18 @@ impl ServeState {
         self.labels_seen = self.labels_seen.max(num_labels);
     }
 
-    /// Record a committed chunk: into the ring, and its endpoints into
-    /// the queue for the assignment column.
+    /// Record a committed chunk: into the buffer for the builder, and
+    /// its endpoints into the queue for the assignment column.
     pub(crate) fn observe(&mut self, chunk: &[StreamEdge], state: &PartitionState) {
-        let keep = 2 * self.opts.horizon_edges;
+        let keep = self.opts.horizon_edges;
         for e in chunk {
             self.declare_labels(e.src_label.index().max(e.dst_label.index()) + 1);
             self.pending.extend([e.src, e.dst]);
-            if self.ring.len() == keep {
-                self.ring.pop_front();
+            if self.fresh.len() == keep {
+                self.fresh.pop_front();
             }
             if keep > 0 {
-                self.ring.push_back(*e);
+                self.fresh.push_back(*e);
             }
         }
         self.seen += chunk.len() as u64;
@@ -207,39 +440,16 @@ impl ServeState {
         self.settle_at = SETTLE_AT_LEAST.max(2 * self.pending.len());
     }
 
-    /// Slide `next`'s horizon over the edges observed since its last
-    /// turn: each arriving edge is appended to its endpoints' rows and
-    /// pushes the edge one horizon older off the head of its own.
-    fn catch_up(&mut self) {
-        let horizon = self.opts.horizon_edges as u64;
-        let Turn { graph, upto } = &mut self.next;
-        if self.seen - *upto >= horizon {
-            // Everything the copy retains has left the horizon, and so
-            // will everything it missed but the last horizon: start
-            // over from there.
-            *graph = ViewGraph::default();
-            *upto = self.seen - horizon;
-        }
-        let oldest = self.seen - self.ring.len() as u64;
-        let ring = &self.ring;
-        let edge = |number: u64| &ring[(number - oldest) as usize];
-        for number in *upto..self.seen {
-            if graph.num_edges() as u64 == horizon {
-                graph.expire(edge(number - horizon));
-            }
-            graph.insert(edge(number));
-        }
-        *upto = self.seen;
-    }
-
     /// Is a publication due at the `edges` boundary?
     pub(crate) fn due(&self, edges: u64) -> bool {
         edges.saturating_sub(self.last_published) >= self.opts.publish_every.max(1)
     }
 
-    /// Publish the engine's current state as the next view: what
-    /// committed since the last turn is applied, the two page tables
-    /// are cloned, everything else is a handful of scalars.
+    /// Send the engine's current state to the builder as the next
+    /// view: the assignment column is brought up to date and its page
+    /// table cloned, everything else but the graph is a handful of
+    /// scalars. Returns once the view is queued, not published — see
+    /// [`ServeState::wait`]. `Err` is the builder's panic message.
     pub(crate) fn publish(
         &mut self,
         edges: u64,
@@ -248,9 +458,8 @@ impl ServeState {
         state: &PartitionState,
         arena: Option<ArenaOccupancy>,
         adjacency: Option<AdjacencyOccupancy>,
-    ) {
+    ) -> Result<(), String> {
         self.settle(state);
-        self.catch_up();
         self.epochs += 1;
         self.last_published = edges;
         let assigned = state.assigned_count();
@@ -260,9 +469,7 @@ impl ServeState {
         } else {
             state.max_size() as f64 / mean - 1.0
         };
-        let mut graph = self.next.graph.clone();
-        graph.widen_labels(self.labels_seen);
-        self.cell.publish(ReadView {
+        let view = ReadView {
             epoch: self.epochs,
             edges,
             vertices: assigned,
@@ -273,14 +480,32 @@ impl ServeState {
             cut_edges,
             resolved_edges,
             assignment: self.assignment.clone(),
-            graph,
+            graph: ViewGraph::default(),
             horizon: self.opts.horizon_edges,
             arena,
             adjacency,
+        };
+        self.builder.send(Publication {
+            view,
+            labels: self.labels_seen,
+            edges: std::mem::take(&mut self.fresh),
+            seen: self.seen,
+        })
+    }
+
+    /// The barrier: return once every view sent so far is in the cell.
+    /// `Err` is the builder's panic message.
+    pub(crate) fn wait(&mut self) -> Result<(), String> {
+        self.builder.wait()
+    }
+
+    /// Replace the builder with one that panics with `message` at its
+    /// first publication.
+    #[cfg(test)]
+    pub(crate) fn doom_builder(&mut self, message: &'static str) {
+        self.builder = Builder::spawn(move |jobs, _acks| {
+            let _ = jobs.recv();
+            panic!("{message}");
         });
-        // The cell has just let go of the view that shared `resting`'s
-        // pages: it takes the next turn, and the copy just published
-        // rests until the one after.
-        std::mem::swap(&mut self.next, &mut self.resting);
     }
 }

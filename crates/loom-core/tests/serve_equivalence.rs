@@ -300,6 +300,7 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
     });
     eng.run(&mut source(&edges), Some(half as u64), |_| {})
         .expect("first half");
+    eng.await_views().expect("views land");
     let view = handle.view.load().expect("mid-stream view");
     for req in [
         "",

@@ -27,7 +27,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Ordinary vertices carry labels 0..3 by id; the `RARE` label only
 /// appears on the stream's first edges, so once the horizon has moved
@@ -184,7 +186,9 @@ fn rebuilt_twin(
 }
 
 /// Drive `eng` over `edges` in `batch`-sized commits and hand every
-/// newly published view to `on_view`, with the edges it covers.
+/// newly published view to `on_view`, with the edges it covers. The
+/// barrier after each commit lands the view it sent, if any, so every
+/// view the builder publishes passes through `on_view`.
 fn drive(
     eng: &mut OnlineEngine,
     handle: &ServeHandle,
@@ -196,6 +200,7 @@ fn drive(
     let mut fed = 0;
     for chunk in edges.chunks(batch) {
         eng.ingest_batch(chunk, |_| {}).expect("ingest");
+        eng.await_views().expect("views land");
         fed += chunk.len();
         let Some(view) = handle.view.load() else {
             continue;
@@ -337,6 +342,7 @@ fn enabling_mid_stream_misses_no_placement() {
     let mut fed = 900;
     for chunk in edges[900..].chunks(64) {
         eng.ingest_batch(chunk, |_| {}).expect("ingest");
+        eng.await_views().expect("views land");
         fed += chunk.len();
         let view = handle.view.load().expect("published");
         // The horizon starts at the edge serving was enabled at.
@@ -453,4 +459,62 @@ fn expired_id_ranges_hold_no_entries() {
         view.graph.resident_entries(),
         rebuilt.resident_entries()
     );
+}
+
+/// A forced view and the one `finish` publishes are in the cell when
+/// the call returns, however many cadence views were still on their
+/// way to the builder — and every view sent has landed, in order.
+#[test]
+fn forced_and_final_views_are_in_the_cell_on_return() {
+    let edges = hubby_stream(3_000, 150, 0xf1a5);
+    let mut eng = loom_engine();
+    let handle = eng.enable_serving(ServeOptions {
+        horizon_edges: 256,
+        publish_every: 8,
+    });
+    let mut sent = 0;
+    for (i, chunk) in edges.chunks(100).enumerate() {
+        // No snapshot cadence: one commit, one due view per call.
+        eng.ingest_batch(chunk, |_| {}).expect("ingest");
+        sent += 1;
+        if i % 5 == 4 {
+            eng.publish_view_now();
+            sent += 1;
+            let view = handle.view.load().expect("forced view");
+            assert_eq!(view.edges, eng.edges_ingested());
+            assert_eq!((view.epoch, handle.view.epoch()), (sent, sent));
+        }
+    }
+    eng.finish();
+    sent += 1;
+    let view = handle.view.load().expect("final view");
+    assert_eq!(view.edges, eng.edges_ingested());
+    assert_eq!((view.epoch, handle.view.epoch()), (sent, sent));
+}
+
+/// Dropping an engine with views still on their way to the builder
+/// joins the builder without hanging: fifty engines go through it well
+/// inside the cap.
+#[test]
+fn dropping_an_engine_with_views_in_flight_finishes() {
+    let edges = hubby_stream(4_000, 2_000, 0xd209);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for _ in 0..50 {
+            let mut eng = engine(Box::new(HashPartitioner::new(4, 42)));
+            eng.enable_serving(ServeOptions {
+                horizon_edges: 1_024,
+                publish_every: 64,
+            });
+            for chunk in edges.chunks(64) {
+                eng.ingest_batch(chunk, |_| {}).expect("ingest");
+            }
+            drop(eng);
+        }
+        let _ = done_tx.send(());
+    });
+    if done.recv_timeout(Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout) {
+        panic!("fifty engines not dropped within 60 s");
+    }
+    cycles.join().expect("the cycles thread");
 }
