@@ -117,7 +117,21 @@ stage "tier-1: build"
 cargo build --release --offline
 
 stage "tier-1: test"
-cargo test -q --offline
+# The test-count floor: the sum of every "test result:" line's passed
+# count. A test binary that silently compiles zero tests (a lost
+# `mod`, a cfg that never holds) passes cargo and fails here. The
+# floor is the count at the last PR that changed it; only a PR whose
+# CHANGES.md entry carries a retirement ledger for the tests it
+# deletes may lower it.
+TEST_FLOOR=505
+cargo test -q --offline 2>&1 | tee target/ci-test.txt
+PASSED=$(awk '/^test result:/ { for (i = 2; i <= NF; i++) if ($i == "passed;") s += $(i - 1) }
+  END { print s + 0 }' target/ci-test.txt)
+echo "tier-1 test count: $PASSED passed (floor $TEST_FLOOR)"
+if [ "$PASSED" -lt "$TEST_FLOOR" ]; then
+  echo "tier-1 test count: $PASSED passed, under the floor of $TEST_FLOOR" >&2
+  exit 1
+fi
 
 stage "benchmark package builds against the workspace"
 # benchmark/ is a package of its own (empty [workspace] table), so the

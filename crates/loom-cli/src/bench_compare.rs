@@ -62,8 +62,10 @@ fn after<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     Some(text[text.find(&needle)? + needle.len()..].trim_start())
 }
 
-/// Extract the number following `"key": ` in `text` (first match).
-fn number_after(text: &str, key: &str) -> Option<f64> {
+/// Extract the number following `"key": ` in `text` (first match),
+/// parsed straight to `T`: an integer read through `f64` would lose
+/// every digit past 2^53.
+fn number_after<T: std::str::FromStr>(text: &str, key: &str) -> Option<T> {
     let rest = after(text, key)?;
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
@@ -155,9 +157,9 @@ impl BenchSummary {
     /// message naming what is malformed otherwise.
     pub fn parse(text: &str) -> Result<BenchSummary, String> {
         let scale = string_after(text, "scale").ok_or("missing \"scale\"")?;
-        let seed = number_after(text, "seed").ok_or("missing \"seed\"")? as u64;
+        let seed = number_after(text, "seed").ok_or("missing \"seed\"")?;
         let suites = strings_after(text, "suites").ok_or("missing \"suites\"")?;
-        let cells = number_after(text, "cells").ok_or("missing \"cells\"")? as u64;
+        let cells = number_after(text, "cells").ok_or("missing \"cells\"")?;
         let systems_at = text
             .find("\"systems\"")
             .ok_or("missing \"systems\" object")?;
@@ -171,14 +173,13 @@ impl BenchSummary {
                 .strip_prefix('"')
                 .and_then(|r| r.find('"').map(|i| r[..i].to_string()))
                 .ok_or_else(|| format!("unparsable system row: {line}"))?;
-            let get = |key: &str| {
-                number_after(line, key).ok_or_else(|| format!("row '{name}' missing {key}"))
-            };
+            let missing = |key: &str| format!("row '{name}' missing {key}");
+            let get = |key: &str| number_after(line, key).ok_or_else(|| missing(key));
             systems.push(SystemSummary {
                 ms_per_10k_edges: get("ms_per_10k_edges")?,
                 weighted_ipt: get("weighted_ipt")?,
                 imbalance: get("imbalance")?,
-                cells: get("cells")? as u64,
+                cells: number_after(line, "cells").ok_or_else(|| missing("cells"))?,
                 name,
             });
         }
@@ -314,8 +315,11 @@ mod tests {
 
     #[test]
     fn parses_the_writer_format() {
-        let s = sample();
-        assert_eq!(BenchSummary::parse(&s.to_json()).unwrap(), s);
+        // 2^53 + 1 is the first seed an f64 cannot hold.
+        for seed in [42, 9_007_199_254_740_993] {
+            let s = BenchSummary { seed, ..sample() };
+            assert_eq!(BenchSummary::parse(&s.to_json()).unwrap(), s);
+        }
     }
 
     #[test]

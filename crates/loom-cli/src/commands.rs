@@ -4,9 +4,8 @@ use loom_cli::{parse_scale, Args};
 use loom_core::graph::io;
 use loom_core::graph::{datasets, DatasetKind, GraphStream, LabeledGraph, Scale, StreamOrder};
 use loom_core::partition::{
-    partition_stream, Assignment, CapacityModel, EoParams, FennelParams, FennelPartitioner,
-    HashPartitioner, LdgPartitioner, LoomConfig, LoomPartitioner, PartitionMetrics,
-    StreamPartitioner,
+    partition_stream, Assignment, CapacityModel, FennelParams, FennelPartitioner, HashPartitioner,
+    LdgPartitioner, LoomConfig, LoomPartitioner, PartitionMetrics, StreamPartitioner,
 };
 use loom_core::prelude::*;
 use std::error::Error;
@@ -135,7 +134,13 @@ fn workload_cmd(args: &Args) -> Result<()> {
 fn motifs(args: &Args) -> Result<()> {
     let (workload, names) = read_workload_file(&args.required("workload")?)?;
     let threshold = parse_threshold(args)?;
-    let prime = args.parsed_in("prime", loom_core::motif::DEFAULT_PRIME, 2..)?;
+    // The signature arithmetic is 32-bit: a larger modulus would be
+    // truncated, silently, in every factor.
+    let prime = args.parsed_in(
+        "prime",
+        loom_core::motif::DEFAULT_PRIME,
+        2..=u64::from(u32::MAX),
+    )?;
     let seed = args.parsed_or("seed", 42u64)?;
 
     let num_labels = workload
@@ -223,16 +228,11 @@ fn partition(args: &Args) -> Result<()> {
                 .ok_or("--system loom needs --workload (the query patterns to optimise for)")?;
             let (workload, _) = read_workload_file(&path)?;
             let config = LoomConfig {
-                k,
                 window_size: window,
                 support_threshold: threshold,
-                prime: loom_core::motif::DEFAULT_PRIME,
-                eo: EoParams::default(),
-                capacity_slack: 1.1,
                 capacity: CapacityModel::for_stream(&stream),
                 seed,
-                allocation: Default::default(),
-                adjacency_horizon: Default::default(),
+                ..LoomConfig::evaluation_defaults(k)
             };
             let loom = LoomPartitioner::new(&config, &workload, graph.num_labels());
             run_partitioner_boxed(Box::new(loom), &stream)
@@ -418,7 +418,11 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
     // The exact-ipt probe materialises the ingested subgraph and runs
     // count_ipt at every snapshot — quadratic on long feeds — so it is
     // strictly opt-in: give --probe-limit to enable it.
-    let probe_limit = args.parsed::<usize>("probe-limit")?;
+    // A cap of 0 would print ipt 0.0 on every line.
+    let probe_limit = match args.optional("probe-limit")? {
+        Some(_) => Some(args.parsed_in("probe-limit", 1usize, 1..)?),
+        None => None,
+    };
     let labels_flag = args.parsed_in("labels", 0, ..=MAX_LABELS)?;
     let workload_path = args.optional("workload")?;
     let out = args.optional("out")?;
@@ -521,16 +525,11 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
                 .as_ref()
                 .ok_or("--system loom needs --workload (the query patterns to optimise for)")?;
             let config = LoomConfig {
-                k,
                 window_size: window,
                 support_threshold: threshold,
-                prime: loom_core::motif::DEFAULT_PRIME,
-                eo: EoParams::default(),
-                capacity_slack: 1.1,
-                capacity: CapacityModel::Adaptive,
                 seed,
-                allocation: Default::default(),
                 adjacency_horizon,
+                ..LoomConfig::evaluation_defaults(k)
             };
             Box::new(LoomPartitioner::new(&config, w, num_labels))
         }
@@ -1064,7 +1063,8 @@ fn evaluate(args: &Args) -> Result<()> {
     let graph = read_graph_file(&args.required("graph")?)?;
     let (workload, _) = read_workload_file(&args.required("workload")?)?;
     let assignment_path = args.required("assignment")?;
-    let limit = args.parsed_or("limit", 500_000usize)?;
+    // A cap of 0 enumerates nothing and would report a perfect 0.0.
+    let limit = args.parsed_in("limit", 500_000usize, 1..)?;
 
     let assignment = read_assignment(
         BufReader::new(File::open(assignment_path)?),

@@ -5,7 +5,7 @@ use loom_core::graph::datasets;
 use loom_core::graph::{DatasetKind, GraphStream, Scale, StreamOrder};
 use loom_core::motif::collision;
 use loom_core::partition::{
-    partition_stream, AllocationPolicy, CapacityModel, EoParams, LoomConfig, LoomPartitioner,
+    partition_stream, AllocationPolicy, CapacityModel, LoomConfig, LoomPartitioner,
     PartitionMetrics,
 };
 use loom_core::prelude::*;
@@ -35,6 +35,18 @@ fn cfg_for(opts: &SuiteOptions, dataset: DatasetKind, order: StreamOrder) -> Exp
     let mut cfg = ExperimentConfig::evaluation_defaults(dataset, opts.scale, order);
     cfg.seed = opts.seed;
     cfg
+}
+
+/// The prescient Loom of an experiment cell, as the suites that drive
+/// it by hand build it.
+fn loom_config(cfg: &ExperimentConfig, stream: &GraphStream) -> LoomConfig {
+    LoomConfig {
+        window_size: cfg.window_size,
+        support_threshold: cfg.support_threshold,
+        capacity: CapacityModel::for_stream(stream),
+        seed: cfg.seed,
+        ..LoomConfig::evaluation_defaults(cfg.k)
+    }
 }
 
 /// Fig. 4: probability of fewer than C% factor collisions, for 24/36/48
@@ -260,18 +272,7 @@ pub fn table2(opts: &SuiteOptions) -> String {
         let graph = datasets::generate(dataset, opts.scale, opts.seed);
         let workload = workload_for(dataset);
         let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
-        let loom_cfg = LoomConfig {
-            k: cfg.k,
-            window_size: cfg.window_size,
-            support_threshold: cfg.support_threshold,
-            prime: loom_core::motif::DEFAULT_PRIME,
-            eo: EoParams::default(),
-            capacity_slack: 1.1,
-            capacity: CapacityModel::for_stream(&stream),
-            seed: cfg.seed,
-            allocation: AllocationPolicy::EqualOpportunism,
-            adjacency_horizon: Default::default(),
-        };
+        let loom_cfg = loom_config(&cfg, &stream);
         let mut p = LoomPartitioner::new(&loom_cfg, &workload, stream.num_labels());
         p.enable_phase_profile();
         partition_stream(&mut p, &stream);
@@ -355,16 +356,8 @@ pub fn ablations(opts: &SuiteOptions) -> String {
             AllocationPolicy::NaiveGreedy,
         ] {
             let loom_cfg = LoomConfig {
-                k: cfg.k,
-                window_size: cfg.window_size,
-                support_threshold: cfg.support_threshold,
-                prime: loom_core::motif::DEFAULT_PRIME,
-                eo: EoParams::default(),
-                capacity_slack: 1.1,
-                capacity: CapacityModel::for_stream(&stream),
-                seed: cfg.seed,
                 allocation: policy,
-                adjacency_horizon: Default::default(),
+                ..loom_config(&cfg, &stream)
             };
             let mut p = LoomPartitioner::new(&loom_cfg, &workload, stream.num_labels());
             partition_stream(&mut p, &stream);
@@ -462,18 +455,7 @@ pub fn ablations(opts: &SuiteOptions) -> String {
         let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
         let mut row = vec![dataset.name().to_string()];
         for &cap in &caps {
-            let loom_cfg = LoomConfig {
-                k: cfg.k,
-                window_size: cfg.window_size,
-                support_threshold: cfg.support_threshold,
-                prime: loom_core::motif::DEFAULT_PRIME,
-                eo: EoParams::default(),
-                capacity_slack: 1.1,
-                capacity: CapacityModel::for_stream(&stream),
-                seed: cfg.seed,
-                allocation: AllocationPolicy::EqualOpportunism,
-                adjacency_horizon: Default::default(),
-            };
+            let loom_cfg = loom_config(&cfg, &stream);
             let mut p = LoomPartitioner::new(&loom_cfg, &workload, stream.num_labels());
             p.set_match_cap(cap);
             let start = std::time::Instant::now();

@@ -16,10 +16,12 @@ fn hostile_and_retired_flags_are_named_errors() {
     std::fs::create_dir_all(&dir).unwrap();
     let workload = dir.join("q.lw");
     let graph = dir.join("g.lg");
+    let parts = dir.join("parts.tsv");
     let absent = dir.join("absent.lg");
-    let (wl, g, absent) = (
+    let (wl, g, parts, absent) = (
         workload.to_str().unwrap(),
         graph.to_str().unwrap(),
+        parts.to_str().unwrap(),
         absent.to_str().unwrap(),
     );
     for setup in [
@@ -32,6 +34,17 @@ fn hostile_and_retired_flags_are_named_errors() {
             "tiny",
             "--out",
             g,
+        ],
+        vec![
+            "partition",
+            "--graph",
+            g,
+            "--k",
+            "2",
+            "--system",
+            "hash",
+            "--out",
+            parts,
         ],
     ] {
         let o = loom().args(&setup).output().expect("spawn loom");
@@ -67,6 +80,15 @@ fn hostile_and_retired_flags_are_named_errors() {
         wl,
     ];
     let motifs = vec!["motifs", "--workload", wl];
+    let evaluate = vec![
+        "evaluate",
+        "--graph",
+        g,
+        "--workload",
+        wl,
+        "--assignment",
+        parts,
+    ];
     // The same lines with one flag left out, for the rows that set it.
     let unsized_lines = [&stream, &serve, &partition].map(|base| without(base, "--k"));
     let unlabeled = without(&stream, "--workload");
@@ -94,6 +116,12 @@ fn hostile_and_retired_flags_are_named_errors() {
     for bad in ["0", "1"] {
         cases.push((&motifs, ["--prime", bad], "error: --prime".into()));
     }
+    // Past 32 bits every signature factor was silently truncated.
+    cases.push((
+        &motifs,
+        ["--prime", "4294967311"],
+        "error: --prime must be <= 4294967295".into(),
+    ));
     for base in [&stream, &serve] {
         cases.push((base, ["--input", absent], "error: --input".into()));
         for retired in [["--threads", "2"], ["--shards", "2"], ["--batch", "1"]] {
@@ -134,6 +162,20 @@ fn hostile_and_retired_flags_are_named_errors() {
         ["--serve-horizon", "0"],
         "error: --serve-horizon must be >= 1".into(),
     ));
+
+    // A match cap of 0 counted nothing and reported a perfect ipt 0.0.
+    cases.push((
+        &evaluate,
+        ["--limit", "0"],
+        "error: --limit must be >= 1".into(),
+    ));
+    for base in [&stream, &serve] {
+        cases.push((
+            base,
+            ["--probe-limit", "0"],
+            "error: --probe-limit must be >= 1".into(),
+        ));
+    }
 
     for (base, [flag, value], want) in &cases {
         let o = loom()

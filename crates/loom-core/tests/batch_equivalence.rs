@@ -21,236 +21,20 @@
 //! biting adjacency horizon so evictions and expiry debits straddle
 //! batch boundaries constantly.
 
-use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
-use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
-use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, LoomConfig, LoomPartitioner, StreamPartitioner,
-};
+mod common;
+
+use common::*;
+use loom_core::engine::{EngineConfig, OnlineEngine};
+use loom_core::partition::StreamPartitioner;
 use proptest::prelude::*;
-use rand::Rng;
-use rand::SeedableRng;
 
-const A: Label = Label(0);
-const B: Label = Label(1);
-const C: Label = Label(2);
-
-/// A hub-heavy labelled motif stream: a–b–c chains (path-motif
-/// matches), hub→b edges that pile matches onto one high-degree
-/// vertex, and non-motif c–c edges (bypass traffic), shuffled into a
-/// seed-determined arrival order.
-fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, usize, Workload) {
-    let hub = 0u32; // label A, endpoint of many motif edges
-    let mut edges = Vec::new();
-    for i in 0..n_chains as u32 {
-        let (a, b, c) = (3 * i + 1, 3 * i + 2, 3 * i + 3);
-        edges.push((a, A, b, B));
-        edges.push((b, B, c, C));
-        // Hub edge: matches the (A, B) single-edge motif and joins
-        // with this chain's (b, c) edge, so the hub accumulates
-        // matches and adjacency far faster than any chain vertex.
-        edges.push((hub, A, b, B));
-        if i > 0 {
-            // Cross-chain c–c edge: matches nothing, bypasses the window.
-            edges.push((c, C, c - 3, C));
-        }
-    }
-    // Seeded Fisher–Yates (the rand shim has no shuffle helper).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    for i in (1..edges.len()).rev() {
-        edges.swap(i, rng.gen_range(0..=i));
-    }
-    let stream = edges
-        .into_iter()
-        .enumerate()
-        .map(|(id, (src, sl, dst, dl))| StreamEdge {
-            id: EdgeId(id as u32),
-            src: VertexId(src),
-            dst: VertexId(dst),
-            src_label: sl,
-            dst_label: dl,
-        })
-        .collect();
-    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    (stream, 3, workload)
-}
-
-/// A Loom partitioner under the adversarial ingest setting: adaptive
-/// capacity (so `on_edge_expired` debits actually fire) and a biting
-/// adjacency horizon.
-fn loom(
-    k: usize,
-    window: usize,
-    horizon: u64,
-    workload: &Workload,
-    num_labels: usize,
-) -> LoomPartitioner {
-    let config = LoomConfig {
-        k,
-        window_size: window,
-        support_threshold: 0.4,
-        prime: 251,
-        eo: EoParams::default(),
-        capacity_slack: 1.1,
-        capacity: CapacityModel::Adaptive,
-        seed: 7,
-        allocation: Default::default(),
-        adjacency_horizon: AdjacencyHorizon::Edges(horizon),
-    };
-    LoomPartitioner::new(&config, workload, num_labels)
-}
-
-/// Replay source over a materialised edge vector, deliberately using
-/// the trait's *default* `next_batch_into` so the engine's batch path
-/// is fed through the same loop shape any online source would use.
-struct VecSource {
-    edges: Vec<StreamEdge>,
-    pos: usize,
-}
-
-impl EdgeSource for VecSource {
-    fn next_edge(&mut self) -> Option<StreamEdge> {
-        let e = self.edges.get(self.pos).copied();
-        self.pos += e.is_some() as usize;
-        e
-    }
-}
-
-/// Every-field snapshot equality; floats compared by bit pattern —
-/// "bit-identical" means exactly that.
-fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
-    assert_eq!(a.seq, b.seq, "{ctx}: seq");
-    assert_eq!(a.edges, b.edges, "{ctx}: edges");
-    assert_eq!(a.vertices, b.vertices, "{ctx}: vertices");
-    assert_eq!(a.sizes, b.sizes, "{ctx}: sizes");
-    assert_eq!(
-        a.capacity.to_bits(),
-        b.capacity.to_bits(),
-        "{ctx}: capacity {} vs {}",
-        a.capacity,
-        b.capacity
-    );
-    assert_eq!(
-        a.imbalance.to_bits(),
-        b.imbalance.to_bits(),
-        "{ctx}: imbalance {} vs {}",
-        a.imbalance,
-        b.imbalance
-    );
-    assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
-    assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(
-        a.weighted_ipt.map(f64::to_bits),
-        b.weighted_ipt.map(f64::to_bits),
-        "{ctx}: weighted_ipt"
-    );
-    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
-    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
-}
-
-/// Drive one engine run at `batch_size` over `edges`, returning the
-/// periodic snapshots, the final snapshot, and the final assignment.
-fn engine_run(
-    edges: &[StreamEdge],
-    workload: &Workload,
-    k: usize,
-    window: usize,
-    horizon: u64,
-    cadence: usize,
-    batch_size: usize,
-) -> (
-    Vec<Snapshot>,
-    Snapshot,
-    Vec<Option<loom_graph::PartitionId>>,
-) {
-    let p: Box<dyn StreamPartitioner> = Box::new(loom(k, window, horizon, workload, 3));
-    let mut engine = OnlineEngine::new(
-        p,
-        EngineConfig {
-            snapshot_every: cadence,
-            track_cuts: true,
-            batch_size,
-        },
-    );
-    let mut snaps = Vec::new();
-    let mut source = VecSource {
-        edges: edges.to_vec(),
-        pos: 0,
-    };
-    engine
-        .run(&mut source, None, |s| snaps.push(s.clone()))
-        .unwrap();
-    let fin = engine.finish();
-    let max_v = edges
-        .iter()
-        .flat_map(|e| [e.src.0, e.dst.0])
-        .max()
-        .unwrap_or(0);
-    let assignment = engine.into_assignment();
-    let final_parts = (0..=max_v)
-        .map(|v| assignment.partition_of(VertexId(v)))
-        .collect();
-    (snaps, fin, final_parts)
-}
-
-/// Partitioner-layer twin runner: feed `edges` through `on_batch` in
-/// chunks of `sizes` (cycled), returning the partitioner for
-/// inspection. `sizes = [1]` degenerates to the sequential reference
-/// shape but still exercises the batch entry point.
-fn run_batched(
-    edges: &[StreamEdge],
-    workload: &Workload,
-    k: usize,
-    window: usize,
-    horizon: u64,
-    sizes: &[usize],
-) -> LoomPartitioner {
-    let mut p = loom(k, window, horizon, workload, 3);
-    let mut rest = edges;
-    let mut i = 0;
-    while !rest.is_empty() {
-        let take = sizes[i % sizes.len()].min(rest.len());
-        let (chunk, tail) = rest.split_at(take);
-        p.on_batch(chunk);
-        rest = tail;
-        i += 1;
-    }
-    p.finish();
-    p
-}
-
-fn assert_partitioners_identical(
-    seq: &LoomPartitioner,
-    bat: &LoomPartitioner,
-    ctx: &str,
-    edges: &[StreamEdge],
-) {
-    let (a, b) = (seq.stats(), bat.stats());
-    assert_eq!(a.bypassed, b.bypassed, "{ctx}: bypassed");
-    assert_eq!(a.buffered, b.buffered, "{ctx}: buffered");
-    assert_eq!(a.auctions, b.auctions, "{ctx}: auctions");
-    assert_eq!(
-        a.matches_assigned, b.matches_assigned,
-        "{ctx}: matches_assigned"
-    );
-    assert_eq!(
-        a.fallback_auctions, b.fallback_auctions,
-        "{ctx}: fallback_auctions"
-    );
-    assert_eq!(seq.window_len(), bat.window_len(), "{ctx}: window_len");
-    assert_eq!(seq.arena(), bat.arena(), "{ctx}: arena occupancy");
-    assert_eq!(
-        seq.adjacency_occupancy(),
-        bat.adjacency_occupancy(),
-        "{ctx}: adjacency occupancy"
-    );
-    for e in edges {
-        for v in [e.src, e.dst] {
-            assert_eq!(
-                seq.state().partition_of(v),
-                bat.state().partition_of(v),
-                "{ctx}: assignment diverged at {v:?}"
-            );
-        }
+/// The engine config of every run here: cut tracking on, snapshots
+/// every `cadence` edges, `batch_size` 0 for the per-edge path.
+fn config(cadence: usize, batch_size: usize) -> EngineConfig {
+    EngineConfig {
+        snapshot_every: cadence,
+        track_cuts: true,
+        batch_size,
     }
 }
 
@@ -269,20 +53,16 @@ proptest! {
         cadence in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let (edges, _, workload) = hub_stream(n_chains, seed);
+        let (edges, workload) = hub_stream(n_chains, seed);
         let horizon = 1 + (seed % 48);
-        let (seq_snaps, seq_fin, seq_parts) =
-            engine_run(&edges, &workload, k, window, horizon, cadence, 0);
+        let run = |batch| {
+            let p = Box::new(loom(k, window, horizon, &workload));
+            engine_run(p, config(cadence, batch), &edges)
+        };
+        let (seq_snaps, seq_fin, seq_parts) = run(0);
         for batch in [2usize, 64, 1024] {
-            let (snaps, fin, parts) =
-                engine_run(&edges, &workload, k, window, horizon, cadence, batch);
-            prop_assert_eq!(
-                snaps.len(), seq_snaps.len(),
-                "batch {}: snapshot count", batch
-            );
-            for (s, r) in snaps.iter().zip(&seq_snaps) {
-                assert_snap_eq(s, r, &format!("batch {batch}, snapshot {}", r.seq));
-            }
+            let (snaps, fin, parts) = run(batch);
+            assert_snaps_eq(&snaps, &seq_snaps, &format!("batch {batch}"));
             assert_snap_eq(&fin, &seq_fin, &format!("batch {batch}, final"));
             prop_assert_eq!(&parts, &seq_parts, "batch {}: final assignment", batch);
         }
@@ -299,15 +79,11 @@ proptest! {
         n_chains in 4usize..28,
         seed in any::<u64>(),
     ) {
-        let (edges, _, workload) = hub_stream(n_chains, seed);
+        let (edges, workload) = hub_stream(n_chains, seed);
         let horizon = 1 + (seed % 32);
-        let mut seq = loom(k, window, horizon, &workload, 3);
-        for e in &edges {
-            seq.on_edge(e);
-        }
-        seq.finish();
+        let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
         for sizes in [&[1usize][..], &[2], &[64], &[1024], &[1, 2, 64, 3, 1024, 5]] {
-            let bat = run_batched(&edges, &workload, k, window, horizon, sizes);
+            let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, 1, sizes);
             assert_partitioners_identical(&seq, &bat, &format!("chunks {sizes:?}"), &edges);
         }
     }
@@ -322,13 +98,9 @@ proptest! {
 /// straddling a batch boundary.
 #[test]
 fn reclaim_generations_straddle_batch_boundaries() {
-    let (edges, _, workload) = hub_stream(2_400, 0x10ad);
+    let (edges, workload) = hub_stream(2_400, 0x10ad);
     let (k, window, horizon) = (4, 16, 96);
-    let mut seq = loom(k, window, horizon, &workload, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
     // The scenario must actually exercise reclaim, or this test pins
     // nothing: both stores must have compacted at least once.
     let arena = seq.arena().expect("Loom has an arena");
@@ -343,7 +115,7 @@ fn reclaim_generations_straddle_batch_boundaries() {
     );
 
     for sizes in [&[64usize][..], &[256], &[1024], &[1, 1021, 2, 64]] {
-        let bat = run_batched(&edges, &workload, k, window, horizon, sizes);
+        let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, 1, sizes);
         assert_partitioners_identical(&seq, &bat, &format!("chunks {sizes:?}"), &edges);
     }
 }
@@ -354,24 +126,15 @@ fn reclaim_generations_straddle_batch_boundaries() {
 /// the stream mid-batch.
 #[test]
 fn snapshots_fire_inside_batches_and_respect_max_edges() {
-    let (edges, _, workload) = hub_stream(64, 9);
+    let (edges, workload) = hub_stream(64, 9);
     let run = |batch_size: usize| {
-        let p: Box<dyn StreamPartitioner> = Box::new(loom(3, 8, 40, &workload, 3));
-        let mut engine = OnlineEngine::new(
-            p,
-            EngineConfig {
-                snapshot_every: 10,
-                track_cuts: true,
-                batch_size,
-            },
-        );
+        let mut engine =
+            OnlineEngine::new(Box::new(loom(3, 8, 40, &workload)), config(10, batch_size));
         let mut snaps = Vec::new();
-        let mut source = VecSource {
-            edges: edges.clone(),
-            pos: 0,
-        };
         engine
-            .run(&mut source, Some(105), |s| snaps.push(s.clone()))
+            .run(&mut VecSource::new(&edges), Some(105), |s| {
+                snaps.push(s.clone())
+            })
             .unwrap();
         assert_eq!(engine.edges_ingested(), 105, "batch {batch_size}");
         (snaps, engine.finish())
@@ -383,14 +146,7 @@ fn snapshots_fire_inside_batches_and_respect_max_edges() {
     }
     for batch in [2usize, 64, 512] {
         let (snaps, fin) = run(batch);
-        assert_eq!(
-            snaps.len(),
-            seq_snaps.len(),
-            "batch {batch}: snapshot count"
-        );
-        for (s, r) in snaps.iter().zip(&seq_snaps) {
-            assert_snap_eq(s, r, &format!("batch {batch}, snapshot {}", r.seq));
-        }
+        assert_snaps_eq(&snaps, &seq_snaps, &format!("batch {batch}"));
         assert_snap_eq(&fin, &seq_fin, &format!("batch {batch}, final"));
     }
 }

@@ -27,173 +27,13 @@
 //! constantly (the interesting case — a stream of independent edges
 //! would validate every probe and prove nothing).
 
-use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
-use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
-use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, HashPartitioner, LoomConfig, LoomPartitioner,
-    StreamPartitioner,
-};
+mod common;
+
+use common::*;
+use loom_core::engine::{EngineConfig, OnlineEngine};
+use loom_core::graph::EdgeId;
+use loom_core::partition::{HashPartitioner, StreamPartitioner};
 use proptest::prelude::*;
-use rand::Rng;
-use rand::SeedableRng;
-
-const A: Label = Label(0);
-const B: Label = Label(1);
-const C: Label = Label(2);
-
-/// A hub-heavy labelled motif stream (see `batch_equivalence.rs`):
-/// a–b–c chains, hub→b edges piling matches onto one vertex, and
-/// non-motif c–c bypass edges, shuffled into a seeded arrival order.
-fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
-    let hub = 0u32;
-    let mut edges = Vec::new();
-    for i in 0..n_chains as u32 {
-        let (a, b, c) = (3 * i + 1, 3 * i + 2, 3 * i + 3);
-        edges.push((a, A, b, B));
-        edges.push((b, B, c, C));
-        edges.push((hub, A, b, B));
-        if i > 0 {
-            edges.push((c, C, c - 3, C));
-        }
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    for i in (1..edges.len()).rev() {
-        edges.swap(i, rng.gen_range(0..=i));
-    }
-    let stream = edges
-        .into_iter()
-        .enumerate()
-        .map(|(id, (src, sl, dst, dl))| StreamEdge {
-            id: EdgeId(id as u32),
-            src: VertexId(src),
-            dst: VertexId(dst),
-            src_label: sl,
-            dst_label: dl,
-        })
-        .collect();
-    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    (stream, workload)
-}
-
-fn loom(
-    k: usize,
-    window: usize,
-    horizon: u64,
-    workload: &Workload,
-    num_labels: usize,
-) -> LoomPartitioner {
-    let config = LoomConfig {
-        k,
-        window_size: window,
-        support_threshold: 0.4,
-        prime: 251,
-        eo: EoParams::default(),
-        capacity_slack: 1.1,
-        capacity: CapacityModel::Adaptive,
-        seed: 7,
-        allocation: Default::default(),
-        adjacency_horizon: AdjacencyHorizon::Edges(horizon),
-    };
-    LoomPartitioner::new(&config, workload, num_labels)
-}
-
-/// Drive a Loom partitioner through `try_on_batch` at the given worker
-/// count and uniform batch size, then finish.
-fn run_parallel(
-    edges: &[StreamEdge],
-    workload: &Workload,
-    k: usize,
-    window: usize,
-    horizon: u64,
-    threads: usize,
-    batch: usize,
-) -> LoomPartitioner {
-    let mut p = loom(k, window, horizon, workload, 3);
-    p.set_threads(threads);
-    for chunk in edges.chunks(batch) {
-        p.try_on_batch(chunk).expect("no panic injected");
-    }
-    p.finish();
-    p
-}
-
-fn assert_partitioners_identical(
-    seq: &LoomPartitioner,
-    par: &LoomPartitioner,
-    ctx: &str,
-    edges: &[StreamEdge],
-) {
-    let (a, b) = (seq.stats(), par.stats());
-    assert_eq!(a.bypassed, b.bypassed, "{ctx}: bypassed");
-    assert_eq!(a.buffered, b.buffered, "{ctx}: buffered");
-    assert_eq!(a.auctions, b.auctions, "{ctx}: auctions");
-    assert_eq!(
-        a.matches_assigned, b.matches_assigned,
-        "{ctx}: matches_assigned"
-    );
-    assert_eq!(
-        a.fallback_auctions, b.fallback_auctions,
-        "{ctx}: fallback_auctions"
-    );
-    assert_eq!(seq.window_len(), par.window_len(), "{ctx}: window_len");
-    assert_eq!(seq.arena(), par.arena(), "{ctx}: arena occupancy");
-    assert_eq!(
-        seq.adjacency_occupancy(),
-        par.adjacency_occupancy(),
-        "{ctx}: adjacency occupancy"
-    );
-    for e in edges {
-        for v in [e.src, e.dst] {
-            assert_eq!(
-                seq.state().partition_of(v),
-                par.state().partition_of(v),
-                "{ctx}: assignment diverged at {v:?}"
-            );
-        }
-    }
-}
-
-/// Every-field snapshot equality except the observability-only
-/// `ingest` phase timings (wall-clock is allowed to differ; nothing
-/// else is). Floats compared by bit pattern.
-fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
-    assert_eq!(a.seq, b.seq, "{ctx}: seq");
-    assert_eq!(a.edges, b.edges, "{ctx}: edges");
-    assert_eq!(a.vertices, b.vertices, "{ctx}: vertices");
-    assert_eq!(a.sizes, b.sizes, "{ctx}: sizes");
-    assert_eq!(
-        a.capacity.to_bits(),
-        b.capacity.to_bits(),
-        "{ctx}: capacity"
-    );
-    assert_eq!(
-        a.imbalance.to_bits(),
-        b.imbalance.to_bits(),
-        "{ctx}: imbalance"
-    );
-    assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
-    assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(
-        a.weighted_ipt.map(f64::to_bits),
-        b.weighted_ipt.map(f64::to_bits),
-        "{ctx}: weighted_ipt"
-    );
-    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
-    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
-}
-
-struct VecSource {
-    edges: Vec<StreamEdge>,
-    pos: usize,
-}
-
-impl EdgeSource for VecSource {
-    fn next_edge(&mut self) -> Option<StreamEdge> {
-        let e = self.edges.get(self.pos).copied();
-        self.pos += e.is_some() as usize;
-        e
-    }
-}
 
 /// The acceptance cross: worker counts {1, 2, 4, 8} × batch sizes
 /// {1, 64, 256, 1024} on a stream long enough that arena and adjacency
@@ -203,11 +43,7 @@ impl EdgeSource for VecSource {
 fn worker_count_and_batch_size_cross_matches_sequential_twin() {
     let (edges, workload) = hub_stream(2_400, 0x517e);
     let (k, window, horizon) = (4, 16, 96);
-    let mut seq = loom(k, window, horizon, &workload, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
     // The stream must actually exercise reclaim under parallel ingest,
     // or the generation-stamp half of probe validation goes untested.
     assert!(
@@ -216,7 +52,13 @@ fn worker_count_and_batch_size_cross_matches_sequential_twin() {
     );
     for threads in [1usize, 2, 4, 8] {
         for batch in [1usize, 64, 256, 1024] {
-            let par = run_parallel(&edges, &workload, k, window, horizon, threads, batch);
+            let par = run_chunked(
+                loom(k, window, horizon, &workload),
+                &edges,
+                1,
+                threads,
+                &[batch],
+            );
             assert_partitioners_identical(
                 &seq,
                 &par,
@@ -232,28 +74,12 @@ fn worker_count_and_batch_size_cross_matches_sequential_twin() {
 #[test]
 fn hash_sharded_ingest_matches_sequential_twin() {
     let (edges, _) = hub_stream(400, 0xba5e);
-    let mut seq = HashPartitioner::new(8, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(HashPartitioner::new(8, 3), &edges);
     for threads in [2usize, 4, 8] {
         for batch in [3usize, 256, 1024] {
-            let mut par = HashPartitioner::new(8, 3);
-            par.set_threads(threads);
-            for chunk in edges.chunks(batch) {
-                par.try_on_batch(chunk).unwrap();
-            }
-            par.finish();
-            for e in &edges {
-                for v in [e.src, e.dst] {
-                    assert_eq!(
-                        seq.state().partition_of(v),
-                        par.state().partition_of(v),
-                        "threads {threads}, batch {batch}: diverged at {v:?}"
-                    );
-                }
-            }
+            let par = run_chunked(HashPartitioner::new(8, 3), &edges, 1, threads, &[batch]);
+            let ctx = format!("threads {threads}, batch {batch}");
+            assert_same_placements(&seq, &par, &ctx, &edges);
         }
     }
 }
@@ -265,31 +91,14 @@ fn hash_sharded_ingest_matches_sequential_twin() {
 fn engine_snapshots_identical_across_worker_counts() {
     let (edges, workload) = hub_stream(200, 0xcade);
     let run = |threads: usize| {
-        let mut p: Box<dyn StreamPartitioner> = Box::new(loom(3, 10, 48, &workload, 3));
+        let mut p = Box::new(loom(3, 10, 48, &workload));
         p.set_threads(threads);
-        let mut engine = OnlineEngine::new(
-            p,
-            EngineConfig {
-                snapshot_every: 97,
-                track_cuts: true,
-                batch_size: 256,
-            },
-        );
-        let mut snaps = Vec::new();
-        let mut source = VecSource {
-            edges: edges.clone(),
-            pos: 0,
+        let config = EngineConfig {
+            snapshot_every: 97,
+            track_cuts: true,
+            batch_size: 256,
         };
-        engine
-            .run(&mut source, None, |s| snaps.push(s.clone()))
-            .unwrap();
-        let fin = engine.finish();
-        let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
-        let assignment = engine.into_assignment();
-        let parts: Vec<_> = (0..=max_v)
-            .map(|v| assignment.partition_of(VertexId(v)))
-            .collect();
-        (snaps, fin, parts)
+        engine_run(p, config, &edges)
     };
     let (seq_snaps, seq_fin, seq_parts) = run(1);
     assert!(seq_snaps.len() > 3, "cadence must fire mid-stream");
@@ -299,9 +108,8 @@ fn engine_snapshots_identical_across_worker_counts() {
     );
     for threads in [2usize, 4] {
         let (snaps, fin, parts) = run(threads);
-        assert_eq!(snaps.len(), seq_snaps.len(), "threads {threads}: count");
-        for (s, r) in snaps.iter().zip(&seq_snaps) {
-            assert_snap_eq(s, r, &format!("threads {threads}, snapshot {}", r.seq));
+        assert_snaps_eq(&snaps, &seq_snaps, &format!("threads {threads}"));
+        for s in &snaps {
             let ingest = s.ingest.expect("parallel snapshots carry phase timings");
             assert_eq!(ingest.threads, threads, "threads {threads}: worker count");
         }
@@ -316,7 +124,7 @@ fn engine_snapshots_identical_across_worker_counts() {
 #[test]
 fn worker_panic_surfaces_batch_and_edge_not_a_hang() {
     let (edges, workload) = hub_stream(60, 0xdead);
-    let mut p = loom(3, 8, 40, &workload, 3);
+    let mut p = loom(3, 8, 40, &workload);
     p.set_threads(4);
     // hub_stream ids enumerate the shuffled stream, so EdgeId(137) is
     // the edge at stream position 137.
@@ -330,12 +138,8 @@ fn worker_panic_surfaces_batch_and_edge_not_a_hang() {
             batch_size: 50,
         },
     );
-    let mut source = VecSource {
-        edges: edges.clone(),
-        pos: 0,
-    };
     let err = engine
-        .run(&mut source, None, |_| {})
+        .run(&mut VecSource::new(&edges), None, |_| {})
         .expect_err("injected panic must propagate");
     // Edge 137 sits in the third 50-edge batch, at offset 37.
     assert_eq!(err.batch, 3, "failing batch ordinal");
@@ -359,7 +163,7 @@ fn worker_panic_surfaces_batch_and_edge_not_a_hang() {
 #[test]
 fn panic_injection_is_inert_when_sequential() {
     let (edges, workload) = hub_stream(60, 0xdead);
-    let mut p = loom(3, 8, 40, &workload, 3);
+    let mut p = loom(3, 8, 40, &workload);
     p.inject_probe_panic_at(EdgeId(137));
     for chunk in edges.chunks(50) {
         p.try_on_batch(chunk)
@@ -383,14 +187,10 @@ proptest! {
     ) {
         let (edges, workload) = hub_stream(n_chains, seed);
         let horizon = 1 + (seed % 32);
-        let mut seq = loom(k, window, horizon, &workload, 3);
-        for e in &edges {
-            seq.on_edge(e);
-        }
-        seq.finish();
+        let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
         for threads in [2usize, 4, 8] {
             for batch in [2usize, 64, 1024] {
-                let par = run_parallel(&edges, &workload, k, window, horizon, threads, batch);
+                let par = run_chunked(loom(k, window, horizon, &workload), &edges, 1, threads, &[batch]);
                 assert_partitioners_identical(
                     &seq,
                     &par,

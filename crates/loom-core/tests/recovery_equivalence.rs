@@ -22,129 +22,22 @@
 //! the replayed snapshot sequence (matched by `seq` against the
 //! uninterrupted run) and the final assignment of every vertex.
 
+mod common;
+
+use common::*;
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
+use loom_core::graph::{EdgeId, EdgeSource, StreamEdge, VertexId, Workload};
+use loom_core::partition::{
+    CapacityModel, FennelParams, FennelPartitioner, HashPartitioner, LdgPartitioner,
+    LoomPartitioner, StreamPartitioner,
+};
 use loom_core::wal::{
     list_checkpoints, list_segments, scan_journal, segment_name, FaultPlan, FaultyBackend,
     FileBackend, JournalWriter, MemBackend, StorageBackend, WalError, JOURNAL_FILE,
 };
-use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
-use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, FennelParams, FennelPartitioner, HashPartitioner,
-    LdgPartitioner, LoomConfig, LoomPartitioner, StreamPartitioner,
-};
-use rand::Rng;
-use rand::SeedableRng;
-
-const A: Label = Label(0);
-const B: Label = Label(1);
-const C: Label = Label(2);
 
 /// The config fingerprint every test stamps into its WAL.
 const FP: &str = "system=Loom k=3 seed=7 window=16 shards=* test=recovery";
-
-/// The equivalence suites' adversarial shape: shuffled a–b–c chains,
-/// hub→b edges, and non-motif c–c bypass edges.
-fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
-    let hub = 0u32;
-    let mut edges = Vec::new();
-    for i in 0..n_chains as u32 {
-        let (a, b, c) = (3 * i + 1, 3 * i + 2, 3 * i + 3);
-        edges.push((a, A, b, B));
-        edges.push((b, B, c, C));
-        edges.push((hub, A, b, B));
-        if i > 0 {
-            edges.push((c, C, c - 3, C));
-        }
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    for i in (1..edges.len()).rev() {
-        edges.swap(i, rng.gen_range(0..=i));
-    }
-    let stream = edges
-        .into_iter()
-        .enumerate()
-        .map(|(id, (src, sl, dst, dl))| StreamEdge {
-            id: EdgeId(id as u32),
-            src: VertexId(src),
-            dst: VertexId(dst),
-            src_label: sl,
-            dst_label: dl,
-        })
-        .collect();
-    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    (stream, workload)
-}
-
-fn loom(k: usize, window: usize, horizon: u64, workload: &Workload) -> LoomPartitioner {
-    let config = LoomConfig {
-        k,
-        window_size: window,
-        support_threshold: 0.4,
-        prime: 251,
-        eo: EoParams::default(),
-        capacity_slack: 1.1,
-        capacity: CapacityModel::Adaptive,
-        seed: 7,
-        allocation: Default::default(),
-        adjacency_horizon: AdjacencyHorizon::Edges(horizon),
-    };
-    LoomPartitioner::new(&config, workload, num_labels())
-}
-
-fn num_labels() -> usize {
-    3
-}
-
-struct VecSource {
-    edges: Vec<StreamEdge>,
-    pos: usize,
-}
-
-impl VecSource {
-    fn new(edges: &[StreamEdge]) -> Self {
-        VecSource {
-            edges: edges.to_vec(),
-            pos: 0,
-        }
-    }
-}
-
-impl EdgeSource for VecSource {
-    fn next_edge(&mut self) -> Option<StreamEdge> {
-        let e = self.edges.get(self.pos).copied();
-        self.pos += e.is_some() as usize;
-        e
-    }
-}
-
-/// Snapshot equality in every quality digit. `ingest` (wall-clock
-/// timings) and `recovery` (WAL bookkeeping) are observability, not
-/// state, and are deliberately not compared.
-fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
-    assert_eq!(a.seq, b.seq, "{ctx}: seq");
-    assert_eq!(a.edges, b.edges, "{ctx}: edges");
-    assert_eq!(a.vertices, b.vertices, "{ctx}: vertices");
-    assert_eq!(a.sizes, b.sizes, "{ctx}: sizes");
-    assert_eq!(
-        a.capacity.to_bits(),
-        b.capacity.to_bits(),
-        "{ctx}: capacity"
-    );
-    assert_eq!(
-        a.imbalance.to_bits(),
-        b.imbalance.to_bits(),
-        "{ctx}: imbalance"
-    );
-    assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
-    assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(
-        a.weighted_ipt.map(f64::to_bits),
-        b.weighted_ipt.map(f64::to_bits),
-        "{ctx}: weighted_ipt"
-    );
-    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
-    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
-}
 
 fn engine_with(p: Box<dyn StreamPartitioner>, batch: usize, cadence: usize) -> OnlineEngine {
     OnlineEngine::new(
@@ -372,9 +265,8 @@ fn wal_is_quality_invisible() {
     };
     let (off_snaps, off_digest) = run(false);
     let (on_snaps, on_digest) = run(true);
-    assert_eq!(off_snaps.len(), on_snaps.len(), "snapshot count");
+    assert_snaps_eq(&off_snaps, &on_snaps, "WAL off vs on");
     for (a, b) in off_snaps.iter().zip(&on_snaps) {
-        assert_snap_eq(a, b, &format!("snapshot {}", a.seq));
         assert!(a.recovery.is_none(), "WAL-off snapshots carry no recovery");
         assert!(b.recovery.is_some(), "WAL-on snapshots report recovery");
     }

@@ -13,131 +13,30 @@
 //! count of loaded views must never decrease, and every well-formed
 //! request against any published view must answer `OK`.
 
-use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
+mod common;
+
+use common::*;
+use loom_core::engine::{EngineConfig, OnlineEngine};
+use loom_core::graph::{EdgeSource, Workload};
+use loom_core::partition::StreamPartitioner;
+use loom_core::query::{handle_request, ReadView};
+use loom_core::runtime::EpochCell;
 use loom_core::ServeOptions;
-use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
-use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, LoomConfig, LoomPartitioner, StreamPartitioner,
-};
-use loom_query::{handle_request, ReadView};
-use loom_runtime::EpochCell;
-use rand::Rng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-const A: Label = Label(0);
-const B: Label = Label(1);
-const C: Label = Label(2);
-
-/// The equivalence suites' adversarial shape: shuffled a–b–c chains,
-/// hub→b edges, and non-motif c–c bypass edges.
-fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
-    let hub = 0u32;
-    let mut edges = Vec::new();
-    for i in 0..n_chains as u32 {
-        let (a, b, c) = (3 * i + 1, 3 * i + 2, 3 * i + 3);
-        edges.push((a, A, b, B));
-        edges.push((b, B, c, C));
-        edges.push((hub, A, b, B));
-        if i > 0 {
-            edges.push((c, C, c - 3, C));
-        }
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    for i in (1..edges.len()).rev() {
-        edges.swap(i, rng.gen_range(0..=i));
-    }
-    let stream = edges
-        .into_iter()
-        .enumerate()
-        .map(|(id, (src, sl, dst, dl))| StreamEdge {
-            id: EdgeId(id as u32),
-            src: VertexId(src),
-            dst: VertexId(dst),
-            src_label: sl,
-            dst_label: dl,
-        })
-        .collect();
-    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    (stream, workload)
-}
-
-fn loom_partitioner(workload: &Workload, threads: usize, shards: usize) -> Box<LoomPartitioner> {
-    let config = LoomConfig {
-        k: 4,
-        window_size: 16,
-        support_threshold: 0.4,
-        prime: 251,
-        eo: EoParams::default(),
-        capacity_slack: 1.1,
-        capacity: CapacityModel::Adaptive,
-        seed: 7,
-        allocation: Default::default(),
-        adjacency_horizon: AdjacencyHorizon::Edges(96),
-    };
-    let mut p = Box::new(LoomPartitioner::new(&config, workload, 3));
+fn engine(workload: &Workload, threads: usize, shards: usize) -> OnlineEngine {
+    let mut p = Box::new(loom(4, 16, 96, workload));
     p.set_shards(shards);
     p.set_threads(threads);
-    p
-}
-
-fn engine(workload: &Workload, threads: usize, shards: usize) -> OnlineEngine {
     OnlineEngine::new(
-        loom_partitioner(workload, threads, shards),
+        p,
         EngineConfig {
             snapshot_every: 512,
             batch_size: 64,
             ..EngineConfig::default()
         },
     )
-}
-
-struct VecSource {
-    edges: Vec<StreamEdge>,
-    pos: usize,
-}
-
-impl EdgeSource for VecSource {
-    fn next_edge(&mut self) -> Option<StreamEdge> {
-        let e = self.edges.get(self.pos).copied();
-        self.pos += e.is_some() as usize;
-        e
-    }
-}
-
-fn source(edges: &[StreamEdge]) -> VecSource {
-    VecSource {
-        edges: edges.to_vec(),
-        pos: 0,
-    }
-}
-
-/// Everything except `serving` — the one field allowed to differ.
-fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
-    assert_eq!(a.seq, b.seq, "{ctx}: seq");
-    assert_eq!(a.edges, b.edges, "{ctx}: edges");
-    assert_eq!(a.vertices, b.vertices, "{ctx}: vertices");
-    assert_eq!(a.sizes, b.sizes, "{ctx}: sizes");
-    assert_eq!(
-        a.capacity.to_bits(),
-        b.capacity.to_bits(),
-        "{ctx}: capacity"
-    );
-    assert_eq!(
-        a.imbalance.to_bits(),
-        b.imbalance.to_bits(),
-        "{ctx}: imbalance"
-    );
-    assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
-    assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(
-        a.weighted_ipt.map(f64::to_bits),
-        b.weighted_ipt.map(f64::to_bits),
-        "{ctx}: weighted_ipt"
-    );
-    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
-    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
 }
 
 /// A reader thread: spin on the publication cell for the run's whole
@@ -200,8 +99,10 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
 
         let mut off = engine(&workload, threads, shards);
         let mut off_snaps = Vec::new();
-        off.run(&mut source(&edges), None, |s| off_snaps.push(s.clone()))
-            .expect("serving-off run");
+        off.run(&mut VecSource::new(&edges), None, |s| {
+            off_snaps.push(s.clone())
+        })
+        .expect("serving-off run");
         let off_fin = off.finish();
 
         let mut on = engine(&workload, threads, shards);
@@ -214,8 +115,10 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
             .map(|_| spawn_reader(Arc::clone(&handle.view), Arc::clone(&stop)))
             .collect();
         let mut on_snaps = Vec::new();
-        on.run(&mut source(&edges), None, |s| on_snaps.push(s.clone()))
-            .expect("serving-on run");
+        on.run(&mut VecSource::new(&edges), None, |s| {
+            on_snaps.push(s.clone())
+        })
+        .expect("serving-on run");
         let on_fin = on.finish();
         stop.store(true, Ordering::Release);
         let mut rounds = 0u64;
@@ -224,9 +127,8 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
         }
         assert!(rounds > 0, "{ctx}: no reader executed a single round");
 
-        assert_eq!(off_snaps.len(), on_snaps.len(), "{ctx}: snapshot count");
+        assert_snaps_eq(&off_snaps, &on_snaps, &ctx);
         for (a, b) in off_snaps.iter().zip(&on_snaps) {
-            assert_snap_eq(a, b, &ctx);
             assert!(a.serving.is_none(), "{ctx}: serving-off twin has stats");
             assert!(b.serving.is_some(), "{ctx}: serving-on twin lacks stats");
         }
@@ -261,7 +163,8 @@ fn final_view_matches_final_assignment() {
         horizon_edges: 2_048,
         publish_every: 512,
     });
-    eng.run(&mut source(&edges), None, |_| {}).expect("run");
+    eng.run(&mut VecSource::new(&edges), None, |_| {})
+        .expect("run");
     eng.finish();
     let view = handle.view.load().expect("final view published");
     assert_eq!(view.edges, edges.len() as u64);
@@ -290,7 +193,8 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
     let half = edges.len() / 2;
 
     let mut twin = engine(&workload, 1, 1);
-    twin.run(&mut source(&edges), None, |_| {}).expect("twin");
+    twin.run(&mut VecSource::new(&edges), None, |_| {})
+        .expect("twin");
     twin.finish();
 
     let mut eng = engine(&workload, 1, 1);
@@ -298,7 +202,7 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
         horizon_edges: 1_024,
         publish_every: 128,
     });
-    eng.run(&mut source(&edges), Some(half as u64), |_| {})
+    eng.run(&mut VecSource::new(&edges), Some(half as u64), |_| {})
         .expect("first half");
     eng.await_views().expect("views land");
     let view = handle.view.load().expect("mid-stream view");
@@ -327,7 +231,7 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
     // No view at all (server came up before the first publication).
     assert!(handle_request(None, "STATS").starts_with("ERR not ready"));
 
-    let mut rest = source(&edges);
+    let mut rest = VecSource::new(&edges);
     assert_eq!(rest.skip_edges(half as u64), half as u64);
     eng.run(&mut rest, None, |_| {}).expect("second half");
     eng.finish();

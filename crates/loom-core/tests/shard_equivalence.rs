@@ -16,171 +16,13 @@
 //! vertices, and a single-vertex universe (self-loops only), where
 //! every shard but one owns nothing.
 
-use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
-use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
-use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, HashPartitioner, LoomConfig, LoomPartitioner,
-    StreamPartitioner,
-};
+mod common;
+
+use common::*;
+use loom_core::engine::EngineConfig;
+use loom_core::graph::{EdgeId, PatternGraph, StreamEdge, VertexId, Workload};
+use loom_core::partition::{HashPartitioner, StreamPartitioner};
 use proptest::prelude::*;
-use rand::Rng;
-use rand::SeedableRng;
-
-const A: Label = Label(0);
-const B: Label = Label(1);
-const C: Label = Label(2);
-
-/// The parallel-equivalence suite's adversarial shape: shuffled a–b–c
-/// chains, hub→b edges, and non-motif c–c bypass edges.
-fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
-    let hub = 0u32;
-    let mut edges = Vec::new();
-    for i in 0..n_chains as u32 {
-        let (a, b, c) = (3 * i + 1, 3 * i + 2, 3 * i + 3);
-        edges.push((a, A, b, B));
-        edges.push((b, B, c, C));
-        edges.push((hub, A, b, B));
-        if i > 0 {
-            edges.push((c, C, c - 3, C));
-        }
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    for i in (1..edges.len()).rev() {
-        edges.swap(i, rng.gen_range(0..=i));
-    }
-    let stream = edges
-        .into_iter()
-        .enumerate()
-        .map(|(id, (src, sl, dst, dl))| StreamEdge {
-            id: EdgeId(id as u32),
-            src: VertexId(src),
-            dst: VertexId(dst),
-            src_label: sl,
-            dst_label: dl,
-        })
-        .collect();
-    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    (stream, workload)
-}
-
-fn loom(
-    k: usize,
-    window: usize,
-    horizon: u64,
-    workload: &Workload,
-    num_labels: usize,
-) -> LoomPartitioner {
-    let config = LoomConfig {
-        k,
-        window_size: window,
-        support_threshold: 0.4,
-        prime: 251,
-        eo: EoParams::default(),
-        capacity_slack: 1.1,
-        capacity: CapacityModel::Adaptive,
-        seed: 7,
-        allocation: Default::default(),
-        adjacency_horizon: AdjacencyHorizon::Edges(horizon),
-    };
-    LoomPartitioner::new(&config, workload, num_labels)
-}
-
-/// Drive a Loom partitioner at the given (shards, threads, batch).
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    edges: &[StreamEdge],
-    workload: &Workload,
-    k: usize,
-    window: usize,
-    horizon: u64,
-    shards: usize,
-    threads: usize,
-    batch: usize,
-) -> LoomPartitioner {
-    let mut p = loom(k, window, horizon, workload, 3);
-    p.set_shards(shards);
-    p.set_threads(threads);
-    for chunk in edges.chunks(batch) {
-        p.try_on_batch(chunk).expect("no panic injected");
-    }
-    p.finish();
-    p
-}
-
-fn assert_partitioners_identical(
-    seq: &LoomPartitioner,
-    par: &LoomPartitioner,
-    ctx: &str,
-    edges: &[StreamEdge],
-) {
-    let (a, b) = (seq.stats(), par.stats());
-    assert_eq!(a.bypassed, b.bypassed, "{ctx}: bypassed");
-    assert_eq!(a.buffered, b.buffered, "{ctx}: buffered");
-    assert_eq!(a.auctions, b.auctions, "{ctx}: auctions");
-    assert_eq!(
-        a.matches_assigned, b.matches_assigned,
-        "{ctx}: matches_assigned"
-    );
-    assert_eq!(
-        a.fallback_auctions, b.fallback_auctions,
-        "{ctx}: fallback_auctions"
-    );
-    assert_eq!(seq.window_len(), par.window_len(), "{ctx}: window_len");
-    assert_eq!(seq.arena(), par.arena(), "{ctx}: arena occupancy");
-    assert_eq!(
-        seq.adjacency_occupancy(),
-        par.adjacency_occupancy(),
-        "{ctx}: adjacency occupancy"
-    );
-    for e in edges {
-        for v in [e.src, e.dst] {
-            assert_eq!(
-                seq.state().partition_of(v),
-                par.state().partition_of(v),
-                "{ctx}: assignment diverged at {v:?}"
-            );
-        }
-    }
-}
-
-fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
-    assert_eq!(a.seq, b.seq, "{ctx}: seq");
-    assert_eq!(a.edges, b.edges, "{ctx}: edges");
-    assert_eq!(a.vertices, b.vertices, "{ctx}: vertices");
-    assert_eq!(a.sizes, b.sizes, "{ctx}: sizes");
-    assert_eq!(
-        a.capacity.to_bits(),
-        b.capacity.to_bits(),
-        "{ctx}: capacity"
-    );
-    assert_eq!(
-        a.imbalance.to_bits(),
-        b.imbalance.to_bits(),
-        "{ctx}: imbalance"
-    );
-    assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
-    assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(
-        a.weighted_ipt.map(f64::to_bits),
-        b.weighted_ipt.map(f64::to_bits),
-        "{ctx}: weighted_ipt"
-    );
-    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
-    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
-}
-
-struct VecSource {
-    edges: Vec<StreamEdge>,
-    pos: usize,
-}
-
-impl EdgeSource for VecSource {
-    fn next_edge(&mut self) -> Option<StreamEdge> {
-        let e = self.edges.get(self.pos).copied();
-        self.pos += e.is_some() as usize;
-        e
-    }
-}
 
 /// The acceptance cross for Loom: shard counts {1, 2, 4, 5} (5 takes
 /// the non-power-of-two div/mod path) × threads {1, 4} × batch sizes
@@ -191,11 +33,7 @@ impl EdgeSource for VecSource {
 fn loom_shard_cross_matches_unsharded_sequential_twin() {
     let (edges, workload) = hub_stream(2_400, 0x5ead);
     let (k, window, horizon) = (4, 16, 96);
-    let mut seq = loom(k, window, horizon, &workload, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
     assert!(
         seq.arena().expect("Loom has an arena").generation >= 1,
         "stream too short: arena never compacted"
@@ -203,9 +41,8 @@ fn loom_shard_cross_matches_unsharded_sequential_twin() {
     for shards in [1usize, 2, 4, 5] {
         for threads in [1usize, 4] {
             for batch in [1usize, 64, 256] {
-                let par = run_sharded(
-                    &edges, &workload, k, window, horizon, shards, threads, batch,
-                );
+                let p = loom(k, window, horizon, &workload);
+                let par = run_chunked(p, &edges, shards, threads, &[batch]);
                 assert_partitioners_identical(
                     &seq,
                     &par,
@@ -223,40 +60,25 @@ fn loom_shard_cross_matches_unsharded_sequential_twin() {
 #[test]
 fn hash_shard_parallel_commit_matches_sequential_twin() {
     let (edges, _) = hub_stream(400, 0x5a5d);
-    let mut seq = HashPartitioner::new(8, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(HashPartitioner::new(8, 3), &edges);
     for shards in [1usize, 2, 4, 5, 8] {
         for threads in [1usize, 2, 4] {
             for batch in [3usize, 256, 1024] {
-                let mut par = HashPartitioner::new(8, 3);
-                par.set_shards(shards);
-                par.set_threads(threads);
-                for chunk in edges.chunks(batch) {
-                    par.try_on_batch(chunk).unwrap();
-                }
-                par.finish();
+                let par = run_chunked(
+                    HashPartitioner::new(8, 3),
+                    &edges,
+                    shards,
+                    threads,
+                    &[batch],
+                );
+                let ctx = format!("shards {shards}, threads {threads}, batch {batch}");
                 assert_eq!(
                     seq.state().assigned_count(),
                     par.state().assigned_count(),
-                    "shards {shards}, threads {threads}, batch {batch}: assigned_count"
+                    "{ctx}: assigned_count"
                 );
-                assert_eq!(
-                    seq.state().sizes(),
-                    par.state().sizes(),
-                    "shards {shards}, threads {threads}, batch {batch}: sizes"
-                );
-                for e in &edges {
-                    for v in [e.src, e.dst] {
-                        assert_eq!(
-                            seq.state().partition_of(v),
-                            par.state().partition_of(v),
-                            "shards {shards}, threads {threads}, batch {batch}: diverged at {v:?}"
-                        );
-                    }
-                }
+                assert_eq!(seq.state().sizes(), par.state().sizes(), "{ctx}: sizes");
+                assert_same_placements(&seq, &par, &ctx, &edges);
             }
         }
     }
@@ -269,42 +91,22 @@ fn hash_shard_parallel_commit_matches_sequential_twin() {
 fn engine_snapshots_identical_across_shard_counts() {
     let (edges, workload) = hub_stream(200, 0xcade);
     let run = |shards: usize, threads: usize| {
-        let mut p: Box<dyn StreamPartitioner> = Box::new(loom(3, 10, 48, &workload, 3));
+        let mut p = Box::new(loom(3, 10, 48, &workload));
         p.set_shards(shards);
         p.set_threads(threads);
-        let mut engine = OnlineEngine::new(
-            p,
-            EngineConfig {
-                snapshot_every: 97,
-                track_cuts: true,
-                batch_size: 256,
-            },
-        );
-        let mut snaps = Vec::new();
-        let mut source = VecSource {
-            edges: edges.clone(),
-            pos: 0,
+        let config = EngineConfig {
+            snapshot_every: 97,
+            track_cuts: true,
+            batch_size: 256,
         };
-        engine
-            .run(&mut source, None, |s| snaps.push(s.clone()))
-            .unwrap();
-        let fin = engine.finish();
-        let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
-        let assignment = engine.into_assignment();
-        let parts: Vec<_> = (0..=max_v)
-            .map(|v| assignment.partition_of(VertexId(v)))
-            .collect();
-        (snaps, fin, parts)
+        engine_run(p, config, &edges)
     };
     let (seq_snaps, seq_fin, seq_parts) = run(1, 1);
     assert!(seq_snaps.len() > 3, "cadence must fire mid-stream");
     for (shards, threads) in [(2usize, 1usize), (4, 1), (4, 4), (5, 4)] {
         let ctx = format!("shards {shards}, threads {threads}");
         let (snaps, fin, parts) = run(shards, threads);
-        assert_eq!(snaps.len(), seq_snaps.len(), "{ctx}: count");
-        for (s, r) in snaps.iter().zip(&seq_snaps) {
-            assert_snap_eq(s, r, &format!("{ctx}, snapshot {}", r.seq));
-        }
+        assert_snaps_eq(&snaps, &seq_snaps, &ctx);
         assert_snap_eq(&fin, &seq_fin, &format!("{ctx}, final"));
         assert_eq!(parts, seq_parts, "{ctx}: final assignment");
     }
@@ -321,35 +123,15 @@ fn more_shards_than_vertices_is_bit_identical() {
         max_v < 64,
         "universe must stay smaller than the shard count"
     );
-    let mut seq = loom(3, 4, 24, &workload, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(loom(3, 4, 24, &workload), &edges);
     for threads in [1usize, 4] {
-        let par = run_sharded(&edges, &workload, 3, 4, 24, 64, threads, 2);
+        let par = run_chunked(loom(3, 4, 24, &workload), &edges, 64, threads, &[2]);
         assert_partitioners_identical(&seq, &par, &format!("64 shards, threads {threads}"), &edges);
     }
     // Hash under the same degenerate layout, with its parallel commit.
-    let mut hseq = HashPartitioner::new(4, 9);
-    for e in &edges {
-        hseq.on_edge(e);
-    }
-    let mut hpar = HashPartitioner::new(4, 9);
-    hpar.set_shards(64);
-    hpar.set_threads(4);
-    for chunk in edges.chunks(5) {
-        hpar.try_on_batch(chunk).unwrap();
-    }
-    for e in &edges {
-        for v in [e.src, e.dst] {
-            assert_eq!(
-                hseq.state().partition_of(v),
-                hpar.state().partition_of(v),
-                "hash 64 shards: diverged at {v:?}"
-            );
-        }
-    }
+    let hseq = run_sequential(HashPartitioner::new(4, 9), &edges);
+    let hpar = run_chunked(HashPartitioner::new(4, 9), &edges, 64, 4, &[5]);
+    assert_same_placements(&hseq, &hpar, "hash 64 shards", &edges);
 }
 
 /// Degenerate universe: one vertex, self-loops only — every shard but
@@ -366,28 +148,19 @@ fn single_vertex_universe_survives_any_shard_count() {
         })
         .collect();
     let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    let mut seq = loom(2, 4, 16, &workload, 3);
-    for e in &edges {
-        seq.on_edge(e);
-    }
-    seq.finish();
+    let seq = run_sequential(loom(2, 4, 16, &workload), &edges);
     let p0 = seq.state().partition_of(VertexId(0));
     assert!(p0.is_some(), "the lone vertex must be assigned");
     for shards in [1usize, 3, 7, 16] {
         for threads in [1usize, 4] {
-            let par = run_sharded(&edges, &workload, 2, 4, 16, shards, threads, 8);
+            let par = run_chunked(loom(2, 4, 16, &workload), &edges, shards, threads, &[8]);
             assert_partitioners_identical(
                 &seq,
                 &par,
                 &format!("single vertex, shards {shards}, threads {threads}"),
                 &edges,
             );
-            let mut h = HashPartitioner::new(4, 1);
-            h.set_shards(shards);
-            h.set_threads(threads);
-            for chunk in edges.chunks(8) {
-                h.try_on_batch(chunk).unwrap();
-            }
+            let h = run_chunked(HashPartitioner::new(4, 1), &edges, shards, threads, &[8]);
             assert_eq!(h.state().assigned_count(), 1, "shards {shards}: one vertex");
         }
     }
@@ -407,14 +180,11 @@ proptest! {
     ) {
         let (edges, workload) = hub_stream(n_chains, seed);
         let horizon = 1 + (seed % 32);
-        let mut seq = loom(k, window, horizon, &workload, 3);
-        for e in &edges {
-            seq.on_edge(e);
-        }
-        seq.finish();
+        let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
         for shards in [2usize, 4, 5] {
             for threads in [1usize, 4] {
-                let par = run_sharded(&edges, &workload, k, window, horizon, shards, threads, 64);
+                let p = loom(k, window, horizon, &workload);
+                let par = run_chunked(p, &edges, shards, threads, &[64]);
                 assert_partitioners_identical(
                     &seq,
                     &par,

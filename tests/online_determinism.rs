@@ -5,6 +5,10 @@
 //! unbounded source — which must be just as much a pure function of
 //! the seed.
 
+#[path = "../crates/loom-core/tests/common/mod.rs"]
+mod common;
+
+use common::assert_snaps_eq;
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
 use loom_core::graph::{DatasetKind, SyntheticEdgeSource, VertexId};
 use loom_core::pipeline::make_partitioner_with_capacity;
@@ -68,24 +72,7 @@ fn online_runs_are_bit_identical_across_runs() {
     for system in System::ALL {
         let (snaps_a, a) = online_run(system, 0x5eed, 8_000);
         let (snaps_b, b) = online_run(system, 0x5eed, 8_000);
-        assert_eq!(snaps_a.len(), snaps_b.len());
-        for (x, y) in snaps_a.iter().zip(&snaps_b) {
-            let name = system.name();
-            assert_eq!(x.seq, y.seq, "{name}: snapshot seq diverged");
-            assert_eq!(x.edges, y.edges, "{name}: edge count diverged");
-            assert_eq!(x.vertices, y.vertices, "{name}: vertex count diverged");
-            assert_eq!(x.sizes, y.sizes, "{name}: sizes diverged");
-            assert_eq!(
-                x.capacity.to_bits(),
-                y.capacity.to_bits(),
-                "{name}: adaptive capacity diverged"
-            );
-            assert_eq!(x.cut_edges, y.cut_edges, "{name}: cut count diverged");
-            assert_eq!(
-                x.resolved_edges, y.resolved_edges,
-                "{name}: resolution schedule diverged"
-            );
-        }
+        assert_snaps_eq(&snaps_a, &snaps_b, system.name());
         assert_eq!(a.k(), b.k());
         let pairs_a: Vec<_> = a.iter().collect();
         let pairs_b: Vec<_> = b.iter().collect();
@@ -115,25 +102,7 @@ fn online_runs_are_bit_identical_across_worker_and_shard_counts() {
                 let (snaps, b) = online_run_at(system, 0x5eed, 8_000, threads, shards);
                 let name = system.name();
                 let ctx = format!("{name}@t{threads}s{shards}");
-                assert_eq!(snaps_ref.len(), snaps.len(), "{ctx}: snapshot count");
-                for (x, y) in snaps_ref.iter().zip(&snaps) {
-                    assert_eq!(x.seq, y.seq, "{ctx}: snapshot seq diverged");
-                    assert_eq!(x.edges, y.edges, "{ctx}: edge count diverged");
-                    assert_eq!(x.vertices, y.vertices, "{ctx}: vertices diverged");
-                    assert_eq!(x.sizes, y.sizes, "{ctx}: sizes diverged");
-                    assert_eq!(
-                        x.capacity.to_bits(),
-                        y.capacity.to_bits(),
-                        "{ctx}: adaptive capacity diverged"
-                    );
-                    assert_eq!(x.cut_edges, y.cut_edges, "{ctx}: cuts diverged");
-                    assert_eq!(
-                        x.resolved_edges, y.resolved_edges,
-                        "{ctx}: resolution schedule diverged"
-                    );
-                    assert_eq!(x.arena, y.arena, "{ctx}: arena diverged");
-                    assert_eq!(x.adjacency, y.adjacency, "{ctx}: adjacency diverged");
-                }
+                assert_snaps_eq(&snaps_ref, &snaps, &ctx);
                 let pairs_a: Vec<_> = a.iter().collect();
                 let pairs_b: Vec<_> = b.iter().collect();
                 assert_eq!(
