@@ -7,12 +7,12 @@
 #
 # Usage: ci.sh [--quick|--full]
 #
-#   --full  (default) everything: lints, the 1M-edge bounded-memory
-#           smoke with its WAL-on twin, and the quality gate against
-#           the committed BENCH_results.json.
+#   --full  (default) everything: lints and rustdoc, the 1M-edge
+#           bounded-memory smoke with its WAL-on twin, and the quality
+#           gate against the committed BENCH_results.json.
 #   --quick the fast pre-commit loop: build, tests, fmt and the serve
-#           and bounded-memory smokes at 200k edges; skips clippy, the
-#           WAL twin and the quality gate.
+#           and bounded-memory smokes at 200k edges; skips clippy,
+#           rustdoc, the WAL twin and the quality gate.
 #
 # The run is split into named stages; a failure reports the stage by
 # name, and a per-stage timing table prints on every exit.
@@ -188,6 +188,11 @@ cargo fmt --check
 if [ "$MODE" = full ]; then
   stage "lints (clippy -D warnings)"
   cargo clippy --offline --workspace --all-targets -- -D warnings
+
+  stage "docs (rustdoc -D warnings)"
+  # Every intra-doc link resolves, and no public item's docs link a
+  # private one: a broken link fails here, not in a reader's browser.
+  RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 fi
 
 stage "stream smoke (stdin ingest, online engine)"

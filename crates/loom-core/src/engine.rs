@@ -26,8 +26,8 @@ use loom_partition::{
 use loom_query::count_ipt;
 use loom_runtime::ServeStats;
 use loom_wal::{
-    list_checkpoints, list_segments, read_checkpoint, segment_name, write_checkpoint, ByteReader,
-    ByteWriter, Checkpoint, StorageBackend, WalError,
+    list_checkpoints, list_segments, read_checkpoint, segment_name, ByteReader, ByteWriter,
+    Checkpoint, StorageBackend, WalError,
 };
 use std::collections::VecDeque;
 
@@ -218,8 +218,9 @@ pub struct OnlineEngine {
     probe: Option<IptProbe>,
     /// Crash recovery, when attached: the edge journal + checkpoint
     /// hooks of [`OnlineEngine::attach_wal`] /
-    /// [`OnlineEngine::resume_from_wal`].
-    wal: Option<WalState>,
+    /// [`OnlineEngine::resume_from_wal`]. Boxed, so an engine without
+    /// a WAL carries one pointer, not the WAL's state and buffers.
+    wal: Option<Box<WalState>>,
     /// Epoch-snapshot serving, when enabled: the live view state and
     /// the publication cell of [`OnlineEngine::enable_serving`].
     serve: Option<ServeState>,
@@ -692,13 +693,13 @@ impl OnlineEngine {
             name: segment_name(0),
             bytes: 0,
         };
-        self.wal = Some(WalState::new(
+        self.wal = Some(Box::new(WalState::new(
             backend,
             checkpoint_every,
             fingerprint,
             VecDeque::new(),
             first,
-        )?);
+        )?));
         Ok(())
     }
 
@@ -821,7 +822,7 @@ impl OnlineEngine {
         wal.journaled_edges = durable;
         wal.checkpoint_seq = ckpt.as_ref().map_or(0, |c| c.seq);
         wal.replayed_edges = durable - start;
-        self.wal = Some(wal);
+        self.wal = Some(Box::new(wal));
         self.ingest_batch(&journal.tail.edges, &mut on_snapshot)
             .map_err(|e| WalError::Corrupt(format!("journal replay failed: {e}")))?;
         Ok(durable)
@@ -880,49 +881,39 @@ impl OnlineEngine {
     }
 
     /// Write a checkpoint at the current edge boundary, then prune the
-    /// checkpoints and journal segments it makes unneeded. The journal
-    /// is flushed first so a checkpoint never claims edges the journal
-    /// does not durably hold.
+    /// checkpoints and journal segments it makes unneeded
+    /// ([`WalState::checkpoint`]).
     fn write_checkpoint_now(&mut self) -> Result<(), WalError> {
-        let state = self.checkpoint_payload()?;
-        let wal = self.wal.as_mut().expect("checkpoint_due checked wal");
-        wal.flush()?;
-        let seq = self.edges / wal.checkpoint_every;
-        write_checkpoint(
-            &*wal.backend,
-            &Checkpoint {
-                seq,
-                fingerprint: wal.fingerprint.clone(),
-                edges: self.edges,
-                state,
-            },
-        )?;
-        wal.checkpoint_seq = seq;
-        wal.checkpoints_written += 1;
-        wal.prune()
+        // The WAL steps out of the engine while the engine encodes
+        // itself into the WAL's checkpoint buffer.
+        let mut wal = self.wal.take().expect("checkpoint_due checked wal");
+        let written = wal.checkpoint(self.edges, |w| self.encode_state(w, self.batches));
+        self.wal = Some(wal);
+        written
     }
 
-    /// The engine's recoverable state: its own counters, the pending
-    /// cut-tracking deque, and the wrapped partitioner's full dump.
-    fn checkpoint_payload(&self) -> Result<Vec<u8>, WalError> {
-        let mut w = ByteWriter::new();
+    /// The engine's recoverable state, as checkpoints and
+    /// [`OnlineEngine::state_digest`] lay it out: its own counters, the
+    /// pending cut-tracking deque, and the wrapped partitioner's full
+    /// dump. The second field is `count`: a checkpoint stores the batch
+    /// counter there, a digest the edge count.
+    fn encode_state(&self, w: &mut ByteWriter, count: u64) -> Result<(), WalError> {
         w.u64(self.seq as u64);
-        w.u64(self.batches);
+        w.u64(count);
         w.u64(self.cut_edges);
         w.u64(self.resolved_edges);
         w.u64(self.pending.len() as u64);
         for e in &self.pending {
-            e.wal_encode(&mut w);
+            e.wal_encode(w);
         }
         w.str(self.partitioner.name());
-        self.partitioner.save_state(&mut w)?;
-        Ok(w.into_bytes())
+        self.partitioner.save_state(w)
     }
 
-    /// Inverse of [`OnlineEngine::checkpoint_payload`], into a freshly
-    /// constructed engine. The stored partitioner name must match the
-    /// one this engine wraps — a Loom checkpoint loaded into an LDG
-    /// run is a config mismatch, not a decode attempt.
+    /// Inverse of a checkpoint's [`OnlineEngine::encode_state`], into a
+    /// freshly constructed engine. The stored partitioner name must
+    /// match the one this engine wraps — a Loom checkpoint loaded into
+    /// an LDG run is a config mismatch, not a decode attempt.
     fn load_checkpoint_payload(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         let mut r = ByteReader::new(bytes);
         self.seq = r.u64()? as usize;
@@ -956,16 +947,7 @@ impl OnlineEngine {
     /// without a WAL attached.
     pub fn state_digest(&self) -> Result<Vec<u8>, WalError> {
         let mut w = ByteWriter::new();
-        w.u64(self.seq as u64);
-        w.u64(self.edges);
-        w.u64(self.cut_edges);
-        w.u64(self.resolved_edges);
-        w.u64(self.pending.len() as u64);
-        for e in &self.pending {
-            e.wal_encode(&mut w);
-        }
-        w.str(self.partitioner.name());
-        self.partitioner.save_state(&mut w)?;
+        self.encode_state(&mut w, self.edges)?;
         Ok(w.into_bytes())
     }
 

@@ -10,8 +10,8 @@
 
 use loom_graph::StreamEdge;
 use loom_wal::{
-    list_checkpoints, scan_journal, segment_name, ByteReader, ByteWriter, JournalWriter,
-    StorageBackend, WalError,
+    begin_checkpoint, finish_checkpoint, list_checkpoints, scan_journal, segment_name, ByteReader,
+    ByteWriter, JournalWriter, StorageBackend, WalError,
 };
 use std::collections::VecDeque;
 
@@ -56,9 +56,14 @@ pub(crate) struct Segment {
 /// The engine's attached WAL: the backend, the open journal segment,
 /// and the bookkeeping the hooks in `OnlineEngine` maintain.
 pub(crate) struct WalState {
-    pub backend: Box<dyn StorageBackend>,
+    backend: Box<dyn StorageBackend>,
     /// Appends to [`WalState::open`], always the last segment on disk.
     journal: JournalWriter,
+    /// The journal record being encoded, kept from batch to batch.
+    record: ByteWriter,
+    /// The checkpoint being framed, kept from checkpoint to checkpoint:
+    /// one checkpoint-sized buffer stays resident between them.
+    frame: ByteWriter,
     open: Segment,
     /// The segments before the open one still on disk, oldest first.
     closed: VecDeque<Segment>,
@@ -68,7 +73,7 @@ pub(crate) struct WalState {
     pub checkpoint_every: u64,
     /// The writing config's fingerprint, stamped into every
     /// checkpoint; resume refuses on any mismatch.
-    pub fingerprint: String,
+    fingerprint: String,
     /// Checkpoints retained after pruning (the newest N survive).
     pub keep_checkpoints: usize,
     /// Stream index one past the last journaled edge — the suppression
@@ -76,7 +81,7 @@ pub(crate) struct WalState {
     /// re-append them.
     pub journaled_edges: u64,
     pub checkpoint_seq: u64,
-    pub checkpoints_written: u64,
+    checkpoints_written: u64,
     pub replayed_edges: u64,
 }
 
@@ -93,6 +98,8 @@ impl WalState {
         Ok(WalState {
             backend,
             journal,
+            record: ByteWriter::new(),
+            frame: ByteWriter::new(),
             open,
             closed,
             checkpoint_every,
@@ -145,8 +152,8 @@ impl WalState {
                 n = n.min((every - at % every) as usize);
             }
             let (piece, tail) = rest.split_at(n);
-            self.journal
-                .append_record(&encode_edges_record(at, piece))?;
+            encode_edges_record(&mut self.record, at, piece);
+            self.journal.append_record(self.record.as_bytes())?;
             at += n as u64;
             rest = tail;
         }
@@ -172,6 +179,26 @@ impl WalState {
         );
         self.closed.push_back(Segment { bytes, ..open });
         Ok(())
+    }
+
+    /// Write the checkpoint at stream edge `edges`, a multiple of
+    /// `checkpoint_every`, then prune what it makes unneeded. `encode`
+    /// writes the state straight into the framed file, in the buffer
+    /// this WAL keeps. The journal is flushed first, so a checkpoint
+    /// never claims edges the journal does not durably hold.
+    pub fn checkpoint(
+        &mut self,
+        edges: u64,
+        encode: impl FnOnce(&mut ByteWriter) -> Result<(), WalError>,
+    ) -> Result<(), WalError> {
+        let seq = edges / self.checkpoint_every;
+        begin_checkpoint(&mut self.frame, seq, &self.fingerprint, edges);
+        encode(&mut self.frame)?;
+        self.flush()?;
+        finish_checkpoint(&*self.backend, seq, &mut self.frame)?;
+        self.checkpoint_seq = seq;
+        self.checkpoints_written += 1;
+        self.prune()
     }
 
     /// After a checkpoint: keep the newest `keep_checkpoints`
@@ -201,19 +228,19 @@ impl WalState {
     }
 }
 
-/// Encode one journal record: `[u64 first_index][u32 count][count ×
-/// edge]`. `first_index` is the stream-global index of `edges[0]`, so
-/// replay can verify each record continues the stream exactly where
-/// the previous one ended — a reordered, duplicated or dropped record
-/// fails loudly instead of silently permuting the stream.
-pub(crate) fn encode_edges_record(first_index: u64, edges: &[StreamEdge]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Encode one journal record into `w`, replacing what it held:
+/// `[u64 first_index][u32 count][count × edge]`. `first_index` is the
+/// stream-global index of `edges[0]`, so replay can verify each record
+/// continues the stream exactly where the previous one ended — a
+/// reordered, duplicated or dropped record fails loudly instead of
+/// silently permuting the stream.
+pub(crate) fn encode_edges_record(w: &mut ByteWriter, first_index: u64, edges: &[StreamEdge]) {
+    w.clear();
     w.u64(first_index);
     w.u32(edges.len() as u32);
     for e in edges {
-        e.wal_encode(&mut w);
+        e.wal_encode(w);
     }
-    w.into_bytes()
 }
 
 /// Check one journal record's header — it starts exactly at
@@ -385,10 +412,37 @@ mod tests {
         }
     }
 
+    /// One record encoded into a writer of its own.
+    fn fresh_record(first_index: u64, edges: &[StreamEdge]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_edges_record(&mut w, first_index, edges);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_reused_record_buffer_encodes_what_a_fresh_one_does() {
+        // A full batch first, so a stale tail would show in every
+        // smaller record after it.
+        let edges: Vec<StreamEdge> = (0..256).map(se).collect();
+        let mut w = ByteWriter::new();
+        for (first, n) in [(0, 256), (256, 1), (257, 0), (257, 256), (513, 1), (514, 0)] {
+            let piece = &edges[..n];
+            encode_edges_record(&mut w, first, piece);
+            assert_eq!(
+                w.as_bytes(),
+                fresh_record(first, piece),
+                "{n} edges at {first}"
+            );
+            let mut out = Vec::new();
+            decode_edges_record(w.as_bytes(), first, "journal-x", 0, &mut out).unwrap();
+            assert_eq!(out, piece, "{n} edges at {first}");
+        }
+    }
+
     #[test]
     fn record_roundtrip() {
         let edges: Vec<StreamEdge> = (0..17).map(se).collect();
-        let payload = encode_edges_record(40, &edges);
+        let payload = fresh_record(40, &edges);
         let mut out = Vec::new();
         decode_edges_record(&payload, 40, "journal-x", 0, &mut out).unwrap();
         assert_eq!(out, edges);
@@ -396,7 +450,7 @@ mod tests {
 
     #[test]
     fn discontinuity_is_loud() {
-        let payload = encode_edges_record(40, &[se(0)]);
+        let payload = fresh_record(40, &[se(0)]);
         let mut out = Vec::new();
         let err = decode_edges_record(&payload, 41, "journal-x", 3, &mut out).unwrap_err();
         let msg = err.to_string();
@@ -414,7 +468,7 @@ mod tests {
         let recs = sizes
             .iter()
             .map(|&n| {
-                let rec = encode_edges_record(first as u64, &all[first..first + n as usize]);
+                let rec = fresh_record(first as u64, &all[first..first + n as usize]);
                 first += n as usize;
                 rec
             })
@@ -472,7 +526,7 @@ mod tests {
         let start = 12;
 
         let mut gap = recs.clone();
-        gap[1] = encode_edges_record(5, &all[4..8]);
+        gap[1] = fresh_record(5, &all[4..8]);
         let got = walk_split(&gap, 1, start).err().unwrap().to_string();
         let want = decode_edges_record(&gap[1], 4, "journal-b", 0, &mut Vec::new())
             .unwrap_err()
@@ -495,7 +549,7 @@ mod tests {
 
     #[test]
     fn short_payload_is_corrupt_not_panic() {
-        let payload = encode_edges_record(0, &[se(0), se(1)]);
+        let payload = fresh_record(0, &[se(0), se(1)]);
         let mut out = Vec::new();
         for cut in 0..payload.len() {
             out.clear();

@@ -1,7 +1,7 @@
 //! Engine-side epoch publication for `loom serve` (DESIGN.md §16).
 //!
 //! Serving is split over two threads. The ingest thread owns a
-//! [`ServeState`]: the edges observed since the last publication, a
+//! `ServeState`: the edges observed since the last publication, a
 //! [`FrozenAssignment`] column, and the publication cadence. A
 //! *builder* thread, one per serving engine, owns the ring of the most
 //! recent stream edges and the [`ViewGraph`] over the last *serve
@@ -16,7 +16,7 @@
 //! At a due boundary the ingest thread settles the assignment column,
 //! fills in every field of the view but the graph, and sends that, the
 //! new edges and the clone of the column's page table to the builder
-//! over a channel [`CHANNEL_DEPTH`] deep. It does not wait. The builder
+//! over a channel `CHANNEL_DEPTH` deep. It does not wait. The builder
 //! slides the graph over the new edges, clones its page table into the
 //! view and publishes it: every view carries the epoch number and the
 //! contents it would have had if the ingest thread had built it, and
@@ -26,7 +26,7 @@
 //! queued and one in the builder's hands — so the newest view lags the
 //! ingest thread by at most that many publications plus the one it is
 //! accumulating; a send past that waits for the builder. A barrier
-//! ([`ServeState::wait`]) waits until every view sent has landed; a
+//! (`ServeState::wait`) waits until every view sent has landed; a
 //! forced publication and the one at `finish` take it, so they return
 //! with their view in the cell.
 //!

@@ -232,8 +232,8 @@ impl MotifMatcher {
     }
 
     /// Override the per-endpoint match cap (`usize::MAX` = unbounded).
-    /// Default is [`MAX_MATCHES_PER_ENDPOINT`]; the loom-bench cap
-    /// sweep uses this to quantify the deviation.
+    /// Default is [`MAX_MATCHES_PER_ENDPOINT`]; the cap sweep of
+    /// `repro`'s ablations suite uses this to quantify the deviation.
     pub fn set_match_cap(&mut self, cap: usize) {
         assert!(cap > 0, "a zero cap would disable matching entirely");
         self.match_cap = cap;

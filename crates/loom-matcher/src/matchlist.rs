@@ -484,7 +484,7 @@ impl MatchList {
     /// union really is reachable through several extension/join
     /// orders.
     ///
-    /// Specialized past [`MatchList::register`]: a one-edge chain needs
+    /// Specialized past `MatchList::register`: a one-edge chain needs
     /// no walk, no vertex sort and no run-length pass — the index
     /// updates are written out directly (same rows, same order, same
     /// pruning cadence as the generic path would produce). This runs
@@ -744,7 +744,7 @@ impl MatchList {
     ///
     /// No index sweep happens here: dead index entries are already
     /// bounded without one. `by_vertex` rows prune themselves on the
-    /// power-of-two push cadence (see [`MatchList::register`]), so a
+    /// power-of-two push cadence (see `MatchList::register`), so a
     /// row carries at most ~2× its live population; `by_edge` rows
     /// exist only for window-resident edges and vanish whole in
     /// [`MatchList::drop_edge`] when the edge leaves. The global

@@ -294,7 +294,7 @@ impl LoomPartitioner {
     }
 
     /// Override the matcher's per-endpoint match cap (`usize::MAX` =
-    /// unbounded). Used by the loom-bench cap-sweep ablation; the
+    /// unbounded). Used by the cap sweep of `repro`'s ablations; the
     /// default ([`loom_matcher::MAX_MATCHES_PER_ENDPOINT`]) is part of
     /// the determinism contract and only benches should change it.
     pub fn set_match_cap(&mut self, cap: usize) {

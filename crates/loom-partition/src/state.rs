@@ -749,7 +749,7 @@ impl Default for AdjacencyHorizon {
 }
 
 /// Occupancy of an [`OnlineAdjacency`], mirroring the match arena's
-/// [`loom_matcher`-style] occupancy stat: how many neighbourhood
+/// occupancy stat ([`loom_matcher::ArenaOccupancy`]): how many neighbourhood
 /// entries are retained (live), how many are resident (live + aged-out
 /// entries awaiting compaction), how many were ever recorded, and how
 /// many generational compactions have run. Surfaced through engine

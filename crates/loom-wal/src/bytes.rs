@@ -105,61 +105,37 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) over input that arrives in pieces:
-/// [`Crc32::update`] each piece in order, then [`Crc32::finish`]. The
-/// result is that of [`crc32`] over the concatenation, wherever the
-/// cuts fall.
-pub(crate) struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    pub(crate) fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut c = self.state;
-        let mut chunks = bytes.chunks_exact(16);
-        for chunk in &mut chunks {
-            let chunk: &[u8; 16] = chunk.try_into().expect("chunks_exact(16)");
-            let word = |at: usize| {
-                u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
-            };
-            let (w1, w2, w3) = (word(4), word(8), word(12));
-            // The twelve lookups that do not read the carried state
-            // first, so they overlap the previous chunk's; then the four
-            // that do, as a two-level tree — the state is two XORs deep
-            // in the result, not at the head of a fifteen-XOR chain.
-            let free = (t[11][(w1 & 0xFF) as usize] ^ t[10][((w1 >> 8) & 0xFF) as usize])
-                ^ (t[9][((w1 >> 16) & 0xFF) as usize] ^ t[8][(w1 >> 24) as usize])
-                ^ ((t[7][(w2 & 0xFF) as usize] ^ t[6][((w2 >> 8) & 0xFF) as usize])
-                    ^ (t[5][((w2 >> 16) & 0xFF) as usize] ^ t[4][(w2 >> 24) as usize]))
-                ^ ((t[3][(w3 & 0xFF) as usize] ^ t[2][((w3 >> 8) & 0xFF) as usize])
-                    ^ (t[1][((w3 >> 16) & 0xFF) as usize] ^ t[0][(w3 >> 24) as usize]));
-            let w0 = word(0) ^ c;
-            c = free
-                ^ ((t[15][(w0 & 0xFF) as usize] ^ t[14][((w0 >> 8) & 0xFF) as usize])
-                    ^ (t[13][((w0 >> 16) & 0xFF) as usize] ^ t[12][(w0 >> 24) as usize]));
-        }
-        for &b in chunks.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    pub(crate) fn finish(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
 /// CRC-32 (IEEE 802.3 polynomial), the checksum of every journal
 /// record and checkpoint payload.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        let chunk: &[u8; 16] = chunk.try_into().expect("chunks_exact(16)");
+        let word = |at: usize| {
+            u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
+        };
+        let (w1, w2, w3) = (word(4), word(8), word(12));
+        // The twelve lookups that do not read the carried state
+        // first, so they overlap the previous chunk's; then the four
+        // that do, as a two-level tree — the state is two XORs deep
+        // in the result, not at the head of a fifteen-XOR chain.
+        let free = (t[11][(w1 & 0xFF) as usize] ^ t[10][((w1 >> 8) & 0xFF) as usize])
+            ^ (t[9][((w1 >> 16) & 0xFF) as usize] ^ t[8][(w1 >> 24) as usize])
+            ^ ((t[7][(w2 & 0xFF) as usize] ^ t[6][((w2 >> 8) & 0xFF) as usize])
+                ^ (t[5][((w2 >> 16) & 0xFF) as usize] ^ t[4][(w2 >> 24) as usize]))
+            ^ ((t[3][(w3 & 0xFF) as usize] ^ t[2][((w3 >> 8) & 0xFF) as usize])
+                ^ (t[1][((w3 >> 16) & 0xFF) as usize] ^ t[0][(w3 >> 24) as usize]));
+        let w0 = word(0) ^ c;
+        c = free
+            ^ ((t[15][(w0 & 0xFF) as usize] ^ t[14][((w0 >> 8) & 0xFF) as usize])
+                ^ (t[13][((w0 >> 16) & 0xFF) as usize] ^ t[12][(w0 >> 24) as usize]));
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 /// Append-only little-endian byte sink.
@@ -194,6 +170,19 @@ impl ByteWriter {
 
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Empty the sink, keeping its buffer: a writer reused from one
+    /// record or checkpoint to the next allocates, and faults its pages
+    /// in, only when it has to grow.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Overwrite the `u32` already written at byte `at` (a frame's
+    /// checksum or length, known only once its payload is in place).
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     pub fn u8(&mut self, v: u8) {
@@ -392,26 +381,6 @@ mod tests {
     fn crc32_matches_bitwise_on_a_large_buffer() {
         let buf = seeded_bytes((1 << 20) + 7, 0xb16);
         assert_eq!(crc32(&buf), crc32_bitwise(&buf));
-    }
-
-    #[test]
-    fn streamed_crc_is_independent_of_the_cut_points() {
-        let buf = seeded_bytes(300, 0x57e4);
-        let whole = crc32_bitwise(&buf);
-        for cut in 0..=buf.len() {
-            let mut c = Crc32::new();
-            c.update(&buf[..cut]);
-            c.update(&buf[cut..]);
-            assert_eq!(c.finish(), whole, "cut at {cut}");
-        }
-        // Three pieces, the middle one shorter than a chunk.
-        for cut in 0..buf.len() - 5 {
-            let mut c = Crc32::new();
-            c.update(&buf[..cut]);
-            c.update(&buf[cut..cut + 5]);
-            c.update(&buf[cut + 5..]);
-            assert_eq!(c.finish(), whole, "cuts at {cut} and {}", cut + 5);
-        }
     }
 
     #[test]

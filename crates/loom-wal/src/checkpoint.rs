@@ -7,13 +7,18 @@
 //! Files are named `ckpt-<seq>` with a zero-padded sequence so lexical
 //! order is recovery order, written via the backend's `write_atomic`
 //! so a crash mid-checkpoint leaves the previous checkpoint intact
-//! rather than a torn file.
+//! rather than a torn file. A checkpoint is framed in place: the
+//! writer encodes its state straight after a header whose checksum
+//! and length are patched in once the state is there
+//! ([`begin_checkpoint`], [`finish_checkpoint`]).
 
-use crate::bytes::{crc32, frame_len, ByteReader, ByteWriter, Crc32, WalError};
+use crate::bytes::{crc32, frame_len, ByteReader, ByteWriter, WalError};
 use crate::journal::StorageBackend;
 
 const MAGIC: u32 = 0x4C4F_4F4D; // "LOOM"
 const VERSION: u32 = 1;
+/// Magic, version, checksum and length: the bytes before the payload.
+const HEADER_BYTES: usize = 16;
 
 /// One decoded checkpoint.
 #[derive(Debug, Clone)]
@@ -35,27 +40,53 @@ pub fn checkpoint_name(seq: u64) -> String {
     format!("ckpt-{seq:020}")
 }
 
-/// Write a checkpoint atomically. The payload is checksummed where it
-/// lies — the small head, then the caller's state bytes — and copied
-/// once, into the framed file.
+/// Write a checkpoint atomically: [`begin_checkpoint`], the state
+/// bytes, [`finish_checkpoint`], in a buffer allocated at the file's
+/// final size.
 pub fn write_checkpoint(backend: &dyn StorageBackend, ckpt: &Checkpoint) -> Result<(), WalError> {
-    let mut head = ByteWriter::new();
-    head.str(&ckpt.fingerprint);
-    head.u64(ckpt.seq);
-    head.u64(ckpt.edges);
-    let len = head.len() + ckpt.state.len();
-    let len_field = frame_len("checkpoint payload", len)?;
-    let mut crc = Crc32::new();
-    crc.update(head.as_bytes());
-    crc.update(&ckpt.state);
-    let mut w = ByteWriter::with_capacity(16 + len);
+    let head = 4 + ckpt.fingerprint.len() + 16;
+    let mut w = ByteWriter::with_capacity(HEADER_BYTES + head + ckpt.state.len());
+    begin_checkpoint(&mut w, ckpt.seq, &ckpt.fingerprint, ckpt.edges);
+    w.raw(&ckpt.state);
+    finish_checkpoint(backend, ckpt.seq, &mut w)
+}
+
+/// Start checkpoint `seq` in place in `w`, which is cleared first:
+/// the header, its checksum and length left blank, then the head of
+/// the payload. The caller appends the state bytes to `w` and hands it
+/// to [`finish_checkpoint`], so the state is encoded straight into the
+/// file's final layout and never copied. A `w` kept from one
+/// checkpoint to the next keeps its capacity, and with it its pages.
+pub fn begin_checkpoint(w: &mut ByteWriter, seq: u64, fingerprint: &str, edges: u64) {
+    w.clear();
     w.u32(MAGIC);
     w.u32(VERSION);
-    w.u32(crc.finish());
-    w.u32(len_field);
-    w.raw(head.as_bytes());
-    w.raw(&ckpt.state);
-    backend.write_atomic(&checkpoint_name(ckpt.seq), w.as_bytes())?;
+    w.u32(0); // crc32(payload), patched by finish_checkpoint
+    w.u32(0); // payload length, likewise
+    w.str(fingerprint);
+    w.u64(seq);
+    w.u64(edges);
+}
+
+/// Finish the checkpoint [`begin_checkpoint`] started in `w`: patch
+/// the checksum and length of everything after the header, and write
+/// the file `ckpt-<seq>` atomically. `seq` is the one `w` was begun
+/// with. A payload past the `u32` length field is refused with
+/// [`WalError::TooLarge`] and nothing is written.
+pub fn finish_checkpoint(
+    backend: &dyn StorageBackend,
+    seq: u64,
+    w: &mut ByteWriter,
+) -> Result<(), WalError> {
+    assert!(
+        w.len() >= HEADER_BYTES,
+        "finish_checkpoint on a buffer begin_checkpoint did not start"
+    );
+    let len = frame_len("checkpoint payload", w.len() - HEADER_BYTES)?;
+    let crc = crc32(&w.as_bytes()[HEADER_BYTES..]);
+    w.patch_u32(8, crc);
+    w.patch_u32(12, len);
+    backend.write_atomic(&checkpoint_name(seq), w.as_bytes())?;
     Ok(())
 }
 
@@ -161,6 +192,49 @@ mod tests {
         assert_eq!(back.fingerprint, ckpt.fingerprint);
         assert_eq!(back.edges, 3000);
         assert_eq!(back.state, ckpt.state);
+    }
+
+    #[test]
+    fn framing_in_place_writes_what_write_checkpoint_writes() {
+        // One buffer for every checkpoint, the largest first: a stale
+        // tail or a stale head would show in each one after it.
+        let large = Checkpoint {
+            fingerprint: "system=test k=4 window=1024 threshold=0.4".to_string(),
+            state: (0..4096u32).map(|i| (i * 31) as u8).collect(),
+            ..sample(9)
+        };
+        let empty = Checkpoint {
+            state: Vec::new(),
+            ..sample(4)
+        };
+        let mut w = ByteWriter::new();
+        for ckpt in [large, sample(3), empty, sample(12)] {
+            let (fresh, reused) = (MemBackend::new(), MemBackend::new());
+            write_checkpoint(&fresh, &ckpt).unwrap();
+            begin_checkpoint(&mut w, ckpt.seq, &ckpt.fingerprint, ckpt.edges);
+            // In pieces, the way an encoder writes field by field.
+            for piece in ckpt.state.chunks(7) {
+                w.raw(piece);
+            }
+            finish_checkpoint(&reused, ckpt.seq, &mut w).unwrap();
+            let name = checkpoint_name(ckpt.seq);
+            let written = reused.contents(&name).unwrap();
+            assert_eq!(
+                Some(&written),
+                fresh.contents(&name).as_ref(),
+                "seq {}",
+                ckpt.seq
+            );
+            assert_eq!(
+                written.len(),
+                HEADER_BYTES + 4 + ckpt.fingerprint.len() + 16 + ckpt.state.len()
+            );
+            let back = read_checkpoint(&reused, &name).unwrap();
+            assert_eq!(back.seq, ckpt.seq);
+            assert_eq!(back.fingerprint, ckpt.fingerprint);
+            assert_eq!(back.edges, ckpt.edges);
+            assert_eq!(back.state, ckpt.state);
+        }
     }
 
     #[test]

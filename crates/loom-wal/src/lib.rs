@@ -23,8 +23,8 @@ mod journal;
 
 pub use bytes::{crc32, ByteReader, ByteWriter, WalError};
 pub use checkpoint::{
-    checkpoint_name, list_checkpoints, read_checkpoint, sweep_checkpoint_temps, write_checkpoint,
-    Checkpoint,
+    begin_checkpoint, checkpoint_name, finish_checkpoint, list_checkpoints, read_checkpoint,
+    sweep_checkpoint_temps, write_checkpoint, Checkpoint,
 };
 pub use journal::{
     list_segments, scan_journal, segment_name, FaultPlan, FaultyBackend, FileBackend, JournalScan,
