@@ -78,10 +78,9 @@ pub const COMMANDS: &[Command] = &[
         flags: &[STREAM, &[
             ("listen", "ADDR", "bind address (default 127.0.0.1:0), printed to stderr"),
             ("readers", "N", "max concurrent connections (default 64)"),
-            ("max-inflight", "N", "queries executing at once (default 128)"),
             ("publish-every", "N", "ingested edges between view publications (default 1024)"),
             ("serve-horizon", "N", "recent edges each view can traverse (default 65536)"),
-            ("query-log", "FILE", "append micros<TAB>request<TAB>reply per request"),
+            ("query-log", "FILE", "micros<TAB>request<TAB>reply per request, rewritten each run"),
             ("linger-ms", "N", "serve up to N ms after ingest, until clients leave (default 0)"),
             ("pace-ms", "N", "sleep N ms per 1024 source edges; timing only (default 0)"),
         ]],

@@ -724,7 +724,6 @@ fn serve_cmd(args: &Args) -> Result<()> {
         .optional("listen")?
         .unwrap_or_else(|| "127.0.0.1:0".into());
     let readers = args.parsed_in("readers", server_defaults.max_connections, 1..)?;
-    let max_inflight = args.parsed_in("max-inflight", server_defaults.max_inflight, 1..)?;
     let publish_every = args.parsed_in("publish-every", serve_defaults.publish_every, 1..)?;
     // A view with no retained edges answers every KHOP and MATCH with
     // nothing, and says OK.
@@ -782,7 +781,6 @@ fn serve_cmd(args: &Args) -> Result<()> {
         listen.as_str(),
         LineServerConfig {
             max_connections: readers,
-            max_inflight,
             ..server_defaults
         },
         handler,

@@ -129,6 +129,12 @@ fn hostile_and_retired_flags_are_named_errors() {
             cases.push((base, retired, want));
         }
     }
+    // The connection cap is the one admission limit.
+    cases.push((
+        &serve,
+        ["--max-inflight", "4"],
+        "error: unknown flag --max-inflight".into(),
+    ));
 
     // Sizes that aborted on a 32-78 GB allocation (an abort, exit 134);
     // the error names the bound.

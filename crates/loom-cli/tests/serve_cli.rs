@@ -224,6 +224,52 @@ fn malformed_requests_get_err_lines_over_tcp() {
     drain.join().expect("stderr drain");
 }
 
+/// `--query-log` writes one `micros<TAB>request<TAB>reply` row per
+/// request the handler answered, over whatever the file held before.
+#[test]
+fn query_log_has_one_row_per_request() {
+    let log = std::env::temp_dir().join(format!("loom-query-log-{}.tsv", std::process::id()));
+    std::fs::write(&log, "a stale row from an earlier run\n").unwrap();
+    let (child, addr, drain) = spawn_serve(&[
+        "--pace-ms",
+        "5",
+        "--linger-ms",
+        "30000",
+        "--query-log",
+        log.to_str().unwrap(),
+    ]);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut r = BufReader::new(stream.try_clone().unwrap());
+    let mut w = stream;
+    let requests = ["STATS", "PART 9", "KHOP 5 2 2000", "BOGUS", "EPOCH"];
+    let mut replies = Vec::new();
+    for req in requests {
+        w.write_all(format!("{req}\n").as_bytes()).expect("send");
+        let mut line = String::new();
+        r.read_line(&mut line).expect("recv");
+        replies.push(line.trim_end().to_string());
+    }
+    let _ = w.write_all(b"QUIT\n");
+    let (_, code) = wait_with_stdout(child);
+    assert_eq!(code, 0);
+    drain.join().expect("stderr drain");
+
+    let text = std::fs::read_to_string(&log).unwrap();
+    let _ = std::fs::remove_file(&log);
+    let rows: Vec<&str> = text.lines().collect();
+    assert_eq!(rows.len(), requests.len(), "one row per request:\n{text}");
+    for ((row, req), reply) in rows.iter().zip(requests).zip(&replies) {
+        let fields: Vec<&str> = row.splitn(3, '\t').collect();
+        assert_eq!(fields.len(), 3, "{row:?}");
+        assert!(fields[0].parse::<u64>().is_ok(), "micros: {row:?}");
+        assert_eq!(fields[1], req, "{row:?}");
+        assert_eq!(fields[2], reply, "{row:?}");
+    }
+}
+
 /// `--help` prints usage and exits 0 for every command — the original
 /// `loom stream --help` regression, end to end.
 #[test]

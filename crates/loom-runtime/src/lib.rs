@@ -25,9 +25,9 @@
 //!   the engine publishes immutable read views;
 //! - [`metrics::ServeMetrics`] — lock-free served/refused counters and
 //!   a log-bucketed latency histogram (p50/p99);
-//! - [`net::LineServer`] — the newline-delimited TCP server with
-//!   per-connection reader/writer threads, bounded reply queues and
-//!   loud `ERR busy` admission refusals.
+//! - [`net::LineServer`] — the newline-delimited TCP server with one
+//!   thread per connection and a connection cap refused with a loud
+//!   `ERR busy` line.
 
 #![warn(missing_docs)]
 

@@ -30,10 +30,9 @@ pub struct ServeMetrics {
 /// snapshots and bench reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Queries answered (admitted, executed, reply enqueued).
+    /// Queries answered (executed by the handler).
     pub served: u64,
-    /// Queries refused by admission control (`ERR busy`), connection
-    /// caps included.
+    /// Connections refused at the connection cap (`ERR busy`).
     pub refused: u64,
     /// Approximate median query latency in µs (bucket lower bound).
     pub p50_us: u64,
@@ -61,7 +60,7 @@ impl ServeMetrics {
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one refused query (admission cap or connection cap hit).
+    /// Record one connection refused at the connection cap.
     pub fn record_refusal(&self) {
         self.refused.fetch_add(1, Ordering::Relaxed);
     }
@@ -71,7 +70,7 @@ impl ServeMetrics {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Queries refused so far.
+    /// Connections refused so far.
     pub fn refused(&self) -> u64 {
         self.refused.load(Ordering::Relaxed)
     }

@@ -1,32 +1,33 @@
 //! A std-only newline-delimited request/response TCP server for the
 //! `loom serve` read path (DESIGN.md §16 + appendix B).
 //!
-//! Shape: one accept thread (nonblocking accept + shutdown flag), one
-//! *reader/executor* thread plus one *writer* thread per connection.
-//! The reader parses a request line, runs the protocol handler inline,
-//! and pushes the reply into a **bounded** per-connection queue the
-//! writer drains — so a client that stops reading stalls only its own
-//! connection (queue fills → reader stops consuming the socket → TCP
-//! backpressure), never the ingest thread and never other readers.
+//! Shape: one accept thread (nonblocking accept + shutdown flag) and
+//! one thread per connection. The connection thread reads a request
+//! line, runs the protocol handler inline and writes the reply itself,
+//! under a socket write timeout — so a client that stops reading stalls
+//! only its own connection (the write blocks, times out, and the
+//! connection is torn down), never the ingest thread and never other
+//! readers.
 //!
-//! Backpressure is refused loudly, not silently dropped:
-//! - at `max_connections`, a new connection is answered with a single
-//!   `ERR busy ...` line and closed;
-//! - at `max_inflight` concurrently executing queries (across all
-//!   connections), a request is answered `ERR busy ...` without
-//!   running the handler.
+//! The one admission limit is the connection cap: at
+//! `max_connections`, a new connection is answered with a single
+//! `ERR busy ...` line and closed, and counted into
+//! [`ServeMetrics::refused`]. Each connection runs its requests one at
+//! a time, so queries executing at once never exceed open connections.
 //!
-//! Both count into [`ServeMetrics::refused`].
+//! A request line longer than 4 KiB is answered `ERR request too long`
+//! and the connection closed, so a client streaming bytes without a
+//! newline cannot grow server memory.
 //!
 //! The server knows nothing about graphs: it owns framing, admission
 //! and lifecycle, and delegates every request line to an opaque
 //! `Fn(&str) -> String` handler (loom-query's protocol interpreter in
 //! production, trivial closures in tests).
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,12 +40,6 @@ pub struct LineServerConfig {
     /// Maximum concurrent connections; further connects are refused
     /// with `ERR busy` and closed.
     pub max_connections: usize,
-    /// Maximum queries executing concurrently across all connections;
-    /// requests over the cap are refused with `ERR busy` unexecuted.
-    pub max_inflight: usize,
-    /// Bounded per-connection reply-queue depth (backpressure toward
-    /// slow clients).
-    pub reply_queue: usize,
     /// Socket write timeout; a client that stops reading for this long
     /// has its connection torn down.
     pub write_timeout_ms: u64,
@@ -54,8 +49,6 @@ impl Default for LineServerConfig {
     fn default() -> Self {
         LineServerConfig {
             max_connections: 64,
-            max_inflight: 128,
-            reply_queue: 256,
             write_timeout_ms: 2_000,
         }
     }
@@ -65,75 +58,13 @@ impl Default for LineServerConfig {
 /// newline), single reply line out (newline appended by the server).
 pub type LineHandler = Arc<dyn Fn(&str) -> String + Send + Sync>;
 
-/// Poll granularity for the nonblocking accept loop and for reader
+/// Poll granularity for the nonblocking accept loop and for connection
 /// threads noticing shutdown.
 const POLL: Duration = Duration::from_millis(25);
 
-struct QueueState {
-    items: std::collections::VecDeque<String>,
-    closed: bool,
-}
-
-/// Bounded MPSC-ish reply queue: reader pushes (blocking when full),
-/// writer pops (blocking when empty), either side can close.
-struct ReplyQueue {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl ReplyQueue {
-    fn new(capacity: usize) -> Self {
-        ReplyQueue {
-            state: Mutex::new(QueueState {
-                items: std::collections::VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks while the queue is full. Returns false if the queue was
-    /// closed (reply dropped — the connection is going away anyway).
-    fn push(&self, reply: String) -> bool {
-        let mut st = self.state.lock().unwrap();
-        while st.items.len() >= self.capacity && !st.closed {
-            st = self.not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return false;
-        }
-        st.items.push_back(reply);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocks while the queue is empty and open. `None` = closed and
-    /// drained.
-    fn pop(&self) -> Option<String> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
+/// Longest request line accepted, newline included. The longest valid
+/// request, an 8-label `MATCH` with a limit, is under 100 bytes.
+const MAX_REQUEST_BYTES: usize = 4096;
 
 struct ServerShared {
     config: LineServerConfig,
@@ -141,7 +72,6 @@ struct ServerShared {
     metrics: Arc<ServeMetrics>,
     shutdown: AtomicBool,
     active: AtomicUsize,
-    inflight: AtomicUsize,
     accepted: AtomicU64,
     refused_connections: AtomicU64,
 }
@@ -173,7 +103,6 @@ impl LineServer {
             metrics,
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
             accepted: AtomicU64::new(0),
             refused_connections: AtomicU64::new(0),
         });
@@ -204,11 +133,6 @@ impl LineServer {
     /// Currently open connections.
     pub fn active_connections(&self) -> usize {
         self.shared.active.load(Ordering::Relaxed)
-    }
-
-    /// Queries executing right now (admission-counted).
-    pub fn inflight(&self) -> usize {
-        self.shared.inflight.load(Ordering::Relaxed)
     }
 
     /// Stop accepting, wake every connection, and join all server
@@ -281,90 +205,86 @@ fn refuse_connection(mut stream: TcpStream, shared: &ServerShared) {
 }
 
 fn connection_loop(stream: TcpStream, shared: &ServerShared) {
-    let queue = Arc::new(ReplyQueue::new(shared.config.reply_queue));
-    let writer_queue = Arc::clone(&queue);
-    let Ok(writer_stream) = stream.try_clone() else {
-        return;
-    };
-    let write_timeout = Duration::from_millis(shared.config.write_timeout_ms);
-    let writer =
-        std::thread::spawn(move || writer_loop(writer_stream, writer_queue, write_timeout));
-
     let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(shared.config.write_timeout_ms)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read_line(&mut line) {
+    let mut line = Vec::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        // A timed-out read leaves its partial prefix in `line`
+        // (read_until appends), so resuming is lossless; the budget
+        // caps the whole line, prefix included.
+        let budget = (MAX_REQUEST_BYTES - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF: client closed or dropped
+            Ok(_) if line.len() == MAX_REQUEST_BYTES && !line.ends_with(b"\n") => {
+                return reply_and_close(reader, "ERR request too long", shared);
+            }
             Ok(_) => {
-                let request = line.trim();
+                let Ok(request) = std::str::from_utf8(&line) else {
+                    return reply_and_close(reader, "ERR request is not valid utf-8", shared);
+                };
+                let request = request.trim();
                 if request == "QUIT" {
-                    queue.push("OK bye".to_string());
+                    let _ = write_reply(reader.get_mut(), "OK bye");
                     break;
                 }
                 let reply = answer(request, shared);
                 line.clear();
-                if !queue.push(reply) {
-                    break; // writer tore the queue down (dead client)
+                if write_reply(reader.get_mut(), &reply).is_err() {
+                    break; // client gone or stalled past the write timeout
                 }
             }
-            // Timeout mid-line: the partial prefix stays buffered in
-            // `line` (read_line appends), so resuming is lossless.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                queue.push("ERR request is not valid utf-8".to_string());
-                break;
-            }
             Err(_) => break,
         }
     }
-    queue.close();
-    let _ = writer.join();
 }
 
-/// Admission-check and execute one request.
+/// Answer a request the connection cannot survive, then close it.
+/// Closing with unread input resets the connection, which can destroy
+/// the reply before the client reads it; so the reply is followed by a
+/// FIN, and input is discarded until the client closes or the write
+/// timeout passes.
+fn reply_and_close(mut reader: BufReader<TcpStream>, reply: &str, shared: &ServerShared) {
+    let stream = reader.get_mut();
+    if write_reply(stream, reply).is_err() || stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + Duration::from_millis(shared.config.write_timeout_ms);
+    let mut discard = [0u8; 4096];
+    while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
+        match reader.read(&mut discard) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+    }
+}
+
+/// Execute one request, recording its latency.
 fn answer(request: &str, shared: &ServerShared) -> String {
     if request.is_empty() {
         return "ERR empty request".to_string();
     }
-    let cap = shared.config.max_inflight;
-    if shared.inflight.fetch_add(1, Ordering::SeqCst) >= cap {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.metrics.record_refusal();
-        return format!("ERR busy: {cap} queries in flight");
-    }
     let t0 = Instant::now();
     let reply = (shared.handler)(request);
-    shared.inflight.fetch_sub(1, Ordering::SeqCst);
     shared
         .metrics
         .record(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
     reply
 }
 
-fn writer_loop(mut stream: TcpStream, queue: Arc<ReplyQueue>, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    while let Some(reply) = queue.pop() {
-        let ok = stream
-            .write_all(reply.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush());
-        if ok.is_err() {
-            // Client gone or stalled past the timeout: unblock the
-            // reader (it may be parked on a full queue) and bail.
-            queue.close();
-            return;
-        }
-    }
+/// One reply line on the wire: the reply, then the newline, in two
+/// writes.
+fn write_reply(stream: &mut TcpStream, reply: &str) -> std::io::Result<()> {
+    stream.write_all(reply.as_bytes())?;
+    stream.write_all(b"\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     fn echo_server(config: LineServerConfig) -> (LineServer, Arc<ServeMetrics>) {
         let metrics = Arc::new(ServeMetrics::new());
@@ -476,56 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn inflight_cap_refuses_without_running_the_handler() {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let handler_gate = Arc::clone(&gate);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let handler_ran = Arc::clone(&ran);
-        let metrics = Arc::new(ServeMetrics::new());
-        let handler: LineHandler = Arc::new(move |req: &str| {
-            handler_ran.fetch_add(1, Ordering::SeqCst);
-            let (lock, cv) = &*handler_gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            format!("OK {req}")
-        });
-        let mut server = LineServer::start(
-            "127.0.0.1:0",
-            LineServerConfig {
-                max_inflight: 1,
-                ..LineServerConfig::default()
-            },
-            handler,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-
-        let (mut s1, mut r1) = client(server.local_addr());
-        s1.write_all(b"slow\n").unwrap();
-        // Wait until the first query is actually executing.
-        while server.inflight() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let (mut s2, mut r2) = client(server.local_addr());
-        let reply = roundtrip(&mut s2, &mut r2, "over-cap");
-        assert_eq!(reply, "ERR busy: 1 queries in flight");
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "refused query never ran");
-        assert_eq!(metrics.refused(), 1);
-        // Release the gate; the first query completes normally.
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        let mut reply = String::new();
-        r1.read_line(&mut reply).unwrap();
-        assert_eq!(reply.trim_end(), "OK slow");
-        server.shutdown();
-    }
-
-    #[test]
     fn shutdown_unblocks_idle_connections() {
         let (mut server, _metrics) = echo_server(LineServerConfig::default());
         let (_stream, _reader) = client(server.local_addr());
@@ -539,23 +409,87 @@ mod tests {
     }
 
     #[test]
-    fn reply_queue_backpressure_blocks_then_closes() {
-        let q = ReplyQueue::new(2);
-        assert!(q.push("a".into()));
-        assert!(q.push("b".into()));
-        let q2 = Arc::new(q);
-        let pusher = {
-            let q = Arc::clone(&q2);
-            std::thread::spawn(move || q.push("c".into()))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!pusher.is_finished(), "third push blocks on a full queue");
-        assert_eq!(q2.pop().as_deref(), Some("a"));
-        assert!(pusher.join().unwrap(), "push completes once drained");
-        q2.close();
-        assert_eq!(q2.pop().as_deref(), Some("b"));
-        assert_eq!(q2.pop().as_deref(), Some("c"));
-        assert_eq!(q2.pop(), None, "closed and drained");
-        assert!(!q2.push("d".into()), "push after close is refused");
+    fn overlong_request_is_refused_and_connection_closed() {
+        let (mut server, _metrics) = echo_server(LineServerConfig::default());
+        let (stream, mut reader) = client(server.local_addr());
+        // 1 MiB with no newline: the server stops reading at the cap,
+        // so this write may fail once the connection is gone.
+        let mut hostile = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = hostile.write_all(&vec![b'A'; 1 << 20]);
+        });
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply.trim_end(), "ERR request too long");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "then EOF");
+        flood.join().unwrap();
+        // The server dropped this connection but keeps serving others.
+        let (mut s2, mut r2) = client(server.local_addr());
+        assert_eq!(roundtrip(&mut s2, &mut r2, "still up"), "OK echo still up");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_torn_down_and_stalls_no_one_else() {
+        let write_timeout_ms = 100;
+        let metrics = Arc::new(ServeMetrics::new());
+        // 64 KiB replies fill both socket buffers in a few dozen requests.
+        let handler: LineHandler = Arc::new(|req: &str| match req {
+            "BIG" => "x".repeat(64 << 10),
+            _ => format!("OK echo {req}"),
+        });
+        let mut server = LineServer::start(
+            "127.0.0.1:0",
+            LineServerConfig {
+                write_timeout_ms,
+                ..LineServerConfig::default()
+            },
+            handler,
+            metrics,
+        )
+        .unwrap();
+
+        // Pipeline requests and never read a reply.
+        let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
+        stalled
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let pipeliner = std::thread::spawn(move || {
+            for _ in 0..4096 {
+                if stalled.write_all(b"BIG\n").is_err() {
+                    break; // the server tore the connection down
+                }
+            }
+            stalled // keep it open, unread, until joined
+        });
+
+        // Every reply reaches a second client meanwhile, and the
+        // stalled connection goes away on its own.
+        let (mut s2, mut r2) = client(server.local_addr());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut served = 0;
+        while server.active_connections() > 1 || served < 20 {
+            assert!(
+                Instant::now() < deadline,
+                "stalled connection still open after 10 s"
+            );
+            let request = format!("ping {served}");
+            assert_eq!(
+                roundtrip(&mut s2, &mut r2, &request),
+                format!("OK echo {request}")
+            );
+            served += 1;
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.active_connections(), 1, "only the reading client");
+        let _stalled = pipeliner.join().unwrap();
+
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "shutdown must not hang"
+        );
     }
 }
