@@ -4,7 +4,7 @@ use loom_cli::{parse_scale, Args};
 use loom_core::graph::io;
 use loom_core::graph::{datasets, DatasetKind, GraphStream, LabeledGraph, Scale, StreamOrder};
 use loom_core::partition::{
-    partition_stream, Assignment, CapacityModel, FennelParams, FennelPartitioner, HashPartitioner,
+    run_partitioner, Assignment, CapacityModel, FennelParams, FennelPartitioner, HashPartitioner,
     LdgPartitioner, LoomConfig, LoomPartitioner, PartitionMetrics, StreamPartitioner,
 };
 use loom_core::prelude::*;
@@ -210,12 +210,12 @@ fn partition(args: &Args) -> Result<()> {
 
     let stream = GraphStream::from_graph(&graph, order, seed);
     let mut assignment = match system.to_ascii_lowercase().as_str() {
-        "hash" => run_partitioner_boxed(Box::new(HashPartitioner::new(k, seed)), &stream),
-        "ldg" => run_partitioner_boxed(
+        "hash" => run_partitioner(Box::new(HashPartitioner::new(k, seed)), &stream),
+        "ldg" => run_partitioner(
             Box::new(LdgPartitioner::new(k, CapacityModel::for_stream(&stream))),
             &stream,
         ),
-        "fennel" => run_partitioner_boxed(
+        "fennel" => run_partitioner(
             Box::new(FennelPartitioner::new(
                 k,
                 CapacityModel::for_stream(&stream),
@@ -234,8 +234,12 @@ fn partition(args: &Args) -> Result<()> {
                 seed,
                 ..LoomConfig::evaluation_defaults(k)
             };
-            let loom = LoomPartitioner::new(&config, &workload, graph.num_labels());
-            run_partitioner_boxed(Box::new(loom), &stream)
+            // Size the alphabet as `stream` does, so a query label the
+            // graph lacks matches nothing instead of indexing past it.
+            let num_labels = graph.num_labels().max(workload_max_label(&workload));
+            check_label_count(num_labels)?;
+            let loom = LoomPartitioner::new(&config, &workload, num_labels);
+            run_partitioner(Box::new(loom), &stream)
         }
         other => return Err(format!("unknown system '{other}'").into()),
     };
@@ -268,11 +272,6 @@ fn partition(args: &Args) -> Result<()> {
     let mut w = out_writer(out)?;
     write_assignment(&assignment, &graph, &mut w)?;
     Ok(())
-}
-
-fn run_partitioner_boxed(mut p: Box<dyn StreamPartitioner>, stream: &GraphStream) -> Assignment {
-    partition_stream(p.as_mut(), stream);
-    p.into_assignment()
 }
 
 /// Write `vertex<TAB>partition` rows.
@@ -471,12 +470,7 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
                 .unwrap_or(0),
         )
         .max(4);
-    if num_labels > MAX_LABELS {
-        return Err(format!(
-            "--workload declares {num_labels} labels; at most {MAX_LABELS} are supported"
-        )
-        .into());
-    }
+    check_label_count(num_labels)?;
     let workload = workload_and_names.map(|(w, _)| w);
 
     // The source: a line-oriented text feed (never materialised) or
@@ -540,7 +534,6 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
         partitioner,
         EngineConfig {
             snapshot_every,
-            batch_size: loom_core::pipeline::DEFAULT_BATCH,
             ..EngineConfig::default()
         },
     );
@@ -1037,6 +1030,18 @@ impl loom_core::graph::EdgeSource for ClampLabels {
     fn num_labels(&self) -> usize {
         self.alphabet
     }
+}
+
+/// Refuse an alphabet larger than [`MAX_LABELS`], naming the workload
+/// that declared it.
+fn check_label_count(num_labels: usize) -> Result<()> {
+    if num_labels > MAX_LABELS {
+        return Err(format!(
+            "--workload declares {num_labels} labels; at most {MAX_LABELS} are supported"
+        )
+        .into());
+    }
+    Ok(())
 }
 
 /// Smallest alphabet size covering every label a workload mentions.

@@ -1,0 +1,93 @@
+//! A workload may name a label its graph or feed never shows. Through
+//! the real `loom` binary, such a query label matches nothing: every
+//! command that partitions or measures under it exits 0 with ipt 0,
+//! and an alphabet past the supported size is a named error — never a
+//! panic (exit 101) from an index deep in a linked crate.
+
+use std::process::{Command, Output};
+
+fn loom(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_loom"))
+        .args(args)
+        .output()
+        .expect("spawn loom")
+}
+
+/// A query over labels 0, 1 and `extra`, for a two-label graph.
+fn workload(extra: u16) -> String {
+    format!("labels a b\nquery q 1.0\nql 0 1 {extra}\nqe 0 1\nqe 1 2\nend\n")
+}
+
+#[test]
+fn workload_labels_the_graph_lacks_match_nothing() {
+    let dir = std::env::temp_dir().join(format!("loom-cli-labels-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (graph, wl, big, parts) = (
+        path("g.lg"),
+        path("q.lw"),
+        path("big.lw"),
+        path("parts.tsv"),
+    );
+    std::fs::write(&graph, "labels a b\nv 0\nv 1\nv 0\ne 0 1\ne 1 2\n").unwrap();
+    std::fs::write(&wl, workload(7)).unwrap();
+    std::fs::write(&big, workload(5000)).unwrap();
+
+    let partition = |w: &str| {
+        loom(&[
+            "partition",
+            "--graph",
+            &graph,
+            "--workload",
+            w,
+            "--k",
+            "2",
+            "--system",
+            "loom",
+            "--out",
+            &parts,
+        ])
+    };
+    let o = partition(&wl);
+    assert!(o.status.success(), "partition: {o:?}");
+
+    let o = loom(&[
+        "evaluate",
+        "--graph",
+        &graph,
+        "--workload",
+        &wl,
+        "--assignment",
+        &parts,
+    ]);
+    assert!(o.status.success(), "evaluate: {o:?}");
+    let stdout = String::from_utf8_lossy(&o.stdout);
+    assert!(
+        stdout.starts_with("weighted ipt 0.0 over 0 matches;"),
+        "evaluate: {stdout}"
+    );
+
+    // The feed has not shown label 7 when the probe measures.
+    let o = loom(&[
+        "stream",
+        "--input",
+        &graph,
+        "--workload",
+        &wl,
+        "--probe-limit",
+        "10",
+        "--k",
+        "2",
+        "--system",
+        "hash",
+    ]);
+    assert!(o.status.success(), "stream: {o:?}");
+
+    let o = partition(&big);
+    assert_eq!(o.status.code(), Some(1), "partition past MAX_LABELS: {o:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&o.stderr),
+        "error: --workload declares 5001 labels; at most 4096 are supported\n"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

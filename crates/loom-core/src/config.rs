@@ -54,7 +54,7 @@ pub struct ExperimentConfig {
     /// default). Results are bit-identical for any value — parallelism
     /// only fans out the pure probe phase of the ingest pipeline
     /// (DESIGN.md §13) — so this is purely a throughput knob, like
-    /// [`crate::pipeline::DEFAULT_BATCH`].
+    /// [`crate::engine::EngineConfig::batch_size`].
     pub threads: usize,
     /// Shard count for the per-vertex state columns (1 = the flat
     /// layout, the default). Like `threads`, a pure layout/throughput

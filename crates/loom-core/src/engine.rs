@@ -5,8 +5,8 @@
 //! unknown, possibly unbounded, extent", yet the evaluation (and this
 //! reproduction, until now) always drove partitioners with a one-shot
 //! batch pass over a materialised stream. [`OnlineEngine`] closes the
-//! gap: it wraps any [`StreamPartitioner`], accepts edges one at a
-//! time from any [`EdgeSource`], and emits [`Snapshot`]s of partition
+//! gap: it wraps any [`StreamPartitioner`], pulls edges in batches
+//! from any [`EdgeSource`], and emits [`Snapshot`]s of partition
 //! quality at a configurable edge cadence — so a long-running service
 //! can watch balance, cut rate and (optionally) workload ipt evolve
 //! mid-stream instead of learning them post mortem.
@@ -72,25 +72,30 @@ pub struct EngineConfig {
     /// e.g. the timed paper pipeline — so the wrapped partitioner's
     /// cost is measured unpolluted; snapshots then report 0/0.
     pub track_cuts: bool,
-    /// Ingest batch size for [`OnlineEngine::run`]: edges are pulled
-    /// from the source and handed to the partitioner in groups of up
-    /// to this many (0 or 1 — the default — keeps the edge-at-a-time
-    /// path). Batching amortises the per-edge source and dispatch
-    /// overhead and lets the partitioner pre-stage pure per-batch work;
-    /// it is **bit-identical** to edge-at-a-time ingest — same
-    /// assignments, stats, snapshots (batches split at the snapshot
-    /// cadence, so every snapshot still observes exactly the same edge
-    /// count) — enforced by `tests/batch_equivalence.rs`. The bench's
-    /// preferred size is [`crate::pipeline::DEFAULT_BATCH`].
+    /// Pull size for [`OnlineEngine::run`]: edges are pulled from the
+    /// source and handed to [`OnlineEngine::ingest_batch`] in groups of
+    /// up to this many (0 counts as 1; the default is
+    /// [`DEFAULT_BATCH`]). A pure throughput knob — every size is
+    /// **bit-identical** to edge-at-a-time ingest: same assignments,
+    /// stats and snapshots (batches split at the snapshot cadence, so
+    /// every snapshot still observes exactly the same edge count) —
+    /// enforced by `tests/batch_equivalence.rs`.
     pub batch_size: usize,
 }
+
+/// The default [`EngineConfig::batch_size`]: measured as the knee of
+/// the bench's batch-size sweep — large enough to amortise per-edge
+/// source/dispatch overhead and keep the matcher's gate tables hot
+/// across a batch, small enough to stay resident in L1 and to keep
+/// ingest latency bounded.
+pub const DEFAULT_BATCH: usize = 256;
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             snapshot_every: 0,
             track_cuts: true,
-            batch_size: 0,
+            batch_size: DEFAULT_BATCH,
         }
     }
 }
@@ -382,73 +387,16 @@ impl OnlineEngine {
         self.partitioner.state()
     }
 
-    /// Feed one edge. Returns a snapshot when the cadence fires.
-    ///
-    /// With a WAL attached the edge is journaled and flushed before it
-    /// reaches the partitioner; a journal or checkpoint failure on
-    /// this infallible convenience path panics with the storage error.
-    /// With serving on, a view due at this edge panics the same way,
-    /// with the builder's panic message, if the view builder thread
-    /// has died. Use [`OnlineEngine::ingest_batch`] (or
-    /// [`OnlineEngine::run`] batched or with a WAL) to get recoverable
-    /// [`EngineError`]s instead (they also amortise the per-edge flush).
-    pub fn ingest(&mut self, e: &StreamEdge) -> Option<Snapshot> {
-        if self.wal.is_some() {
-            self.journal_edges(std::slice::from_ref(e))
-                .expect("journal append failed in per-edge ingest");
-        }
-        self.partitioner.on_edge(e);
-        self.edges += 1;
-        if let Some(probe) = &mut self.probe {
-            probe.ingest(e);
-        }
-        if self.config.track_cuts {
-            self.pending.push_back(*e);
-            // Drain resolved edges from the front eagerly so the
-            // pending buffer never materialises the stream: the front
-            // is the oldest unresolved edge, which a windowed
-            // partitioner evicts first, so this stays bounded by the
-            // window size (and empty for assign-on-arrival
-            // partitioners).
-            let state = self.partitioner.state();
-            while let Some(front) = self.pending.front() {
-                match (state.partition_of(front.src), state.partition_of(front.dst)) {
-                    (Some(a), Some(b)) => {
-                        self.resolved_edges += 1;
-                        self.cut_edges += (a != b) as u64;
-                        self.pending.pop_front();
-                    }
-                    _ => break,
-                }
-            }
-        }
-        if let Err(e) = self.serve_commit(std::slice::from_ref(e)) {
-            panic!("{}", e.message);
-        }
-        let snap = if self.config.snapshot_every > 0
-            && self.edges.is_multiple_of(self.config.snapshot_every as u64)
-        {
-            Some(self.snapshot())
-        } else {
-            None
-        };
-        if self.checkpoint_due() {
-            self.write_checkpoint_now()
-                .expect("checkpoint write failed in per-edge ingest");
-        }
-        snap
-    }
-
     /// Feed a batch of edges, in order, calling `on_snapshot` at each
-    /// cadence firing. Bit-identical to calling
-    /// [`OnlineEngine::ingest`] per edge: the batch is split at the
-    /// snapshot cadence, so every periodic snapshot still observes
-    /// exactly the edge counts it would have edge-at-a-time, and cut
-    /// tracking settles fully at every snapshot (between snapshots the
-    /// eager prefix drain runs once per batch instead of once per
-    /// edge — the counters it feeds are only ever *read* through a
-    /// snapshot's `settle`, which drains everything resolved either
-    /// way).
+    /// cadence firing. Every edge reaches the partitioner through this
+    /// call, and any batching of a stream is bit-identical to feeding
+    /// it one edge per call: the batch is split at the snapshot
+    /// cadence, so every periodic snapshot still observes exactly the
+    /// edge counts it would have edge-at-a-time, and cut tracking
+    /// settles fully at every snapshot (between snapshots the eager
+    /// prefix drain runs once per batch instead of once per edge — the
+    /// counters it feeds are only ever *read* through a snapshot's
+    /// `settle`, which drains everything resolved either way).
     ///
     /// `Err` means a worker panicked probing an edge of a parallel
     /// batch ([`loom_partition::IngestError`]), a WAL write failed, or
@@ -537,37 +485,20 @@ impl OnlineEngine {
     /// Drain `source` into the engine, calling `on_snapshot` at each
     /// cadence firing, until the source ends or `max_edges` edges have
     /// been ingested (`None` = until the source ends — do not pass
-    /// `None` for infinite sources). Pulls and ingests in batches of
-    /// [`EngineConfig::batch_size`] when one is configured.
+    /// `None` for infinite sources). Pulls up to
+    /// [`EngineConfig::batch_size`] edges at a time and hands each pull
+    /// to [`OnlineEngine::ingest_batch`].
     ///
-    /// `Err` propagates a worker panic from a parallel batch or a dead
-    /// view builder (see [`OnlineEngine::ingest_batch`]). The
-    /// edge-at-a-time path (batch size ≤ 1, no WAL) returns no `Err`:
-    /// it panics where [`OnlineEngine::ingest`] does.
+    /// `Err` is the first [`OnlineEngine::ingest_batch`] error: a
+    /// worker panic from a parallel batch, a WAL write failure, or a
+    /// dead view builder.
     pub fn run<S: EdgeSource + ?Sized>(
         &mut self,
         source: &mut S,
         max_edges: Option<u64>,
         mut on_snapshot: impl FnMut(&Snapshot),
     ) -> Result<(), EngineError> {
-        // With a WAL attached, route even batch_size <= 1 through the
-        // batched path (in pulls of one): journaling errors then
-        // surface as `Err` instead of the per-edge path's panic, and
-        // the batch-equivalence contract keeps the output bit-identical.
-        let batch = if self.wal.is_some() {
-            self.config.batch_size.max(1)
-        } else {
-            self.config.batch_size
-        };
-        if batch <= 1 && self.wal.is_none() {
-            while max_edges.is_none_or(|m| self.edges < m) {
-                let Some(e) = source.next_edge() else { break };
-                if let Some(s) = self.ingest(&e) {
-                    on_snapshot(&s);
-                }
-            }
-            return Ok(());
-        }
+        let batch = self.config.batch_size.max(1);
         let mut buf: Vec<StreamEdge> = Vec::with_capacity(batch);
         loop {
             let want = match max_edges {
@@ -985,13 +916,20 @@ mod tests {
     use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
 
+    /// The config of the tests that `run` a source: pulls of one edge,
+    /// so every hook runs after every edge.
+    fn one_edge_pulls(cadence: usize) -> EngineConfig {
+        EngineConfig {
+            snapshot_every: cadence,
+            batch_size: 1,
+            ..EngineConfig::default()
+        }
+    }
+
     fn ldg_engine(cadence: usize) -> OnlineEngine {
         OnlineEngine::new(
             Box::new(LdgPartitioner::new(4, CapacityModel::Adaptive)),
-            EngineConfig {
-                snapshot_every: cadence,
-                ..EngineConfig::default()
-            },
+            one_edge_pulls(cadence),
         )
     }
 
@@ -1031,13 +969,7 @@ mod tests {
 
         let boxed: Box<dyn StreamPartitioner> =
             Box::new(LdgPartitioner::new(4, CapacityModel::for_stream(&stream)));
-        let mut engine = OnlineEngine::new(
-            boxed,
-            EngineConfig {
-                snapshot_every: 64,
-                ..EngineConfig::default()
-            },
-        );
+        let mut engine = OnlineEngine::new(boxed, one_edge_pulls(64));
         engine.run(&mut stream.source(), None, |_| {}).unwrap();
         engine.finish();
         let engine_a = engine.into_assignment();
@@ -1053,8 +985,8 @@ mod tests {
         let stream = GraphStream::from_graph(&graph, StreamOrder::BreadthFirst, 5);
         let workload = loom_query::workload_for(DatasetKind::ProvGen);
         let boxed: Box<dyn StreamPartitioner> = Box::new(HashPartitioner::new(4, 5));
-        let mut engine = OnlineEngine::new(boxed, EngineConfig::default())
-            .with_ipt_probe(workload.clone(), 50_000);
+        let mut engine =
+            OnlineEngine::new(boxed, one_edge_pulls(0)).with_ipt_probe(workload.clone(), 50_000);
         engine.run(&mut stream.source(), None, |_| {}).unwrap();
         let fin = engine.finish();
         let probe_ipt = fin.weighted_ipt.expect("probe attached");
@@ -1085,7 +1017,7 @@ mod tests {
             stream.num_labels(),
             &workload,
         );
-        let mut engine = OnlineEngine::new(loom, EngineConfig::default());
+        let mut engine = OnlineEngine::new(loom, one_edge_pulls(0));
         engine.run(&mut stream.source(), None, |_| {}).unwrap();
         let snap = engine.snapshot();
         let arena = snap.arena.expect("Loom snapshots carry arena occupancy");
@@ -1206,13 +1138,8 @@ mod tests {
     #[test]
     fn pending_edges_stay_pending_until_assigned() {
         // Hash assigns on arrival, so pending always settles fully.
-        let mut engine = OnlineEngine::new(
-            Box::new(HashPartitioner::new(2, 9)),
-            EngineConfig {
-                snapshot_every: 10,
-                ..EngineConfig::default()
-            },
-        );
+        let mut engine =
+            OnlineEngine::new(Box::new(HashPartitioner::new(2, 9)), one_edge_pulls(10));
         let mut source = SyntheticEdgeSource::new(2, 2);
         engine
             .run(&mut source, Some(100), |s| {

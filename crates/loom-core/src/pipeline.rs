@@ -135,15 +135,6 @@ pub fn make_partitioner(
     )
 }
 
-/// Ingest batch size the timed evaluation path (and the CLI default)
-/// uses: measured as the knee of the bench's batch-size sweep — large
-/// enough to amortise per-edge source/dispatch overhead and keep the
-/// matcher's gate tables hot across a batch, small enough to stay
-/// resident in L1 and to keep ingest latency bounded. Batch ingest is
-/// bit-identical to edge-at-a-time (see `tests/batch_equivalence.rs`),
-/// so this is purely a throughput knob.
-pub const DEFAULT_BATCH: usize = 256;
-
 /// Partition `stream` with `system`, timed — driven through the
 /// [`OnlineEngine`], exactly as a live ingest would be.
 pub fn partition_timed(
@@ -155,16 +146,15 @@ pub fn partition_timed(
     let p = make_partitioner(system, config, stream, workload);
     // No snapshots, no cut accounting: the timing measures the
     // partitioner, not the engine's observation layer (Table 2 and
-    // BENCH_results.json track these numbers PR over PR). Batched
-    // ingest at the bench-chosen default batch size — bit-identical
-    // to per-edge ingest, so the quality digits the perf gate pins
-    // are untouched by the batching.
+    // BENCH_results.json track these numbers PR over PR). The default
+    // pull size is bit-identical to per-edge ingest, so the quality
+    // digits the perf gate pins are untouched by the batching.
     let mut engine = OnlineEngine::new(
         p,
         EngineConfig {
             snapshot_every: 0,
             track_cuts: false,
-            batch_size: DEFAULT_BATCH,
+            ..EngineConfig::default()
         },
     );
     let start = Instant::now();

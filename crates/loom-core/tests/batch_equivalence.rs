@@ -10,10 +10,11 @@
 //!   occupancy structs (so eviction auctions, `on_edge_expired`
 //!   debits and reclaim generations that fire *inside* a batch are
 //!   all observed);
-//! * the engine layer — `OnlineEngine::run` in batch mode vs the
-//!   per-edge path, compared on the *complete* periodic snapshot
+//! * the engine layer — `OnlineEngine::run` pulling batches vs pulling
+//!   one edge at a time, compared on the *complete* periodic snapshot
 //!   sequence (every field, floats by bit pattern) plus the final
-//!   drained snapshot and assignment.
+//!   drained snapshot and assignment; the one-edge twin's placements
+//!   are in turn pinned to the `on_edge` driver.
 //!
 //! The streams are hub-heavy shuffled motif soups: a–b–c chains (each
 //! a path-motif match), a high-degree hub that keeps re-entering the
@@ -25,11 +26,12 @@ mod common;
 
 use common::*;
 use loom_core::engine::{EngineConfig, OnlineEngine};
+use loom_core::graph::VertexId;
 use loom_core::partition::StreamPartitioner;
 use proptest::prelude::*;
 
 /// The engine config of every run here: cut tracking on, snapshots
-/// every `cadence` edges, `batch_size` 0 for the per-edge path.
+/// every `cadence` edges, pulls of `batch_size` edges.
 fn config(cadence: usize, batch_size: usize) -> EngineConfig {
     EngineConfig {
         snapshot_every: cadence,
@@ -42,9 +44,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Engine layer: `run` at batch sizes {2, 64, 1024} reproduces the
-    /// per-edge twin's complete snapshot sequence (every field, floats
-    /// bit-for-bit), final snapshot and final assignment, with a
-    /// cadence chosen to land mid-batch.
+    /// one-edge-pull twin's complete snapshot sequence (every field,
+    /// floats bit-for-bit), final snapshot and final assignment, with a
+    /// cadence chosen to land mid-batch. The twin itself places every
+    /// vertex where the `on_edge` driver does.
     #[test]
     fn engine_batch_sizes_match_sequential_twin(
         k in 2usize..5,
@@ -59,7 +62,12 @@ proptest! {
             let p = Box::new(loom(k, window, horizon, &workload));
             engine_run(p, config(cadence, batch), &edges)
         };
-        let (seq_snaps, seq_fin, seq_parts) = run(0);
+        let (seq_snaps, seq_fin, seq_parts) = run(1);
+        let on_edge = run_sequential(loom(k, window, horizon, &workload), &edges);
+        for (v, part) in seq_parts.iter().enumerate() {
+            let v = VertexId(v as u32);
+            prop_assert_eq!(*part, on_edge.state().partition_of(v), "on_edge driver: {:?}", v);
+        }
         for batch in [2usize, 64, 1024] {
             let (snaps, fin, parts) = run(batch);
             assert_snaps_eq(&snaps, &seq_snaps, &format!("batch {batch}"));
@@ -139,7 +147,7 @@ fn snapshots_fire_inside_batches_and_respect_max_edges() {
         assert_eq!(engine.edges_ingested(), 105, "batch {batch_size}");
         (snaps, engine.finish())
     };
-    let (seq_snaps, seq_fin) = run(0);
+    let (seq_snaps, seq_fin) = run(1);
     assert_eq!(seq_snaps.len(), 10);
     for (i, s) in seq_snaps.iter().enumerate() {
         assert_eq!(s.edges, 10 * (i as u64 + 1));

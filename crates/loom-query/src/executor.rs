@@ -96,9 +96,10 @@ impl<'g, G: GraphAccess> QueryExecutor<'g, G> {
         QueryExecutor { graph, by_label }
     }
 
-    /// Vertices carrying `l` (the index the matcher starts from).
+    /// Vertices carrying `l` (the index the matcher starts from); none
+    /// for a label outside the graph's alphabet.
     pub fn candidates(&self, l: loom_graph::Label) -> &[VertexId] {
-        &self.by_label[l.index()]
+        self.by_label.get(l.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Invoke `f` once per distinct match of `q`, passing the matched
@@ -275,7 +276,7 @@ impl<'g, G: GraphAccess> QueryExecutor<'g, G> {
                 }
             }
         } else {
-            for &cand in &self.by_label[q.label(pv).index()] {
+            for &cand in self.candidates(q.label(pv)) {
                 if !try_candidate(cand, self, mapping, used, seen, delivered, f) {
                     return false;
                 }
@@ -409,6 +410,20 @@ mod tests {
         // a-a edges do not exist in G.
         let aa = PatternGraph::path("aa", vec![A, A]);
         assert_eq!(ex.count_matches(&aa, usize::MAX), 0);
+    }
+
+    #[test]
+    fn pattern_label_outside_the_alphabet_matches_nothing() {
+        // Figure 1 has labels 0..4; a workload may name more.
+        let g = figure1_graph();
+        let ex = QueryExecutor::new(&g);
+        assert!(ex.candidates(Label(7)).is_empty());
+        for q in [
+            PatternGraph::path("a?", vec![A, Label(7)]),
+            PatternGraph::path("??", vec![Label(7), Label(9)]),
+        ] {
+            assert_eq!(ex.count_matches(&q, usize::MAX), 0, "{}", q.name());
+        }
     }
 
     #[test]
