@@ -17,14 +17,15 @@
 //! non-zero on any violation.
 //!
 //! Exit codes: `0` pass, `1` quality-gate violation, `2` bad invocation
-//! (including an output path that cannot be written), `3` the committed
+//! (including an output path or a stdout that cannot be written; a
+//! reader closing the pipe early is not an error), `3` the committed
 //! baseline at PATH is missing or unparsable (the gate could not run —
 //! distinct from a violation so CI can report "refresh/commit the
 //! baseline" instead of "investigate a quality drift").
 
 use loom_cli::bench_compare::{self, BenchSummary};
 use loom_cli::suites::{self, SuiteOptions};
-use loom_cli::{parse_scale, ArgError, Args, Command};
+use loom_cli::{parse_scale, ArgError, Args, Command, Stdout};
 
 /// `repro`'s command line; `--help` is rendered from it.
 #[rustfmt::skip]
@@ -187,11 +188,12 @@ fn main() {
         })
     });
 
-    println!(
+    let mut stdout = Stdout::default();
+    stdout.line(format_args!(
         "# Loom reproduction — scale `{}`, seed {}\n",
         opts.scale.name(),
         opts.seed
-    );
+    ));
     let mut all_results = Vec::new();
     let mut suites_run: Vec<&str> = Vec::new();
     // Dispatch is driven by the same EXPERIMENTS table that validates
@@ -205,7 +207,11 @@ fn main() {
         }
         let text = run_suite(name, &opts, &mut all_results);
         suites_run.push(name);
-        println!("{text}\n");
+        stdout.line(format_args!("{text}\n"));
+    }
+    if let Err(e) = stdout.finish() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
 
     if let Some(path) = &run.jsonl {

@@ -1,12 +1,10 @@
 //! The `loom` subcommands.
 
-use loom_cli::{parse_scale, Args};
+use loom_cli::{parse_scale, Args, Stdout};
 use loom_core::graph::io;
 use loom_core::graph::{datasets, DatasetKind, GraphStream, LabeledGraph, Scale, StreamOrder};
-use loom_core::partition::{
-    run_partitioner, Assignment, CapacityModel, FennelParams, FennelPartitioner, HashPartitioner,
-    LdgPartitioner, LoomConfig, LoomPartitioner, PartitionMetrics, StreamPartitioner,
-};
+use loom_core::partition::{Assignment, CapacityModel, LoomConfig, PartitionMetrics};
+use loom_core::pipeline::{build_partitioner, drive};
 use loom_core::prelude::*;
 use std::error::Error;
 use std::fs::File;
@@ -23,6 +21,10 @@ type Result<T> = std::result::Result<T, Box<dyn Error>>;
 const MAX_K: usize = 1 << 16;
 const MAX_WINDOW: usize = 1 << 24;
 const MAX_LABELS: usize = 1 << 12;
+
+/// The factory's one refusal: Loom partitions for a workload.
+const LOOM_NEEDS_WORKLOAD: &str =
+    "--system loom needs --workload (the query patterns to optimise for)";
 
 /// Dispatch a parsed command line.
 pub fn run(args: &Args) -> Result<()> {
@@ -62,6 +64,12 @@ fn parse_order(name: &str) -> Result<StreamOrder> {
         "dfs" | "depth-first" => StreamOrder::DepthFirst,
         other => return Err(format!("unknown order '{other}'").into()),
     })
+}
+
+/// A `--system` name, by [`System::parse`].
+fn parse_system(name: &str) -> Result<System> {
+    System::parse(name)
+        .ok_or_else(|| format!("unknown system '{}'", name.to_ascii_lowercase()).into())
 }
 
 /// `--threshold`: a relative motif support, so in [0, 1]. NaN fails the
@@ -143,22 +151,17 @@ fn motifs(args: &Args) -> Result<()> {
     )?;
     let seed = args.parsed_or("seed", 42u64)?;
 
-    let num_labels = workload
-        .queries()
-        .iter()
-        .flat_map(|(q, _)| q.labels().iter().map(|l| l.index() + 1))
-        .max()
-        .unwrap_or(1)
-        .max(names.len());
+    let num_labels = workload_max_label(&workload).max(names.len());
     let rand = LabelRandomizer::new(num_labels, prime, seed);
     let trie = TpsTrie::build(&workload, &rand);
     let index = trie.motifs(threshold);
-    println!(
+    let mut out = Stdout::default();
+    out.line(format_args!(
         "TPSTry++: {} nodes; {} motifs at threshold {:.0}%",
         trie.len(),
         index.len(),
         threshold * 100.0
-    );
+    ));
     for (_, m) in index.iter() {
         let shape = m
             .example
@@ -176,20 +179,20 @@ fn motifs(args: &Args) -> Result<()> {
                     .join("-")
             })
             .unwrap_or_default();
-        println!(
+        out.line(format_args!(
             "  {} edges  supp {:5.1}%  {}",
             m.num_edges,
             m.support * 100.0,
             shape
-        );
+        ));
     }
-    Ok(())
+    Ok(out.finish()?)
 }
 
 fn partition(args: &Args) -> Result<()> {
     let graph = read_graph_file(&args.required("graph")?)?;
     let k = parse_k(args)?;
-    let system = args.optional("system")?.unwrap_or_else(|| "loom".into());
+    let name = args.optional("system")?.unwrap_or_else(|| "loom".into());
     let order = parse_order(
         &args
             .optional("order")?
@@ -205,53 +208,41 @@ fn partition(args: &Args) -> Result<()> {
     let restream = args.parsed_or("restream", 0usize)?;
     let refine = args.parsed_or("refine", 0usize)?;
     let workload_path = args.optional("workload")?;
-    let workload_path_for_refine = workload_path.clone();
     let out = args.optional("out")?;
+    let system = parse_system(&name)?;
+    let workload = match &workload_path {
+        Some(path) => Some(read_workload_file(path)?.0),
+        None => None,
+    };
 
     let stream = GraphStream::from_graph(&graph, order, seed);
-    let mut assignment = match system.to_ascii_lowercase().as_str() {
-        "hash" => run_partitioner(Box::new(HashPartitioner::new(k, seed)), &stream),
-        "ldg" => run_partitioner(
-            Box::new(LdgPartitioner::new(k, CapacityModel::for_stream(&stream))),
-            &stream,
-        ),
-        "fennel" => run_partitioner(
-            Box::new(FennelPartitioner::new(
-                k,
-                CapacityModel::for_stream(&stream),
-                FennelParams::default(),
-            )),
-            &stream,
-        ),
-        "loom" => {
-            let path = workload_path
-                .ok_or("--system loom needs --workload (the query patterns to optimise for)")?;
-            let (workload, _) = read_workload_file(&path)?;
-            let config = LoomConfig {
-                window_size: window,
-                support_threshold: threshold,
-                capacity: CapacityModel::for_stream(&stream),
-                seed,
-                ..LoomConfig::evaluation_defaults(k)
-            };
-            // Size the alphabet as `stream` does, so a query label the
-            // graph lacks matches nothing instead of indexing past it.
-            let num_labels = graph.num_labels().max(workload_max_label(&workload));
-            check_label_count(num_labels)?;
-            let loom = LoomPartitioner::new(&config, &workload, num_labels);
-            run_partitioner(Box::new(loom), &stream)
-        }
-        other => return Err(format!("unknown system '{other}'").into()),
+    let config = LoomConfig {
+        window_size: window,
+        support_threshold: threshold,
+        capacity: CapacityModel::for_stream(&stream),
+        seed,
+        ..LoomConfig::evaluation_defaults(k)
     };
+    // Size the alphabet as `stream` does, so a query label the graph
+    // lacks matches nothing instead of indexing past it.
+    let num_labels = graph
+        .num_labels()
+        .max(workload.as_ref().map_or(0, workload_max_label));
+    // Only Loom sizes a table by it, and only with a workload is it built.
+    if system == System::Loom && workload.is_some() {
+        check_label_count(num_labels)?;
+    }
+    let p = build_partitioner(system, &config, workload.as_ref(), num_labels)
+        .ok_or(LOOM_NEEDS_WORKLOAD)?;
+    let (mut assignment, _) = drive(p, &stream);
     for _ in 0..restream {
         assignment = loom_core::partition::restream_pass(&stream, &assignment, 1.1);
     }
     if refine > 0 {
-        let path = workload_path_for_refine
-            .as_deref()
+        let workload = workload
+            .as_ref()
             .ok_or("--refine needs --workload (it optimises for the query patterns)")?;
-        let (workload, _) = read_workload_file(path)?;
-        let weights = loom_core::partition::TraversalWeights::from_workload(&workload);
+        let weights = loom_core::partition::TraversalWeights::from_workload(workload);
         let result = loom_core::partition::taper_refine(&graph, &assignment, &weights, refine, 1.1);
         eprintln!(
             "taper refine: {} moves over {} rounds",
@@ -262,26 +253,14 @@ fn partition(args: &Args) -> Result<()> {
 
     let metrics = PartitionMetrics::measure(&graph, &assignment);
     eprintln!(
-        "{system} over {} edges ({} order): cut {:.1}%, imbalance {:.1}%, sizes {:?}",
+        "{name} over {} edges ({} order): cut {:.1}%, imbalance {:.1}%, sizes {:?}",
         graph.num_edges(),
         order.name(),
         metrics.cut_fraction * 100.0,
         metrics.imbalance * 100.0,
         metrics.sizes
     );
-    let mut w = out_writer(out)?;
-    write_assignment(&assignment, &graph, &mut w)?;
-    Ok(())
-}
-
-/// Write `vertex<TAB>partition` rows.
-fn write_assignment<W: Write>(a: &Assignment, g: &LabeledGraph, w: &mut W) -> Result<()> {
-    for v in g.vertices() {
-        if let Some(p) = a.partition_of(v) {
-            writeln!(w, "{}\t{}", v.0, p.0)?;
-        }
-    }
-    Ok(())
+    write_assignment_rows(&assignment, &mut out_writer(out)?)
 }
 
 /// Read an assignment back (the `evaluate` input). A vertex given
@@ -364,6 +343,8 @@ struct StreamRun {
     budget: Option<u64>,
     stop_after: u64,
     out: Option<String>,
+    /// Where the snapshot lines go.
+    stdout: Stdout,
     /// Snapshot data already printed during a WAL resume replay, so
     /// the run loop never prints the same line twice.
     last_printed: Option<(u64, usize, u64, u64)>,
@@ -376,7 +357,8 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
     use loom_core::graph::{EdgeSource, SyntheticEdgeSource, TextEdgeSource};
 
     let k = parse_k(args)?;
-    let system = args.optional("system")?.unwrap_or_else(|| "ldg".into());
+    let name = args.optional("system")?.unwrap_or_else(|| "ldg".into());
+    let system = parse_system(&name)?;
     let source_kind = args.optional("source")?.unwrap_or_else(|| "text".into());
     let input = args.optional("input")?;
     let snapshot_every = args.parsed_or("snapshot-every", 5_000usize)?;
@@ -394,9 +376,9 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
     // The baselines keep no adjacency at all (DESIGN.md §10), so a
     // retention horizon on them would be a silent no-op — reject it
     // rather than let an operator believe they bounded anything.
-    if adjacency_horizon_flag.is_some() && !system.eq_ignore_ascii_case("loom") {
+    if adjacency_horizon_flag.is_some() && system != System::Loom {
         return Err(format!(
-            "--adjacency-horizon only applies to --system loom ({system} keeps no adjacency)"
+            "--adjacency-horizon only applies to --system loom ({name} keeps no adjacency)"
         )
         .into());
     }
@@ -499,36 +481,23 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
     // Loom's signature randomizer is sized to `num_labels` upfront; a
     // feed whose labels outgrow the declared alphabet must degrade
     // (clamp to label 0), not crash a long-running ingest.
-    if system.eq_ignore_ascii_case("loom") {
+    if system == System::Loom {
         source = Box::new(ClampLabels {
             inner: source,
             alphabet: num_labels,
         });
     }
 
-    let partitioner: Box<dyn StreamPartitioner> = match system.to_ascii_lowercase().as_str() {
-        "hash" => Box::new(HashPartitioner::new(k, seed)),
-        "ldg" => Box::new(LdgPartitioner::new(k, CapacityModel::Adaptive)),
-        "fennel" => Box::new(FennelPartitioner::new(
-            k,
-            CapacityModel::Adaptive,
-            FennelParams::default(),
-        )),
-        "loom" => {
-            let w = workload
-                .as_ref()
-                .ok_or("--system loom needs --workload (the query patterns to optimise for)")?;
-            let config = LoomConfig {
-                window_size: window,
-                support_threshold: threshold,
-                seed,
-                adjacency_horizon,
-                ..LoomConfig::evaluation_defaults(k)
-            };
-            Box::new(LoomPartitioner::new(&config, w, num_labels))
-        }
-        other => return Err(format!("unknown system '{other}'").into()),
+    // The defaults' capacity is adaptive: a feed's extent is unknown.
+    let config = LoomConfig {
+        window_size: window,
+        support_threshold: threshold,
+        seed,
+        adjacency_horizon,
+        ..LoomConfig::evaluation_defaults(k)
     };
+    let partitioner = build_partitioner(system, &config, workload.as_ref(), num_labels)
+        .ok_or(LOOM_NEEDS_WORKLOAD)?;
 
     let mut engine = OnlineEngine::new(
         partitioner,
@@ -544,6 +513,7 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
         engine = engine.with_ipt_probe(w, limit);
     }
 
+    let mut stdout = Stdout::default();
     let mut last_printed: Option<(u64, usize, u64, u64)> = None;
     // Attach or resume the WAL before the first edge flows. The
     // fingerprint covers every quality-affecting knob, so a resume
@@ -557,7 +527,7 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
             "loom-stream v1 system={} k={k} seed={seed} window={window} threshold={threshold} \
              adjacency={} labels={num_labels} snapshot-every={snapshot_every} \
              checkpoint-every={checkpoint_every} source={source_kind}",
-            system.to_ascii_lowercase(),
+            system.name().to_ascii_lowercase(),
             match adjacency_horizon_flag.as_deref() {
                 None => "default".to_string(),
                 Some(v) => v.to_string(),
@@ -567,7 +537,7 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
             let durable =
                 engine.resume_from_wal(Box::new(backend), checkpoint_every, &fingerprint, |s| {
                     last_printed = Some((s.edges, s.vertices, s.cut_edges, s.resolved_edges));
-                    print_snapshot(s);
+                    print_snapshot(&mut stdout, s);
                 })?;
             // Replay rebuilt state up to the durable boundary; place
             // the live source one past it so ingest continues exactly
@@ -619,6 +589,7 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
         budget,
         stop_after,
         out,
+        stdout,
         last_printed,
     })
 }
@@ -633,6 +604,7 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
         budget,
         stop_after,
         out,
+        mut stdout,
         mut last_printed,
     } = run;
     // A WAL write failure surfaces as an engine error naming the batch
@@ -641,7 +613,7 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
     // continues from whatever the WAL made durable.
     engine.run(source.as_mut(), budget, |s| {
         last_printed = Some((s.edges, s.vertices, s.cut_edges, s.resolved_edges));
-        print_snapshot(s);
+        print_snapshot(&mut stdout, s);
     })?;
     // A feed that stopped on a fatal ingest error (malformed line,
     // read failure) is not a feed that ended: report what was
@@ -665,7 +637,7 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
     // e.g. Loom draining its window) — don't print the same line
     // twice.
     if last_printed != Some((fin.edges, fin.vertices, fin.cut_edges, fin.resolved_edges)) {
-        print_snapshot(&fin);
+        print_snapshot(&mut stdout, &fin);
     }
     if stop_after > 0 {
         eprintln!(
@@ -696,7 +668,7 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
     if let Some(e) = ingest_error {
         return Err(format!("ingest stopped after {} edges: {e}", fin.edges).into());
     }
-    Ok(())
+    Ok(stdout.finish()?)
 }
 
 /// `loom serve` — `stream` plus the query port (DESIGN.md §16): the
@@ -826,7 +798,7 @@ fn query_cmd(args: &Args) -> Result<()> {
 
     let connect = args.required("connect")?;
     let request = args.optional("request")?.unwrap_or_else(|| "STATS".into());
-    let count = args.parsed_or("count", 1usize)?;
+    let count = args.parsed_in("count", 1usize, 1..)?;
 
     let requests: Vec<&str> = request
         .split(';')
@@ -930,7 +902,7 @@ impl loom_core::graph::EdgeSource for PacedSource {
 }
 
 /// One human-and-awk-friendly snapshot line on stdout.
-fn print_snapshot(s: &loom_core::engine::Snapshot) {
+fn print_snapshot(out: &mut Stdout, s: &loom_core::engine::Snapshot) {
     let ipt = match s.weighted_ipt {
         Some(v) => format!("  ipt {v:.1}"),
         None => String::new(),
@@ -980,7 +952,7 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         ),
         None => String::new(),
     };
-    println!(
+    out.line(format_args!(
         "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}{}",
         s.seq,
         s.edges,
@@ -995,7 +967,7 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         adjacency,
         wal,
         serving,
-    );
+    ));
 }
 
 /// Source adapter clamping out-of-alphabet labels to label 0 (see
@@ -1053,8 +1025,8 @@ fn workload_max_label(w: &Workload) -> usize {
         .unwrap_or(1)
 }
 
-/// Write `vertex<TAB>partition` rows without a graph (the online path
-/// has none): emit every assigned vertex id in order.
+/// Write `vertex<TAB>partition` rows, one per assigned vertex, in id
+/// order (the `partition` and `stream --out` format).
 fn write_assignment_rows<W: Write>(a: &Assignment, w: &mut W) -> Result<()> {
     for (v, p) in a.iter() {
         writeln!(w, "{v}\t{p}")?;
@@ -1075,24 +1047,25 @@ fn evaluate(args: &Args) -> Result<()> {
     )?;
     let metrics = PartitionMetrics::measure(&graph, &assignment);
     let report = count_ipt(&graph, &assignment, &workload, limit);
-    println!(
+    let mut out = Stdout::default();
+    out.line(format_args!(
         "weighted ipt {:.1} over {} matches; cut {:.1}%, imbalance {:.1}%",
         report.weighted_ipt,
         report.total_matches(),
         metrics.cut_fraction * 100.0,
         metrics.imbalance * 100.0
-    );
+    ));
     for q in &report.per_query {
-        println!(
+        out.line(format_args!(
             "  {:<20} freq {:4.0}%  matches {:>8}  ipt {:>8}  traversals {:>9}",
             q.name,
             q.frequency * 100.0,
             q.matches,
             q.ipt,
             q.traversals
-        );
+        ));
     }
-    Ok(())
+    Ok(out.finish()?)
 }
 
 #[cfg(test)]
@@ -1123,7 +1096,7 @@ mod tests {
         s.assign(VertexId(3), PartitionId(1));
         let a = s.into_assignment();
         let mut buf = Vec::new();
-        write_assignment(&a, &g, &mut buf).unwrap();
+        write_assignment_rows(&a, &mut buf).unwrap();
         let back = read_assignment(&buf[..], 4).unwrap();
         for v in g.vertices() {
             assert_eq!(back.partition_of(v), a.partition_of(v));

@@ -33,6 +33,7 @@ pub mod suites;
 
 use loom_core::graph::Scale;
 use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::ops::{Bound, RangeBounds};
 use std::str::FromStr;
 
@@ -232,4 +233,38 @@ pub fn parse_scale(name: &str) -> Result<Scale, ArgError> {
         "large" => Scale::Large,
         other => return Err(ArgError::Refused(format!("unknown scale '{other}'"))),
     })
+}
+
+/// Stdout for a command's report lines, locked per line. A reader that
+/// closes the pipe early (`| head -1`) has seen what it wanted: later
+/// lines are dropped, and the command still completes the rest of its
+/// work (`--out`, `--wal`, `--bench-json`). Any other write error also
+/// drops later lines, and [`Stdout::finish`] names it.
+#[derive(Debug, Default)]
+pub struct Stdout {
+    closed: bool,
+    error: Option<std::io::Error>,
+}
+
+impl Stdout {
+    /// Write `text` and a newline.
+    pub fn line(&mut self, text: impl Display) {
+        if self.closed || self.error.is_some() {
+            return;
+        }
+        if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
+            match e.kind() {
+                ErrorKind::BrokenPipe => self.closed = true,
+                _ => self.error = Some(e),
+            }
+        }
+    }
+
+    /// The first write error other than a closed pipe, named.
+    pub fn finish(self) -> Result<(), String> {
+        match self.error {
+            Some(e) => Err(format!("cannot write to stdout: {e}")),
+            None => Ok(()),
+        }
+    }
 }

@@ -37,18 +37,6 @@ fn cfg_for(opts: &SuiteOptions, dataset: DatasetKind, order: StreamOrder) -> Exp
     cfg
 }
 
-/// The prescient Loom of an experiment cell, as the suites that drive
-/// it by hand build it.
-fn loom_config(cfg: &ExperimentConfig, stream: &GraphStream) -> LoomConfig {
-    LoomConfig {
-        window_size: cfg.window_size,
-        support_threshold: cfg.support_threshold,
-        capacity: CapacityModel::for_stream(stream),
-        seed: cfg.seed,
-        ..LoomConfig::evaluation_defaults(cfg.k)
-    }
-}
-
 /// Fig. 4: probability of fewer than C% factor collisions, for 24/36/48
 /// factors (8/12/16-edge queries) and tolerances 5/10/20%, across
 /// primes — the analytic binomial model, plus an empirical
@@ -272,7 +260,7 @@ pub fn table2(opts: &SuiteOptions) -> String {
         let graph = datasets::generate(dataset, opts.scale, opts.seed);
         let workload = workload_for(dataset);
         let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
-        let loom_cfg = loom_config(&cfg, &stream);
+        let loom_cfg = cfg.loom_config(CapacityModel::for_stream(&stream));
         let mut p = LoomPartitioner::new(&loom_cfg, &workload, stream.num_labels());
         p.enable_phase_profile();
         partition_stream(&mut p, &stream);
@@ -357,7 +345,7 @@ pub fn ablations(opts: &SuiteOptions) -> String {
         ] {
             let loom_cfg = LoomConfig {
                 allocation: policy,
-                ..loom_config(&cfg, &stream)
+                ..cfg.loom_config(CapacityModel::for_stream(&stream))
             };
             let mut p = LoomPartitioner::new(&loom_cfg, &workload, stream.num_labels());
             partition_stream(&mut p, &stream);
@@ -455,7 +443,7 @@ pub fn ablations(opts: &SuiteOptions) -> String {
         let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
         let mut row = vec![dataset.name().to_string()];
         for &cap in &caps {
-            let loom_cfg = loom_config(&cfg, &stream);
+            let loom_cfg = cfg.loom_config(CapacityModel::for_stream(&stream));
             let mut p = LoomPartitioner::new(&loom_cfg, &workload, stream.num_labels());
             p.set_match_cap(cap);
             let start = std::time::Instant::now();
@@ -515,8 +503,7 @@ fn measure_product_collisions(
 /// online ([`CapacityModel::Adaptive`] — unknown `|V|`, `C` tracks the
 /// running count). Measures what prescience is actually worth.
 pub fn online(opts: &SuiteOptions) -> String {
-    use loom_core::engine::{EngineConfig, OnlineEngine};
-    use loom_core::pipeline::make_partitioner_with_capacity;
+    use loom_core::pipeline::{drive, make_partitioner_with_capacity};
 
     let mut out = String::new();
     writeln!(
@@ -532,10 +519,7 @@ pub fn online(opts: &SuiteOptions) -> String {
         let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
         let mut row = vec![dataset.name().to_string()];
         for sys in [System::Ldg, System::Fennel, System::Loom] {
-            for capacity in [
-                loom_core::partition::CapacityModel::for_stream(&stream),
-                loom_core::partition::CapacityModel::Adaptive,
-            ] {
+            for capacity in [CapacityModel::for_stream(&stream), CapacityModel::Adaptive] {
                 let p = make_partitioner_with_capacity(
                     sys,
                     &cfg,
@@ -543,19 +527,7 @@ pub fn online(opts: &SuiteOptions) -> String {
                     stream.num_labels(),
                     &workload,
                 );
-                let mut engine = OnlineEngine::new(
-                    p,
-                    EngineConfig {
-                        snapshot_every: 0,
-                        track_cuts: false,
-                        ..EngineConfig::default()
-                    },
-                );
-                engine
-                    .run(&mut stream.source(), None, |_| {})
-                    .expect("materialised-stream ingest cannot fail");
-                engine.finish();
-                let a = engine.into_assignment();
+                let (a, _) = drive(p, &stream);
                 let m = PartitionMetrics::measure(&graph, &a);
                 let r = count_ipt(&graph, &a, &workload, cfg.limit_per_query);
                 row.push(format!(

@@ -92,6 +92,9 @@ fn hostile_and_retired_flags_are_named_errors() {
     // The same lines with one flag left out, for the rows that set it.
     let unsized_lines = [&stream, &serve, &partition].map(|base| without(base, "--k"));
     let unlabeled = without(&stream, "--workload");
+    let unsystemed = [&partition, &stream].map(|base| without(base, "--system"));
+    let unqueried = unsystemed.clone().map(|base| without(&base, "--workload"));
+    let query = vec!["query", "--connect", "127.0.0.1:9"];
     // A workload whose header declares 70 000 labels.
     let wide = dir.join("wide.lw");
     let header = (0..70_000).map(|i| format!(" l{i}")).collect::<String>();
@@ -183,6 +186,29 @@ fn hostile_and_retired_flags_are_named_errors() {
         ));
     }
 
+    // One map from names to systems, and one factory behind it.
+    for base in &unsystemed {
+        cases.push((
+            base,
+            ["--system", "bogus"],
+            "error: unknown system 'bogus'".into(),
+        ));
+    }
+    for base in &unqueried {
+        cases.push((
+            base,
+            ["--system", "loom"],
+            "error: --system loom needs --workload (the query patterns to optimise for)".into(),
+        ));
+    }
+    // Refused before connecting: a count of 0 sent nothing, then
+    // failed with `no replies received`.
+    cases.push((
+        &query,
+        ["--count", "0"],
+        "error: --count must be >= 1".into(),
+    ));
+
     for (base, [flag, value], want) in &cases {
         let o = loom()
             .args(*base)
@@ -194,6 +220,15 @@ fn hostile_and_retired_flags_are_named_errors() {
         assert_eq!(o.status.code(), Some(1), "{what}: exit code\n{stderr}");
         assert!(stderr.starts_with(want.as_str()), "{what}: {stderr:?}");
         assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+    // System names are case-insensitive.
+    for base in &unsystemed {
+        let o = loom()
+            .args(base)
+            .args(["--system", "LoOm"])
+            .output()
+            .expect("spawn loom");
+        assert!(o.status.success(), "{} --system LoOm: {o:?}", base[0]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,6 +2,7 @@
 //! suites the `repro` binary prints (`loom-cli`'s `suites` module).
 
 use loom_graph::{DatasetKind, Scale, StreamOrder};
+use loom_partition::{CapacityModel, LoomConfig};
 
 /// The four systems of the evaluation (§5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,6 +29,14 @@ impl System {
             System::Fennel => "Fennel",
             System::Loom => "Loom",
         }
+    }
+
+    /// The system a name selects, case-insensitively: `hash`, `ldg`,
+    /// `fennel` or `loom`. The one map from names to systems.
+    pub fn parse(name: &str) -> Option<System> {
+        System::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
     }
 }
 
@@ -85,6 +94,18 @@ impl ExperimentConfig {
             shards: 1,
         }
     }
+
+    /// This cell's Loom under `capacity`: the evaluation defaults with
+    /// the cell's `k`, window, threshold and seed.
+    pub fn loom_config(&self, capacity: CapacityModel) -> LoomConfig {
+        LoomConfig {
+            window_size: self.window_size,
+            support_threshold: self.support_threshold,
+            capacity,
+            seed: self.seed,
+            ..LoomConfig::evaluation_defaults(self.k)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -107,5 +128,10 @@ mod tests {
     fn system_names() {
         let names: Vec<_> = System::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["Hash", "LDG", "Fennel", "Loom"]);
+        for s in System::ALL {
+            assert_eq!(System::parse(&s.name().to_ascii_uppercase()), Some(s));
+        }
+        assert_eq!(System::parse("LoOm"), Some(System::Loom));
+        assert_eq!(System::parse("bogus"), None);
     }
 }

@@ -2,11 +2,11 @@
 //! order → partition with each system → execute the workload → count
 //! ipt. Every figure and table regenerates through this module.
 //!
-//! The partitioning leg runs through [`crate::engine::OnlineEngine`]
-//! in prescient mode — the same event-driven path a live deployment
-//! uses — which reproduces the one-shot batch results bit for bit
-//! (the engine only forwards edges; prescient capacities equal the
-//! old fixed ones).
+//! The `loom` commands share two of its pieces: [`build_partitioner`],
+//! the one place a [`System`] becomes a partitioner, and [`drive`],
+//! which runs one over a materialised stream through
+//! [`crate::engine::OnlineEngine`] — the path a live deployment uses,
+//! bit-identical to an edge-at-a-time pass.
 
 use crate::config::{ExperimentConfig, System};
 use crate::engine::{EngineConfig, OnlineEngine};
@@ -78,8 +78,31 @@ impl ExperimentResult {
     }
 }
 
-/// Construct one of the four partitioners under an explicit capacity
-/// model ([`CapacityModel::Adaptive`] for unbounded ingest).
+/// The factory of the four systems. Hash reads `k` and `seed` of
+/// `config`, LDG and Fennel `k` and `capacity`, Loom all of it plus the
+/// workload and the label alphabet. `None` exactly when `system` is
+/// Loom and `workload` is `None`.
+pub fn build_partitioner(
+    system: System,
+    config: &LoomConfig,
+    workload: Option<&Workload>,
+    num_labels: usize,
+) -> Option<Box<dyn StreamPartitioner>> {
+    Some(match system {
+        System::Hash => Box::new(HashPartitioner::new(config.k, config.seed)),
+        System::Ldg => Box::new(LdgPartitioner::new(config.k, config.capacity)),
+        System::Fennel => Box::new(FennelPartitioner::new(
+            config.k,
+            config.capacity,
+            FennelParams::default(),
+        )),
+        System::Loom => Box::new(LoomPartitioner::new(config, workload?, num_labels)),
+    })
+}
+
+/// [`build_partitioner`] for an experiment cell under an explicit
+/// capacity model ([`CapacityModel::Adaptive`] for unbounded ingest),
+/// with the cell's shard and worker counts applied.
 pub fn make_partitioner_with_capacity(
     system: System,
     config: &ExperimentConfig,
@@ -87,30 +110,13 @@ pub fn make_partitioner_with_capacity(
     num_labels: usize,
     workload: &Workload,
 ) -> Box<dyn StreamPartitioner> {
-    let mut p: Box<dyn StreamPartitioner> = match system {
-        System::Hash => Box::new(HashPartitioner::new(config.k, config.seed)),
-        System::Ldg => Box::new(LdgPartitioner::new(config.k, capacity)),
-        System::Fennel => Box::new(FennelPartitioner::new(
-            config.k,
-            capacity,
-            FennelParams::default(),
-        )),
-        System::Loom => {
-            let loom_cfg = LoomConfig {
-                k: config.k,
-                window_size: config.window_size,
-                support_threshold: config.support_threshold,
-                prime: loom_motif::DEFAULT_PRIME,
-                eo: loom_partition::EoParams::default(),
-                capacity_slack: 1.1,
-                capacity,
-                seed: config.seed,
-                allocation: loom_partition::loom::AllocationPolicy::EqualOpportunism,
-                adjacency_horizon: Default::default(),
-            };
-            Box::new(LoomPartitioner::new(&loom_cfg, workload, num_labels))
-        }
-    };
+    let mut p = build_partitioner(
+        system,
+        &config.loom_config(capacity),
+        Some(workload),
+        num_labels,
+    )
+    .expect("a workload is given");
     // Shards before threads: set_shards requires a pre-ingest store
     // and re-keys the columns the threaded commit path will own.
     p.set_shards(config.shards.max(1));
@@ -135,20 +141,10 @@ pub fn make_partitioner(
     )
 }
 
-/// Partition `stream` with `system`, timed — driven through the
-/// [`OnlineEngine`], exactly as a live ingest would be.
-pub fn partition_timed(
-    system: System,
-    config: &ExperimentConfig,
-    stream: &GraphStream,
-    workload: &Workload,
-) -> (Assignment, Duration) {
-    let p = make_partitioner(system, config, stream, workload);
-    // No snapshots, no cut accounting: the timing measures the
-    // partitioner, not the engine's observation layer (Table 2 and
-    // BENCH_results.json track these numbers PR over PR). The default
-    // pull size is bit-identical to per-edge ingest, so the quality
-    // digits the perf gate pins are untouched by the batching.
+/// Run `p` over all of `stream` through the [`OnlineEngine`], as a live
+/// ingest would, with no snapshots and no cut accounting: the wall time
+/// returned (ingest plus the final flush) is the partitioner's.
+pub fn drive(p: Box<dyn StreamPartitioner>, stream: &GraphStream) -> (Assignment, Duration) {
     let mut engine = OnlineEngine::new(
         p,
         EngineConfig {
@@ -164,6 +160,17 @@ pub fn partition_timed(
     engine.finish();
     let elapsed = start.elapsed();
     (engine.into_assignment(), elapsed)
+}
+
+/// Partition `stream` with `system`, timed: [`make_partitioner`] then
+/// [`drive`]. Table 2 and `BENCH_results.json` track these numbers.
+pub fn partition_timed(
+    system: System,
+    config: &ExperimentConfig,
+    stream: &GraphStream,
+    workload: &Workload,
+) -> (Assignment, Duration) {
+    drive(make_partitioner(system, config, stream, workload), stream)
 }
 
 /// Run one full experiment cell over the given systems.

@@ -22,6 +22,9 @@
 //! qe 1 2
 //! end
 //! ```
+//! Frequencies are positive and finite, and so is their sum; a
+//! pattern has no self-loop and, if it has an edge, is connected.
+//! [`read_workload`] refuses anything else as a `line N:` error.
 //!
 //! ## Assignment format (`.tsv`)
 //! One `vertex<TAB>partition` row per assigned vertex.
@@ -193,6 +196,8 @@ pub fn write_workload<W: Write>(
 pub fn read_workload<R: BufRead>(r: R) -> Result<(Workload, Vec<String>), IoError> {
     /// A query being accumulated between `query` and `end` lines.
     struct PendingQuery {
+        /// The line of its `query` record.
+        line: usize,
         name: String,
         freq: f64,
         labels: Vec<Label>,
@@ -201,6 +206,9 @@ pub fn read_workload<R: BufRead>(r: R) -> Result<(Workload, Vec<String>), IoErro
     let mut label_names: Option<Vec<String>> = None;
     let mut queries: Vec<(PatternGraph, f64)> = Vec::new();
     let mut current: Option<PendingQuery> = None;
+    // The running sum of frequencies, as `Workload` totals them: it
+    // must stay finite, or every normalised weight reads as zero.
+    let mut total_freq = 0.0f64;
 
     for (i, line) in r.lines().enumerate() {
         let line = line?;
@@ -227,7 +235,21 @@ pub fn read_workload<R: BufRead>(r: R) -> Result<(Workload, Vec<String>), IoErro
                     .ok_or_else(|| perr(lineno, "query needs a frequency"))?
                     .parse()
                     .map_err(|e| perr(lineno, format!("bad frequency: {e}")))?;
+                if !(freq.is_finite() && freq > 0.0) {
+                    return Err(perr(
+                        lineno,
+                        format!("query {name}: frequency must be positive and finite, got {freq}"),
+                    ));
+                }
+                total_freq += freq;
+                if !total_freq.is_finite() {
+                    return Err(perr(
+                        lineno,
+                        format!("query {name}: frequency {freq} overflows the workload's total"),
+                    ));
+                }
                 current = Some(PendingQuery {
+                    line: lineno,
                     name,
                     freq,
                     labels: Vec::new(),
@@ -259,6 +281,9 @@ pub fn read_workload<R: BufRead>(r: R) -> Result<(Workload, Vec<String>), IoErro
                     .ok_or_else(|| perr(lineno, "qe needs two endpoints"))?
                     .parse()
                     .map_err(|e| perr(lineno, format!("bad endpoint: {e}")))?;
+                if u == v {
+                    return Err(perr(lineno, format!("qe {u} {v} is a self-loop")));
+                }
                 cur.edges.push((u, v));
             }
             Some("end") => {
@@ -267,28 +292,26 @@ pub fn read_workload<R: BufRead>(r: R) -> Result<(Workload, Vec<String>), IoErro
                     freq,
                     labels,
                     edges,
+                    ..
                 } = current
                     .take()
                     .ok_or_else(|| perr(lineno, "end outside a query"))?;
                 if labels.is_empty() {
                     return Err(perr(lineno, format!("query {name} has no vertices")));
                 }
-                for &(u, v) in &edges {
-                    if u >= labels.len() || v >= labels.len() {
-                        return Err(perr(
-                            lineno,
-                            format!("query {name}: edge ({u},{v}) out of range"),
-                        ));
-                    }
-                }
-                queries.push((PatternGraph::new(name, labels, edges), freq));
+                let pattern = PatternGraph::try_new(name.clone(), labels, edges)
+                    .map_err(|e| perr(lineno, format!("query {name}: {e}")))?;
+                queries.push((pattern, freq));
             }
             Some(other) => return Err(perr(lineno, format!("unknown record '{other}'"))),
             None => unreachable!(),
         }
     }
-    if current.is_some() {
-        return Err(perr(0, "unterminated query (missing 'end')"));
+    if let Some(q) = current {
+        return Err(perr(
+            q.line,
+            format!("unterminated query {} (missing 'end')", q.name),
+        ));
     }
     if queries.is_empty() {
         return Err(perr(0, "workload has no queries"));
@@ -386,6 +409,57 @@ mod tests {
             IoError::Parse(p) => assert_eq!(p.line, 3),
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    /// The line and message of a workload the parser refuses.
+    fn workload_error(text: &str) -> (usize, String) {
+        match read_workload(text.as_bytes()) {
+            Err(IoError::Parse(p)) => (p.line, p.message),
+            Err(other) => panic!("expected a parse error, got {other}"),
+            Ok(_) => panic!("accepted {text:?}"),
+        }
+    }
+
+    const PATH: &str = "ql 0 0\nqe 0 1\nend\n";
+
+    #[test]
+    fn workload_refuses_a_frequency_that_is_not_positive_and_finite() {
+        for freq in ["NaN", "-1", "inf", "0"] {
+            let text = format!("labels a\nquery q {freq}\n{PATH}");
+            let (line, message) = workload_error(&text);
+            assert_eq!(line, 2, "{freq}: {message}");
+            assert!(message.contains("positive and finite"), "{freq}: {message}");
+        }
+    }
+
+    #[test]
+    fn workload_refuses_a_self_loop_on_its_qe_line() {
+        let (line, message) = workload_error("labels a\nquery q 1\nql 0 0\nqe 0 0\nend\n");
+        assert_eq!((line, message.as_str()), (4, "qe 0 0 is a self-loop"));
+    }
+
+    #[test]
+    fn workload_refuses_a_disconnected_pattern_on_its_end_line() {
+        let text = "labels a\nquery q 1\nql 0 0 0 0\nqe 0 1\nqe 2 3\nend\n";
+        let (line, message) = workload_error(text);
+        assert_eq!(line, 6, "{message}");
+        assert!(message.contains("disconnected"), "{message}");
+    }
+
+    #[test]
+    fn workload_refuses_the_query_whose_frequency_overflows_the_total() {
+        let text = format!("labels a\nquery p 1e308\n{PATH}query q 1e308\n{PATH}");
+        let (line, message) = workload_error(&text);
+        assert_eq!(line, 6, "{message}");
+        assert!(message.contains("overflows"), "{message}");
+    }
+
+    #[test]
+    fn unterminated_query_is_reported_at_its_query_line() {
+        let text = format!("labels a\nquery p 1\n{PATH}query q 1\nql 0\n");
+        let (line, message) = workload_error(&text);
+        assert_eq!(line, 6, "{message}");
+        assert!(message.contains("unterminated query q"), "{message}");
     }
 
     #[test]

@@ -24,18 +24,30 @@ impl PatternGraph {
     /// Build a pattern from vertex labels and an edge list.
     ///
     /// # Panics
-    /// Panics if any edge endpoint is out of range, if an edge is a
-    /// self-loop, or if the pattern has an edge but is not connected
-    /// (disconnected patterns are not valid traversal patterns).
+    /// Panics where [`PatternGraph::try_new`] refuses: an edge endpoint
+    /// out of range, a self-loop, or a pattern that has an edge but is
+    /// not connected (disconnected patterns are not valid traversal
+    /// patterns).
     pub fn new(name: impl Into<String>, labels: Vec<Label>, edges: Vec<(usize, usize)>) -> Self {
+        Self::try_new(name, labels, edges).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PatternGraph::new`], with the reason for a refusal as an error
+    /// instead of a panic — for patterns read from untrusted input.
+    pub fn try_new(
+        name: impl Into<String>,
+        labels: Vec<Label>,
+        edges: Vec<(usize, usize)>,
+    ) -> Result<Self, String> {
         let n = labels.len();
         let mut adj = vec![Vec::new(); n];
         for (i, &(u, v)) in edges.iter().enumerate() {
-            assert!(
-                u < n && v < n,
-                "edge ({u},{v}) out of range for {n} vertices"
-            );
-            assert_ne!(u, v, "self-loop ({u},{u}) not allowed in a pattern");
+            if u >= n || v >= n {
+                return Err(format!("edge ({u},{v}) out of range for {n} vertices"));
+            }
+            if u == v {
+                return Err(format!("self-loop ({u},{u}) not allowed in a pattern"));
+            }
             adj[u].push((v, i));
             adj[v].push((u, i));
         }
@@ -45,10 +57,10 @@ impl PatternGraph {
             adj,
             name: name.into(),
         };
-        if !p.edges.is_empty() {
-            assert!(p.is_connected(), "pattern {} is disconnected", p.name);
+        if !p.edges.is_empty() && !p.is_connected() {
+            return Err(format!("pattern {} is disconnected", p.name));
         }
-        p
+        Ok(p)
     }
 
     /// Convenience constructor for a path pattern `l0 - l1 - ... - lk`.

@@ -36,5 +36,5 @@ pub use state::{
     OnlineAdjacency, PartitionState, ShardCommit,
 };
 pub use taper::{taper_refine, weighted_cut, RefinementResult, TraversalWeights};
-pub use traits::{partition_stream, run_partitioner, IngestError, IngestPhases, StreamPartitioner};
+pub use traits::{partition_stream, IngestError, IngestPhases, StreamPartitioner};
 pub use vertex_stream::{fennel_vertex_stream, ldg_vertex_stream, vertex_stream, VertexArrival};

@@ -180,9 +180,3 @@ pub fn partition_stream<P: StreamPartitioner + ?Sized>(p: &mut P, stream: &Graph
     }
     p.finish();
 }
-
-/// Convenience: run `p` over `stream` and return the assignment.
-pub fn run_partitioner(mut p: Box<dyn StreamPartitioner>, stream: &GraphStream) -> Assignment {
-    partition_stream(p.as_mut(), stream);
-    p.into_assignment()
-}
