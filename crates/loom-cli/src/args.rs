@@ -20,7 +20,6 @@ const STREAM: &[Flag] = &[
     ("threshold", "T", "motif support threshold in [0, 1] (default 0.4)"),
     ("seed", "N", "seed (default 42)"),
     ("labels", "N", "label alphabet size (default: the workload's, at least 4)"),
-    ("probe-limit", "N", "exact mid-stream ipt probe; materialises the feed"),
     ("wal", "DIR", "journal every edge and checkpoint engine state under DIR"),
     ("checkpoint-every", "N", "edges between checkpoints (default 100000; 0 = journal only)"),
     ("resume", "true|false", "recover from --wal and continue past its durable prefix"),

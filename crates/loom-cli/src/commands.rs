@@ -396,14 +396,6 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
             n => loom_core::partition::AdjacencyHorizon::Edges(n),
         },
     };
-    // The exact-ipt probe materialises the ingested subgraph and runs
-    // count_ipt at every snapshot — quadratic on long feeds — so it is
-    // strictly opt-in: give --probe-limit to enable it.
-    // A cap of 0 would print ipt 0.0 on every line.
-    let probe_limit = match args.optional("probe-limit")? {
-        Some(_) => Some(args.parsed_in("probe-limit", 1usize, 1..)?),
-        None => None,
-    };
     let labels_flag = args.parsed_in("labels", 0, ..=MAX_LABELS)?;
     let workload_path = args.optional("workload")?;
     let out = args.optional("out")?;
@@ -426,20 +418,11 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
     }
     let checkpoint_every = checkpoint_every.unwrap_or(100_000);
     let resume = resume.unwrap_or(false);
-    if wal_dir.is_some() && probe_limit.is_some() {
-        // The engine refuses this pairing too; say why up front. The
-        // probe materialises the whole feed, which no checkpoint
-        // covers — a resumed probe would silently measure a suffix.
-        return Err("--wal is incompatible with --probe-limit \
-                    (the probe materialises the feed; checkpoints do not cover it)"
-            .into());
-    }
 
-    // Workload (needed for --system loom; enables the ipt probe
-    // otherwise). The header names carry the full label alphabet — a
-    // text feed declares labels lazily, so Loom's randomizer cannot
-    // wait for the source. `--labels` overrides for feeds whose
-    // alphabet outgrows the workload header.
+    // Workload (needed for --system loom). The header names carry the
+    // full label alphabet — a text feed declares labels lazily, so
+    // Loom's randomizer cannot wait for the source. `--labels`
+    // overrides for feeds whose alphabet outgrows the workload header.
     let workload_and_names = match &workload_path {
         Some(path) => Some(read_workload_file(path)?),
         None => None,
@@ -506,12 +489,6 @@ fn build_stream_run(args: &Args) -> Result<StreamRun> {
             ..EngineConfig::default()
         },
     );
-    if let Some(limit) = probe_limit {
-        let w = workload
-            .clone()
-            .ok_or("--probe-limit needs --workload (the queries to measure ipt for)")?;
-        engine = engine.with_ipt_probe(w, limit);
-    }
 
     let mut stdout = Stdout::default();
     let mut last_printed: Option<(u64, usize, u64, u64)> = None;
@@ -903,10 +880,6 @@ impl loom_core::graph::EdgeSource for PacedSource {
 
 /// One human-and-awk-friendly snapshot line on stdout.
 fn print_snapshot(out: &mut Stdout, s: &loom_core::engine::Snapshot) {
-    let ipt = match s.weighted_ipt {
-        Some(v) => format!("  ipt {v:.1}"),
-        None => String::new(),
-    };
     // Arena occupancy, for partitioners that keep a match arena: live
     // vs resident cells and the compaction generation, so an operator
     // (or ci.sh) can watch reclamation keep residency flat on
@@ -953,7 +926,7 @@ fn print_snapshot(out: &mut Stdout, s: &loom_core::engine::Snapshot) {
         None => String::new(),
     };
     out.line(format_args!(
-        "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}{}",
+        "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}",
         s.seq,
         s.edges,
         s.vertices,
@@ -962,7 +935,6 @@ fn print_snapshot(out: &mut Stdout, s: &loom_core::engine::Snapshot) {
         s.cut_fraction() * 100.0,
         s.cut_edges,
         s.resolved_edges,
-        ipt,
         arena,
         adjacency,
         wal,

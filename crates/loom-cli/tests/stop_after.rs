@@ -279,14 +279,6 @@ fn wal_misuse_is_refused_loudly() {
     ]);
     assert_refused(&o, "past the requested cap", "resume past --max-edges");
 
-    // The probe materialises the feed; no checkpoint covers it.
-    let o = stream(&["--max-edges", "100", "--wal", wal, "--probe-limit", "10"]);
-    assert_refused(
-        &o,
-        "incompatible with --probe-limit",
-        "--wal with --probe-limit",
-    );
-
     // --resume is an explicit boolean, like every other loom flag.
     let o = stream(&["--max-edges", "100", "--wal", wal, "--resume", "yes"]);
     assert_refused(&o, "true or false", "--resume with a non-boolean");

@@ -69,22 +69,6 @@ fn workload_labels_the_graph_lacks_match_nothing() {
         "evaluate: {stdout}"
     );
 
-    // The feed has not shown label 7 when the probe measures.
-    let o = loom(&[
-        "stream",
-        "--input",
-        &graph,
-        "--workload",
-        &wl,
-        "--probe-limit",
-        "10",
-        "--k",
-        "2",
-        "--system",
-        "hash",
-    ]);
-    assert!(o.status.success(), "stream: {o:?}");
-
     let o = partition(&big);
     assert_eq!(o.status.code(), Some(1), "partition past MAX_LABELS: {o:?}");
     assert_eq!(

@@ -8,8 +8,8 @@
 //! gap: it wraps any [`StreamPartitioner`], pulls edges in batches
 //! from any [`EdgeSource`], and emits [`Snapshot`]s of partition
 //! quality at a configurable edge cadence — so a long-running service
-//! can watch balance, cut rate and (optionally) workload ipt evolve
-//! mid-stream instead of learning them post mortem.
+//! can watch balance, cut rate and store occupancy evolve mid-stream
+//! instead of learning them post mortem.
 //!
 //! The engine adds *observation only*: it forwards every edge to the
 //! wrapped partitioner unchanged, so driving the paper pipeline
@@ -18,12 +18,11 @@
 
 use crate::persist::{read_journal, RecoveryStats, Segment, WalState};
 use crate::serve::{ServeHandle, ServeOptions, ServeState};
-use loom_graph::{EdgeSource, LabeledGraph, StreamEdge, Workload};
+use loom_graph::{EdgeSource, StreamEdge};
 use loom_matcher::ArenaOccupancy;
 use loom_partition::{
     AdjacencyOccupancy, Assignment, IngestPhases, PartitionState, StreamPartitioner,
 };
-use loom_query::count_ipt;
 use loom_runtime::ServeStats;
 use loom_wal::{
     list_checkpoints, list_segments, read_checkpoint, segment_name, ByteReader, ByteWriter,
@@ -123,9 +122,6 @@ pub struct Snapshot {
     pub cut_edges: u64,
     /// Ingested edges whose endpoints are both assigned.
     pub resolved_edges: u64,
-    /// Frequency-weighted workload ipt over the graph ingested so far,
-    /// when the engine carries an ipt probe (None otherwise).
-    pub weighted_ipt: Option<f64>,
     /// Match-arena occupancy (live/dead matches and cells, compaction
     /// generation) for partitioners that keep one — Loom. `None` for
     /// the memoryless baselines. Lets a long-running ingest *observe*
@@ -168,44 +164,6 @@ impl Snapshot {
     }
 }
 
-/// Optional mid-stream ipt probe: accumulates the ingested subgraph
-/// and executes the workload over it at snapshot time, via
-/// `loom_query::count_ipt`. This is the expensive, exact measure — the
-/// running cut rate is always available for free.
-struct IptProbe {
-    graph: LabeledGraph,
-    workload: Workload,
-    limit_per_query: usize,
-}
-
-impl IptProbe {
-    fn ingest(&mut self, e: &StreamEdge) {
-        // Auto-register endpoints (labels arrive with the edge; a
-        // label outside the current alphabet grows it).
-        let max_label = e.src_label.index().max(e.dst_label.index());
-        self.graph.ensure_labels(max_label + 1);
-        let hi = e.src.index().max(e.dst.index());
-        while self.graph.num_vertices() <= hi {
-            // Labels of not-yet-seen gap vertices default to 0 and are
-            // corrected below if this edge names them.
-            self.graph.add_vertex(loom_graph::Label(0));
-        }
-        self.graph.set_label(e.src, e.src_label);
-        self.graph.set_label(e.dst, e.dst_label);
-        self.graph.add_edge_checked(e.src, e.dst);
-    }
-
-    fn measure(&self, assignment: &Assignment) -> f64 {
-        count_ipt(
-            &self.graph,
-            assignment,
-            &self.workload,
-            self.limit_per_query,
-        )
-        .weighted_ipt
-    }
-}
-
 /// An event-driven wrapper around any streaming partitioner.
 pub struct OnlineEngine {
     partitioner: Box<dyn StreamPartitioner>,
@@ -220,7 +178,6 @@ pub struct OnlineEngine {
     pending: VecDeque<StreamEdge>,
     cut_edges: u64,
     resolved_edges: u64,
-    probe: Option<IptProbe>,
     /// Crash recovery, when attached: the edge journal + checkpoint
     /// hooks of [`OnlineEngine::attach_wal`] /
     /// [`OnlineEngine::resume_from_wal`]. Boxed, so an engine without
@@ -245,7 +202,6 @@ impl OnlineEngine {
             pending: VecDeque::new(),
             cut_edges: 0,
             resolved_edges: 0,
-            probe: None,
             wal: None,
             serve: None,
         }
@@ -360,18 +316,6 @@ impl OnlineEngine {
         }
     }
 
-    /// Attach an exact workload-ipt probe: snapshots additionally
-    /// report `count_ipt` over the subgraph ingested so far. Costs
-    /// memory (the subgraph) and snapshot-time matching.
-    pub fn with_ipt_probe(mut self, workload: Workload, limit_per_query: usize) -> Self {
-        self.probe = Some(IptProbe {
-            graph: LabeledGraph::with_anonymous_labels(1),
-            workload,
-            limit_per_query,
-        });
-        self
-    }
-
     /// Name of the wrapped partitioner.
     pub fn partitioner_name(&self) -> &'static str {
         self.partitioner.name()
@@ -446,11 +390,6 @@ impl OnlineEngine {
                     message: e.message,
                 })?;
             self.edges += chunk.len() as u64;
-            if let Some(probe) = &mut self.probe {
-                for e in chunk {
-                    probe.ingest(e);
-                }
-            }
             if self.config.track_cuts {
                 self.pending.extend(chunk.iter().copied());
                 let state = self.partitioner.state();
@@ -544,10 +483,6 @@ impl OnlineEngine {
         } else {
             state.max_size() as f64 / mean - 1.0
         };
-        let weighted_ipt = self
-            .probe
-            .as_ref()
-            .map(|p| p.measure(&state.to_assignment()));
         let arena = self.partitioner.arena();
         let adjacency = self.partitioner.adjacency();
         let ingest = self.partitioner.ingest_phases();
@@ -560,7 +495,6 @@ impl OnlineEngine {
             imbalance,
             cut_edges: self.cut_edges,
             resolved_edges: self.resolved_edges,
-            weighted_ipt,
             arena,
             adjacency,
             ingest,
@@ -584,9 +518,8 @@ impl OnlineEngine {
     ///
     /// Refused over a backend that already holds a journal or
     /// checkpoints (resume instead — a fresh WAL would shadow durable
-    /// state), after ingest has started (the journal would miss the
-    /// prefix), or with an ipt probe attached (the probe accumulates
-    /// the whole ingested subgraph and is not checkpointable).
+    /// state), or after ingest has started (the journal would miss the
+    /// prefix).
     pub fn attach_wal(
         &mut self,
         backend: Box<dyn StorageBackend>,
@@ -771,13 +704,6 @@ impl OnlineEngine {
                  would be missing from the journal",
                 self.edges
             )));
-        }
-        if self.probe.is_some() {
-            return Err(WalError::Refused(
-                "the ipt probe accumulates the whole ingested subgraph and is not \
-                 checkpointable; run without the probe to use a WAL"
-                    .to_string(),
-            ));
         }
         Ok(())
     }
@@ -977,25 +903,6 @@ mod tests {
         for v in graph.vertices() {
             assert_eq!(direct_a.partition_of(v), engine_a.partition_of(v));
         }
-    }
-
-    #[test]
-    fn ipt_probe_reports_workload_ipt() {
-        let graph = loom_graph::datasets::generate(DatasetKind::ProvGen, Scale::Tiny, 5);
-        let stream = GraphStream::from_graph(&graph, StreamOrder::BreadthFirst, 5);
-        let workload = loom_query::workload_for(DatasetKind::ProvGen);
-        let boxed: Box<dyn StreamPartitioner> = Box::new(HashPartitioner::new(4, 5));
-        let mut engine =
-            OnlineEngine::new(boxed, one_edge_pulls(0)).with_ipt_probe(workload.clone(), 50_000);
-        engine.run(&mut stream.source(), None, |_| {}).unwrap();
-        let fin = engine.finish();
-        let probe_ipt = fin.weighted_ipt.expect("probe attached");
-
-        // The probe saw the whole graph, so it must agree with the
-        // offline measurement on the final assignment.
-        let assignment = engine.into_assignment();
-        let offline = loom_query::count_ipt(&graph, &assignment, &workload, 50_000).weighted_ipt;
-        assert_eq!(probe_ipt.to_bits(), offline.to_bits());
     }
 
     #[test]

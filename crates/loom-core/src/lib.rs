@@ -62,5 +62,5 @@ pub mod prelude {
         LdgPartitioner, LoomConfig, LoomPartitioner, PartitionMetrics, StreamPartitioner,
         TraversalWeights,
     };
-    pub use loom_query::{count_ipt, simulate, workload_for, QueryExecutor, SimulationConfig};
+    pub use loom_query::{count_ipt, workload_for, QueryExecutor};
 }

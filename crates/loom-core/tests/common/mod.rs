@@ -180,13 +180,6 @@ pub fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     }
     assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
     assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(
-        a.weighted_ipt.map(f64::to_bits),
-        b.weighted_ipt.map(f64::to_bits),
-        "{ctx}: weighted_ipt {:?} vs {:?}",
-        a.weighted_ipt,
-        b.weighted_ipt
-    );
     assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
     assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
 }

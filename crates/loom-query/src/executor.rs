@@ -37,30 +37,6 @@ pub trait GraphAccess {
     fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)];
 }
 
-/// References delegate, so `QueryExecutor::new(&&graph)` keeps
-/// working where auto-deref used to apply before the trait existed.
-impl<G: GraphAccess + ?Sized> GraphAccess for &G {
-    fn num_vertices(&self) -> usize {
-        (**self).num_vertices()
-    }
-
-    fn num_labels(&self) -> usize {
-        (**self).num_labels()
-    }
-
-    fn label(&self, v: VertexId) -> Label {
-        (**self).label(v)
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        (**self).degree(v)
-    }
-
-    fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        (**self).neighbors(v)
-    }
-}
-
 impl GraphAccess for LabeledGraph {
     fn num_vertices(&self) -> usize {
         LabeledGraph::num_vertices(self)
@@ -136,47 +112,6 @@ impl<'g, G: GraphAccess> QueryExecutor<'g, G> {
     /// Count distinct matches of `q`, up to `limit`.
     pub fn count_matches(&self, q: &PatternGraph, limit: usize) -> usize {
         self.for_each_match(q, limit, |_| {})
-    }
-
-    /// Like [`QueryExecutor::for_each_match`], but anchored: pattern
-    /// vertex `root` must map to the data vertex `anchor`. This is how
-    /// a GDBMS actually executes a pattern query — index lookup of the
-    /// anchor, then traversal — and what the workload simulator uses.
-    pub fn for_each_match_from<F: FnMut(&[EdgeId])>(
-        &self,
-        q: &PatternGraph,
-        root: usize,
-        anchor: VertexId,
-        limit: usize,
-        mut f: F,
-    ) -> usize {
-        if q.num_vertices() == 0 || limit == 0 {
-            return 0;
-        }
-        assert!(root < q.num_vertices(), "root {root} out of range");
-        if self.graph.label(anchor) != q.label(root) || self.graph.degree(anchor) < q.degree(root) {
-            return 0;
-        }
-        let order = order_from(q, root);
-        let mut mapping = vec![VertexId(u32::MAX); q.num_vertices()];
-        let mut used: HashSet<VertexId> = HashSet::new();
-        let mut seen: HashSet<Vec<EdgeId>> = HashSet::new();
-        let mut delivered = 0usize;
-        // Pin the anchor, then search the rest.
-        mapping[root] = anchor;
-        used.insert(anchor);
-        self.backtrack(
-            q,
-            &order,
-            1,
-            &mut mapping,
-            &mut used,
-            &mut seen,
-            limit,
-            &mut delivered,
-            &mut f,
-        );
-        delivered
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -10,13 +10,11 @@
 pub mod executor;
 pub mod ipt;
 pub mod paged;
-pub mod simulator;
 pub mod view;
 pub mod workloads;
 
 pub use executor::{GraphAccess, QueryExecutor};
 pub use ipt::{count_ipt, IptReport, QueryIpt};
 pub use paged::{FrozenAssignment, ViewGraph};
-pub use simulator::{simulate, SimulationConfig, SimulationReport};
 pub use view::{handle_request, khop, match_path, KhopResult, ReadView};
 pub use workloads::workload_for;

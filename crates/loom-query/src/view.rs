@@ -141,12 +141,14 @@ pub fn khop(view: &ReadView, start: VertexId, depth: usize, limit: usize) -> Kho
 }
 
 /// Count matches of the label path `labels` over the retained
-/// adjacency, up to `limit`. Returns `(count, capped)`.
+/// adjacency, up to `limit`. Returns `(count, capped)`; like
+/// [`khop`]'s, `capped` means a match past the limit exists, so the
+/// search looks for one more than it reports.
 pub fn match_path(view: &ReadView, labels: &[Label], limit: usize) -> (usize, bool) {
     let q = PatternGraph::path("serve-match", labels.to_vec());
     let ex = QueryExecutor::new(&view.graph);
-    let count = ex.count_matches(&q, limit);
-    (count, count >= limit)
+    let count = ex.count_matches(&q, limit.saturating_add(1));
+    (count.min(limit), count > limit)
 }
 
 fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String> {
@@ -291,8 +293,8 @@ fn try_handle(view: Option<&ReadView>, line: &str) -> Result<String, String> {
             ))
         }
         // The TCP server intercepts QUIT before the handler; answering
-        // it here keeps in-process callers (tests, the simulator) in
-        // the same grammar.
+        // it here keeps in-process callers (tests) in the same
+        // grammar.
         "QUIT" => Ok("OK bye".to_string()),
         _ => unreachable!("known commands matched above"),
     }
@@ -418,6 +420,10 @@ mod tests {
         assert_eq!(
             handle_request(view, "MATCH 0-1 1"),
             "OK match pattern=0-1 count=1 capped=1"
+        );
+        assert_eq!(
+            handle_request(view, "MATCH 0-1 2"),
+            "OK match pattern=0-1 count=2 capped=0"
         );
         assert!(handle_request(view, "HELP").starts_with("OK commands"));
         assert_eq!(handle_request(view, "QUIT"), "OK bye");

@@ -25,7 +25,7 @@ pub enum WalError {
     /// partitioner without checkpoint support).
     Unsupported(String),
     /// The operation was refused up front (e.g. attaching a fresh WAL
-    /// over an existing journal, or resuming with an ipt probe).
+    /// over an existing journal, or mid-stream).
     Refused(String),
     /// A payload too long for its frame's `u32` length field. Refused
     /// at write time: the wrapped length would be a header every later

@@ -1,6 +1,6 @@
 //! Query-serving scenario: measure what a *client* of the partitioned
-//! store experiences — remote hops per executed query — using the
-//! workload simulator, and see how the §6 integrations (TAPER-style
+//! store experiences — remote hops while executing the workload — with
+//! `count_ipt`, and see how the §6 integrations (TAPER-style
 //! refinement, restreaming) interact with Loom's placements.
 //!
 //! ```text
@@ -12,23 +12,21 @@ use loom_core::partition::{restream_pass, taper_refine, Assignment, TraversalWei
 use loom_core::prelude::*;
 use loom_core::{make_partitioner, ExperimentConfig, System};
 
-fn serve(name: &str, graph: &LabeledGraph, assignment: &Assignment, workload: &Workload) {
-    let report = simulate(
-        graph,
-        assignment,
-        workload,
-        &SimulationConfig {
-            num_queries: 5_000,
-            seed: 17,
-            max_matches_per_query: 64,
-        },
-    );
+fn serve(
+    name: &str,
+    graph: &LabeledGraph,
+    assignment: &Assignment,
+    workload: &Workload,
+    limit: usize,
+) {
+    let report = count_ipt(graph, assignment, workload, limit);
+    let traversals: usize = report.per_query.iter().map(|q| q.traversals).sum();
     println!(
-        "{:<18} {:>8.3} remote hops/query   {:>6.1}% of traversals remote   ({} matches served)",
+        "{:<18} {:>10.1} weighted ipt   {:>6.1}% of traversals remote   ({} matches served)",
         name,
-        report.ipt_per_query(),
-        report.remote_fraction() * 100.0,
-        report.matches
+        report.weighted_ipt,
+        report.total_ipt() as f64 / traversals.max(1) as f64 * 100.0,
+        report.total_matches()
     );
 }
 
@@ -42,17 +40,19 @@ fn main() {
     let workload = workload_for(cfg.dataset);
     let stream = GraphStream::from_graph(&graph, cfg.order, cfg.seed);
     println!(
-        "LUBM-like store: {} vertices, {} edges, k = {}; serving 5000 queries\n",
+        "LUBM-like store: {} vertices, {} edges, k = {}; up to {} matches per query\n",
         graph.num_vertices(),
         graph.num_edges(),
-        cfg.k
+        cfg.k,
+        cfg.limit_per_query
     );
+    let limit = cfg.limit_per_query;
 
     // The four systems, as the client sees them.
     for sys in System::ALL {
         let mut p = make_partitioner(sys, &cfg, &stream, &workload);
         loom_core::partition::partition_stream(p.as_mut(), &stream);
-        serve(sys.name(), &graph, &p.into_assignment(), &workload);
+        serve(sys.name(), &graph, &p.into_assignment(), &workload, limit);
     }
 
     // §6 integrations on top of Loom.
@@ -62,14 +62,14 @@ fn main() {
 
     let weights = TraversalWeights::from_workload(&workload);
     let refined = taper_refine(&graph, &loom, &weights, 8, 1.1);
-    serve("Loom+TAPER", &graph, &refined.assignment, &workload);
+    serve("Loom+TAPER", &graph, &refined.assignment, &workload, limit);
 
     let restreamed = restream_pass(&stream, &loom, 1.1);
-    serve("Loom+restream", &graph, &restreamed, &workload);
+    serve("Loom+restream", &graph, &restreamed, &workload, limit);
 
     println!(
-        "\nOn chain-structured LUBM data the TAPER pass helps; on hub-heavy\n\
-         graphs it can hurt badly — see EXPERIMENTS.md Ablation C for why\n\
-         single-edge cut is a treacherous proxy for per-match ipt."
+        "\nTAPER refines against single-edge cut, a treacherous proxy for\n\
+         per-match ipt: compare its row with Loom's, and see Ablation C of\n\
+         `repro --experiment ablations` for the other datasets."
     );
 }

@@ -1,7 +1,6 @@
-//! Cross-crate integration of the post-paper extensions: the workload
-//! simulator, TAPER-style refinement, restreaming, vertex-stream
-//! baselines and trie decay — wired through the same pipeline as the
-//! main evaluation.
+//! Cross-crate integration of the post-paper extensions: TAPER-style
+//! refinement, restreaming, vertex-stream baselines and trie decay —
+//! wired through the same pipeline as the main evaluation.
 
 use loom_core::graph::{datasets, GraphStream};
 use loom_core::partition::{
@@ -33,41 +32,10 @@ fn loom_assignment(
 }
 
 #[test]
-fn simulator_ranks_systems_like_exhaustive_counting() {
-    // Hash must look worst under BOTH measures on every dataset.
-    for dataset in [DatasetKind::ProvGen, DatasetKind::Lubm100] {
-        let (graph, workload, stream, cfg) = setup(dataset);
-        let sim_cfg = SimulationConfig {
-            num_queries: 2_000,
-            seed: 3,
-            max_matches_per_query: 64,
-        };
-        let mut sim_scores = Vec::new();
-        let mut exact_scores = Vec::new();
-        for sys in [System::Hash, System::Loom] {
-            let mut p = make_partitioner(sys, &cfg, &stream, &workload);
-            loom_core::partition::partition_stream(p.as_mut(), &stream);
-            let a = p.into_assignment();
-            sim_scores.push(simulate(&graph, &a, &workload, &sim_cfg).ipt_per_query());
-            exact_scores.push(count_ipt(&graph, &a, &workload, cfg.limit_per_query).weighted_ipt);
-        }
-        assert!(
-            sim_scores[0] > sim_scores[1],
-            "{}: simulator should rank Loom above Hash ({sim_scores:?})",
-            dataset.name()
-        );
-        assert!(
-            exact_scores[0] > exact_scores[1],
-            "{}: exhaustive should rank Loom above Hash ({exact_scores:?})",
-            dataset.name()
-        );
-    }
-}
-
-#[test]
 fn taper_refinement_helps_chain_structured_data() {
     // LUBM/ProvGen are the datasets where the single-edge proxy is
-    // honest (EXPERIMENTS.md Ablation C); refinement must not hurt.
+    // honest (Ablation C of `repro --experiment ablations`);
+    // refinement must not hurt.
     for dataset in [DatasetKind::ProvGen, DatasetKind::Lubm100] {
         let (graph, workload, stream, cfg) = setup(dataset);
         let loom = loom_assignment(&cfg, &stream, &workload);
