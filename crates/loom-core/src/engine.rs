@@ -457,17 +457,15 @@ impl OnlineEngine {
     /// Fold newly-resolved pending edges into the running cut counters.
     fn settle(&mut self) {
         let state = self.partitioner.state();
-        let mut still_pending = VecDeque::new();
-        while let Some(e) = self.pending.pop_front() {
-            match (state.partition_of(e.src), state.partition_of(e.dst)) {
-                (Some(a), Some(b)) => {
-                    self.resolved_edges += 1;
-                    self.cut_edges += (a != b) as u64;
-                }
-                _ => still_pending.push_back(e),
-            }
-        }
-        self.pending = still_pending;
+        let (resolved, cut) = (&mut self.resolved_edges, &mut self.cut_edges);
+        self.pending.retain(|e| {
+            let (Some(a), Some(b)) = (state.partition_of(e.src), state.partition_of(e.dst)) else {
+                return true;
+            };
+            *resolved += 1;
+            *cut += (a != b) as u64;
+            false
+        });
     }
 
     /// Take a snapshot now, regardless of cadence.

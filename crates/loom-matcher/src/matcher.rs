@@ -191,8 +191,10 @@ pub struct MotifMatcher {
     dead_at_last_compact: usize,
     // Scratch reused across calls so the steady state allocates
     // nothing beyond arena cells and index growth: the probe plan the
-    // sequential path reuses, and the apply stage's fresh-id list.
-    probe_scratch: EdgeProbe,
+    // sequential path reuses (boxed, so taking it out and putting it
+    // back per edge moves a pointer, not the plan), and the apply
+    // stage's fresh-id list.
+    probe_scratch: Option<Box<EdgeProbe>>,
     scratch_fresh: Vec<MatchId>,
 }
 
@@ -211,7 +213,7 @@ impl MotifMatcher {
             supports,
             match_cap: MAX_MATCHES_PER_ENDPOINT,
             dead_at_last_compact: 0,
-            probe_scratch: EdgeProbe::default(),
+            probe_scratch: None,
             scratch_fresh: Vec::new(),
         }
     }
@@ -303,10 +305,10 @@ impl MotifMatcher {
     /// parallel ingest's commit stage run the exact same split, so
     /// their bit-identity is structural, not coincidental.
     pub fn on_edge_classified(&mut self, e: StreamEdge, m0: MotifId) -> EdgeFate {
-        let mut probe = std::mem::take(&mut self.probe_scratch);
+        let mut probe = self.probe_scratch.take().unwrap_or_default();
         self.probe_classified(&e, m0, &mut probe);
         let fate = self.apply_probe(e, &probe);
-        self.probe_scratch = probe;
+        self.probe_scratch = Some(probe);
         fate
     }
 

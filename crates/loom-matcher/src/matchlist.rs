@@ -15,10 +15,13 @@
 //! pointer-free index hops through a dense `Vec`; full edge lists are
 //! materialised only when the allocation step consumes a match.
 //!
-//! Indexes (`by_vertex`, `by_edge`, the dedup set) use FxHash — the
-//! fixed-key deterministic hasher from the `rustc-hash` shim — because
-//! the matcher probes them several times per arriving edge and SipHash
-//! was a measurable share of `on_edge`.
+//! `matchList(v)` itself is `by_vertex`, a dense vertex → slot column
+//! over a slab of rows that holds only the vertices with an entry (see
+//! `VertexRows`). The edge index and the dedup set (`by_edge`,
+//! `dedup`) are hashed with FxHash — the fixed-key deterministic hasher
+//! from the `rustc-hash` shim — because the matcher probes them several
+//! times per arriving edge and SipHash was a measurable share of
+//! `on_edge`.
 
 use loom_graph::{EdgeId, StreamEdge, VertexId};
 use loom_motif::MotifId;
@@ -233,6 +236,87 @@ pub struct ArenaOccupancy {
 /// the copy (below this the arena is too small to matter).
 const RECLAIM_MIN_MATCHES: usize = 4_096;
 
+/// Sentinel for "this vertex has no row" in [`VertexRows::slot`].
+const NO_ROW: u32 = u32::MAX;
+
+/// One vertex's `matchList` row: `(match, the vertex's degree within
+/// it)`, ascending by id.
+type Row = Vec<(MatchId, u8)>;
+
+/// The per-vertex match index, sized by the vertices that hold an
+/// entry rather than by every vertex ever seen.
+///
+/// A dense `slot` column maps a vertex id to its row in the `rows`
+/// slab (4 B per id seen, [`NO_ROW`] for none); only vertices with at
+/// least one entry own a slab row, and `owner` maps a row back to its
+/// vertex. A row that [`MatchList::reclaim`] empties goes to the `free`
+/// list with its capacity kept, and the next vertex that needs a row
+/// takes it. An owned row is never empty: pushes prune before they
+/// append, so only a reclaim can empty a row, and it frees the row at
+/// once. Free rows are therefore exactly the empty ones.
+#[derive(Clone, Debug, Default)]
+struct VertexRows {
+    slot: Vec<u32>,
+    rows: Vec<Row>,
+    owner: Vec<VertexId>,
+    free: Vec<u32>,
+}
+
+impl VertexRows {
+    /// `v`'s row (empty when `v` holds no entry).
+    #[inline]
+    fn get(&self, v: VertexId) -> &[(MatchId, u8)] {
+        match self.slot.get(v.index()) {
+            Some(&s) if s != NO_ROW => &self.rows[s as usize],
+            _ => &[],
+        }
+    }
+
+    /// `v`'s row for a push, growing the slot column to cover `v` and
+    /// taking a slab row (a free one first) when `v` has none.
+    #[inline]
+    fn row_mut(&mut self, v: VertexId) -> &mut Row {
+        if self.slot.len() <= v.index() {
+            self.slot.resize(v.index() + 1, NO_ROW);
+        }
+        let mut s = self.slot[v.index()];
+        if s == NO_ROW {
+            s = match self.free.pop() {
+                Some(f) => {
+                    self.owner[f as usize] = v;
+                    f
+                }
+                None => {
+                    self.rows.push(Row::new());
+                    self.owner.push(v);
+                    (self.rows.len() - 1) as u32
+                }
+            };
+            self.slot[v.index()] = s;
+        }
+        &mut self.rows[s as usize]
+    }
+
+    /// Remap every owned row's ids through `match_remap` (`NO_CELL` = the
+    /// match is gone, drop the entry), freeing the rows left empty.
+    fn remap(&mut self, match_remap: &[u32]) {
+        for (s, row) in self.rows.iter_mut().enumerate() {
+            if row.is_empty() {
+                continue;
+            }
+            row.retain_mut(|entry| {
+                let n = match_remap[entry.0.index()];
+                entry.0 = MatchId(n);
+                n != NO_CELL
+            });
+            if row.is_empty() {
+                self.slot[self.owner[s].index()] = NO_ROW;
+                self.free.push(s as u32);
+            }
+        }
+    }
+}
+
 /// Cell arena + indices for all live matches in the window.
 ///
 /// Dead matches keep their (small, fixed-size) `Meta` and cells until
@@ -251,18 +335,17 @@ const RECLAIM_MIN_MATCHES: usize = 4_096;
 pub struct MatchList {
     cells: Vec<Cell>,
     matches: Vec<Meta>,
-    /// Dense per-vertex match lists (ascending id order), each entry
+    /// Per-vertex match lists (ascending id order), each entry
     /// carrying the vertex's degree *within* that match — matches are
     /// immutable, so the degree recorded at registration stays true
     /// for the match's whole life, and the extension step reads it
     /// straight off the row instead of walking the cell chain. Vertex
-    /// ids index directly — the map hashing this replaced was a
-    /// measurable share of the per-edge index upkeep; rows grow with
-    /// the vertex universe like the partition-side adjacency does.
-    /// Edge ids stay hashed ([`MatchList::by_edge`]): only
-    /// window-resident edges have entries, so a dense edge table
-    /// would grow with the stream.
-    by_vertex: Vec<Vec<(MatchId, u8)>>,
+    /// ids index a dense slot column (the map hashing this replaced
+    /// was a measurable share of the per-edge index upkeep); the rows
+    /// behind it exist only for vertices with entries. Edge ids stay
+    /// hashed (`by_edge`): only window-resident edges have entries,
+    /// so a dense edge table would grow with the stream.
+    by_vertex: VertexRows,
     by_edge: FxHashMap<EdgeId, Vec<MatchId>>,
     dedup: FxHashSet<u128>,
     /// Dense per-match liveness, packed `(motif << 8) | edge count`
@@ -424,11 +507,6 @@ impl MatchList {
         }
         // Sorted multiplicities = per-vertex degrees within the match.
         scratch.sort_unstable();
-        if let Some(hi) = scratch.last() {
-            if self.by_vertex.len() <= hi.index() {
-                self.by_vertex.resize_with(hi.index() + 1, Vec::new);
-            }
-        }
         let live_info = &self.live_info;
         let mut i = 0;
         while i < scratch.len() {
@@ -446,7 +524,7 @@ impl MatchList {
             // is also what bounds the rows now that compact() never
             // sweeps them). `live_info` predates `id`, and so does
             // every entry already in the row.
-            Self::push_row(&mut self.by_vertex[v.index()], live_info, id, deg);
+            Self::push_row(self.by_vertex.row_mut(v), live_info, id, deg);
         }
         if self.track_dirty {
             self.dirty.extend(scratch.iter().copied());
@@ -517,12 +595,9 @@ impl MatchList {
         } else {
             (e.dst, e.src)
         };
-        if self.by_vertex.len() <= hi.index() {
-            self.by_vertex.resize_with(hi.index() + 1, Vec::new);
-        }
-        Self::push_row(&mut self.by_vertex[lo.index()], &self.live_info, id, 1);
+        Self::push_row(self.by_vertex.row_mut(lo), &self.live_info, id, 1);
         if lo != hi {
-            Self::push_row(&mut self.by_vertex[hi.index()], &self.live_info, id, 1);
+            Self::push_row(self.by_vertex.row_mut(hi), &self.live_info, id, 1);
         }
         self.matches.push(Meta {
             cell,
@@ -604,14 +679,11 @@ impl MatchList {
     /// Live matches containing vertex `v` — `matchList(v)` in Alg. 2.
     pub fn matches_at_vertex(&self, v: VertexId) -> Vec<MatchId> {
         self.by_vertex
-            .get(v.index())
-            .map(|ids| {
-                ids.iter()
-                    .map(|&(id, _)| id)
-                    .filter(|&id| self.live_info[id.index()] != 0)
-                    .collect()
-            })
-            .unwrap_or_default()
+            .get(v)
+            .iter()
+            .map(|&(id, _)| id)
+            .filter(|&id| self.live_info[id.index()] != 0)
+            .collect()
     }
 
     /// Append the newest (at most) `cap` live matches at `v` to `out`,
@@ -623,13 +695,11 @@ impl MatchList {
     /// found: at a hub vertex the cost is O(cap + recently-dead), not
     /// O(every match ever recorded at the hub) — the difference
     /// between linear and quadratic total work in hub degree. Dead
-    /// entries are left for [`MatchList::compact`] to sweep.
+    /// entries are left for the row's push-cadence pruning and the
+    /// next [`MatchList::reclaim`].
     pub fn recent_matches_at_vertex_into(&self, v: VertexId, cap: usize, out: &mut Vec<MatchId>) {
-        let Some(ids) = self.by_vertex.get(v.index()) else {
-            return;
-        };
         let start = out.len();
-        for &(id, _) in ids.iter().rev() {
+        for &(id, _) in self.by_vertex.get(v).iter().rev() {
             if self.live_info[id.index()] != 0 {
                 out.push(id);
                 if out.len() - start >= cap {
@@ -653,12 +723,9 @@ impl MatchList {
         cap: usize,
         out: &mut Vec<(MatchId, u8)>,
     ) -> bool {
-        let Some(ids) = self.by_vertex.get(v.index()) else {
-            return false;
-        };
         let start = out.len();
         let mut truncated = false;
-        for &(id, deg) in ids.iter().rev() {
+        for &(id, deg) in self.by_vertex.get(v).iter().rev() {
             if self.live_info[id.index()] != 0 {
                 out.push((id, deg));
                 if out.len() - start >= cap {
@@ -769,7 +836,9 @@ impl MatchList {
     /// remap is **monotone**: relative id order — which the recency
     /// cap and every index walk depend on — is preserved exactly, and
     /// shared cell tails stay shared (each old cell is copied at most
-    /// once). O(live matches + live cells + index entries).
+    /// once). O(arena matches + arena cells + index entries): the
+    /// vertex index is walked by its slab, the vertices holding an
+    /// entry, never by every vertex id seen.
     ///
     /// All previously returned [`MatchId`]s are invalidated.
     pub fn reclaim(&mut self) {
@@ -819,13 +888,7 @@ impl MatchList {
         // Remap the indices in place; dead ids drop out. The per-list
         // order is preserved and the remap is monotone, so every list
         // stays ascending-by-id (append order).
-        for ids in &mut self.by_vertex {
-            ids.retain_mut(|entry| {
-                let n = match_remap[entry.0.index()];
-                entry.0 = MatchId(n);
-                n != NO_CELL
-            });
-        }
+        self.by_vertex.remap(&match_remap);
         self.by_edge.retain(|_, ids| {
             ids.retain_mut(|id| {
                 let n = match_remap[id.index()];
@@ -861,8 +924,12 @@ impl MatchList {
             w.u16(m.len);
             w.u128(m.edge_fp);
         }
-        w.u64(self.by_vertex.len() as u64);
-        for row in &self.by_vertex {
+        // One row per vertex id the slot column covers, in vertex
+        // order, an unrowed vertex as length 0: slab order and free
+        // rows are capacity, not state.
+        w.u64(self.by_vertex.slot.len() as u64);
+        for v in 0..self.by_vertex.slot.len() {
+            let row = self.by_vertex.get(VertexId(v as u32));
             w.u64(row.len() as u64);
             for &(id, deg) in row {
                 w.u32(id.0);
@@ -930,15 +997,40 @@ impl MatchList {
                 })
             })
             .collect::<Result<_, _>>()?;
+        // Every index id must name an arena slot: reads index
+        // `live_info` with it unchecked.
+        let match_id = |r: &mut loom_wal::ByteReader, what: &str| {
+            let id = r.u32()?;
+            if id as usize >= nmatches {
+                return Err(WalError::Corrupt(format!(
+                    "match arena: {what} names match {id}, only {nmatches} matches"
+                )));
+            }
+            Ok(MatchId(id))
+        };
         let nrows = r.len_prefix(8)?;
-        self.by_vertex = (0..nrows)
-            .map(|_| {
-                let n = r.len_prefix(5)?;
-                (0..n)
-                    .map(|_| Ok((MatchId(r.u32()?), r.u8()?)))
-                    .collect::<Result<Vec<_>, WalError>>()
-            })
-            .collect::<Result<_, _>>()?;
+        self.by_vertex = VertexRows::default();
+        self.by_vertex.slot = vec![NO_ROW; nrows];
+        for v in 0..nrows {
+            let n = r.len_prefix(5)?;
+            if n == 0 {
+                continue;
+            }
+            let mut row = Row::with_capacity(n);
+            for _ in 0..n {
+                let id = match_id(r, "a vertex row")?;
+                if row.last().is_some_and(|&(prev, _)| prev >= id) {
+                    return Err(WalError::Corrupt(format!(
+                        "match arena: vertex {v}'s row is not ascending at match {}",
+                        id.0
+                    )));
+                }
+                row.push((id, r.u8()?));
+            }
+            self.by_vertex.slot[v] = self.by_vertex.rows.len() as u32;
+            self.by_vertex.rows.push(row);
+            self.by_vertex.owner.push(VertexId(v as u32));
+        }
         let nedges = r.len_prefix(12)?;
         self.by_edge = FxHashMap::default();
         self.by_edge.reserve(nedges);
@@ -946,7 +1038,7 @@ impl MatchList {
             let e = EdgeId(r.u32()?);
             let n = r.len_prefix(4)?;
             let ids = (0..n)
-                .map(|_| r.u32().map(MatchId))
+                .map(|_| match_id(r, "an edge row"))
                 .collect::<Result<Vec<_>, _>>()?;
             self.by_edge.insert(e, ids);
         }
@@ -999,6 +1091,13 @@ impl MatchList {
             total_cells: self.cells.len(),
             generation: self.generation,
         }
+    }
+
+    /// Test-only visibility: `(vertex ids the slot column covers, rows
+    /// in the slab)` of the per-vertex index, free rows included.
+    #[doc(hidden)]
+    pub fn vertex_row_counts(&self) -> (usize, usize) {
+        (self.by_vertex.slot.len(), self.by_vertex.rows.len())
     }
 }
 
@@ -1171,10 +1270,73 @@ mod tests {
             ml.kill(id);
         }
         assert_eq!(ml.len(), 0);
-        let row_len = ml.by_vertex[1].len();
+        let row_len = ml.by_vertex.get(VertexId(1)).len();
         assert!(
             row_len <= 2_048,
             "hub row grew unboundedly: {row_len} entries for 0 live matches"
         );
+    }
+
+    #[test]
+    fn wal_load_rejects_index_ids_outside_the_arena() {
+        // One match over edge 0 = (1, 2): vertex rows 0, 1, 2, and row
+        // 1 holds the match's id. Byte layout up to that id: the cell
+        // count and one cell (parent u32 + a 16-byte edge), the match
+        // count and one `Meta` (u32, u32, u16, u128), the row count,
+        // row 0's length (0) and row 1's length (1).
+        let mut ml = MatchList::new();
+        ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let mut w = loom_wal::ByteWriter::new();
+        ml.wal_save(&mut w);
+        let good = w.into_bytes();
+        let row1_id = (8 + 20) + (8 + 26) + 8 + 8 + 8;
+        assert_eq!(good[row1_id..row1_id + 4], 0u32.to_le_bytes());
+        assert!(MatchList::new()
+            .wal_load(&mut loom_wal::ByteReader::new(&good))
+            .is_ok());
+
+        let mut bad = good.clone();
+        bad[row1_id..row1_id + 4].copy_from_slice(&1u32.to_le_bytes());
+        let err = MatchList::new().wal_load(&mut loom_wal::ByteReader::new(&bad));
+        assert!(
+            matches!(err, Err(loom_wal::WalError::Corrupt(_))),
+            "an id past the match count must fail typed, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn wal_load_rejects_a_vertex_row_out_of_order() {
+        // Two matches at vertex 1; swap the row's two ids in place.
+        let mut ml = MatchList::new();
+        ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        ml.insert_single(se(1, 1, 3), MotifId(0)).unwrap();
+        let s = ml.by_vertex.slot[1] as usize;
+        ml.by_vertex.rows[s].swap(0, 1);
+        let mut w = loom_wal::ByteWriter::new();
+        ml.wal_save(&mut w);
+        let err = MatchList::new().wal_load(&mut loom_wal::ByteReader::new(w.as_bytes()));
+        assert!(
+            matches!(err, Err(loom_wal::WalError::Corrupt(_))),
+            "a row out of id order must fail typed, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn reclaim_frees_emptied_vertex_rows_for_reuse() {
+        let mut ml = MatchList::new();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        ml.insert_single(se(1, 3, 4), MotifId(0)).unwrap();
+        assert_eq!(ml.vertex_row_counts(), (5, 4));
+        ml.kill(a);
+        ml.reclaim();
+        // Vertices 1 and 2 lost their only entry: their rows are free.
+        assert!(ml.matches_at_vertex(VertexId(1)).is_empty());
+        assert_eq!(ml.by_vertex.free.len(), 2);
+        assert_eq!(ml.by_vertex.slot[1], NO_ROW);
+        // New vertices take the freed rows instead of growing the slab.
+        let c = ml.insert_single(se(2, 5, 6), MotifId(0)).unwrap();
+        assert_eq!(ml.vertex_row_counts(), (7, 4));
+        assert_eq!(ml.matches_at_vertex(VertexId(6)), vec![c]);
+        assert_eq!(ml.matches_at_vertex(VertexId(3)).len(), 1);
     }
 }
