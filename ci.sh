@@ -123,7 +123,7 @@ stage "tier-1: test"
 # floor is the count at the last PR that changed it; only a PR whose
 # CHANGES.md entry carries a retirement ledger for the tests it
 # deletes may lower it.
-TEST_FLOOR=515
+TEST_FLOOR=507
 cargo test -q --offline 2>&1 | tee target/ci-test.txt
 PASSED=$(awk '/^test result:/ { for (i = 2; i <= NF; i++) if ($i == "passed;") s += $(i - 1) }
   END { print s + 0 }' target/ci-test.txt)
@@ -155,19 +155,11 @@ stage "parallel-equivalence suite"
 # error naming batch and edge, never a hang. Also in tier-1 above.
 cargo test -q --offline -p loom-core --test parallel_equivalence
 
-stage "shard-equivalence suite"
-# The sharded-state contract, by name: shard-owned vertex state must
-# be bit-identical to the flat layout for every (shard count, worker
-# count, batch size) — including Hash's shard-parallel commit and the
-# degenerate shapes (more shards than vertices, a single-vertex
-# universe). DESIGN.md §14. Also in tier-1 above.
-cargo test -q --offline -p loom-core --test shard_equivalence
-
 stage "recovery suite (kill/resume matrix)"
 # The crash-recovery contract, by name: a run killed at any point —
 # mid-batch, exactly at a checkpoint, one past it — and resumed from
 # its WAL must be bit-identical to one uninterrupted run, across
-# shards x threads x batch sizes; torn journal tails and corrupt or
+# threads x batch sizes; torn journal tails and corrupt or
 # missing checkpoints must recover from the checksummed prefix or
 # fail loudly naming the record (DESIGN.md §15). Also in tier-1 above;
 # the binary's end of it (--stop-after / --resume) is in the CLI

@@ -23,6 +23,8 @@
 //! distinct from a violation so CI can report "refresh/commit the
 //! baseline" instead of "investigate a quality drift").
 
+#![forbid(unsafe_code)]
+
 use loom_cli::bench_compare::{self, BenchSummary};
 use loom_cli::suites::{self, SuiteOptions};
 use loom_cli::{parse_scale, ArgError, Args, Command, Stdout};

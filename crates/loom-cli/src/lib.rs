@@ -28,6 +28,8 @@
 //! digits against the committed copy ([`bench_compare::compare`]).
 //! Throughput is measured by `benchmark/`, not here.
 
+#![forbid(unsafe_code)]
+
 pub mod bench_compare;
 pub mod suites;
 

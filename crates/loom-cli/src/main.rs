@@ -13,6 +13,8 @@
 //! loom help
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -65,10 +65,6 @@ pub struct ExperimentConfig {
     /// (DESIGN.md §13) — so this is purely a throughput knob, like
     /// [`crate::engine::EngineConfig::batch_size`].
     pub threads: usize,
-    /// Shard count for the per-vertex state columns (1 = the flat
-    /// layout, the default). Like `threads`, a pure layout/throughput
-    /// knob: results are bit-identical for any value (DESIGN.md §14).
-    pub shards: usize,
 }
 
 impl ExperimentConfig {
@@ -91,7 +87,6 @@ impl ExperimentConfig {
             seed: 42,
             limit_per_query: 200_000,
             threads: 1,
-            shards: 1,
         }
     }
 

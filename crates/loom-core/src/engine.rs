@@ -20,9 +20,7 @@ use crate::persist::{read_journal, RecoveryStats, Segment, WalState};
 use crate::serve::{ServeHandle, ServeOptions, ServeState};
 use loom_graph::{EdgeSource, StreamEdge};
 use loom_matcher::ArenaOccupancy;
-use loom_partition::{
-    AdjacencyOccupancy, Assignment, IngestPhases, PartitionState, StreamPartitioner,
-};
+use loom_partition::{AdjacencyOccupancy, Assignment, PartitionState, StreamPartitioner};
 use loom_runtime::ServeStats;
 use loom_wal::{
     list_checkpoints, list_segments, read_checkpoint, segment_name, ByteReader, ByteWriter,
@@ -134,12 +132,6 @@ pub struct Snapshot {
     /// [`Snapshot::arena`] for the other stream-length-proportional
     /// store retention bounds (DESIGN.md §11).
     pub adjacency: Option<AdjacencyOccupancy>,
-    /// Worker count and per-phase wall-time (parallel probe vs
-    /// sequential commit) of the partitioner's ingest pipeline, when
-    /// it runs with more than one worker. `None` single-threaded, so
-    /// every threads=1 consumer's output stays byte-identical to the
-    /// sequential builds.
-    pub ingest: Option<IngestPhases>,
     /// WAL bookkeeping (checkpoints written, edges replayed, journal
     /// bytes) when crash recovery is attached; `None` otherwise, so
     /// WAL-off output carries no trace of the recovery machinery.
@@ -473,29 +465,17 @@ impl OnlineEngine {
         self.settle();
         self.seq += 1;
         let state = self.partitioner.state();
-        let sizes = state.sizes().to_vec();
-        let assigned = state.assigned_count();
-        let mean = assigned as f64 / state.k() as f64;
-        let imbalance = if assigned == 0 {
-            0.0
-        } else {
-            state.max_size() as f64 / mean - 1.0
-        };
-        let arena = self.partitioner.arena();
-        let adjacency = self.partitioner.adjacency();
-        let ingest = self.partitioner.ingest_phases();
         Snapshot {
             seq: self.seq,
             edges: self.edges,
-            vertices: assigned,
-            sizes,
+            vertices: state.assigned_count(),
+            sizes: state.sizes().to_vec(),
             capacity: state.capacity(),
-            imbalance,
+            imbalance: state.imbalance(),
             cut_edges: self.cut_edges,
             resolved_edges: self.resolved_edges,
-            arena,
-            adjacency,
-            ingest,
+            arena: self.partitioner.arena(),
+            adjacency: self.partitioner.adjacency(),
             recovery: self.wal.as_ref().map(|w| w.stats()),
             serving: self.serve.as_ref().map(|s| s.metrics.stats()),
         }
@@ -567,7 +547,7 @@ impl OnlineEngine {
 
     /// Recover from a WAL left by a crashed (or stopped) run and keep
     /// logging to it. The engine must be freshly constructed with the
-    /// same configuration — partitioner, shards, threads, cadences —
+    /// same configuration — partitioner, threads, cadences —
     /// as the one that wrote the WAL; `fingerprint` encodes that
     /// configuration and is checked against the checkpoint before any
     /// state is touched.

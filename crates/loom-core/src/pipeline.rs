@@ -102,7 +102,7 @@ pub fn build_partitioner(
 
 /// [`build_partitioner`] for an experiment cell under an explicit
 /// capacity model ([`CapacityModel::Adaptive`] for unbounded ingest),
-/// with the cell's shard and worker counts applied.
+/// with the cell's worker count applied.
 pub fn make_partitioner_with_capacity(
     system: System,
     config: &ExperimentConfig,
@@ -117,9 +117,6 @@ pub fn make_partitioner_with_capacity(
         num_labels,
     )
     .expect("a workload is given");
-    // Shards before threads: set_shards requires a pre-ingest store
-    // and re-keys the columns the threaded commit path will own.
-    p.set_shards(config.shards.max(1));
     p.set_threads(config.threads.max(1));
     p
 }

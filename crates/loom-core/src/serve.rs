@@ -462,21 +462,14 @@ impl ServeState {
         self.settle(state);
         self.epochs += 1;
         self.last_published = edges;
-        let assigned = state.assigned_count();
-        let mean = assigned as f64 / state.k() as f64;
-        let imbalance = if assigned == 0 {
-            0.0
-        } else {
-            state.max_size() as f64 / mean - 1.0
-        };
         let view = ReadView {
             epoch: self.epochs,
             edges,
-            vertices: assigned,
+            vertices: state.assigned_count(),
             k: state.k(),
             sizes: state.sizes().to_vec(),
             capacity: state.capacity(),
-            imbalance,
+            imbalance: state.imbalance(),
             cut_edges,
             resolved_edges,
             assignment: self.assignment.clone(),

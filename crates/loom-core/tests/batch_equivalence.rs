@@ -91,7 +91,7 @@ proptest! {
         let horizon = 1 + (seed % 32);
         let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
         for sizes in [&[1usize][..], &[2], &[64], &[1024], &[1, 2, 64, 3, 1024, 5]] {
-            let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, 1, sizes);
+            let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, sizes);
             assert_partitioners_identical(&seq, &bat, &format!("chunks {sizes:?}"), &edges);
         }
     }
@@ -123,7 +123,7 @@ fn reclaim_generations_straddle_batch_boundaries() {
     );
 
     for sizes in [&[64usize][..], &[256], &[1024], &[1, 1021, 2, 64]] {
-        let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, 1, sizes);
+        let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, sizes);
         assert_partitioners_identical(&seq, &bat, &format!("chunks {sizes:?}"), &edges);
     }
 }

@@ -89,18 +89,16 @@ pub fn run_sequential<P: StreamPartitioner>(mut p: P, edges: &[StreamEdge]) -> P
     p
 }
 
-/// The chunked twin: `p` at `shards` state columns and `threads`
-/// workers, fed through `try_on_batch` in chunks of `sizes` (cycled),
-/// then finished. `sizes = [1]` at one shard and one thread degenerates
-/// to the sequential shape but still goes through the batch entry.
+/// The chunked twin: `p` at `threads` workers, fed through
+/// `try_on_batch` in chunks of `sizes` (cycled), then finished.
+/// `sizes = [1]` at one thread degenerates to the sequential shape but
+/// still goes through the batch entry.
 pub fn run_chunked<P: StreamPartitioner>(
     mut p: P,
     edges: &[StreamEdge],
-    shards: usize,
     threads: usize,
     sizes: &[usize],
 ) -> P {
-    p.set_shards(shards);
     p.set_threads(threads);
     let mut rest = edges;
     for &size in sizes.iter().cycle() {
@@ -163,10 +161,9 @@ pub fn engine_run(
 }
 
 /// Every-field snapshot equality, floats by bit pattern — "bit-
-/// identical" means exactly that. Not compared: `ingest` (wall-clock
-/// phase timings), `recovery` (WAL bookkeeping) and `serving` (query
-/// counters) — observation, not state, and each is present on one side
-/// of its twin only.
+/// identical" means exactly that. Not compared: `recovery` (WAL
+/// bookkeeping) and `serving` (query counters) — observation, not
+/// state, and each is present on one side of its twin only.
 pub fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     assert_eq!(a.seq, b.seq, "{ctx}: seq");
     assert_eq!(a.edges, b.edges, "{ctx}: edges");

@@ -37,7 +37,7 @@ use loom_core::wal::{
 };
 
 /// The config fingerprint every test stamps into its WAL.
-const FP: &str = "system=Loom k=3 seed=7 window=16 shards=* test=recovery";
+const FP: &str = "system=Loom k=3 seed=7 window=16 test=recovery";
 
 fn engine_with(p: Box<dyn StreamPartitioner>, batch: usize, cadence: usize) -> OnlineEngine {
     OnlineEngine::new(
@@ -96,90 +96,84 @@ fn kill_and_resume(
     }
 }
 
-/// The headline matrix: Loom across shards {1, 4} × threads {1, 4} ×
-/// batch {1, 256}, each killed exactly at a checkpoint boundary, one
-/// edge past it, mid-batch, and after pruning has dropped the early
-/// checkpoints — every resumed run bit-identical to the uninterrupted
-/// twin in state digest, snapshot sequence, and final assignment.
+/// The headline matrix: Loom across threads {1, 4} × batch {1, 256},
+/// each killed exactly at a checkpoint boundary, one edge past it,
+/// mid-batch, and after pruning has dropped the early checkpoints —
+/// every resumed run bit-identical to the uninterrupted twin in state
+/// digest, snapshot sequence, and final assignment.
 #[test]
 fn loom_kill_resume_matrix_is_bit_identical() {
     let (edges, workload) = hub_stream(600, 0x0dd);
     let n = edges.len() as u64;
     let (ckpt_every, cadence) = (500u64, 150usize);
     let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
-    for shards in [1usize, 4] {
-        for threads in [1usize, 4] {
-            for batch in [1usize, 256] {
-                let make = || -> Box<dyn StreamPartitioner> {
-                    let mut p = loom(3, 16, 96, &workload);
-                    p.set_shards(shards);
-                    p.set_threads(threads);
-                    Box::new(p)
-                };
-                // Uninterrupted reference, WAL attached so both runs
-                // take the identical ingest path.
-                let mut reference = engine_with(make(), batch, cadence);
-                reference
-                    .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
-                    .unwrap();
-                let mut ref_snaps = Vec::new();
-                reference
-                    .run(&mut VecSource::new(&edges), None, |s| {
-                        ref_snaps.push(s.clone())
-                    })
-                    .unwrap();
-                let ref_digest = reference.state_digest().unwrap();
-                let ref_fin = reference.finish();
-                let ref_assignment = reference.into_assignment();
+    for threads in [1usize, 4] {
+        for batch in [1usize, 256] {
+            let make = || -> Box<dyn StreamPartitioner> {
+                let mut p = loom(3, 16, 96, &workload);
+                p.set_threads(threads);
+                Box::new(p)
+            };
+            // Uninterrupted reference, WAL attached so both runs
+            // take the identical ingest path.
+            let mut reference = engine_with(make(), batch, cadence);
+            reference
+                .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
+                .unwrap();
+            let mut ref_snaps = Vec::new();
+            reference
+                .run(&mut VecSource::new(&edges), None, |s| {
+                    ref_snaps.push(s.clone())
+                })
+                .unwrap();
+            let ref_digest = reference.state_digest().unwrap();
+            let ref_fin = reference.finish();
+            let ref_assignment = reference.into_assignment();
 
-                for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
-                    assert!(kill < n, "kill point must interrupt the stream");
-                    let ctx =
-                        format!("shards {shards}, threads {threads}, batch {batch}, kill {kill}");
-                    let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
-                    assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
+            for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
+                assert!(kill < n, "kill point must interrupt the stream");
+                let ctx = format!("threads {threads}, batch {batch}, kill {kill}");
+                let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
+                assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
 
-                    // Recovery observability: replay spans newest
-                    // checkpoint -> durable.
-                    let newest_ckpt = kill / ckpt_every * ckpt_every;
-                    let stats = run.engine.recovery_stats().expect("wal attached");
-                    assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
-                    assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
+                // Recovery observability: replay spans newest
+                // checkpoint -> durable.
+                let newest_ckpt = kill / ckpt_every * ckpt_every;
+                let stats = run.engine.recovery_stats().expect("wal attached");
+                assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
+                assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
 
-                    // Bit-identity: full recoverable state...
+                // Bit-identity: full recoverable state...
+                assert_eq!(
+                    run.engine.state_digest().unwrap(),
+                    ref_digest,
+                    "{ctx}: state digest diverged"
+                );
+                // ...every re-fired and post-resume snapshot,
+                // matched by seq against the uninterrupted run...
+                assert_eq!(
+                    run.snaps.last().map(|s| s.seq),
+                    ref_snaps.last().map(|s| s.seq),
+                    "{ctx}: snapshot sequence ends at the same seq"
+                );
+                for s in &run.snaps {
+                    let twin = ref_snaps
+                        .iter()
+                        .find(|r| r.seq == s.seq)
+                        .unwrap_or_else(|| panic!("{ctx}: no reference snapshot seq {}", s.seq));
+                    assert_snap_eq(s, twin, &ctx);
+                }
+                // ...and the final assignment after the drain.
+                let mut resumed = run.engine;
+                let fin = resumed.finish();
+                assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
+                let assignment = resumed.into_assignment();
+                for v in 0..=max_v {
                     assert_eq!(
-                        run.engine.state_digest().unwrap(),
-                        ref_digest,
-                        "{ctx}: state digest diverged"
+                        ref_assignment.partition_of(VertexId(v)),
+                        assignment.partition_of(VertexId(v)),
+                        "{ctx}: assignment diverged at vertex {v}"
                     );
-                    // ...every re-fired and post-resume snapshot,
-                    // matched by seq against the uninterrupted run...
-                    assert_eq!(
-                        run.snaps.last().map(|s| s.seq),
-                        ref_snaps.last().map(|s| s.seq),
-                        "{ctx}: snapshot sequence ends at the same seq"
-                    );
-                    for s in &run.snaps {
-                        let twin = ref_snaps
-                            .iter()
-                            .find(|r| r.seq == s.seq)
-                            .unwrap_or_else(|| {
-                                panic!("{ctx}: no reference snapshot seq {}", s.seq)
-                            });
-                        assert_snap_eq(s, twin, &ctx);
-                    }
-                    // ...and the final assignment after the drain.
-                    let mut resumed = run.engine;
-                    let fin = resumed.finish();
-                    assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
-                    let assignment = resumed.into_assignment();
-                    for v in 0..=max_v {
-                        assert_eq!(
-                            ref_assignment.partition_of(VertexId(v)),
-                            assignment.partition_of(VertexId(v)),
-                            "{ctx}: assignment diverged at vertex {v}"
-                        );
-                    }
                 }
             }
         }
@@ -198,12 +192,7 @@ fn baseline_partitioners_kill_resume_spot_checks() {
     let systems: Vec<(&str, MakePartitioner)> = vec![
         (
             "Hash",
-            Box::new(|| -> Box<dyn StreamPartitioner> {
-                let mut p = HashPartitioner::new(4, 3);
-                p.set_shards(4);
-                p.set_threads(4);
-                Box::new(p)
-            }),
+            Box::new(|| -> Box<dyn StreamPartitioner> { Box::new(HashPartitioner::new(4, 3)) }),
         ),
         (
             "LDG",

@@ -5,9 +5,9 @@
 //! must be bit-identical to its serving-off twin in every recoverable
 //! respect: the complete snapshot sequence (all fields except
 //! `serving` itself), every vertex assignment, and the engine state
-//! digest. Checked across the threads × shards cross, because the
-//! serve hook sits on the same commit boundary the parallel and
-//! sharded pipelines synchronise on.
+//! digest. Checked at one and at four ingest workers, because the
+//! serve hook sits on the same commit boundary the parallel pipeline
+//! synchronises on.
 //!
 //! Readers double as the monotonicity oracle: the epoch and edge
 //! count of loaded views must never decrease, and every well-formed
@@ -25,9 +25,8 @@ use loom_core::ServeOptions;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn engine(workload: &Workload, threads: usize, shards: usize) -> OnlineEngine {
+fn engine(workload: &Workload, threads: usize) -> OnlineEngine {
     let mut p = Box::new(loom(4, 16, 96, workload));
-    p.set_shards(shards);
     p.set_threads(threads);
     OnlineEngine::new(
         p,
@@ -88,16 +87,16 @@ fn spawn_reader(
     })
 }
 
-/// The acceptance cross: threads {1, 4} × shards {1, 4}, each cell's
-/// serving-on run (3 concurrent readers hammering published views the
-/// whole time) bit-identical to its serving-off twin.
+/// The acceptance check: at threads {1, 4}, each serving-on run (3
+/// concurrent readers hammering published views the whole time)
+/// bit-identical to its serving-off twin.
 #[test]
-fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
+fn serving_on_is_bit_identical_to_serving_off_across_threads() {
     let (edges, workload) = hub_stream(1_200, 0x5e12e);
-    for (threads, shards) in [(1usize, 1usize), (4, 1), (1, 4), (4, 4)] {
-        let ctx = format!("threads={threads} shards={shards}");
+    for threads in [1usize, 4] {
+        let ctx = format!("threads={threads}");
 
-        let mut off = engine(&workload, threads, shards);
+        let mut off = engine(&workload, threads);
         let mut off_snaps = Vec::new();
         off.run(&mut VecSource::new(&edges), None, |s| {
             off_snaps.push(s.clone())
@@ -105,7 +104,7 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
         .expect("serving-off run");
         let off_fin = off.finish();
 
-        let mut on = engine(&workload, threads, shards);
+        let mut on = engine(&workload, threads);
         let handle = on.enable_serving(ServeOptions {
             horizon_edges: 4_096,
             publish_every: 256,
@@ -158,7 +157,7 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
 #[test]
 fn final_view_matches_final_assignment() {
     let (edges, workload) = hub_stream(400, 0xf17a1);
-    let mut eng = engine(&workload, 1, 1);
+    let mut eng = engine(&workload, 1);
     let handle = eng.enable_serving(ServeOptions {
         horizon_edges: 2_048,
         publish_every: 512,
@@ -192,12 +191,12 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
     let (edges, workload) = hub_stream(300, 0xbad);
     let half = edges.len() / 2;
 
-    let mut twin = engine(&workload, 1, 1);
+    let mut twin = engine(&workload, 1);
     twin.run(&mut VecSource::new(&edges), None, |_| {})
         .expect("twin");
     twin.finish();
 
-    let mut eng = engine(&workload, 1, 1);
+    let mut eng = engine(&workload, 1);
     let handle = eng.enable_serving(ServeOptions {
         horizon_edges: 1_024,
         publish_every: 128,

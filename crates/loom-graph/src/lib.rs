@@ -19,6 +19,7 @@
 //!   experiment.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod datasets;
 pub mod generators;

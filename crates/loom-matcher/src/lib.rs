@@ -14,6 +14,7 @@
 //! match (via [`MatchRef`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod matcher;
 pub mod matchlist;

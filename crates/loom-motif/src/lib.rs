@@ -14,6 +14,7 @@
 //! scratch.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collision;
 pub mod isomorphism;

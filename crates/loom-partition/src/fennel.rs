@@ -161,14 +161,6 @@ impl StreamPartitioner for FennelPartitioner {
         }
     }
 
-    /// Layout-only, as for LDG: Fennel's score reads the sizes (and,
-    /// in adaptive mode, the running α/cap) that every placement
-    /// mutates, so the commit is sequential-by-design; sharding just
-    /// re-keys the state columns.
-    fn set_shards(&mut self, shards: usize) {
-        self.state.set_shards(shards);
-    }
-
     fn finish(&mut self) {}
 
     fn state(&self) -> &PartitionState {

@@ -116,15 +116,6 @@ impl StreamPartitioner for LdgPartitioner {
         }
     }
 
-    /// Sharding the assignment columns is a pure layout change for
-    /// LDG: placement itself is sequential-by-design (every score
-    /// reads the partition sizes the previous placement mutated, so a
-    /// parallel commit could not stay bit-identical), but a sharded
-    /// state keeps CLI/engine shard settings uniform across systems.
-    fn set_shards(&mut self, shards: usize) {
-        self.state.set_shards(shards);
-    }
-
     fn finish(&mut self) {}
 
     fn state(&self) -> &PartitionState {

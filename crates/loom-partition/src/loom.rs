@@ -16,7 +16,7 @@ use crate::ldg::choose_weighted;
 use crate::state::{
     AdjacencyHorizon, Assignment, CapacityModel, NeighborCounts, OnlineAdjacency, PartitionState,
 };
-use crate::traits::{IngestError, IngestPhases, StreamPartitioner};
+use crate::traits::{IngestError, StreamPartitioner};
 use loom_graph::{EdgeId, StreamEdge, VertexId, Workload};
 use loom_matcher::MatchId;
 use loom_matcher::{EdgeFate, EdgeProbe, MotifMatcher, SlidingWindow};
@@ -168,8 +168,6 @@ pub struct LoomPartitioner {
     probes: Vec<ProbeSlot>,
     /// Test hook: the parallel probe of this edge panics.
     panic_inject: Option<EdgeId>,
-    probe_ns: u64,
-    commit_ns: u64,
 }
 
 /// Counters the evaluation and the ablation benches read back.
@@ -247,8 +245,6 @@ impl LoomPartitioner {
             pool: None,
             probes: Vec::new(),
             panic_inject: None,
-            probe_ns: 0,
-            commit_ns: 0,
         }
     }
 
@@ -562,7 +558,6 @@ impl LoomPartitioner {
     /// it have committed (edges after it are abandoned — the engine
     /// drops the run on `Err`).
     fn parallel_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
-        let t_probe = std::time::Instant::now();
         if self.pool.is_none() {
             self.pool = Some(WorkerPool::new(self.threads));
         }
@@ -606,7 +601,6 @@ impl LoomPartitioner {
             .as_ref()
             .expect("pool built above")
             .run(chunks, &task);
-        self.probe_ns += t_probe.elapsed().as_nanos() as u64;
         if let Err(p) = fanout {
             // Unreachable in practice — per-edge panics are caught
             // into their slots above — but keep even the bookkeeping-
@@ -617,7 +611,6 @@ impl LoomPartitioner {
             });
         }
 
-        let t_commit = std::time::Instant::now();
         self.matcher.begin_probe_epoch();
         let mut failed = None;
         for (i, e) in batch.iter().enumerate() {
@@ -632,7 +625,6 @@ impl LoomPartitioner {
             self.step_inner(e, class, Some(i));
         }
         self.matcher.end_probe_epoch();
-        self.commit_ns += t_commit.elapsed().as_nanos() as u64;
         match failed {
             Some(err) => Err(err),
             None => Ok(()),
@@ -718,34 +710,12 @@ impl StreamPartitioner for LoomPartitioner {
         }
     }
 
-    /// Re-key all three per-vertex stores (assignment columns, counter
-    /// rows, adjacency rows) into `shards` shard-owned columns. For
-    /// Loom this is layout-only: every commit effect (counter
-    /// credits/debits, adjacency appends/expiries, window pushes,
-    /// eviction auctions) is order-entangled with the auctions that
-    /// interleave with it, so commits drain through the sequential
-    /// arrival-order merge regardless of shard count (DESIGN.md §14) —
-    /// Loom's parallel win stays the probe fan-out.
-    fn set_shards(&mut self, shards: usize) {
-        self.state.set_shards(shards);
-        self.counts.set_shards(shards);
-        self.adjacency.set_shards(shards);
-    }
-
     fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
         if self.threads <= 1 || batch.len() < 2 {
             self.on_batch(batch);
             return Ok(());
         }
         self.parallel_batch(batch)
-    }
-
-    fn ingest_phases(&self) -> Option<IngestPhases> {
-        (self.threads > 1).then_some(IngestPhases {
-            threads: self.threads,
-            probe_ns: self.probe_ns,
-            commit_ns: self.commit_ns,
-        })
     }
 
     fn finish(&mut self) {
@@ -806,10 +776,7 @@ impl StreamPartitioner for LoomPartitioner {
             matches_assigned: r.u64()?,
             fallback_auctions: r.u64()?,
         };
-        // Timing counters and probe slots restart fresh: observability
-        // and scratch, never state.
-        self.probe_ns = 0;
-        self.commit_ns = 0;
+        // Probe slots restart fresh: scratch, never state.
         self.probes.clear();
         Ok(())
     }

@@ -31,23 +31,6 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Cumulative wall-time split of a parallel ingest, surfaced in engine
-/// snapshots when a partitioner runs with more than one worker:
-/// `probe_ns` is the fanned-out pure phase (classification + read-only
-/// matcher probes), `commit_ns` the sequential stateful phase (arena
-/// writes, eviction auctions, counter/adjacency upkeep). Timing is
-/// observability only — it never feeds back into any decision, so
-/// determinism is untouched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IngestPhases {
-    /// Worker count the partitioner is running with.
-    pub threads: usize,
-    /// Cumulative wall-clock nanoseconds in the parallel probe phase.
-    pub probe_ns: u64,
-    /// Cumulative wall-clock nanoseconds in the sequential commit phase.
-    pub commit_ns: u64,
-}
-
 /// A single-pass edge-stream partitioner.
 ///
 /// Implementations see each edge exactly once, in arrival order, and
@@ -85,20 +68,15 @@ pub trait StreamPartitioner {
     /// [`StreamPartitioner::on_batch`] extends over thread counts: a
     /// partitioner may only parallelise work whose merged result is
     /// provably independent of worker scheduling (DESIGN.md §13).
-    /// Partitioners whose per-edge work is inherently sequential (LDG
-    /// and Fennel score against partition sizes mutated by every
-    /// placement) ignore this — the default is a no-op.
+    /// Only Loom overrides it, for its probe fan-out; the baselines'
+    /// placements are cheap and sequential, and the default is a
+    /// no-op.
     fn set_threads(&mut self, _threads: usize) {}
 
-    /// Set the number of shard-owned vertex-state columns (1 = the
-    /// flat layout, the default). Like [`set_threads`], a pure
-    /// layout/throughput knob under the same bit-identity contract:
-    /// results are identical for ANY shard count (DESIGN.md §14), and
-    /// the shard-equivalence suite enforces it. Must be called before
-    /// any edge is ingested (implementations panic otherwise). The
-    /// default is a no-op for partitioners with no shardable state.
-    ///
-    /// [`set_threads`]: StreamPartitioner::set_threads
+    /// A no-op, kept only because the repository benchmark's per-layer
+    /// probe (`loom_s2_slowdown`) calls it until that probe is retired
+    /// (ROADMAP 1(f)). No partitioner overrides it: the vertex state
+    /// has one flat layout.
     fn set_shards(&mut self, _shards: usize) {}
 
     /// [`StreamPartitioner::on_batch`] with worker-panic propagation:
@@ -109,13 +87,6 @@ pub trait StreamPartitioner {
     fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
         self.on_batch(batch);
         Ok(())
-    }
-
-    /// Per-phase wall-time of the parallel ingest so far, or `None`
-    /// when running single-threaded (so the threads=1 output of every
-    /// consumer stays byte-identical to the sequential builds).
-    fn ingest_phases(&self) -> Option<IngestPhases> {
-        None
     }
 
     /// End of stream: flush internal buffers (no-op for the
@@ -144,8 +115,8 @@ pub trait StreamPartitioner {
     /// Serialize the partitioner's full recoverable state into `w`
     /// for a crash-recovery checkpoint (DESIGN.md §15). Everything a
     /// fresh instance needs to continue bit-identically must be
-    /// written; config-derived structures (shard maps, motif tables,
-    /// score LUTs) are NOT written — the resuming process rebuilds
+    /// written; config-derived structures (motif tables, score LUTs)
+    /// are NOT written — the resuming process rebuilds
     /// them from its own config, which the checkpoint fingerprint
     /// guarantees matches. The default refuses: a partitioner without
     /// checkpoint support cannot silently resume as an empty one.
@@ -159,9 +130,7 @@ pub trait StreamPartitioner {
     /// Inverse of [`StreamPartitioner::save_state`]: overwrite this
     /// instance's mutable state with the checkpointed bytes. Must be
     /// called on a freshly-constructed instance (same config, same
-    /// `set_shards`/`set_threads` already applied) before any edge is
-    /// ingested. Timing counters (`probe_ns`/`commit_ns`) restart at
-    /// zero — they are observability, not state.
+    /// `set_threads` already applied) before any edge is ingested.
     fn load_state(&mut self, _r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
         Err(loom_wal::WalError::Unsupported(format!(
             "partitioner {} does not support checkpointing",

@@ -6,6 +6,7 @@
 //! workloads of §5.1.2 for each dataset.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod executor;
 pub mod ipt;

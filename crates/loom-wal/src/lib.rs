@@ -17,6 +17,8 @@
 //! short writes so the torn-tail recovery path is exercised on
 //! purpose rather than by luck.
 
+#![forbid(unsafe_code)]
+
 mod bytes;
 mod checkpoint;
 mod journal;

@@ -18,16 +18,15 @@ use loom_core::System;
 /// One online run: `system` over `max_edges` edges of the synthetic
 /// unbounded source, adaptive capacity, snapshots every 2_000 edges.
 fn online_run(system: System, seed: u64, max_edges: u64) -> (Vec<Snapshot>, Assignment) {
-    online_run_at(system, seed, max_edges, 1, 1)
+    online_run_at(system, seed, max_edges, 1)
 }
 
-/// [`online_run`] at an explicit ingest worker and shard count.
+/// [`online_run`] at an explicit ingest worker count.
 fn online_run_at(
     system: System,
     seed: u64,
     max_edges: u64,
     threads: usize,
-    shards: usize,
 ) -> (Vec<Snapshot>, Assignment) {
     let mut cfg = ExperimentConfig::evaluation_defaults(
         DatasetKind::ProvGen, // dataset irrelevant: source is synthetic
@@ -38,7 +37,6 @@ fn online_run_at(
     cfg.seed = seed;
     cfg.window_size = 256;
     cfg.threads = threads;
-    cfg.shards = shards;
     let workload = workload_for(DatasetKind::ProvGen);
     let num_labels = 3;
     let p = make_partitioner_with_capacity(
@@ -85,32 +83,22 @@ fn online_runs_are_bit_identical_across_runs() {
     }
 }
 
-/// Online runs are bit-identical across ingest worker AND shard
-/// counts too: every snapshot observable (the phase-timing `ingest`
-/// field aside — wall-clock, by design) and the final assignment
-/// agree over shard counts {1, 2, 4} × threads {1, 4}, for every
-/// system (DESIGN.md §13–§14).
+/// Online runs are bit-identical across ingest worker counts too:
+/// every snapshot observable and the final assignment agree at threads
+/// {1, 4}, for every system (DESIGN.md §13).
 #[test]
-fn online_runs_are_bit_identical_across_worker_and_shard_counts() {
+fn online_runs_are_bit_identical_across_worker_counts() {
     for system in System::ALL {
-        let (snaps_ref, a) = online_run_at(system, 0x5eed, 8_000, 1, 1);
-        for shards in [1usize, 2, 4] {
-            for threads in [1usize, 4] {
-                if (shards, threads) == (1, 1) {
-                    continue; // that IS the reference
-                }
-                let (snaps, b) = online_run_at(system, 0x5eed, 8_000, threads, shards);
-                let name = system.name();
-                let ctx = format!("{name}@t{threads}s{shards}");
-                assert_snaps_eq(&snaps_ref, &snaps, &ctx);
-                let pairs_a: Vec<_> = a.iter().collect();
-                let pairs_b: Vec<_> = b.iter().collect();
-                assert_eq!(
-                    pairs_a, pairs_b,
-                    "{name}: assignments diverged between (t1, s1) and (t{threads}, s{shards})"
-                );
-            }
-        }
+        let name = system.name();
+        let (snaps_ref, a) = online_run_at(system, 0x5eed, 8_000, 1);
+        let (snaps, b) = online_run_at(system, 0x5eed, 8_000, 4);
+        assert_snaps_eq(&snaps_ref, &snaps, &format!("{name}@t4"));
+        let pairs_a: Vec<_> = a.iter().collect();
+        let pairs_b: Vec<_> = b.iter().collect();
+        assert_eq!(
+            pairs_a, pairs_b,
+            "{name}: assignments diverged between threads 1 and threads 4"
+        );
     }
 }
 
