@@ -59,12 +59,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Per-query match cap for ipt counting (identical across systems).
     pub limit_per_query: usize,
-    /// Worker count for batch ingest (1 = fully sequential, the
-    /// default). Results are bit-identical for any value — parallelism
-    /// only fans out the pure probe phase of the ingest pipeline
-    /// (DESIGN.md §13) — so this is purely a throughput knob, like
-    /// [`crate::engine::EngineConfig::batch_size`].
-    pub threads: usize,
 }
 
 impl ExperimentConfig {
@@ -86,7 +80,6 @@ impl ExperimentConfig {
             support_threshold: 0.4,
             seed: 42,
             limit_per_query: 200_000,
-            threads: 1,
         }
     }
 

@@ -28,11 +28,10 @@ use loom_wal::{
 };
 use std::collections::VecDeque;
 
-/// A fatal ingest failure: a worker panicked while probing an edge of
-/// a parallel batch, a WAL write failed, or the serving view builder
-/// died. The engine names the batch and the stream-global edge so the
-/// failure is reproducible; the run is abandoned (the partitioner's
-/// state after an error is unspecified).
+/// A fatal ingest failure: a WAL write failed, or the serving view
+/// builder died. The engine names the batch and the stream-global edge
+/// so the failure is reproducible; the run is abandoned (the
+/// partitioner's state after an error is unspecified).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineError {
     /// 1-based ordinal of the failing batch (as handed to the
@@ -40,8 +39,8 @@ pub struct EngineError {
     pub batch: u64,
     /// 0-based stream-global index of the failing edge.
     pub edge_index: u64,
-    /// What failed: the worker's or the view builder's panic message,
-    /// or the WAL error.
+    /// What failed: the WAL error, or the view builder's panic
+    /// message.
     pub message: String,
 }
 
@@ -334,23 +333,24 @@ impl OnlineEngine {
     /// counters it feeds are only ever *read* through a snapshot's
     /// `settle`, which drains everything resolved either way).
     ///
-    /// `Err` means a worker panicked probing an edge of a parallel
-    /// batch ([`loom_partition::IngestError`]), a WAL write failed, or
-    /// a due view found the serving view builder dead (the message is
-    /// its panic's): the error names the batch and the stream-global
-    /// edge, and the run must be abandoned.
+    /// `Err` means a WAL write failed, or a due view found the serving
+    /// view builder dead (the message is its panic's): the error names
+    /// the batch and the stream-global edge, and the run must be
+    /// abandoned.
     pub fn ingest_batch(
         &mut self,
         edges: &[StreamEdge],
         mut on_snapshot: impl FnMut(&Snapshot),
     ) -> Result<(), EngineError> {
         // WAL hook, FIRST: the whole incoming batch is journaled and
-        // flushed before any edge reaches the partitioner. An ingest
-        // failure mid-batch (a worker panic) therefore leaves every
-        // edge up to and including the failing one durable, so a
-        // post-mortem `--resume` replays the stream to exactly the
-        // failure point. Already-journaled edges (replay) are skipped
-        // by the stream-index guard inside.
+        // flushed before any edge reaches the partitioner, so the
+        // journal never trails it. A failure later in the batch (a
+        // checkpoint write at a cadence split, or a due view finding
+        // the builder dead) therefore leaves every edge the
+        // partitioner has seen durable, and a post-mortem `--resume`
+        // replays the stream at least to the failure point.
+        // Already-journaled edges (replay) are skipped by the
+        // stream-index guard inside.
         if self.wal.is_some() {
             self.journal_edges(edges)
                 .map_err(|e| self.wal_engine_error(e))?;
@@ -374,13 +374,7 @@ impl OnlineEngine {
             let (chunk, tail) = rest.split_at(until_cadence.min(rest.len()));
             rest = tail;
             self.batches += 1;
-            self.partitioner
-                .try_on_batch(chunk)
-                .map_err(|e| EngineError {
-                    batch: self.batches,
-                    edge_index: self.edges + e.edge_offset as u64,
-                    message: e.message,
-                })?;
+            self.partitioner.on_batch(chunk);
             self.edges += chunk.len() as u64;
             if self.config.track_cuts {
                 self.pending.extend(chunk.iter().copied());
@@ -420,9 +414,8 @@ impl OnlineEngine {
     /// [`EngineConfig::batch_size`] edges at a time and hands each pull
     /// to [`OnlineEngine::ingest_batch`].
     ///
-    /// `Err` is the first [`OnlineEngine::ingest_batch`] error: a
-    /// worker panic from a parallel batch, a WAL write failure, or a
-    /// dead view builder.
+    /// `Err` is the first [`OnlineEngine::ingest_batch`] error: a WAL
+    /// write failure or a dead view builder.
     pub fn run<S: EdgeSource + ?Sized>(
         &mut self,
         source: &mut S,
@@ -547,8 +540,8 @@ impl OnlineEngine {
 
     /// Recover from a WAL left by a crashed (or stopped) run and keep
     /// logging to it. The engine must be freshly constructed with the
-    /// same configuration — partitioner, threads, cadences —
-    /// as the one that wrote the WAL; `fingerprint` encodes that
+    /// same configuration — partitioner, cadences — as the one that
+    /// wrote the WAL; `fingerprint` encodes that
     /// configuration and is checked against the checkpoint before any
     /// state is touched.
     ///

@@ -101,8 +101,7 @@ pub fn build_partitioner(
 }
 
 /// [`build_partitioner`] for an experiment cell under an explicit
-/// capacity model ([`CapacityModel::Adaptive`] for unbounded ingest),
-/// with the cell's worker count applied.
+/// capacity model ([`CapacityModel::Adaptive`] for unbounded ingest).
 pub fn make_partitioner_with_capacity(
     system: System,
     config: &ExperimentConfig,
@@ -110,15 +109,13 @@ pub fn make_partitioner_with_capacity(
     num_labels: usize,
     workload: &Workload,
 ) -> Box<dyn StreamPartitioner> {
-    let mut p = build_partitioner(
+    build_partitioner(
         system,
         &config.loom_config(capacity),
         Some(workload),
         num_labels,
     )
-    .expect("a workload is given");
-    p.set_threads(config.threads.max(1));
-    p
+    .expect("a workload is given")
 }
 
 /// Construct one of the four partitioners for a materialised stream —

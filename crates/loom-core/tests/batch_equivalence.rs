@@ -9,7 +9,7 @@
 //!   `LoomStats` counter, window occupancy, and the arena/adjacency
 //!   occupancy structs (so eviction auctions, `on_edge_expired`
 //!   debits and reclaim generations that fire *inside* a batch are
-//!   all observed);
+//!   all observed); Hash rides along on final assignments;
 //! * the engine layer — `OnlineEngine::run` pulling batches vs pulling
 //!   one edge at a time, compared on the *complete* periodic snapshot
 //!   sequence (every field, floats by bit pattern) plus the final
@@ -26,8 +26,8 @@ mod common;
 
 use common::*;
 use loom_core::engine::{EngineConfig, OnlineEngine};
-use loom_core::graph::VertexId;
-use loom_core::partition::StreamPartitioner;
+use loom_core::graph::{EdgeId, PatternGraph, StreamEdge, VertexId, Workload};
+use loom_core::partition::{HashPartitioner, StreamPartitioner};
 use proptest::prelude::*;
 
 /// The engine config of every run here: cut tracking on, snapshots
@@ -78,8 +78,9 @@ proptest! {
 
     /// Partitioner layer: `on_batch` over uniform chunks of {1, 2, 64,
     /// 1024} and over ragged mixed chunks is bit-identical to the
-    /// `on_edge` twin — assignments, all five `LoomStats` counters,
-    /// window occupancy, arena and adjacency occupancy.
+    /// `on_edge` twin — for Loom, assignments, all five `LoomStats`
+    /// counters, window occupancy, arena and adjacency occupancy; for
+    /// Hash, assignments (first-seen endpoints stay in arrival order).
     #[test]
     fn on_batch_matches_on_edge_twin(
         k in 2usize..5,
@@ -90,9 +91,12 @@ proptest! {
         let (edges, workload) = hub_stream(n_chains, seed);
         let horizon = 1 + (seed % 32);
         let seq = run_sequential(loom(k, window, horizon, &workload), &edges);
+        let hash_seq = run_sequential(HashPartitioner::new(k, seed), &edges);
         for sizes in [&[1usize][..], &[2], &[64], &[1024], &[1, 2, 64, 3, 1024, 5]] {
-            let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, sizes);
+            let bat = run_chunked(loom(k, window, horizon, &workload), &edges, sizes);
             assert_partitioners_identical(&seq, &bat, &format!("chunks {sizes:?}"), &edges);
+            let hash = run_chunked(HashPartitioner::new(k, seed), &edges, sizes);
+            assert_same_placements(&hash_seq, &hash, &format!("Hash, chunks {sizes:?}"), &edges);
         }
     }
 }
@@ -123,8 +127,37 @@ fn reclaim_generations_straddle_batch_boundaries() {
     );
 
     for sizes in [&[64usize][..], &[256], &[1024], &[1, 1021, 2, 64]] {
-        let bat = run_chunked(loom(k, window, horizon, &workload), &edges, 1, sizes);
+        let bat = run_chunked(loom(k, window, horizon, &workload), &edges, sizes);
         assert_partitioners_identical(&seq, &bat, &format!("chunks {sizes:?}"), &edges);
+    }
+}
+
+/// The degenerate universe of one vertex with self-loops only: Loom
+/// at any batch size equals its `on_edge` twin, and Hash through the
+/// batch entry places exactly that one vertex.
+#[test]
+fn single_vertex_universe_survives_any_batch_size() {
+    let edges: Vec<StreamEdge> = (0..40u32)
+        .map(|id| StreamEdge {
+            id: EdgeId(id),
+            src: VertexId(0),
+            dst: VertexId(0),
+            src_label: C,
+            dst_label: C,
+        })
+        .collect();
+    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
+    let seq = run_sequential(loom(2, 4, 16, &workload), &edges);
+    assert!(
+        seq.state().partition_of(VertexId(0)).is_some(),
+        "the lone vertex must be assigned"
+    );
+    for batch in [1usize, 8, 64] {
+        let ctx = format!("single vertex, batch {batch}");
+        let bat = run_chunked(loom(2, 4, 16, &workload), &edges, &[batch]);
+        assert_partitioners_identical(&seq, &bat, &ctx, &edges);
+        let h = run_chunked(HashPartitioner::new(4, 1), &edges, &[batch]);
+        assert_eq!(h.state().assigned_count(), 1, "{ctx}: one vertex");
     }
 }
 

@@ -26,8 +26,8 @@ pub const C: Label = Label(2);
 /// chains (path-motif matches), hub→b edges that pile matches onto one
 /// high-degree vertex, and non-motif c–c edges (bypass traffic),
 /// shuffled into a seed-determined arrival order. With a small window
-/// and a biting adjacency horizon, evictions, expiry debits and commits
-/// that invalidate in-flight probes straddle every batch boundary.
+/// and a biting adjacency horizon, evictions and expiry debits (and, on
+/// long streams, arena compactions) straddle every batch boundary.
 pub fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
     let hub = 0u32; // label A, endpoint of many motif edges
     let mut edges = Vec::new();
@@ -89,24 +89,17 @@ pub fn run_sequential<P: StreamPartitioner>(mut p: P, edges: &[StreamEdge]) -> P
     p
 }
 
-/// The chunked twin: `p` at `threads` workers, fed through
-/// `try_on_batch` in chunks of `sizes` (cycled), then finished.
-/// `sizes = [1]` at one thread degenerates to the sequential shape but
-/// still goes through the batch entry.
-pub fn run_chunked<P: StreamPartitioner>(
-    mut p: P,
-    edges: &[StreamEdge],
-    threads: usize,
-    sizes: &[usize],
-) -> P {
-    p.set_threads(threads);
+/// The chunked twin: `p` fed through `on_batch` in chunks of `sizes`
+/// (cycled), then finished. `sizes = [1]` degenerates to the
+/// sequential shape but still goes through the batch entry.
+pub fn run_chunked<P: StreamPartitioner>(mut p: P, edges: &[StreamEdge], sizes: &[usize]) -> P {
     let mut rest = edges;
     for &size in sizes.iter().cycle() {
         if rest.is_empty() {
             break;
         }
         let (chunk, tail) = rest.split_at(size.min(rest.len()));
-        p.try_on_batch(chunk).expect("no panic injected");
+        p.on_batch(chunk);
         rest = tail;
     }
     p.finish();

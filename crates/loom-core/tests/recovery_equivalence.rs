@@ -14,8 +14,8 @@
 //! failure naming the segment and the record in any other, never a
 //! silently wrong state), short writes from a failing device — one of
 //! them between the two records of a batch the checkpoint cadence
-//! cuts — and a worker panic mid-ingest whose journal flush makes the
-//! failure point itself durable.
+//! cuts — and a checkpoint write that fails mid-batch, after the
+//! journal flush has made the whole batch durable.
 //!
 //! Bit-identity is judged by [`OnlineEngine::state_digest`] — the
 //! serialized engine + partitioner state, dead entries and all — plus
@@ -26,14 +26,14 @@ mod common;
 
 use common::*;
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
-use loom_core::graph::{EdgeId, EdgeSource, StreamEdge, VertexId, Workload};
+use loom_core::graph::{EdgeSource, StreamEdge, VertexId, Workload};
 use loom_core::partition::{
     CapacityModel, FennelParams, FennelPartitioner, HashPartitioner, LdgPartitioner,
-    LoomPartitioner, StreamPartitioner,
+    StreamPartitioner,
 };
 use loom_core::wal::{
     list_checkpoints, list_segments, scan_journal, segment_name, FaultPlan, FaultyBackend,
-    FileBackend, JournalWriter, MemBackend, StorageBackend, WalError, JOURNAL_FILE,
+    FileBackend, JournalWriter, MemBackend, StorageBackend, WalError, WalFile, JOURNAL_FILE,
 };
 
 /// The config fingerprint every test stamps into its WAL.
@@ -96,10 +96,9 @@ fn kill_and_resume(
     }
 }
 
-/// The headline matrix: Loom across threads {1, 4} × batch {1, 256},
-/// each killed exactly at a checkpoint boundary, one edge past it,
-/// mid-batch, and after pruning has dropped the early checkpoints —
-/// every resumed run bit-identical to the uninterrupted twin in state
+/// The headline matrix: Loom at batch {1, 256}, each killed exactly
+/// at a checkpoint boundary, one edge past it, mid-batch, and after
+/// pruning has dropped the early checkpoints — every resumed run bit-identical to the uninterrupted twin in state
 /// digest, snapshot sequence, and final assignment.
 #[test]
 fn loom_kill_resume_matrix_is_bit_identical() {
@@ -107,74 +106,68 @@ fn loom_kill_resume_matrix_is_bit_identical() {
     let n = edges.len() as u64;
     let (ckpt_every, cadence) = (500u64, 150usize);
     let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
-    for threads in [1usize, 4] {
-        for batch in [1usize, 256] {
-            let make = || -> Box<dyn StreamPartitioner> {
-                let mut p = loom(3, 16, 96, &workload);
-                p.set_threads(threads);
-                Box::new(p)
-            };
-            // Uninterrupted reference, WAL attached so both runs
-            // take the identical ingest path.
-            let mut reference = engine_with(make(), batch, cadence);
-            reference
-                .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
-                .unwrap();
-            let mut ref_snaps = Vec::new();
-            reference
-                .run(&mut VecSource::new(&edges), None, |s| {
-                    ref_snaps.push(s.clone())
-                })
-                .unwrap();
-            let ref_digest = reference.state_digest().unwrap();
-            let ref_fin = reference.finish();
-            let ref_assignment = reference.into_assignment();
+    for batch in [1usize, 256] {
+        let make = || -> Box<dyn StreamPartitioner> { Box::new(loom(3, 16, 96, &workload)) };
+        // Uninterrupted reference, WAL attached so both runs
+        // take the identical ingest path.
+        let mut reference = engine_with(make(), batch, cadence);
+        reference
+            .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
+            .unwrap();
+        let mut ref_snaps = Vec::new();
+        reference
+            .run(&mut VecSource::new(&edges), None, |s| {
+                ref_snaps.push(s.clone())
+            })
+            .unwrap();
+        let ref_digest = reference.state_digest().unwrap();
+        let ref_fin = reference.finish();
+        let ref_assignment = reference.into_assignment();
 
-            for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
-                assert!(kill < n, "kill point must interrupt the stream");
-                let ctx = format!("threads {threads}, batch {batch}, kill {kill}");
-                let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
-                assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
+        for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
+            assert!(kill < n, "kill point must interrupt the stream");
+            let ctx = format!("batch {batch}, kill {kill}");
+            let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
+            assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
 
-                // Recovery observability: replay spans newest
-                // checkpoint -> durable.
-                let newest_ckpt = kill / ckpt_every * ckpt_every;
-                let stats = run.engine.recovery_stats().expect("wal attached");
-                assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
-                assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
+            // Recovery observability: replay spans newest
+            // checkpoint -> durable.
+            let newest_ckpt = kill / ckpt_every * ckpt_every;
+            let stats = run.engine.recovery_stats().expect("wal attached");
+            assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
+            assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
 
-                // Bit-identity: full recoverable state...
+            // Bit-identity: full recoverable state...
+            assert_eq!(
+                run.engine.state_digest().unwrap(),
+                ref_digest,
+                "{ctx}: state digest diverged"
+            );
+            // ...every re-fired and post-resume snapshot,
+            // matched by seq against the uninterrupted run...
+            assert_eq!(
+                run.snaps.last().map(|s| s.seq),
+                ref_snaps.last().map(|s| s.seq),
+                "{ctx}: snapshot sequence ends at the same seq"
+            );
+            for s in &run.snaps {
+                let twin = ref_snaps
+                    .iter()
+                    .find(|r| r.seq == s.seq)
+                    .unwrap_or_else(|| panic!("{ctx}: no reference snapshot seq {}", s.seq));
+                assert_snap_eq(s, twin, &ctx);
+            }
+            // ...and the final assignment after the drain.
+            let mut resumed = run.engine;
+            let fin = resumed.finish();
+            assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
+            let assignment = resumed.into_assignment();
+            for v in 0..=max_v {
                 assert_eq!(
-                    run.engine.state_digest().unwrap(),
-                    ref_digest,
-                    "{ctx}: state digest diverged"
+                    ref_assignment.partition_of(VertexId(v)),
+                    assignment.partition_of(VertexId(v)),
+                    "{ctx}: assignment diverged at vertex {v}"
                 );
-                // ...every re-fired and post-resume snapshot,
-                // matched by seq against the uninterrupted run...
-                assert_eq!(
-                    run.snaps.last().map(|s| s.seq),
-                    ref_snaps.last().map(|s| s.seq),
-                    "{ctx}: snapshot sequence ends at the same seq"
-                );
-                for s in &run.snaps {
-                    let twin = ref_snaps
-                        .iter()
-                        .find(|r| r.seq == s.seq)
-                        .unwrap_or_else(|| panic!("{ctx}: no reference snapshot seq {}", s.seq));
-                    assert_snap_eq(s, twin, &ctx);
-                }
-                // ...and the final assignment after the drain.
-                let mut resumed = run.engine;
-                let fin = resumed.finish();
-                assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
-                let assignment = resumed.into_assignment();
-                for v in 0..=max_v {
-                    assert_eq!(
-                        ref_assignment.partition_of(VertexId(v)),
-                        assignment.partition_of(VertexId(v)),
-                        "{ctx}: assignment diverged at vertex {v}"
-                    );
-                }
             }
         }
     }
@@ -712,20 +705,45 @@ fn short_write_fails_loudly_then_recovers() {
     );
 }
 
-/// Satellite: a worker panic mid-batch bails *after* the journal
-/// flush, so post-error resume replays the stream up to and including
-/// the batch that failed — and, with the fault gone, completes
+/// A [`MemBackend`] whose checkpoint writes fail (a full device) while
+/// journal appends still go through — a WAL fault that strikes after
+/// the journal flush, in the middle of a batch the checkpoint cadence
+/// splits.
+#[derive(Clone)]
+struct CheckpointsFail(MemBackend);
+
+impl StorageBackend for CheckpointsFail {
+    fn open_append(&self, name: &str) -> std::io::Result<Box<dyn WalFile>> {
+        self.0.open_append(name)
+    }
+    fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+        self.0.read(name)
+    }
+    fn write_atomic(&self, _name: &str, _bytes: &[u8]) -> std::io::Result<()> {
+        Err(std::io::Error::other("checkpoint device full (injected)"))
+    }
+    fn list(&self) -> std::io::Result<Vec<String>> {
+        self.0.list()
+    }
+    fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
+        self.0.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> std::io::Result<()> {
+        self.0.remove(name)
+    }
+}
+
+/// The engine journals a batch *before* the partitioner sees any of
+/// it: a checkpoint write failing mid-batch bails after the journal
+/// flush, so post-error resume replays the stream past the failure
+/// point, to the end of the failing batch — and completes
 /// bit-identically to a run that never failed.
 #[test]
 fn error_path_flushes_journal_before_bailing() {
     let (edges, workload) = hub_stream(100, 0xe404);
-    let make_clean = || -> Box<dyn StreamPartitioner> {
-        let mut p = loom(3, 12, 64, &workload);
-        p.set_threads(4);
-        Box::new(p)
-    };
+    let make = || -> Box<dyn StreamPartitioner> { Box::new(loom(3, 12, 64, &workload)) };
 
-    let mut reference = engine_with(make_clean(), 50, 120);
+    let mut reference = engine_with(make(), 50, 120);
     reference
         .attach_wal(Box::new(MemBackend::new()), 128, FP)
         .unwrap();
@@ -734,39 +752,29 @@ fn error_path_flushes_journal_before_bailing() {
         .unwrap();
     let ref_digest = reference.state_digest().unwrap();
 
+    // The third pull covers edges 100..150; the snapshot and
+    // checkpoint cadences split it at 120 and 128, where the first
+    // checkpoint write fails, at the end of the fourth chunk.
     let backend = MemBackend::new();
-    let mut victim = engine_with(
-        {
-            let mut p = loom(3, 12, 64, &workload);
-            p.set_threads(4);
-            p.inject_probe_panic_at(EdgeId(137));
-            Box::<LoomPartitioner>::new(p)
-        },
-        50,
-        120,
-    );
+    let mut victim = engine_with(make(), 50, 120);
     victim
-        .attach_wal(Box::new(backend.clone()), 128, FP)
+        .attach_wal(Box::new(CheckpointsFail(backend.clone())), 128, FP)
         .unwrap();
     let err = victim
         .run(&mut VecSource::new(&edges), None, |_| {})
-        .expect_err("injected panic must propagate");
-    assert_eq!(err.edge_index, 137, "failure names the stream edge");
-    let ingested = victim.edges_ingested();
-    assert!(ingested < 137, "the failing batch never committed");
+        .expect_err("the failed checkpoint must propagate");
+    assert!(err.message.contains("injected"), "{}", err.message);
+    assert_eq!((err.batch, err.edge_index), (4, 128), "failure point");
+    assert_eq!(victim.edges_ingested(), 128, "stopped at the failure");
     drop(victim); // crash after the error
 
     // The journal is ahead of the committed state: the whole failing
-    // batch (including edge 137) was flushed before the probe ran.
-    let mut resumed = engine_with(make_clean(), 50, 120);
+    // batch was flushed before its first edge reached the partitioner.
+    let mut resumed = engine_with(make(), 50, 120);
     let durable = resumed
         .resume_from_wal(Box::new(backend.clone()), 128, FP, |_| {})
         .unwrap();
-    assert!(
-        durable > 137,
-        "durable edges ({durable}) cover the failure edge"
-    );
-    assert!(durable > ingested, "journal runs ahead of the commit point");
+    assert_eq!(durable, 150, "the whole failing batch is durable");
 
     // With the fault gone, finish the stream: bit-identical.
     let mut source = VecSource::new(&edges);

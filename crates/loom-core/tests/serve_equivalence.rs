@@ -5,9 +5,7 @@
 //! must be bit-identical to its serving-off twin in every recoverable
 //! respect: the complete snapshot sequence (all fields except
 //! `serving` itself), every vertex assignment, and the engine state
-//! digest. Checked at one and at four ingest workers, because the
-//! serve hook sits on the same commit boundary the parallel pipeline
-//! synchronises on.
+//! digest.
 //!
 //! Readers double as the monotonicity oracle: the epoch and edge
 //! count of loaded views must never decrease, and every well-formed
@@ -18,18 +16,15 @@ mod common;
 use common::*;
 use loom_core::engine::{EngineConfig, OnlineEngine};
 use loom_core::graph::{EdgeSource, Workload};
-use loom_core::partition::StreamPartitioner;
 use loom_core::query::{handle_request, ReadView};
 use loom_core::runtime::EpochCell;
 use loom_core::ServeOptions;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn engine(workload: &Workload, threads: usize) -> OnlineEngine {
-    let mut p = Box::new(loom(4, 16, 96, workload));
-    p.set_threads(threads);
+fn engine(workload: &Workload) -> OnlineEngine {
     OnlineEngine::new(
-        p,
+        Box::new(loom(4, 16, 96, workload)),
         EngineConfig {
             snapshot_every: 512,
             batch_size: 64,
@@ -87,66 +82,64 @@ fn spawn_reader(
     })
 }
 
-/// The acceptance check: at threads {1, 4}, each serving-on run (3
-/// concurrent readers hammering published views the whole time)
-/// bit-identical to its serving-off twin.
+/// The acceptance check: a serving-on run (3 concurrent readers
+/// hammering published views the whole time) is bit-identical to its
+/// serving-off twin.
 #[test]
-fn serving_on_is_bit_identical_to_serving_off_across_threads() {
+fn serving_on_is_bit_identical_to_serving_off() {
     let (edges, workload) = hub_stream(1_200, 0x5e12e);
-    for threads in [1usize, 4] {
-        let ctx = format!("threads={threads}");
+    let ctx = "serving on vs off";
 
-        let mut off = engine(&workload, threads);
-        let mut off_snaps = Vec::new();
-        off.run(&mut VecSource::new(&edges), None, |s| {
-            off_snaps.push(s.clone())
-        })
-        .expect("serving-off run");
-        let off_fin = off.finish();
+    let mut off = engine(&workload);
+    let mut off_snaps = Vec::new();
+    off.run(&mut VecSource::new(&edges), None, |s| {
+        off_snaps.push(s.clone())
+    })
+    .expect("serving-off run");
+    let off_fin = off.finish();
 
-        let mut on = engine(&workload, threads);
-        let handle = on.enable_serving(ServeOptions {
-            horizon_edges: 4_096,
-            publish_every: 256,
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| spawn_reader(Arc::clone(&handle.view), Arc::clone(&stop)))
-            .collect();
-        let mut on_snaps = Vec::new();
-        on.run(&mut VecSource::new(&edges), None, |s| {
-            on_snaps.push(s.clone())
-        })
-        .expect("serving-on run");
-        let on_fin = on.finish();
-        stop.store(true, Ordering::Release);
-        let mut rounds = 0u64;
-        for r in readers {
-            rounds += r.join().expect("reader thread");
-        }
-        assert!(rounds > 0, "{ctx}: no reader executed a single round");
+    let mut on = engine(&workload);
+    let handle = on.enable_serving(ServeOptions {
+        horizon_edges: 4_096,
+        publish_every: 256,
+    });
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..3)
+        .map(|_| spawn_reader(Arc::clone(&handle.view), Arc::clone(&stop)))
+        .collect();
+    let mut on_snaps = Vec::new();
+    on.run(&mut VecSource::new(&edges), None, |s| {
+        on_snaps.push(s.clone())
+    })
+    .expect("serving-on run");
+    let on_fin = on.finish();
+    stop.store(true, Ordering::Release);
+    let mut rounds = 0u64;
+    for r in readers {
+        rounds += r.join().expect("reader thread");
+    }
+    assert!(rounds > 0, "{ctx}: no reader executed a single round");
 
-        assert_snaps_eq(&off_snaps, &on_snaps, &ctx);
-        for (a, b) in off_snaps.iter().zip(&on_snaps) {
-            assert!(a.serving.is_none(), "{ctx}: serving-off twin has stats");
-            assert!(b.serving.is_some(), "{ctx}: serving-on twin lacks stats");
-        }
-        assert_snap_eq(&off_fin, &on_fin, &format!("{ctx}: final"));
+    assert_snaps_eq(&off_snaps, &on_snaps, ctx);
+    for (a, b) in off_snaps.iter().zip(&on_snaps) {
+        assert!(a.serving.is_none(), "{ctx}: serving-off twin has stats");
+        assert!(b.serving.is_some(), "{ctx}: serving-on twin lacks stats");
+    }
+    assert_snap_eq(&off_fin, &on_fin, &format!("{ctx}: final"));
 
-        assert_eq!(
-            off.state_digest().expect("off digest"),
-            on.state_digest().expect("on digest"),
-            "{ctx}: state digest diverged"
-        );
-        let (a, b) = (off.into_assignment(), on.into_assignment());
-        for e in &edges {
-            for v in [e.src, e.dst] {
-                assert_eq!(
-                    a.partition_of(v),
-                    b.partition_of(v),
-                    "{ctx}: assignment diverged at {v:?}"
-                );
-            }
+    assert_eq!(
+        off.state_digest().expect("off digest"),
+        on.state_digest().expect("on digest"),
+        "{ctx}: state digest diverged"
+    );
+    let (a, b) = (off.into_assignment(), on.into_assignment());
+    for e in &edges {
+        for v in [e.src, e.dst] {
+            assert_eq!(
+                a.partition_of(v),
+                b.partition_of(v),
+                "{ctx}: assignment diverged at {v:?}"
+            );
         }
     }
 }
@@ -157,7 +150,7 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads() {
 #[test]
 fn final_view_matches_final_assignment() {
     let (edges, workload) = hub_stream(400, 0xf17a1);
-    let mut eng = engine(&workload, 1);
+    let mut eng = engine(&workload);
     let handle = eng.enable_serving(ServeOptions {
         horizon_edges: 2_048,
         publish_every: 512,
@@ -191,12 +184,12 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
     let (edges, workload) = hub_stream(300, 0xbad);
     let half = edges.len() / 2;
 
-    let mut twin = engine(&workload, 1);
+    let mut twin = engine(&workload);
     twin.run(&mut VecSource::new(&edges), None, |_| {})
         .expect("twin");
     twin.finish();
 
-    let mut eng = engine(&workload, 1);
+    let mut eng = engine(&workload);
     let handle = eng.enable_serving(ServeOptions {
         horizon_edges: 1_024,
         publish_every: 128,

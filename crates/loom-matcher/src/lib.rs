@@ -20,6 +20,6 @@ pub mod matcher;
 pub mod matchlist;
 pub mod window;
 
-pub use matcher::{EdgeFate, EdgeProbe, MotifMatcher, MAX_MATCHES_PER_ENDPOINT};
+pub use matcher::{EdgeFate, MotifMatcher, MAX_MATCHES_PER_ENDPOINT};
 pub use matchlist::{ArenaOccupancy, MatchId, MatchList, MatchRef};
 pub use window::SlidingWindow;

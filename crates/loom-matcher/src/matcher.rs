@@ -58,10 +58,8 @@ enum BaseRef {
     Old(MatchId),
     /// The `i`-th match the probed edge is predicted to create — an
     /// index into the apply stage's fresh list (0 is the single-edge
-    /// match, then accepted extensions in candidate order), *not* an
-    /// arena id: commits of earlier batch edges may have grown the
-    /// arena since the probe, so absolute predicted ids would be stale
-    /// while indices stay exact.
+    /// match, then accepted extensions in candidate order), resolved to
+    /// the real id only once apply has inserted it.
     Fresh(u32),
 }
 
@@ -77,26 +75,12 @@ struct JoinPlan {
 
 /// The read-only half of one edge's matcher work: everything
 /// [`MotifMatcher::on_edge_classified`] decides *before* its first
-/// state mutation, captured as a plan that
-/// [`MotifMatcher::apply_probe`] executes verbatim.
-///
-/// This is the parallel ingest's unit of fan-out (DESIGN.md §13):
-/// [`MotifMatcher::probe_classified`] takes `&self`, so a worker pool
-/// can probe many edges of a batch concurrently against the immutable
-/// pre-batch match list, and the sequential commit stage applies the
-/// plans in arrival order. The sequential path runs the *same*
-/// probe-then-apply split (there is one implementation, not two), so
-/// a committed stale-free probe is bit-identical to sequential
-/// processing by construction.
-///
-/// Internals are private: a probe is only meaningful for the exact
-/// `(matcher state, edge)` it was computed against, as checked by
-/// [`MotifMatcher::probe_is_valid`].
+/// state mutation, captured as a plan that `apply_probe` executes
+/// verbatim right after `probe_classified` wrote it. A plan is only
+/// meaningful against the matcher state it was computed from, so it
+/// never outlives the one `on_edge_classified` call.
 #[derive(Clone, Debug)]
-pub struct EdgeProbe {
-    /// Arena generation at probe time — compaction remaps ids and
-    /// invalidates every outstanding probe.
-    generation: u64,
+struct EdgeProbe {
     /// The single-edge motif the probed edge classified to.
     m0: MotifId,
     /// All extension candidates that passed the LUT/child checks, in
@@ -110,7 +94,7 @@ pub struct EdgeProbe {
     /// Absorbed-edge storage for `joins` (in absorption order).
     join_pool: Vec<StreamEdge>,
     // Probe-internal working sets, kept to reuse their allocations
-    // across probes (one EdgeProbe lives per batch slot).
+    // across edges (the matcher keeps one boxed EdgeProbe as scratch).
     src_list: Vec<(MatchId, u8)>,
     dst_list: Vec<(MatchId, u8)>,
     connected: Vec<(MatchId, u8, u8)>,
@@ -133,7 +117,6 @@ pub struct EdgeProbe {
 impl Default for EdgeProbe {
     fn default() -> Self {
         EdgeProbe {
-            generation: 0,
             m0: MotifId(0),
             extensions: Vec::new(),
             joins: Vec::new(),
@@ -301,9 +284,9 @@ impl MotifMatcher {
     /// resolved by [`MotifMatcher::classify`]. Callers must pass the
     /// `m0` classify returned for *this* edge.
     ///
-    /// Implemented as probe-then-apply — the sequential path and the
-    /// parallel ingest's commit stage run the exact same split, so
-    /// their bit-identity is structural, not coincidental.
+    /// Implemented as probe-then-apply: `probe_classified` plans every
+    /// insert against the pre-edge state, then `apply_probe` performs
+    /// them.
     pub fn on_edge_classified(&mut self, e: StreamEdge, m0: MotifId) -> EdgeFate {
         let mut probe = self.probe_scratch.take().unwrap_or_default();
         self.probe_classified(&e, m0, &mut probe);
@@ -315,13 +298,10 @@ impl MotifMatcher {
     /// The read-only half of [`MotifMatcher::on_edge_classified`]:
     /// everything the matcher decides about `e` *before* its first
     /// state mutation, written into `probe` as a plan for
-    /// [`MotifMatcher::apply_probe`]. Takes `&self`, so a worker pool
-    /// can run many probes concurrently against the immutable
-    /// pre-batch matcher (DESIGN.md §13). Callers must pass the `m0`
+    /// `apply_probe`. Callers must pass the `m0`
     /// [`MotifMatcher::classify`] returned for *this* edge.
-    pub fn probe_classified(&self, e: &StreamEdge, m0: MotifId, probe: &mut EdgeProbe) {
+    fn probe_classified(&self, e: &StreamEdge, m0: MotifId, probe: &mut EdgeProbe) {
         debug_assert_eq!(self.classify(e), Some(m0));
-        probe.generation = self.matches.arena_generation();
         probe.m0 = m0;
         probe.extensions.clear();
         probe.joins.clear();
@@ -450,9 +430,7 @@ impl MotifMatcher {
         // fresh` (no match dies between the reads and the inserts, and
         // every fresh match contains e, hence sits at both endpoints in
         // insertion order). The predicted fresh ids are only compared
-        // against old ids (all strictly smaller) and each other here,
-        // so the reconstruction is exact even when apply runs after
-        // other commits have shifted the absolute ids.
+        // against old ids (all strictly smaller) and each other here.
         probe.partners.clear();
         Self::append_capped_tail(
             &mut probe.partners,
@@ -596,31 +574,12 @@ impl MotifMatcher {
         }
     }
 
-    /// Whether a probe computed by [`MotifMatcher::probe_classified`]
-    /// is still exact against the current matcher state: the arena has
-    /// not compacted since (ids unremapped) and no mutation inside the
-    /// current probe epoch touched either endpoint of `e`. Every probe
-    /// read is scoped to `e`'s endpoints — their index rows and the
-    /// matches in them, all of which contain an endpoint — and every
-    /// mutation dirties all vertices of the matches it creates or
-    /// kills, so clean endpoints prove the probe would re-compute
-    /// identically. (The one read this does not cover, the read-only
-    /// dedup consults, can only diverge via a 128-bit fingerprint
-    /// collision — the same accepted class as the signature scheme.)
-    pub fn probe_is_valid(&self, e: &StreamEdge, probe: &EdgeProbe) -> bool {
-        probe.generation == self.matches.arena_generation()
-            && !self.matches.vertex_dirty(e.src)
-            && !self.matches.vertex_dirty(e.dst)
-    }
-
     /// The stateful half of [`MotifMatcher::on_edge_classified`]:
     /// execute a probe's plan — the single-edge insert, the extension
     /// candidates (real dedup decides), and the planned joins — with
     /// exactly the mutation sequence the monolithic path performed.
-    /// The caller guarantees the probe was computed for `e` and is
-    /// valid per [`MotifMatcher::probe_is_valid`] (or was computed
-    /// against the current state, as `on_edge_classified` does).
-    pub fn apply_probe(&mut self, e: StreamEdge, probe: &EdgeProbe) -> EdgeFate {
+    /// The probe was computed for `e` against the current state.
+    fn apply_probe(&mut self, e: StreamEdge, probe: &EdgeProbe) -> EdgeFate {
         let mut fresh = std::mem::take(&mut self.scratch_fresh);
         fresh.clear();
         if let Some(id) = self.matches.insert_single(e, probe.m0) {
@@ -634,10 +593,10 @@ impl MotifMatcher {
         for plan in &probe.joins {
             let base = match plan.base {
                 BaseRef::Old(id) => id,
-                // Fresh bases resolve through the REAL fresh list — on
-                // a valid probe the predicted acceptance pattern is
-                // exact (see probe_classified), so the indices align;
-                // the guard only fires at fingerprint-collision odds.
+                // Fresh bases resolve through the REAL fresh list — the
+                // predicted acceptance pattern is exact (see
+                // probe_classified), so the indices align; the guard
+                // only fires at fingerprint-collision odds.
                 BaseRef::Fresh(j) => match fresh.get(j as usize) {
                     Some(&id) => id,
                     None => continue,
@@ -655,29 +614,12 @@ impl MotifMatcher {
         // bypass-heavy regime), and correctness never depends on them
         // — walks filter on liveness — so the trigger only affects
         // cost, never behaviour. This is also the only safe point to
-        // compact: no MatchIds are held across on_edge calls (a
-        // reclaim bumps the arena generation, invalidating any
-        // outstanding probes).
+        // compact: no MatchIds are held across on_edge calls.
         if self.matches.dead() >= self.dead_at_last_compact + 2048 {
             self.matches.compact();
             self.dead_at_last_compact = self.matches.dead();
         }
         EdgeFate::Buffered
-    }
-
-    /// Start a probe epoch: until [`MotifMatcher::end_probe_epoch`],
-    /// the match list records the vertices its mutations touch, which
-    /// is what [`MotifMatcher::probe_is_valid`] checks stale probes
-    /// against. The parallel ingest brackets each batch commit with
-    /// this; the sequential path never enables it and pays nothing.
-    pub fn begin_probe_epoch(&mut self) {
-        self.matches.begin_dirty_epoch();
-    }
-
-    /// End the probe epoch started by
-    /// [`MotifMatcher::begin_probe_epoch`] and release its tracking.
-    pub fn end_probe_epoch(&mut self) {
-        self.matches.end_dirty_epoch();
     }
 
     /// The matches `M_e` containing an edge about to be assigned (§4).

@@ -364,16 +364,6 @@ pub struct MatchList {
     /// entry and its eviction frees it, so without a pool the steady
     /// state pays a malloc/free pair per edge transit.
     list_pool: Vec<Vec<MatchId>>,
-    /// Vertices touched by any mutation since `begin_dirty_epoch` —
-    /// the parallel ingest's probe-invalidation set (DESIGN.md §13).
-    /// Every probe read is scoped to the probed edge's two endpoints
-    /// (their `by_vertex` rows and the matches in them), and every
-    /// mutation marks all vertices of the matches it creates or kills,
-    /// so "neither endpoint dirty" proves the probe's reads would
-    /// re-execute identically. Tracking is off (and the set empty)
-    /// outside an epoch, so the sequential path pays nothing.
-    dirty: FxHashSet<VertexId>,
-    track_dirty: bool,
 }
 
 impl MatchList {
@@ -425,13 +415,6 @@ impl MatchList {
         MatchId(self.matches.len() as u32)
     }
 
-    /// Completed compaction count — probes stamp this and a mismatch
-    /// (ids were remapped) invalidates them wholesale.
-    #[inline]
-    pub(crate) fn arena_generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The dedup key `insert_extension(parent, e, motif)` would claim —
     /// lets a read-only probe predict whether the insert will be
     /// accepted without mutating the set.
@@ -445,37 +428,6 @@ impl MatchList {
     #[inline]
     pub(crate) fn dedup_contains(&self, key: u128) -> bool {
         self.dedup.contains(&key)
-    }
-
-    /// Start tracking mutated vertices (probe invalidation, see the
-    /// `dirty` field). Clears any previous epoch's set.
-    pub(crate) fn begin_dirty_epoch(&mut self) {
-        self.track_dirty = true;
-        self.dirty.clear();
-    }
-
-    /// Stop tracking and release the dirty set.
-    pub(crate) fn end_dirty_epoch(&mut self) {
-        self.track_dirty = false;
-        self.dirty.clear();
-    }
-
-    /// Whether `v` was touched by a mutation in the current epoch.
-    #[inline]
-    pub(crate) fn vertex_dirty(&self, v: VertexId) -> bool {
-        self.dirty.contains(&v)
-    }
-
-    /// Mark every vertex of the match rooted at `cell` dirty (the
-    /// match was created or killed during a tracking epoch).
-    fn mark_chain_dirty(&mut self, cell: u32) {
-        let mut cur = cell;
-        while cur != NO_CELL {
-            let c = self.cells[cur as usize];
-            self.dirty.insert(c.edge.src);
-            self.dirty.insert(c.edge.dst);
-            cur = c.parent;
-        }
     }
 
     /// Register a new match whose chain head is `cell`, indexing it
@@ -526,9 +478,6 @@ impl MatchList {
             // every entry already in the row.
             Self::push_row(self.by_vertex.row_mut(v), live_info, id, deg);
         }
-        if self.track_dirty {
-            self.dirty.extend(scratch.iter().copied());
-        }
         self.scratch_vertices = scratch;
         self.matches.push(Meta {
             cell,
@@ -568,10 +517,6 @@ impl MatchList {
     /// pruning cadence as the generic path would produce). This runs
     /// once per buffered edge, the highest-frequency insert by far.
     pub fn insert_single(&mut self, e: StreamEdge, motif: MotifId) -> Option<MatchId> {
-        if self.track_dirty {
-            self.dirty.insert(e.src);
-            self.dirty.insert(e.dst);
-        }
         let edge_fp = mix_edge(e.id);
         let id = MatchId(self.matches.len() as u32);
         let cell = self.cells.len() as u32;
@@ -776,9 +721,6 @@ impl MatchList {
                     let m = &self.matches[id.index()];
                     self.dedup.remove(&dedup_key(m.motif, m.edge_fp));
                 }
-                if self.track_dirty {
-                    self.mark_chain_dirty(self.matches[id.index()].cell);
-                }
             }
         }
         ids.clear();
@@ -796,9 +738,6 @@ impl MatchList {
             if info & 0xff > 1 {
                 let m = &self.matches[id.index()];
                 self.dedup.remove(&dedup_key(m.motif, m.edge_fp));
-            }
-            if self.track_dirty {
-                self.mark_chain_dirty(self.matches[id.index()].cell);
             }
         }
     }

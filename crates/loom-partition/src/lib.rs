@@ -6,6 +6,7 @@
 //! structural quality metrics.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod equal_opportunism;
 pub mod fennel;

@@ -16,12 +16,11 @@ use crate::ldg::choose_weighted;
 use crate::state::{
     AdjacencyHorizon, Assignment, CapacityModel, NeighborCounts, OnlineAdjacency, PartitionState,
 };
-use crate::traits::{IngestError, StreamPartitioner};
-use loom_graph::{EdgeId, StreamEdge, VertexId, Workload};
+use crate::traits::StreamPartitioner;
+use loom_graph::{StreamEdge, VertexId, Workload};
 use loom_matcher::MatchId;
-use loom_matcher::{EdgeFate, EdgeProbe, MotifMatcher, SlidingWindow};
+use loom_matcher::{EdgeFate, MotifMatcher, SlidingWindow};
 use loom_motif::{LabelRandomizer, TpsTrie};
-use loom_runtime::WorkerPool;
 
 /// How evicted matches are assigned to partitions (§4 describes both:
 /// the naive strawman and the equal-opportunism heuristic Loom uses).
@@ -94,46 +93,6 @@ impl LoomConfig {
     }
 }
 
-/// One batch edge's pre-computed pure work, index-aligned with its
-/// batch (slot `i` ↔ edge `i` — this indexing *is* the
-/// sequence-numbered merge: however workers interleave, the commit
-/// stage walks slots in arrival order). Holds the single-edge
-/// classification, the read-only matcher probe, and the panic report
-/// if a worker died probing the edge.
-#[derive(Default)]
-struct ProbeSlot {
-    class: Option<loom_motif::MotifId>,
-    probe: EdgeProbe,
-    panic: Option<String>,
-}
-
-/// Raw cursor into the slot array, shared across probe workers.
-/// Safety rests on the chunk discipline in
-/// [`LoomPartitioner::parallel_batch`]: chunk `ci` writes slots
-/// `ci*PROBE_CHUNK ..` exclusively (chunks tile the batch without
-/// overlap), and the pool joins the whole job before `run` returns, so
-/// no write outlives the buffer it targets.
-#[derive(Clone, Copy)]
-struct SlotPtr(*mut ProbeSlot);
-
-unsafe impl Send for SlotPtr {}
-unsafe impl Sync for SlotPtr {}
-
-/// Edges per probe fan-out chunk: small enough that skewed per-edge
-/// probe cost (hub edges touch far more matches) still balances across
-/// workers, large enough to amortise the atomic chunk claim.
-const PROBE_CHUNK: usize = 16;
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The Loom streaming partitioner.
 pub struct LoomPartitioner {
     state: PartitionState,
@@ -159,15 +118,6 @@ pub struct LoomPartitioner {
     scratch_expired: Vec<(VertexId, VertexId)>,
     scratch_classes: Vec<Option<loom_motif::MotifId>>,
     view_pool: Vec<AuctionMatch>,
-    /// Worker count for batch ingest (1 = fully sequential).
-    threads: usize,
-    /// The probe-phase worker pool, built lazily on the first parallel
-    /// batch so threads=1 runs never spawn anything.
-    pool: Option<WorkerPool>,
-    /// Per-batch probe slots, reused across batches.
-    probes: Vec<ProbeSlot>,
-    /// Test hook: the parallel probe of this edge panics.
-    panic_inject: Option<EdgeId>,
 }
 
 /// Counters the evaluation and the ablation benches read back.
@@ -241,10 +191,6 @@ impl LoomPartitioner {
             scratch_expired: Vec::new(),
             scratch_classes: Vec::new(),
             view_pool: Vec::new(),
-            threads: 1,
-            pool: None,
-            probes: Vec::new(),
-            panic_inject: None,
         }
     }
 
@@ -483,21 +429,6 @@ impl LoomPartitioner {
     /// Both ingest paths funnel here: `on_edge` classifies inline,
     /// `on_batch` classifies the batch up front.
     fn step(&mut self, e: &StreamEdge, class: Option<loom_motif::MotifId>) {
-        self.step_inner(e, class, None);
-    }
-
-    /// [`LoomPartitioner::step`] with an optional pre-computed probe:
-    /// `probe_idx` points at this edge's slot in `self.probes` (the
-    /// parallel ingest path). A probe invalidated by an earlier commit
-    /// in the same batch is discarded and the edge re-probed inline —
-    /// the applied effect is identical either way, which is what makes
-    /// bit-identity over worker counts structural rather than lucky.
-    fn step_inner(
-        &mut self,
-        e: &StreamEdge,
-        class: Option<loom_motif::MotifId>,
-        probe_idx: Option<usize>,
-    ) {
         let t = self.clock();
         self.scratch_expired.clear();
         self.adjacency
@@ -513,12 +444,7 @@ impl LoomPartitioner {
         let t = self.clock();
         let fate = match class {
             None => EdgeFate::Bypass,
-            Some(m0) => match probe_idx {
-                Some(i) if self.matcher.probe_is_valid(e, &self.probes[i].probe) => {
-                    self.matcher.apply_probe(*e, &self.probes[i].probe)
-                }
-                _ => self.matcher.on_edge_classified(*e, m0),
-            },
+            Some(m0) => self.matcher.on_edge_classified(*e, m0),
         };
         self.lap(t, |p| &mut p.matcher_ns);
         match fate {
@@ -541,102 +467,6 @@ impl LoomPartitioner {
                 }
             }
         }
-    }
-
-    /// The parallel ingest path (DESIGN.md §13): fan the *pure*
-    /// per-edge work — single-edge classification plus the read-only
-    /// matcher probe — across the worker pool into index-aligned
-    /// slots, then commit every edge sequentially in arrival order.
-    /// Probes invalidated by earlier commits in the same batch (their
-    /// endpoints were dirtied, or the arena compacted) are recomputed
-    /// inline, so the committed state is bit-identical to sequential
-    /// ingest for any worker count.
-    ///
-    /// A worker panic never hangs the batch: each edge's probe runs
-    /// under `catch_unwind`, the pool still finishes every chunk, and
-    /// the lowest-offset failure is reported after all edges *before*
-    /// it have committed (edges after it are abandoned — the engine
-    /// drops the run on `Err`).
-    fn parallel_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.threads));
-        }
-        if self.probes.len() < batch.len() {
-            self.probes.resize_with(batch.len(), ProbeSlot::default);
-        }
-        let chunks = batch.len().div_ceil(PROBE_CHUNK);
-        let slots = SlotPtr(self.probes.as_mut_ptr());
-        let matcher = &self.matcher;
-        let inject = self.panic_inject;
-        let task = |ci: usize| {
-            // Rebind so the closure captures the `Sync` wrapper, not
-            // the raw pointer field (edition-2021 disjoint capture).
-            #[allow(clippy::redundant_locals)]
-            let slots = slots;
-            let lo = ci * PROBE_CHUNK;
-            let hi = batch.len().min(lo + PROBE_CHUNK);
-            for (i, e) in batch[lo..hi].iter().enumerate().map(|(j, e)| (lo + j, e)) {
-                // SAFETY: chunk `ci` is the only writer of slots
-                // `lo..hi` (chunks tile the batch without overlap),
-                // and `pool.run` joins the whole job before returning,
-                // so the write cannot outlive `self.probes`.
-                let slot = unsafe { &mut *slots.0.add(i) };
-                slot.panic = None;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if inject == Some(e.id) {
-                        panic!("probe panic injected by test hook");
-                    }
-                    slot.class = matcher.classify(e);
-                    if let Some(m0) = slot.class {
-                        matcher.probe_classified(e, m0, &mut slot.probe);
-                    }
-                }));
-                if let Err(payload) = outcome {
-                    slot.panic = Some(panic_text(payload.as_ref()));
-                }
-            }
-        };
-        let fanout = self
-            .pool
-            .as_ref()
-            .expect("pool built above")
-            .run(chunks, &task);
-        if let Err(p) = fanout {
-            // Unreachable in practice — per-edge panics are caught
-            // into their slots above — but keep even the bookkeeping-
-            // panic path deterministic and edge-addressed.
-            return Err(IngestError {
-                edge_offset: p.chunk * PROBE_CHUNK,
-                message: p.message,
-            });
-        }
-
-        self.matcher.begin_probe_epoch();
-        let mut failed = None;
-        for (i, e) in batch.iter().enumerate() {
-            if let Some(message) = self.probes[i].panic.take() {
-                failed = Some(IngestError {
-                    edge_offset: i,
-                    message,
-                });
-                break;
-            }
-            let class = self.probes[i].class;
-            self.step_inner(e, class, Some(i));
-        }
-        self.matcher.end_probe_epoch();
-        match failed {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
-    }
-
-    /// Test hook: make the *parallel* probe of edge `id` panic, to
-    /// exercise worker-panic propagation end to end. Sequential ingest
-    /// ignores it entirely.
-    #[doc(hidden)]
-    pub fn inject_probe_panic_at(&mut self, id: EdgeId) {
-        self.panic_inject = Some(id);
     }
 }
 
@@ -700,24 +530,6 @@ impl StreamPartitioner for LoomPartitioner {
         self.scratch_classes = classes;
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.threads {
-            self.threads = threads;
-            // Rebuilt lazily (at the right size) on the next parallel
-            // batch.
-            self.pool = None;
-        }
-    }
-
-    fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
-        if self.threads <= 1 || batch.len() < 2 {
-            self.on_batch(batch);
-            return Ok(());
-        }
-        self.parallel_batch(batch)
-    }
-
     fn finish(&mut self) {
         loop {
             let t = self.clock();
@@ -746,9 +558,9 @@ impl StreamPartitioner for LoomPartitioner {
     /// bit-identically: partition columns, streaming adjacency,
     /// counter rows, the sliding window (tombstones included), the
     /// match arena with its compaction watermark, and the stats the
-    /// evaluation reads back. Motif tables, the LUT, eo/allocation
-    /// parameters and the worker pool are config — the checkpoint
-    /// fingerprint guarantees they match on resume.
+    /// evaluation reads back. Motif tables, the LUT and eo/allocation
+    /// parameters are config — the checkpoint fingerprint guarantees
+    /// they match on resume.
     fn save_state(&self, w: &mut loom_wal::ByteWriter) -> Result<(), loom_wal::WalError> {
         self.state.wal_save(w);
         self.adjacency.wal_save(w);
@@ -776,8 +588,6 @@ impl StreamPartitioner for LoomPartitioner {
             matches_assigned: r.u64()?,
             fallback_auctions: r.u64()?,
         };
-        // Probe slots restart fresh: scratch, never state.
-        self.probes.clear();
         Ok(())
     }
 

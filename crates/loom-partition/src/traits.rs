@@ -5,17 +5,15 @@ use crate::state::{AdjacencyOccupancy, Assignment, PartitionState};
 use loom_graph::{GraphStream, StreamEdge};
 use loom_matcher::ArenaOccupancy;
 
-/// A batch ingest failure surfaced by
-/// [`StreamPartitioner::try_on_batch`]: a worker panicked while
-/// probing one edge of the batch. The partitioner never hangs on a
-/// worker panic — the pool runs every chunk to completion and the
-/// lowest-offset failure is reported deterministically.
+/// The error type of [`StreamPartitioner::try_on_batch`]. No
+/// partitioner returns it: every ingest path is sequential and cannot
+/// fail. Kept only because the repository benchmark's per-layer
+/// probes name `try_on_batch` until they are retired (ROADMAP 1(f)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IngestError {
-    /// Offset of the failing edge *within the batch* (the engine
-    /// translates this into a stream-global edge index).
+    /// Offset of the failing edge *within the batch*.
     pub edge_offset: usize,
-    /// The worker's panic message.
+    /// What failed.
     pub message: String,
 }
 
@@ -23,7 +21,7 @@ impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "worker panicked at batch offset {}: {}",
+            "batch ingest failed at offset {}: {}",
             self.edge_offset, self.message
         )
     }
@@ -63,14 +61,10 @@ pub trait StreamPartitioner {
         }
     }
 
-    /// Set the worker count for batch ingest (1 = fully sequential,
-    /// the default). The bit-identity contract of
-    /// [`StreamPartitioner::on_batch`] extends over thread counts: a
-    /// partitioner may only parallelise work whose merged result is
-    /// provably independent of worker scheduling (DESIGN.md §13).
-    /// Only Loom overrides it, for its probe fan-out; the baselines'
-    /// placements are cheap and sequential, and the default is a
-    /// no-op.
+    /// A no-op, kept only because the repository benchmark's per-layer
+    /// probe (`loom_t2_speedup`) calls it until that probe is retired
+    /// (ROADMAP 1(f)). No partitioner overrides it: every ingest path
+    /// is one sequential pass.
     fn set_threads(&mut self, _threads: usize) {}
 
     /// A no-op, kept only because the repository benchmark's per-layer
@@ -79,11 +73,10 @@ pub trait StreamPartitioner {
     /// has one flat layout.
     fn set_shards(&mut self, _shards: usize) {}
 
-    /// [`StreamPartitioner::on_batch`] with worker-panic propagation:
-    /// the parallel ingest path. The default (and every sequential
-    /// partitioner) just delegates to `on_batch` and cannot fail.
-    /// After an `Err`, the partitioner's state is unspecified — the
-    /// engine abandons the run and surfaces the error.
+    /// [`StreamPartitioner::on_batch`], returning `Ok`. Kept only
+    /// because the repository benchmark's per-layer replay calls it
+    /// until that probe is retired (ROADMAP 1(f)). No partitioner
+    /// overrides it, so it cannot fail.
     fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
         self.on_batch(batch);
         Ok(())
@@ -129,8 +122,8 @@ pub trait StreamPartitioner {
 
     /// Inverse of [`StreamPartitioner::save_state`]: overwrite this
     /// instance's mutable state with the checkpointed bytes. Must be
-    /// called on a freshly-constructed instance (same config, same
-    /// `set_threads` already applied) before any edge is ingested.
+    /// called on a freshly-constructed instance (same config) before
+    /// any edge is ingested.
     fn load_state(&mut self, _r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
         Err(loom_wal::WalError::Unsupported(format!(
             "partitioner {} does not support checkpointing",

@@ -1,5 +1,10 @@
-//! A small in-tree worker pool for the deterministic parallel ingest
-//! pipeline (DESIGN.md §13) — `std::thread` only, no crates.io.
+//! Std-only runtime primitives: the serving layer's building blocks
+//! and a small worker pool — `std::thread` only, no crates.io.
+//!
+//! No ingest path uses the pool: Loom's parallel probe was measured
+//! at the noise floor on a 2-vCPU host and removed (DESIGN.md §13).
+//! It stays only for the repository benchmark's `pool_dispatch_us`
+//! probe until that probe is retired (ROADMAP 1(f)).
 //!
 //! The pool executes *indexed chunk jobs*: [`WorkerPool::run`] is handed
 //! a chunk count and a `Fn(usize)` and guarantees every chunk index in
@@ -7,9 +12,8 @@
 //! *claiming* is dynamic (an atomic counter, so fast workers steal work
 //! from slow ones), but nothing about the claiming order may be
 //! observable: callers must make chunks write only to disjoint,
-//! pre-indexed slots. That discipline is what keeps the parallel ingest
-//! bit-identical for any worker count — the pool provides throughput,
-//! the slot indexing provides the deterministic merge.
+//! pre-indexed slots — the pool provides throughput, the slot indexing
+//! provides the deterministic merge.
 //!
 //! Panics inside a chunk never hang or poison the pool: every chunk
 //! runs under `catch_unwind`, all remaining chunks still execute (so
@@ -17,10 +21,10 @@
 //! chunks), and the lowest-indexed panic is returned as a
 //! [`ChunkPanic`]. Worker threads are spawned once and parked on a
 //! condvar between jobs — `run` on an idle pool costs one lock and one
-//! notify, cheap enough to call per ingest batch.
+//! notify.
 //!
-//! Alongside the pool live the serving-layer primitives (DESIGN.md
-//! §16), equally std-only and graph-agnostic:
+//! The serving-layer primitives (DESIGN.md §16) are equally std-only
+//! and graph-agnostic:
 //! - [`epoch::EpochCell`] — the atomically-swapped `Arc` under which
 //!   the engine publishes immutable read views;
 //! - [`metrics::ServeMetrics`] — lock-free served/refused counters and
@@ -288,9 +292,8 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// The host's available parallelism (1 if it cannot be determined) —
-/// what callers should compare a `--threads` request against when
-/// deciding whether a speedup is even measurable on this machine.
+/// The host's available parallelism (1 if it cannot be determined),
+/// as the benchmark report's header prints it.
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -67,33 +67,6 @@ fn assignments_are_identical_across_runs() {
     }
 }
 
-/// The worker count is a pure throughput knob: the per-vertex
-/// assignment of every system is bit-identical at threads {1, 4} (the
-/// parallel ingest pipeline only fans out pure per-edge work —
-/// DESIGN.md §13 and `crates/loom-core/tests/parallel_equivalence.rs`).
-#[test]
-fn assignments_are_identical_across_worker_counts() {
-    let base = tiny(DatasetKind::Dblp, StreamOrder::Random);
-    let graph = datasets::generate(base.dataset, base.scale, base.seed);
-    let workload = workload_for(base.dataset);
-    let stream = GraphStream::from_graph(&graph, base.order, base.seed);
-    for system in System::ALL {
-        let (reference, _) = partition_timed(system, &base, &stream, &workload);
-        let mut cfg = base.clone();
-        cfg.threads = 4;
-        let (parallel, _) = partition_timed(system, &cfg, &stream, &workload);
-        assert_eq!(reference.k(), parallel.k());
-        for v in graph.vertices() {
-            assert_eq!(
-                reference.partition_of(v),
-                parallel.partition_of(v),
-                "{}: vertex {v:?} moved between threads 1 and threads 4",
-                system.name()
-            );
-        }
-    }
-}
-
 /// Different seeds must actually change the outcome — guards against a
 /// seed that is silently ignored somewhere in the pipeline (which
 /// would make the two tests above pass vacuously).

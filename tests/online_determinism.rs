@@ -18,16 +18,6 @@ use loom_core::System;
 /// One online run: `system` over `max_edges` edges of the synthetic
 /// unbounded source, adaptive capacity, snapshots every 2_000 edges.
 fn online_run(system: System, seed: u64, max_edges: u64) -> (Vec<Snapshot>, Assignment) {
-    online_run_at(system, seed, max_edges, 1)
-}
-
-/// [`online_run`] at an explicit ingest worker count.
-fn online_run_at(
-    system: System,
-    seed: u64,
-    max_edges: u64,
-    threads: usize,
-) -> (Vec<Snapshot>, Assignment) {
     let mut cfg = ExperimentConfig::evaluation_defaults(
         DatasetKind::ProvGen, // dataset irrelevant: source is synthetic
         Scale::Tiny,
@@ -36,7 +26,6 @@ fn online_run_at(
     cfg.k = 4;
     cfg.seed = seed;
     cfg.window_size = 256;
-    cfg.threads = threads;
     let workload = workload_for(DatasetKind::ProvGen);
     let num_labels = 3;
     let p = make_partitioner_with_capacity(
@@ -79,25 +68,6 @@ fn online_runs_are_bit_identical_across_runs() {
             pairs_b,
             "{}: assignments diverged between identical online runs",
             system.name()
-        );
-    }
-}
-
-/// Online runs are bit-identical across ingest worker counts too:
-/// every snapshot observable and the final assignment agree at threads
-/// {1, 4}, for every system (DESIGN.md §13).
-#[test]
-fn online_runs_are_bit_identical_across_worker_counts() {
-    for system in System::ALL {
-        let name = system.name();
-        let (snaps_ref, a) = online_run_at(system, 0x5eed, 8_000, 1);
-        let (snaps, b) = online_run_at(system, 0x5eed, 8_000, 4);
-        assert_snaps_eq(&snaps_ref, &snaps, &format!("{name}@t4"));
-        let pairs_a: Vec<_> = a.iter().collect();
-        let pairs_b: Vec<_> = b.iter().collect();
-        assert_eq!(
-            pairs_a, pairs_b,
-            "{name}: assignments diverged between threads 1 and threads 4"
         );
     }
 }
