@@ -40,8 +40,9 @@ fn random_stream(n_vertices: usize, n_edges: usize, labels: usize, seed: u64) ->
 /// A verbatim copy of the pre-refactor matcher (owned edge vectors,
 /// SipHash maps, per-candidate `Delta` computation, clone-based join)
 /// kept as the behavioural oracle for the arena refactor. Apart from
-/// module-path adjustments this is the code as committed before the
-/// interned/arena representation landed.
+/// module-path adjustments and the per-endpoint cap taken as an input,
+/// this is the code as committed before the interned/arena
+/// representation landed.
 mod reference {
     use loom_graph::{EdgeId, StreamEdge, VertexId};
     use loom_motif::{edge_delta, single_edge_delta, Delta, LabelRandomizer, MotifId, MotifIndex};
@@ -190,8 +191,6 @@ mod reference {
         }
     }
 
-    const MAX_MATCHES_PER_ENDPOINT: usize = 48;
-
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum EdgeFate {
         Bypass,
@@ -204,15 +203,20 @@ mod reference {
         rand: LabelRandomizer,
         matches: MatchList,
         ops_since_compact: usize,
+        /// The per-endpoint match cap (the original's
+        /// `MAX_MATCHES_PER_ENDPOINT` constant, here an input so the
+        /// suite can reach the truncated-row paths).
+        cap: usize,
     }
 
     impl MotifMatcher {
-        pub fn new(motifs: MotifIndex, rand: LabelRandomizer) -> Self {
+        pub fn new(motifs: MotifIndex, rand: LabelRandomizer, cap: usize) -> Self {
             MotifMatcher {
                 motifs,
                 rand,
                 matches: MatchList::new(),
                 ops_since_compact: 0,
+                cap,
             }
         }
 
@@ -222,8 +226,8 @@ mod reference {
                 return EdgeFate::Bypass;
             };
 
-            let mut connected = recent(self.matches.matches_at_vertex_pruned(e.src));
-            for id in recent(self.matches.matches_at_vertex_pruned(e.dst)) {
+            let mut connected = recent(self.matches.matches_at_vertex_pruned(e.src), self.cap);
+            for id in recent(self.matches.matches_at_vertex_pruned(e.dst), self.cap) {
                 if !connected.contains(&id) {
                     connected.push(id);
                 }
@@ -252,8 +256,8 @@ mod reference {
                 }
             }
 
-            let mut partners = recent(self.matches.matches_at_vertex_pruned(e.src));
-            for id in recent(self.matches.matches_at_vertex_pruned(e.dst)) {
+            let mut partners = recent(self.matches.matches_at_vertex_pruned(e.src), self.cap);
+            for id in recent(self.matches.matches_at_vertex_pruned(e.dst), self.cap) {
                 if !partners.contains(&id) {
                     partners.push(id);
                 }
@@ -315,10 +319,10 @@ mod reference {
         }
     }
 
-    fn recent(mut ids: Vec<MatchId>) -> Vec<MatchId> {
-        if ids.len() > MAX_MATCHES_PER_ENDPOINT {
+    fn recent(mut ids: Vec<MatchId>, cap: usize) -> Vec<MatchId> {
+        if ids.len() > cap {
             ids.sort_unstable();
-            ids.drain(..ids.len() - MAX_MATCHES_PER_ENDPOINT);
+            ids.drain(..ids.len() - cap);
         }
         ids
     }
@@ -405,12 +409,15 @@ fn reference_match_set(matcher: &reference::MotifMatcher, window: &SlidingWindow
 
 /// Workloads with qualitatively different motif shapes for the
 /// equivalence sweep: paths (extension-heavy), the 4-path over two
-/// labels (join-heavy), and a star (hub-heavy).
+/// labels (join-heavy), a star (hub-heavy), and a triangle — the one
+/// shape whose closing edge extends a match holding both its
+/// endpoints, which is what sends a cap-truncated row read to a chain
+/// walk for the other endpoint's degree.
 fn sweep_workload(which: usize) -> (Workload, usize) {
     let a = Label(0);
     let b = Label(1);
     let c = Label(2);
-    match which % 3 {
+    match which % 4 {
         0 => (
             Workload::new(vec![
                 (PatternGraph::path("p4", vec![a, b, a, b]), 60.0),
@@ -422,12 +429,19 @@ fn sweep_workload(which: usize) -> (Workload, usize) {
             Workload::new(vec![(PatternGraph::path("q", vec![a, b, a, b]), 1.0)]),
             2,
         ),
-        _ => (
+        2 => (
             Workload::new(vec![
                 (PatternGraph::star("s", a, vec![b, b, b]), 70.0),
                 (PatternGraph::path("ab", vec![a, b]), 30.0),
             ]),
             2,
+        ),
+        _ => (
+            Workload::new(vec![
+                (PatternGraph::cycle("tri", vec![a, b, c]), 60.0),
+                (PatternGraph::path("abc", vec![a, b, c]), 40.0),
+            ]),
+            3,
         ),
     }
 }
@@ -644,24 +658,31 @@ proptest! {
     /// streams with window-driven evictions, the arena-backed matcher
     /// yields exactly the same live match set (edge-id sets + motif
     /// ids) and the same per-edge fates as the verbatim pre-refactor
-    /// reference matcher — across window sizes, support thresholds and
-    /// motif shapes.
+    /// reference matcher — across window sizes, support thresholds,
+    /// motif shapes and per-endpoint caps. The small caps truncate the
+    /// endpoint rows on most buffered edges, so the capped reads, the
+    /// partner-list reconstruction and (on the triangle workload) the
+    /// truncated-row degree walks run under the oracle too; 48 is the
+    /// default cap.
     #[test]
     fn arena_matcher_equals_reference(
         n_edges in 4usize..64,
         window_cap in 2usize..12,
         threshold_pick in 0usize..4,
-        workload_pick in 0usize..3,
+        workload_pick in 0usize..4,
+        cap_pick in 0usize..4,
         seed in any::<u64>(),
     ) {
         let threshold = [0.3, 0.4, 0.5, 1.0][threshold_pick];
+        let cap = [1usize, 2, 3, 48][cap_pick];
         let (workload, labels) = sweep_workload(workload_pick);
         let rand = LabelRandomizer::new(labels, DEFAULT_PRIME, 11);
         let trie = TpsTrie::build(&workload, &rand);
         let motifs = trie.motifs(threshold);
 
         let mut arena = MotifMatcher::new(motifs.clone(), rand.clone());
-        let mut oracle = reference::MotifMatcher::new(motifs, rand);
+        arena.set_match_cap(cap);
+        let mut oracle = reference::MotifMatcher::new(motifs, rand, cap);
         let mut arena_window = SlidingWindow::new(window_cap);
         let mut oracle_window = SlidingWindow::new(window_cap);
 
