@@ -148,6 +148,25 @@ stage "batch-equivalence suite"
 # suite is cheap and makes a violation name itself in the stage table.
 cargo test -q --offline -p loom-core --test batch_equivalence
 
+stage "matcher oracle"
+# The matcher's differential oracle, by name: the arena matcher against
+# a verbatim copy of the pre-arena one, across per-endpoint caps
+# {1, 2, 3, 48}, under eight master seeds (each 32 cases) instead of
+# tier-1's one. A filter that matches no test fails the stage.
+for seed in 1 2 3 4 5 6 7 8; do
+  ORACLE_OUT=$(PROPTEST_SEED=$seed cargo test -q --offline -p loom-matcher \
+    --test properties arena_matcher_equals_reference 2>&1) || {
+    echo "$ORACLE_OUT"
+    exit 1
+  }
+  if ! grep -q "^test result: ok. 1 passed" <<< "$ORACLE_OUT"; then
+    echo "$ORACLE_OUT"
+    echo "matcher oracle: PROPTEST_SEED=$seed ran no arena_matcher_equals_reference case" >&2
+    exit 1
+  fi
+done
+echo "matcher oracle: 8 master seeds passed"
+
 stage "recovery suite (kill/resume matrix)"
 # The crash-recovery contract, by name: a run killed at any point —
 # mid-batch, exactly at a checkpoint, one past it — and resumed from

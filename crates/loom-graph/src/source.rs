@@ -180,7 +180,7 @@ pub struct TextEdgeSource<R: BufRead> {
     reader: R,
     labels: Vec<Label>,
     num_labels: usize,
-    next_id: u32,
+    emitted: u32,
     skipped: usize,
     line: String,
     /// 1-based number of the line currently in `line`.
@@ -195,7 +195,7 @@ impl<R: BufRead> TextEdgeSource<R> {
             reader,
             labels: Vec::new(),
             num_labels: 1,
-            next_id: 0,
+            emitted: 0,
             skipped: 0,
             line: String::new(),
             line_no: 0,
@@ -210,7 +210,7 @@ impl<R: BufRead> TextEdgeSource<R> {
 
     /// Edges emitted so far.
     pub fn emitted(&self) -> usize {
-        self.next_id as usize
+        self.emitted as usize
     }
 
     /// Label of `v`. `Err` when the feed declared a label table that
@@ -286,13 +286,13 @@ impl<R: BufRead> TextEdgeSource<R> {
         };
         let (src, dst) = (VertexId(u), VertexId(v));
         let e = StreamEdge {
-            id: EdgeId(self.next_id),
+            id: EdgeId(self.emitted),
             src,
             dst,
             src_label: self.label_of(src)?,
             dst_label: self.label_of(dst)?,
         };
-        self.next_id += 1;
+        self.emitted += 1;
         Ok(Some(e))
     }
 }

@@ -23,7 +23,7 @@
 //! in scratch buffers reused across calls.
 
 use crate::matchlist::{MatchId, MatchList, MatchRef};
-use loom_graph::{EdgeId, StreamEdge, VertexId};
+use loom_graph::{EdgeId, StreamEdge};
 use loom_motif::{DeltaLut, LabelRandomizer, MotifId, MotifIndex};
 
 /// What happened to an edge handed to [`MotifMatcher::on_edge`].
@@ -51,112 +51,27 @@ pub enum EdgeFate {
 /// matcher with [`MotifMatcher::set_match_cap`].
 pub const MAX_MATCHES_PER_ENDPOINT: usize = 48;
 
-/// Where a planned join's base match comes from (see [`EdgeProbe`]).
-#[derive(Clone, Copy, Debug)]
-enum BaseRef {
-    /// An existing (pre-edge) match, by id.
-    Old(MatchId),
-    /// The `i`-th match the probed edge is predicted to create — an
-    /// index into the apply stage's fresh list (0 is the single-edge
-    /// match, then accepted extensions in candidate order), resolved to
-    /// the real id only once apply has inserted it.
-    Fresh(u32),
-}
-
-/// One planned join: absorb `len` edges of the probe's pool starting
-/// at `start` into `base`, yielding `motif`.
-#[derive(Clone, Copy, Debug)]
-struct JoinPlan {
-    base: BaseRef,
-    start: u32,
-    len: u16,
-    motif: MotifId,
-}
-
-/// The read-only half of one edge's matcher work: everything
-/// [`MotifMatcher::on_edge_classified`] decides *before* its first
-/// state mutation, captured as a plan that `apply_probe` executes
-/// verbatim right after `probe_classified` wrote it. A plan is only
-/// meaningful against the matcher state it was computed from, so it
-/// never outlives the one `on_edge_classified` call.
-#[derive(Clone, Debug)]
-struct EdgeProbe {
-    /// The single-edge motif the probed edge classified to.
-    m0: MotifId,
-    /// All extension candidates that passed the LUT/child checks, in
-    /// connected-match order: `(parent, child motif)`. Dedup is NOT
-    /// pre-resolved here — apply calls the real `insert_extension`,
-    /// whose dedup check is its first action, so a rejected candidate
-    /// has zero state effect either way.
-    extensions: Vec<(MatchId, MotifId)>,
-    /// Planned joins, in discovery order.
-    joins: Vec<JoinPlan>,
-    /// Absorbed-edge storage for `joins` (in absorption order).
-    join_pool: Vec<StreamEdge>,
-    // Probe-internal working sets, kept to reuse their allocations
-    // across edges (the matcher keeps one boxed EdgeProbe as scratch).
+/// Per-edge working sets of [`MotifMatcher::on_edge`], kept across
+/// calls so the steady state allocates nothing beyond arena cells and
+/// index growth.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Alg. 2 line 4's `matchList(v1)` and `matchList(v2)`, capped.
     src_list: Vec<(MatchId, u8)>,
     dst_list: Vec<(MatchId, u8)>,
+    /// Their union as (id, deg of e.src, deg of e.dst) triples.
     connected: Vec<(MatchId, u8, u8)>,
+    /// The matches this edge created: the single, then extensions.
+    fresh: Vec<MatchId>,
+    /// The post-insert per-endpoint reads the join step pairs with.
     partners: Vec<MatchId>,
-    /// Predicted fresh ids (absolute, valid only at probe time — used
-    /// for partner-list ordering, never stored into plans).
-    fresh_ids: Vec<MatchId>,
-    /// Per predicted fresh match: `(edge count, motif, extension
-    /// parent)` — `None` parent is the single-edge match.
-    fresh_meta: Vec<(u16, MotifId, Option<MatchId>)>,
-    /// Dedup keys this edge's earlier predicted inserts claimed —
-    /// simulates within-edge dedup exactly (the global set is only
-    /// consulted, never written, by a probe).
-    predicted_keys: Vec<u128>,
-    a_edges: Vec<StreamEdge>,
+    /// Joins found this edge, as (base, start, len, motif) over
+    /// `produced_edges`, inserted only after all are found.
+    produced: Vec<(MatchId, u32, u16, MotifId)>,
+    produced_edges: Vec<StreamEdge>,
+    /// `try_join`'s grown sub-graph and the edges left to absorb.
     join_edges: Vec<StreamEdge>,
     join_remaining: Vec<StreamEdge>,
-}
-
-impl Default for EdgeProbe {
-    fn default() -> Self {
-        EdgeProbe {
-            m0: MotifId(0),
-            extensions: Vec::new(),
-            joins: Vec::new(),
-            join_pool: Vec::new(),
-            src_list: Vec::new(),
-            dst_list: Vec::new(),
-            connected: Vec::new(),
-            partners: Vec::new(),
-            fresh_ids: Vec::new(),
-            fresh_meta: Vec::new(),
-            predicted_keys: Vec::new(),
-            a_edges: Vec::new(),
-            join_edges: Vec::new(),
-            join_remaining: Vec::new(),
-        }
-    }
-}
-
-/// `MatchRef::degrees_unless_contains` over a *predicted* (not yet
-/// inserted) match's edge list.
-fn virtual_degrees_unless_contains(
-    edges: &[StreamEdge],
-    u: VertexId,
-    v: VertexId,
-    skip: EdgeId,
-) -> Option<(usize, usize)> {
-    let mut du = 0;
-    let mut dv = 0;
-    for e in edges {
-        if e.id == skip {
-            return None;
-        }
-        if e.touches(u) {
-            du += 1;
-        }
-        if e.touches(v) {
-            dv += 1;
-        }
-    }
-    Some((du, dv))
 }
 
 /// The streaming motif matcher: match list plus the motif index and the
@@ -172,13 +87,7 @@ pub struct MotifMatcher {
     supports: Vec<f64>,
     match_cap: usize,
     dead_at_last_compact: usize,
-    // Scratch reused across calls so the steady state allocates
-    // nothing beyond arena cells and index growth: the probe plan the
-    // sequential path reuses (boxed, so taking it out and putting it
-    // back per edge moves a pointer, not the plan), and the apply
-    // stage's fresh-id list.
-    probe_scratch: Option<Box<EdgeProbe>>,
-    scratch_fresh: Vec<MatchId>,
+    scratch: Scratch,
 }
 
 impl MotifMatcher {
@@ -196,8 +105,7 @@ impl MotifMatcher {
             supports,
             match_cap: MAX_MATCHES_PER_ENDPOINT,
             dead_at_last_compact: 0,
-            probe_scratch: None,
-            scratch_fresh: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -262,10 +170,8 @@ impl MotifMatcher {
 
     /// Classify an edge against the single-edge motif gate: the motif
     /// its buffered processing starts from, or `None` for a bypass.
-    /// This is a *pure* function of the immutable LUT/motif tables —
-    /// no matcher state — which is what lets the batched ingest path
-    /// pre-classify a whole batch up front (the probes share the hot
-    /// LUT rows) and stay bit-identical to edge-at-a-time processing.
+    /// A pure function of the immutable LUT/motif tables — no matcher
+    /// state.
     #[inline]
     pub fn classify(&self, e: &StreamEdge) -> Option<MotifId> {
         let single = self.lut.delta_id(e.src_label, 1, e.dst_label, 1)?;
@@ -274,38 +180,20 @@ impl MotifMatcher {
 
     /// Process a new stream edge (Alg. 2's outer loop body).
     pub fn on_edge(&mut self, e: StreamEdge) -> EdgeFate {
-        match self.classify(&e) {
-            None => EdgeFate::Bypass,
-            Some(m0) => self.on_edge_classified(e, m0),
-        }
-    }
-
-    /// [`MotifMatcher::on_edge`] with the single-edge gate already
-    /// resolved by [`MotifMatcher::classify`]. Callers must pass the
-    /// `m0` classify returned for *this* edge.
-    ///
-    /// Implemented as probe-then-apply: `probe_classified` plans every
-    /// insert against the pre-edge state, then `apply_probe` performs
-    /// them.
-    pub fn on_edge_classified(&mut self, e: StreamEdge, m0: MotifId) -> EdgeFate {
-        let mut probe = self.probe_scratch.take().unwrap_or_default();
-        self.probe_classified(&e, m0, &mut probe);
-        let fate = self.apply_probe(e, &probe);
-        self.probe_scratch = Some(probe);
-        fate
-    }
-
-    /// The read-only half of [`MotifMatcher::on_edge_classified`]:
-    /// everything the matcher decides about `e` *before* its first
-    /// state mutation, written into `probe` as a plan for
-    /// `apply_probe`. Callers must pass the `m0`
-    /// [`MotifMatcher::classify`] returned for *this* edge.
-    fn probe_classified(&self, e: &StreamEdge, m0: MotifId, probe: &mut EdgeProbe) {
-        debug_assert_eq!(self.classify(e), Some(m0));
-        probe.m0 = m0;
-        probe.extensions.clear();
-        probe.joins.clear();
-        probe.join_pool.clear();
+        let Some(m0) = self.classify(&e) else {
+            return EdgeFate::Bypass;
+        };
+        let Scratch {
+            src_list,
+            dst_list,
+            connected,
+            fresh,
+            partners,
+            produced,
+            produced_edges,
+            join_edges,
+            join_remaining,
+        } = &mut self.scratch;
 
         // The capped per-endpoint match lists, read once per edge —
         // Alg. 2 line 4's matchList(v1) and matchList(v2), newest-first
@@ -313,18 +201,14 @@ impl MotifMatcher {
         // edges will share window residency with `e`. Each entry
         // carries the vertex's degree within the match, recorded at
         // registration (matches are immutable).
-        probe.src_list.clear();
-        let src_trunc = self.matches.recent_matches_with_degrees_into(
-            e.src,
-            self.match_cap,
-            &mut probe.src_list,
-        );
-        probe.dst_list.clear();
-        let dst_trunc = self.matches.recent_matches_with_degrees_into(
-            e.dst,
-            self.match_cap,
-            &mut probe.dst_list,
-        );
+        src_list.clear();
+        let src_trunc =
+            self.matches
+                .recent_matches_with_degrees_into(e.src, self.match_cap, src_list);
+        dst_list.clear();
+        let dst_trunc =
+            self.matches
+                .recent_matches_with_degrees_into(e.dst, self.match_cap, dst_list);
 
         // Their union (src's then dst's minus duplicates): the existing
         // matches connected to e, before e's own entry exists — as
@@ -334,66 +218,55 @@ impl MotifMatcher {
         // match may sit behind the cap and the degree must come from a
         // chain walk (rare: it needs a hub-length row on the *other*
         // endpoint).
-        probe.connected.clear();
-        for &(id, du) in &probe.src_list {
-            probe.connected.push((id, du, 0));
-        }
+        connected.clear();
+        connected.extend(src_list.iter().map(|&(id, du)| (id, du, 0)));
         // Both lists are ascending by id, so the duplicate detection is
         // a two-pointer merge (`connected[..src_list.len()]` mirrors
         // `src_list` position for position) — O(|src| + |dst|), where
         // a per-entry scan went quadratic at hubs.
         let mut si = 0;
-        for &(id, ddeg) in &probe.dst_list {
-            while si < probe.src_list.len() && probe.src_list[si].0 < id {
+        for &(id, ddeg) in dst_list.iter() {
+            while si < src_list.len() && src_list[si].0 < id {
                 si += 1;
             }
-            if si < probe.src_list.len() && probe.src_list[si].0 == id {
-                probe.connected[si].2 = ddeg;
+            if si < src_list.len() && src_list[si].0 == id {
+                connected[si].2 = ddeg;
             } else {
-                probe.connected.push((id, 0, ddeg));
+                connected.push((id, 0, ddeg));
             }
         }
         if dst_trunc {
-            for t in probe.connected.iter_mut() {
+            for t in connected.iter_mut() {
                 if t.2 == 0 {
                     t.2 = self.matches.get(t.0).degree(e.dst) as u8;
                 }
             }
         }
         if src_trunc {
-            for t in probe.connected.iter_mut() {
+            for t in connected.iter_mut() {
                 if t.1 == 0 {
                     t.1 = self.matches.get(t.0).degree(e.src) as u8;
                 }
             }
         }
 
-        // Predict the fresh matches apply will create, with the ids
-        // they would get *right now* (ids are arena-ordered): the
-        // single ⟨e, m0⟩ always lands (singles skip dedup and e's id is
-        // new), then each extension candidate that passes the LUT/child
-        // checks AND the predicted dedup verdict. The global dedup set
-        // is consulted read-only — a hit for a key involving e is
-        // impossible short of a 128-bit fingerprint collision, since no
-        // existing match can contain the unprocessed e — and
-        // within-edge collisions (the same union reachable through two
-        // parents) are simulated exactly via `predicted_keys`.
-        probe.fresh_ids.clear();
-        probe.fresh_meta.clear();
-        probe.predicted_keys.clear();
-        let next_id = self.matches.next_id();
-        probe.fresh_ids.push(next_id);
-        probe.fresh_meta.push((1, m0, None));
+        // The new single-edge match ⟨e, m0⟩.
+        fresh.clear();
+        if let Some(id) = self.matches.insert_single(e, m0) {
+            fresh.push(id);
+        }
 
         // Extension step (Alg. 2 lines 5-8): grow each connected match
-        // by e. The candidate list (everything passing LUT + child) is
-        // the plan; dedup stays apply's job, because a dedup-rejected
-        // `insert_extension` has zero state effect.
+        // by e — one arena cell per successful extension, no edge
+        // cloning, and no chain walks: the endpoint degrees come off
+        // the union triples, `e` cannot already be in a match collected
+        // before its own insertion (stream edge ids are fresh), and a
+        // collected match touches at least one endpoint by
+        // construction.
         let max_edges = self.motifs.max_motif_edges();
-        for &(id, du, dv) in &probe.connected {
+        for &(id, du, dv) in connected.iter() {
             // Dense pre-filter before touching the match's Meta.
-            let plen = self.matches.live_len_of(id);
-            if plen >= max_edges {
+            if self.matches.live_len_of(id) >= max_edges {
                 continue;
             }
             let Some(delta) =
@@ -405,68 +278,39 @@ impl MotifMatcher {
             // Same dense word as the pre-filter — the Meta cache line
             // never loads on this path.
             let motif = self.matches.live_motif_of(id);
-            let Some(child) = self.motifs.child_with_delta_by_id(motif, delta) else {
-                continue;
-            };
-            probe.extensions.push((id, child));
-            let key = self.matches.extension_key(id, e.id, child);
-            if self.matches.dedup_contains(key) || probe.predicted_keys.contains(&key) {
-                continue; // predicted dedup rejection: creates no match
+            if let Some(child) = self.motifs.child_with_delta_by_id(motif, delta) {
+                if let Some(nid) = self.matches.insert_extension(id, e, child) {
+                    fresh.push(nid);
+                }
             }
-            probe.predicted_keys.push(key);
-            probe
-                .fresh_ids
-                .push(MatchId(next_id.0 + probe.fresh_ids.len() as u32));
-            probe.fresh_meta.push((plen as u16 + 1, child, Some(id)));
         }
 
-        // Join step (lines 9-18): pair every match that gains edge e
+        // Join step (lines 9-18): pair every match that gained edge e
         // with the other matches at its endpoints and recursively
         // absorb the partner's edges. Pairs not involving e were
         // already evaluated when their own last edge arrived, so
         // restricting one side to fresh matches loses nothing. The
-        // partner lists are the post-insert per-endpoint reads,
-        // reconstructed as the newest-`cap` tail of `pre-insert list ++
-        // fresh` (no match dies between the reads and the inserts, and
-        // every fresh match contains e, hence sits at both endpoints in
-        // insertion order). The predicted fresh ids are only compared
-        // against old ids (all strictly smaller) and each other here.
-        probe.partners.clear();
-        Self::append_capped_tail(
-            &mut probe.partners,
-            &probe.src_list,
-            &probe.fresh_ids,
-            self.match_cap,
-            0,
-        );
-        let prefix = probe.partners.len();
-        Self::append_capped_tail(
-            &mut probe.partners,
-            &probe.dst_list,
-            &probe.fresh_ids,
-            self.match_cap,
-            prefix,
-        );
-        if probe.partners.is_empty() {
-            return;
-        }
+        // partner lists would be the post-insert per-endpoint reads —
+        // but no match died since the pre-insert reads, and every
+        // fresh match contains e (hence sits at both endpoints,
+        // appended in insertion order), so the post-insert list at
+        // each endpoint is exactly the newest-`cap` tail of
+        // `pre-insert list ++ fresh`: reconstruct it from the buffers
+        // instead of re-walking the index.
+        partners.clear();
+        Self::append_capped_tail(partners, src_list, fresh, self.match_cap, 0);
+        let prefix = partners.len();
+        Self::append_capped_tail(partners, dst_list, fresh, self.match_cap, prefix);
+        produced.clear();
+        produced_edges.clear();
         // Every fresh match contains `e`, so a fresh *partner* can
         // never join with a fresh base (their overlap is at least
         // {e}); ids are arena-ordered, so "fresh" is one integer
         // compare against this round's first fresh id.
-        let first_fresh = probe.fresh_ids[0];
-        for ai in 0..probe.fresh_ids.len() {
-            let (la, a_motif, a_parent) = probe.fresh_meta[ai];
-            let la = la as usize;
-            // The predicted fresh match's edges, newest-first — exactly
-            // the cell-chain order the real match will have (e at the
-            // head, then the parent's chain).
-            probe.a_edges.clear();
-            probe.a_edges.push(*e);
-            if let Some(p) = a_parent {
-                probe.a_edges.extend(self.matches.get(p).edges());
-            }
-            for &b in &probe.partners {
+        let first_fresh = fresh.first().copied().unwrap_or(MatchId(u32::MAX));
+        for &a in fresh.iter() {
+            let la = self.matches.live_len_of(a);
+            for &b in partners.iter() {
                 if b >= first_fresh {
                     continue; // fresh partner: shares e, overlap guaranteed
                 }
@@ -477,18 +321,12 @@ impl MotifMatcher {
                 if la + lb > max_edges {
                     continue;
                 }
+                let ma = self.matches.get(a);
                 let mb = self.matches.get(b);
                 // Absorb the smaller into the larger (§3: "we consider
                 // each edge from the smaller motif match").
-                let base_is_fresh = la >= lb;
-                let base_motif = if base_is_fresh { a_motif } else { mb.motif() };
-                let base_ref = if base_is_fresh {
-                    BaseRef::Fresh(ai as u32)
-                } else {
-                    BaseRef::Old(b)
-                };
-                let other_len = if base_is_fresh { lb } else { la };
-                if other_len == 1 {
+                let (base_id, base, other) = if la >= lb { (a, ma, mb) } else { (b, mb, ma) };
+                if other.len() == 1 {
                     // The dominant shape (the smaller side is a single
                     // edge) needs no buffers, no recursion and no
                     // separate overlap pass: one fused walk over the
@@ -496,17 +334,8 @@ impl MotifMatcher {
                     // if the edge is already in the base), then the
                     // same LUT + child step `try_join` would take —
                     // absorbing one edge IS the whole join.
-                    let x = if base_is_fresh {
-                        mb.edges().next().expect("len 1")
-                    } else {
-                        *e // a fresh match of length 1 is the single {e}
-                    };
-                    let degs = if base_is_fresh {
-                        virtual_degrees_unless_contains(&probe.a_edges, x.src, x.dst, x.id)
-                    } else {
-                        mb.degrees_unless_contains(x.src, x.dst, x.id)
-                    };
-                    let Some((du, dv)) = degs else {
+                    let x = other.edges().next().expect("len 1");
+                    let Some((du, dv)) = base.degrees_unless_contains(x.src, x.dst, x.id) else {
                         continue; // overlapping matches are not joinable
                     };
                     if du == 0 && dv == 0 {
@@ -516,98 +345,42 @@ impl MotifMatcher {
                     else {
                         continue;
                     };
-                    let Some(motif) = self.motifs.child_with_delta_by_id(base_motif, delta) else {
+                    let Some(motif) = self.motifs.child_with_delta_by_id(base.motif(), delta)
+                    else {
                         continue;
                     };
-                    let start = probe.join_pool.len() as u32;
-                    probe.join_pool.push(x);
-                    probe.joins.push(JoinPlan {
-                        base: base_ref,
-                        start,
-                        len: 1,
-                        motif,
-                    });
+                    produced.push((base_id, produced_edges.len() as u32, 1, motif));
+                    produced_edges.push(x);
                     continue;
                 }
-                let overlap = if base_is_fresh {
-                    mb.edges()
-                        .any(|x| probe.a_edges.iter().any(|ae| ae.id == x.id))
-                } else {
-                    probe.a_edges.iter().any(|ae| mb.contains_edge(ae.id))
-                };
-                if overlap {
+                if other.edges().any(|x| base.contains_edge(x.id)) {
                     continue; // overlapping matches are not joinable
                 }
-                probe.join_edges.clear();
-                probe.join_remaining.clear();
-                if base_is_fresh {
-                    probe.join_edges.extend_from_slice(&probe.a_edges);
-                    probe.join_remaining.extend(mb.edges());
-                } else {
-                    probe.join_edges.extend(mb.edges());
-                    probe.join_remaining.extend_from_slice(&probe.a_edges);
-                }
-                let base_len = probe.join_edges.len();
+                join_edges.clear();
+                join_edges.extend(base.edges());
+                join_remaining.clear();
+                join_remaining.extend(other.edges());
+                let base_len = join_edges.len();
                 if let Some(motif) = try_join(
                     &self.motifs,
                     &self.lut,
-                    &mut probe.join_edges,
-                    base_motif,
-                    &mut probe.join_remaining,
+                    join_edges,
+                    base.motif(),
+                    join_remaining,
                 ) {
                     // Record (base, absorbed edges in absorption order)
-                    // in the pooled buffer; applied after all planning
-                    // so this round's joins don't feed themselves.
-                    let start = probe.join_pool.len() as u32;
-                    probe
-                        .join_pool
-                        .extend_from_slice(&probe.join_edges[base_len..]);
-                    let len = (probe.join_edges.len() - base_len) as u16;
-                    probe.joins.push(JoinPlan {
-                        base: base_ref,
-                        start,
-                        len,
-                        motif,
-                    });
+                    // in the pooled buffer; inserted after the loops so
+                    // this round's joins don't feed themselves.
+                    let len = (join_edges.len() - base_len) as u16;
+                    produced.push((base_id, produced_edges.len() as u32, len, motif));
+                    produced_edges.extend_from_slice(&join_edges[base_len..]);
                 }
             }
         }
-    }
-
-    /// The stateful half of [`MotifMatcher::on_edge_classified`]:
-    /// execute a probe's plan — the single-edge insert, the extension
-    /// candidates (real dedup decides), and the planned joins — with
-    /// exactly the mutation sequence the monolithic path performed.
-    /// The probe was computed for `e` against the current state.
-    fn apply_probe(&mut self, e: StreamEdge, probe: &EdgeProbe) -> EdgeFate {
-        let mut fresh = std::mem::take(&mut self.scratch_fresh);
-        fresh.clear();
-        if let Some(id) = self.matches.insert_single(e, probe.m0) {
-            fresh.push(id);
+        for &(base, start, len, motif) in produced.iter() {
+            let absorbed = &produced_edges[start as usize..start as usize + len as usize];
+            self.matches.insert_join(base, absorbed, motif);
         }
-        for &(parent, motif) in &probe.extensions {
-            if let Some(nid) = self.matches.insert_extension(parent, e, motif) {
-                fresh.push(nid);
-            }
-        }
-        for plan in &probe.joins {
-            let base = match plan.base {
-                BaseRef::Old(id) => id,
-                // Fresh bases resolve through the REAL fresh list — the
-                // predicted acceptance pattern is exact (see
-                // probe_classified), so the indices align; the guard
-                // only fires at fingerprint-collision odds.
-                BaseRef::Fresh(j) => match fresh.get(j as usize) {
-                    Some(&id) => id,
-                    None => continue,
-                },
-            };
-            let absorbed =
-                &probe.join_pool[plan.start as usize..plan.start as usize + plan.len as usize];
-            self.matches.insert_join(base, absorbed, plan.motif);
-        }
-        fresh.clear();
-        self.scratch_fresh = fresh;
 
         // Index maintenance is driven by *kill volume*, not an edge
         // cadence: sweeps are pointless while nothing has died (the
@@ -689,8 +462,8 @@ impl MotifMatcher {
     /// Serialize the matcher's mutable state for a crash-recovery
     /// checkpoint (DESIGN.md §15): the match arena plus the compaction
     /// watermark (which gates the deterministic compaction cadence).
-    /// The motif index, LUT, supports and cap are config; probe
-    /// scratch is capacity.
+    /// The motif index, LUT, supports and cap are config; scratch is
+    /// capacity.
     pub fn wal_save(&self, w: &mut loom_wal::ByteWriter) {
         self.matches.wal_save(w);
         w.u64(self.dead_at_last_compact as u64);

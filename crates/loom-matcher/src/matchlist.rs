@@ -407,29 +407,6 @@ impl MatchList {
         MotifId(self.live_info[id.index()] >> 8)
     }
 
-    /// The id the next inserted match will receive — what a read-only
-    /// probe predicts fresh ids from (ids are arena-ordered, so every
-    /// live id is strictly below this).
-    #[inline]
-    pub(crate) fn next_id(&self) -> MatchId {
-        MatchId(self.matches.len() as u32)
-    }
-
-    /// The dedup key `insert_extension(parent, e, motif)` would claim —
-    /// lets a read-only probe predict whether the insert will be
-    /// accepted without mutating the set.
-    #[inline]
-    pub(crate) fn extension_key(&self, parent: MatchId, e: EdgeId, motif: MotifId) -> u128 {
-        dedup_key(motif, self.matches[parent.index()].edge_fp ^ mix_edge(e))
-    }
-
-    /// Whether a dedup key (from [`MatchList::extension_key`]) is
-    /// already claimed.
-    #[inline]
-    pub(crate) fn dedup_contains(&self, key: u128) -> bool {
-        self.dedup.contains(&key)
-    }
-
     /// Register a new match whose chain head is `cell`, indexing it
     /// under its vertices and edges. The caller has already passed
     /// dedup and pushed the cells.

@@ -116,7 +116,6 @@ pub struct LoomPartitioner {
     scratch_counts: Vec<u32>,
     scratch_edges: Vec<StreamEdge>,
     scratch_expired: Vec<(VertexId, VertexId)>,
-    scratch_classes: Vec<Option<loom_motif::MotifId>>,
     view_pool: Vec<AuctionMatch>,
 }
 
@@ -189,7 +188,6 @@ impl LoomPartitioner {
             scratch_counts: Vec::new(),
             scratch_edges: Vec::new(),
             scratch_expired: Vec::new(),
-            scratch_classes: Vec::new(),
             view_pool: Vec::new(),
         }
     }
@@ -423,51 +421,6 @@ impl LoomPartitioner {
         match_ids.clear();
         self.scratch_ids = match_ids;
     }
-
-    /// One edge's full effect sequence, with the single-edge gate
-    /// already resolved (`class` = [`MotifMatcher::classify`] of `e`).
-    /// Both ingest paths funnel here: `on_edge` classifies inline,
-    /// `on_batch` classifies the batch up front.
-    fn step(&mut self, e: &StreamEdge, class: Option<loom_motif::MotifId>) {
-        let t = self.clock();
-        self.scratch_expired.clear();
-        self.adjacency
-            .add_expiring_into(e, &mut self.scratch_expired);
-        self.counts.on_edge_arrival(e, &self.state);
-        // Edges that just aged out of the retention horizon leave the
-        // scored neighbourhood: debit them so every counter row stays
-        // equal to a scan of the *retained* adjacency.
-        for &(u, v) in &self.scratch_expired {
-            self.counts.on_edge_expired(u, v, &self.state);
-        }
-        self.lap(t, |p| &mut p.window_ns);
-        let t = self.clock();
-        let fate = match class {
-            None => EdgeFate::Bypass,
-            Some(m0) => self.matcher.on_edge_classified(*e, m0),
-        };
-        self.lap(t, |p| &mut p.matcher_ns);
-        match fate {
-            EdgeFate::Bypass => {
-                self.stats.bypassed += 1;
-                // §3: assigned immediately, never displaces window edges.
-                let t = self.clock();
-                self.ldg_assign_edge(e);
-                self.lap(t, |p| &mut p.partitioner_ns);
-            }
-            EdgeFate::Buffered => {
-                self.stats.buffered += 1;
-                let t = self.clock();
-                let evicted = self.window.push(*e);
-                self.lap(t, |p| &mut p.window_ns);
-                if let Some(old) = evicted {
-                    let t = self.clock();
-                    self.allocate(old);
-                    self.lap(t, |p| &mut p.partitioner_ns);
-                }
-            }
-        }
-    }
 }
 
 /// §4's naive strawman: the whole cluster goes to the partition sharing
@@ -502,32 +455,41 @@ impl StreamPartitioner for LoomPartitioner {
     }
 
     fn on_edge(&mut self, e: &StreamEdge) {
-        let class = self.matcher.classify(e);
-        self.step(e, class);
-    }
-
-    fn on_batch(&mut self, batch: &[StreamEdge]) {
-        // Pre-classify the whole batch against the single-edge motif
-        // gate. The gate is a pure function of the immutable LUT and
-        // motif tables (no matcher state), so resolving it for every
-        // edge up front — while those tables sit hot in cache —
-        // cannot observe or change anything the per-edge steps do:
-        // bit-identity with edge-at-a-time ingest is structural here,
-        // and the equivalence suite checks it anyway.
-        //
-        // Everything *stateful* (adjacency/counter upkeep, match
-        // growth, window pushes, eviction auctions) stays strictly in
-        // arrival order inside `step`: an eviction auction mutates the
-        // match list and counters that the very next edge in the batch
-        // observes, so none of it can legally be deferred to the batch
-        // boundary (DESIGN.md §12).
-        let mut classes = std::mem::take(&mut self.scratch_classes);
-        classes.clear();
-        classes.extend(batch.iter().map(|e| self.matcher.classify(e)));
-        for (e, &class) in batch.iter().zip(&classes) {
-            self.step(e, class);
+        let t = self.clock();
+        self.scratch_expired.clear();
+        self.adjacency
+            .add_expiring_into(e, &mut self.scratch_expired);
+        self.counts.on_edge_arrival(e, &self.state);
+        // Edges that just aged out of the retention horizon leave the
+        // scored neighbourhood: debit them so every counter row stays
+        // equal to a scan of the *retained* adjacency.
+        for &(u, v) in &self.scratch_expired {
+            self.counts.on_edge_expired(u, v, &self.state);
         }
-        self.scratch_classes = classes;
+        self.lap(t, |p| &mut p.window_ns);
+        let t = self.clock();
+        let fate = self.matcher.on_edge(*e);
+        self.lap(t, |p| &mut p.matcher_ns);
+        match fate {
+            EdgeFate::Bypass => {
+                self.stats.bypassed += 1;
+                // §3: assigned immediately, never displaces window edges.
+                let t = self.clock();
+                self.ldg_assign_edge(e);
+                self.lap(t, |p| &mut p.partitioner_ns);
+            }
+            EdgeFate::Buffered => {
+                self.stats.buffered += 1;
+                let t = self.clock();
+                let evicted = self.window.push(*e);
+                self.lap(t, |p| &mut p.window_ns);
+                if let Some(old) = evicted {
+                    let t = self.clock();
+                    self.allocate(old);
+                    self.lap(t, |p| &mut p.partitioner_ns);
+                }
+            }
+        }
     }
 
     fn finish(&mut self) {

@@ -49,12 +49,11 @@ pub trait StreamPartitioner {
     /// **bit-identical** to it: same assignments, stats, and internal
     /// occupancy for any batch partitioning of the same stream. An
     /// override may only amortise work that provably cannot observe
-    /// or affect per-edge state ordering (e.g. Loom pre-resolves each
-    /// edge's single-edge motif gate, a pure function of immutable
-    /// tables, for the whole batch up front). The batch-equivalence
-    /// suite (`loom-core/tests/batch_equivalence.rs`) enforces the
-    /// contract; see DESIGN.md §12 for why eviction/expiry work must
-    /// NOT be deferred to batch boundaries.
+    /// or affect per-edge state ordering; no partitioner has one
+    /// today. The batch-equivalence suite
+    /// (`loom-core/tests/batch_equivalence.rs`) enforces the contract;
+    /// see DESIGN.md §12 for why eviction/expiry work must NOT be
+    /// deferred to batch boundaries.
     fn on_batch(&mut self, batch: &[StreamEdge]) {
         for e in batch {
             self.on_edge(e);

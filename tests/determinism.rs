@@ -98,7 +98,8 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Drive `p` over `source` in pulls of `batch` edges (at most `max`)
-/// through `try_on_batch`, as the engine does, finish it, and digest
+/// with one `on_batch` call per pull, as the engine ingests a pull no
+/// snapshot or checkpoint cadence splits, finish it, and digest
 /// the final assignment: the registered extent, then every vertex's
 /// partition (`u32::MAX` for unassigned).
 fn drive(
@@ -109,7 +110,7 @@ fn drive(
 ) -> u64 {
     let (mut buf, mut fed) = (Vec::with_capacity(batch), 0);
     while fed < max && source.next_batch_into(&mut buf, batch.min(max - fed)) > 0 {
-        p.try_on_batch(&buf).expect("sequential ingest cannot fail");
+        p.on_batch(&buf);
         fed += buf.len();
         buf.clear();
     }
