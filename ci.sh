@@ -167,6 +167,27 @@ for seed in 1 2 3 4 5 6 7 8; do
 done
 echo "matcher oracle: 8 master seeds passed"
 
+stage "adjacency oracle"
+# The streaming adjacency's differential oracle, by name: inline rows
+# and their spill slab against a per-vertex deque model under horizons
+# 1..24 and hub-skewed ids, checkpoint bytes round-tripped at every
+# step, under eight master seeds (each 4 cases of 2 048-4 400 edges)
+# instead of tier-1's one. A filter that matches no test fails the
+# stage.
+for seed in 1 2 3 4 5 6 7 8; do
+  ORACLE_OUT=$(PROPTEST_SEED=$seed cargo test -q --offline -p loom-partition \
+    --test properties adjacency_equals_deque_model 2>&1) || {
+    echo "$ORACLE_OUT"
+    exit 1
+  }
+  if ! grep -q "^test result: ok. 1 passed" <<< "$ORACLE_OUT"; then
+    echo "$ORACLE_OUT"
+    echo "adjacency oracle: PROPTEST_SEED=$seed ran no adjacency_equals_deque_model case" >&2
+    exit 1
+  fi
+done
+echo "adjacency oracle: 8 master seeds passed"
+
 stage "recovery suite (kill/resume matrix)"
 # The crash-recovery contract, by name: a run killed at any point —
 # mid-batch, exactly at a checkpoint, one past it — and resumed from

@@ -252,9 +252,7 @@ impl MotifMatcher {
 
         // The new single-edge match ⟨e, m0⟩.
         fresh.clear();
-        if let Some(id) = self.matches.insert_single(e, m0) {
-            fresh.push(id);
-        }
+        fresh.push(self.matches.insert_single(e, m0));
 
         // Extension step (Alg. 2 lines 5-8): grow each connected match
         // by e — one arena cell per successful extension, no edge
@@ -306,8 +304,8 @@ impl MotifMatcher {
         // Every fresh match contains `e`, so a fresh *partner* can
         // never join with a fresh base (their overlap is at least
         // {e}); ids are arena-ordered, so "fresh" is one integer
-        // compare against this round's first fresh id.
-        let first_fresh = fresh.first().copied().unwrap_or(MatchId(u32::MAX));
+        // compare against this round's first fresh id, the single.
+        let first_fresh = fresh[0];
         for &a in fresh.iter() {
             let la = self.matches.live_len_of(a);
             for &b in partners.iter() {

@@ -493,7 +493,7 @@ impl MatchList {
     /// updates are written out directly (same rows, same order, same
     /// pruning cadence as the generic path would produce). This runs
     /// once per buffered edge, the highest-frequency insert by far.
-    pub fn insert_single(&mut self, e: StreamEdge, motif: MotifId) -> Option<MatchId> {
+    pub fn insert_single(&mut self, e: StreamEdge, motif: MotifId) -> MatchId {
         let edge_fp = mix_edge(e.id);
         let id = MatchId(self.matches.len() as u32);
         let cell = self.cells.len() as u32;
@@ -529,7 +529,7 @@ impl MatchList {
         });
         self.live_info.push(pack_info(motif, 1));
         self.live += 1;
-        Some(id)
+        id
     }
 
     /// Insert the extension of `parent` by edge `e` as a new match for
@@ -1035,7 +1035,7 @@ mod tests {
     #[test]
     fn insert_and_lookup_by_vertex_and_edge() {
         let mut ml = MatchList::new();
-        let id = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let id = ml.insert_single(se(0, 1, 2), MotifId(0));
         assert_eq!(ml.matches_at_vertex(VertexId(1)), vec![id]);
         assert_eq!(ml.matches_at_vertex(VertexId(2)), vec![id]);
         assert_eq!(ml.matches_at_edge(EdgeId(0)), vec![id]);
@@ -1046,7 +1046,7 @@ mod tests {
     #[test]
     fn extension_shares_parent_edges() {
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
         let b = ml.insert_extension(a, se(1, 2, 3), MotifId(1)).unwrap();
         assert_eq!(ml.get(b).len(), 2);
         assert!(ml.get(b).contains_edge(EdgeId(0)));
@@ -1065,7 +1065,7 @@ mod tests {
     #[test]
     fn join_chains_absorbed_edges() {
         let mut ml = MatchList::new();
-        let base = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let base = ml.insert_single(se(0, 1, 2), MotifId(0));
         let j = ml
             .insert_join(base, &[se(1, 2, 3), se(2, 3, 4)], MotifId(2))
             .unwrap();
@@ -1081,8 +1081,8 @@ mod tests {
     #[test]
     fn duplicate_matches_rejected() {
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(1)).unwrap();
-        let b = ml.insert_single(se(1, 2, 3), MotifId(1)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(1));
+        let b = ml.insert_single(se(1, 2, 3), MotifId(1));
         assert!(ml.insert_extension(a, se(1, 2, 3), MotifId(1)).is_some());
         // Same edge set {0, 1} reached through the other parent: dup.
         assert!(ml.insert_extension(b, se(0, 1, 2), MotifId(1)).is_none());
@@ -1096,9 +1096,9 @@ mod tests {
     #[test]
     fn drop_edge_kills_all_containing_matches() {
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
         let b = ml.insert_extension(a, se(1, 2, 3), MotifId(1)).unwrap();
-        let c = ml.insert_single(se(1, 2, 3), MotifId(0)).unwrap();
+        let c = ml.insert_single(se(1, 2, 3), MotifId(0));
         assert_eq!(ml.drop_edge(EdgeId(0)), 2);
         assert!(!ml.get(a).alive());
         assert!(!ml.get(b).alive());
@@ -1110,17 +1110,18 @@ mod tests {
     #[test]
     fn kill_then_reinsert_is_allowed() {
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
         ml.kill(a);
         assert_eq!(ml.len(), 0);
         // The same sub-graph may legitimately reform later in the stream.
-        assert!(ml.insert_single(se(0, 1, 2), MotifId(0)).is_some());
+        ml.insert_single(se(0, 1, 2), MotifId(0));
+        assert_eq!(ml.len(), 1);
     }
 
     #[test]
     fn match_ref_degree_helpers() {
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
         let b = ml.insert_extension(a, se(1, 2, 3), MotifId(0)).unwrap();
         let m = ml.get(b);
         assert_eq!(m.vertices(), vec![VertexId(1), VertexId(2), VertexId(3)]);
@@ -1136,7 +1137,7 @@ mod tests {
     fn recent_lookup_caps_skips_dead_and_appends() {
         let mut ml = MatchList::new();
         let ids: Vec<MatchId> = (0..6)
-            .map(|i| ml.insert_single(se(i, 1, 10 + i), MotifId(0)).unwrap())
+            .map(|i| ml.insert_single(se(i, 1, 10 + i), MotifId(0)))
             .collect();
         ml.kill(ids[5]);
         ml.kill(ids[2]);
@@ -1162,8 +1163,8 @@ mod tests {
         // threshold — every read path must still filter dead entries
         // on its own.
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
-        ml.insert_single(se(1, 2, 3), MotifId(0)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
+        ml.insert_single(se(1, 2, 3), MotifId(0));
         ml.kill(a);
         ml.compact();
         assert_eq!(ml.generation, 0, "tiny arena: no reclaim");
@@ -1182,7 +1183,7 @@ mod tests {
         // of growing with matches-ever.
         let mut ml = MatchList::new();
         for i in 0..4_000u32 {
-            let id = ml.insert_single(se(i, 1, 10 + i), MotifId(0)).unwrap();
+            let id = ml.insert_single(se(i, 1, 10 + i), MotifId(0));
             ml.kill(id);
         }
         assert_eq!(ml.len(), 0);
@@ -1201,7 +1202,7 @@ mod tests {
         // count and one `Meta` (u32, u32, u16, u128), the row count,
         // row 0's length (0) and row 1's length (1).
         let mut ml = MatchList::new();
-        ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
+        ml.insert_single(se(0, 1, 2), MotifId(0));
         let mut w = loom_wal::ByteWriter::new();
         ml.wal_save(&mut w);
         let good = w.into_bytes();
@@ -1224,8 +1225,8 @@ mod tests {
     fn wal_load_rejects_a_vertex_row_out_of_order() {
         // Two matches at vertex 1; swap the row's two ids in place.
         let mut ml = MatchList::new();
-        ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
-        ml.insert_single(se(1, 1, 3), MotifId(0)).unwrap();
+        ml.insert_single(se(0, 1, 2), MotifId(0));
+        ml.insert_single(se(1, 1, 3), MotifId(0));
         let s = ml.by_vertex.slot[1] as usize;
         ml.by_vertex.rows[s].swap(0, 1);
         let mut w = loom_wal::ByteWriter::new();
@@ -1240,8 +1241,8 @@ mod tests {
     #[test]
     fn reclaim_frees_emptied_vertex_rows_for_reuse() {
         let mut ml = MatchList::new();
-        let a = ml.insert_single(se(0, 1, 2), MotifId(0)).unwrap();
-        ml.insert_single(se(1, 3, 4), MotifId(0)).unwrap();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
+        ml.insert_single(se(1, 3, 4), MotifId(0));
         assert_eq!(ml.vertex_row_counts(), (5, 4));
         ml.kill(a);
         ml.reclaim();
@@ -1250,7 +1251,7 @@ mod tests {
         assert_eq!(ml.by_vertex.free.len(), 2);
         assert_eq!(ml.by_vertex.slot[1], NO_ROW);
         // New vertices take the freed rows instead of growing the slab.
-        let c = ml.insert_single(se(2, 5, 6), MotifId(0)).unwrap();
+        let c = ml.insert_single(se(2, 5, 6), MotifId(0));
         assert_eq!(ml.vertex_row_counts(), (7, 4));
         assert_eq!(ml.matches_at_vertex(VertexId(6)), vec![c]);
         assert_eq!(ml.matches_at_vertex(VertexId(3)).len(), 1);

@@ -37,6 +37,63 @@ fn random_stream(n_vertices: usize, n_edges: usize, labels: usize, seed: u64) ->
     out
 }
 
+/// A hub plus triangles through its neighbours, for the triangle
+/// workload: each round adds a spoke from the hub to a fresh vertex
+/// `y`, a rim edge from `y` to a fresh vertex `x`, one to three more
+/// spokes, and the edge from `x` back to the hub. The extra spokes push
+/// the match {spoke, rim} — which holds both endpoints of the closing
+/// edge — behind a small per-endpoint cap in the hub's row, so the
+/// closing edge needs the matcher's truncated-row degree walk. The
+/// hub is the closing edge's destination in even rounds and its source
+/// in odd ones, so each of the two walks (truncated `dst` row,
+/// truncated `src` row) gets its case; the other edges point either
+/// way at random. The hub has label `a`, and every rim joins a `b` to
+/// a `c`. No vertex pair repeats.
+fn hub_cycle_stream(n_edges: usize, seed: u64) -> Vec<StreamEdge> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut labels = vec![Label(0)];
+    let mut fresh = |label: u16| {
+        labels.push(Label(label));
+        labels.len() as u32 - 1
+    };
+    // (src, dst) pairs; `either` lets the edge point either way.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let either = |rng: &mut rand::rngs::StdRng, u: u32, v: u32| {
+        if rng.gen_bool(0.5) {
+            (u, v)
+        } else {
+            (v, u)
+        }
+    };
+    for round in 0.. {
+        if edges.len() >= n_edges {
+            break;
+        }
+        let side = rng.gen_range(1..3u16);
+        let y = fresh(side);
+        let x = fresh(3 - side);
+        edges.push(either(&mut rng, 0, y));
+        edges.push(either(&mut rng, y, x));
+        for _ in 0..rng.gen_range(1..4) {
+            let z = fresh(rng.gen_range(1..3));
+            edges.push(either(&mut rng, 0, z));
+        }
+        edges.push(if round % 2 == 0 { (x, 0) } else { (0, x) });
+    }
+    edges.truncate(n_edges);
+    edges
+        .into_iter()
+        .enumerate()
+        .map(|(i, (src, dst))| StreamEdge {
+            id: EdgeId(i as u32),
+            src: VertexId(src),
+            dst: VertexId(dst),
+            src_label: labels[src as usize],
+            dst_label: labels[dst as usize],
+        })
+        .collect()
+}
+
 /// A verbatim copy of the pre-refactor matcher (owned edge vectors,
 /// SipHash maps, per-candidate `Delta` computation, clone-based join)
 /// kept as the behavioural oracle for the arena refactor. Apart from
@@ -409,15 +466,15 @@ fn reference_match_set(matcher: &reference::MotifMatcher, window: &SlidingWindow
 
 /// Workloads with qualitatively different motif shapes for the
 /// equivalence sweep: paths (extension-heavy), the 4-path over two
-/// labels (join-heavy), a star (hub-heavy), and a triangle — the one
-/// shape whose closing edge extends a match holding both its
+/// labels (join-heavy), a star (hub-heavy), and a triangle (picks 3+)
+/// — the one shape whose closing edge extends a match holding both its
 /// endpoints, which is what sends a cap-truncated row read to a chain
 /// walk for the other endpoint's degree.
 fn sweep_workload(which: usize) -> (Workload, usize) {
     let a = Label(0);
     let b = Label(1);
     let c = Label(2);
-    match which % 4 {
+    match which {
         0 => (
             Workload::new(vec![
                 (PatternGraph::path("p4", vec![a, b, a, b]), 60.0),
@@ -660,16 +717,18 @@ proptest! {
     /// ids) and the same per-edge fates as the verbatim pre-refactor
     /// reference matcher — across window sizes, support thresholds,
     /// motif shapes and per-endpoint caps. The small caps truncate the
-    /// endpoint rows on most buffered edges, so the capped reads, the
-    /// partner-list reconstruction and (on the triangle workload) the
-    /// truncated-row degree walks run under the oracle too; 48 is the
-    /// default cap.
+    /// endpoint rows on most buffered edges, so the capped reads and
+    /// the partner-list reconstruction run under the oracle too; 48 is
+    /// the default cap. Workload picks 4 and 5 (a third of the cases)
+    /// feed the triangle workload [`hub_cycle_stream`] instead of a
+    /// random stream, so closing edges meet the hub's truncated row and
+    /// the degree walks run.
     #[test]
     fn arena_matcher_equals_reference(
         n_edges in 4usize..64,
         window_cap in 2usize..12,
         threshold_pick in 0usize..4,
-        workload_pick in 0usize..4,
+        workload_pick in 0usize..6,
         cap_pick in 0usize..4,
         seed in any::<u64>(),
     ) {
@@ -686,7 +745,11 @@ proptest! {
         let mut arena_window = SlidingWindow::new(window_cap);
         let mut oracle_window = SlidingWindow::new(window_cap);
 
-        let edges = random_stream(14, n_edges, labels, seed);
+        let edges = if workload_pick >= 4 {
+            hub_cycle_stream(n_edges, seed)
+        } else {
+            random_stream(14, n_edges, labels, seed)
+        };
         for e in &edges {
             let fa = arena.on_edge(*e);
             let fo = oracle.on_edge(*e);

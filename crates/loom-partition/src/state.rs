@@ -513,82 +513,87 @@ pub struct AdjacencyOccupancy {
 /// to matter).
 const ADJACENCY_RECLAIM_MIN_ENTRIES: usize = 4_096;
 
-/// Inline slots per adjacency row: with the two u32 counters and the
-/// spill Vec this makes the row exactly 64 bytes — one cache line —
-/// so recording an edge at a low-degree vertex touches the row array
-/// and nothing else. The evaluation graphs' mean degree is ~3.4, so
-/// the overwhelming majority of rows never leave the inline regime;
-/// only hubs pay for a heap spill.
-const INLINE_ROW: usize = 8;
+/// Inline slots per adjacency row. Most rows of the evaluation streams
+/// hold at most three entries (`provgen-bfs`: 99% of 645k rows), so
+/// they live entirely in the row array; a row with a fourth entry moves
+/// to the spill slab.
+const INLINE_ROW: usize = 3;
 
-/// Sentinel in `inline_len` marking a row whose entries live in the
-/// spill Vec.
+/// The inline threshold of the checkpoint encoding (version 1), which
+/// predates the 3-slot row: the encoding writes a row as its length
+/// and its entries, or as [`ROW_SPILLED`] once it outgrew this many
+/// (see [`WIRE_SPILLED`]).
+const WIRE_INLINE: usize = 8;
+
+/// Sentinel written in place of the inline length for a row the
+/// checkpoint encoding records as spilled.
 const ROW_SPILLED: u32 = u32::MAX;
+
+/// [`AdjacencyRow::meta`] bits 0–1: the entry count while inline.
+const LEN_MASK: u32 = 0b11;
+/// Bits 2–3: the head while inline.
+const HEAD_SHIFT: u32 = 2;
+const HEAD_MASK: u32 = 0b11 << HEAD_SHIFT;
+/// Bit 4: the entries live in the spill slab at index `slots[0]`.
+const SPILLED: u32 = 1 << 4;
+/// Bit 5: the checkpoint encoding writes this row as [`ROW_SPILLED`].
+/// It keeps the encoding's own spill rule apart from the physical one:
+/// set when a row that the encoding writes inline gets its 9th entry,
+/// cleared by compaction unless more than [`WIRE_INLINE`] entries
+/// survive. On every reachable state it equals "more than 8 resident
+/// entries"; a flag rather than that rule makes save the exact inverse
+/// of load for every row the encoding accepts.
+const WIRE_SPILLED: u32 = 1 << 5;
 
 /// One vertex's neighbour list. Entries are appended in arrival order
 /// and age out in the same order, so the retained neighbourhood is
-/// always the suffix starting at `head`; the dead prefix stays
+/// always the suffix starting at the head; the dead prefix stays
 /// resident until the next generational compaction.
 ///
-/// Storage is inline-first: the first [`INLINE_ROW`] entries live in
-/// the row struct itself, and the row *spills* — copies everything
-/// into `nbrs` and appends there from then on — only when it outgrows
-/// them. The entry sequence a reader observes is identical either
+/// Storage is inline-first: up to [`INLINE_ROW`] entries and the head
+/// live in the row itself. A row that outgrows them moves its entries
+/// and head to a [`Spill`] in the store's slab and keeps only the slab
+/// index. The entry sequence a reader observes is identical either
 /// way; the representation is pure layout.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct AdjacencyRow {
-    inline: [VertexId; INLINE_ROW],
-    /// Entry count while inline; [`ROW_SPILLED`] once spilled.
-    inline_len: u32,
-    /// Index of the first retained entry (into [`AdjacencyRow::entries`]).
-    head: u32,
-    /// Spill storage; empty until the row outgrows the inline slots.
-    nbrs: Vec<VertexId>,
+    /// The entries while inline; `slots[0]` is the slab index once
+    /// spilled.
+    slots: [VertexId; INLINE_ROW],
+    /// Inline length, inline head, [`SPILLED`] and [`WIRE_SPILLED`].
+    meta: u32,
 }
 
-impl Default for AdjacencyRow {
-    fn default() -> Self {
-        AdjacencyRow {
-            inline: [VertexId(0); INLINE_ROW],
-            inline_len: 0,
-            head: 0,
-            nbrs: Vec::new(),
-        }
-    }
-}
+const _: () = assert!(std::mem::size_of::<AdjacencyRow>() == 16);
 
 impl AdjacencyRow {
-    /// Every resident entry, dead prefix included, in arrival order.
+    const EMPTY: AdjacencyRow = AdjacencyRow {
+        slots: [VertexId(0); INLINE_ROW],
+        meta: 0,
+    };
+
     #[inline]
-    fn entries(&self) -> &[VertexId] {
-        if self.inline_len == ROW_SPILLED {
-            &self.nbrs
-        } else {
-            &self.inline[..self.inline_len as usize]
-        }
+    fn spill(self) -> Option<usize> {
+        (self.meta & SPILLED != 0).then_some(self.slots[0].0 as usize)
     }
 
     #[inline]
-    fn retained(&self) -> &[VertexId] {
-        &self.entries()[self.head as usize..]
+    fn inline_len(self) -> usize {
+        (self.meta & LEN_MASK) as usize
     }
 
     #[inline]
-    fn push(&mut self, to: VertexId) {
-        let len = self.inline_len;
-        if (len as usize) < INLINE_ROW {
-            self.inline[len as usize] = to;
-            self.inline_len = len + 1;
-        } else if len == ROW_SPILLED {
-            self.nbrs.push(to);
-        } else {
-            // Outgrew the inline slots: spill everything to the heap.
-            self.nbrs.reserve(2 * INLINE_ROW);
-            self.nbrs.extend_from_slice(&self.inline);
-            self.nbrs.push(to);
-            self.inline_len = ROW_SPILLED;
-        }
+    fn inline_head(self) -> usize {
+        ((self.meta & HEAD_MASK) >> HEAD_SHIFT) as usize
     }
+}
+
+/// The entries and head of a row that outgrew its inline slots.
+#[derive(Clone, Debug)]
+struct Spill {
+    /// Index of the first retained entry of `nbrs`.
+    head: u32,
+    nbrs: Vec<VertexId>,
 }
 
 /// Streaming adjacency: the neighbourhood each vertex has accumulated
@@ -608,6 +613,12 @@ impl AdjacencyRow {
 #[derive(Clone, Debug)]
 pub struct OnlineAdjacency {
     rows: Vec<AdjacencyRow>,
+    /// Storage of the rows that outgrew their inline slots, indexed by
+    /// a spilled row's `slots[0]`.
+    spills: Vec<Spill>,
+    /// Slab slots whose row cooled back inline or emptied, reused
+    /// before the slab grows.
+    free_spills: Vec<u32>,
     /// `None` = unbounded.
     horizon: Option<u64>,
     /// Arrival-ordered ring of the retained edges (bounded mode only):
@@ -662,7 +673,9 @@ impl OnlineAdjacency {
             assert!(h > 0, "retention horizon must be positive");
         }
         OnlineAdjacency {
-            rows: (0..num_vertices).map(|_| AdjacencyRow::default()).collect(),
+            rows: vec![AdjacencyRow::EMPTY; num_vertices],
+            spills: Vec::new(),
+            free_spills: Vec::new(),
             horizon,
             recent: VecDeque::new(),
             aged_rows: Vec::new(),
@@ -679,25 +692,62 @@ impl OnlineAdjacency {
         self.horizon
     }
 
+    /// Every resident entry of `row`, dead prefix included, in arrival
+    /// order, and the index of its first retained entry.
     #[inline]
-    fn row(&self, v: VertexId) -> Option<&AdjacencyRow> {
-        self.rows.get(v.0 as usize)
-    }
-
-    /// The row of `v`, growing the vertex range as needed.
-    #[inline]
-    fn row_mut_grow(&mut self, v: VertexId) -> &mut AdjacencyRow {
-        let idx = v.0 as usize;
-        if self.rows.len() <= idx {
-            self.rows.resize_with(idx + 1, AdjacencyRow::default);
+    fn resident<'a>(&'a self, row: &'a AdjacencyRow) -> (&'a [VertexId], usize) {
+        match row.spill() {
+            Some(at) => {
+                let spill = &self.spills[at];
+                (&spill.nbrs, spill.head as usize)
+            }
+            None => (&row.slots[..row.inline_len()], row.inline_head()),
         }
-        &mut self.rows[idx]
     }
 
-    /// The row of `v`, which must already be registered.
+    /// Append `to` to the row of `from`, growing the vertex range as
+    /// needed.
     #[inline]
-    fn row_mut(&mut self, v: VertexId) -> &mut AdjacencyRow {
-        &mut self.rows[v.0 as usize]
+    fn push(&mut self, from: VertexId, to: VertexId) {
+        let idx = from.index();
+        if self.rows.len() <= idx {
+            self.rows.resize(idx + 1, AdjacencyRow::EMPTY);
+        }
+        let row = &mut self.rows[idx];
+        if let Some(at) = row.spill() {
+            let nbrs = &mut self.spills[at].nbrs;
+            if nbrs.len() == WIRE_INLINE {
+                row.meta |= WIRE_SPILLED;
+            }
+            nbrs.push(to);
+            return;
+        }
+        let len = row.inline_len();
+        if len < INLINE_ROW {
+            row.slots[len] = to;
+            row.meta += 1;
+            return;
+        }
+        // Outgrew the inline slots: move entries and head to the slab.
+        let mut nbrs = Vec::with_capacity(2 * (INLINE_ROW + 1));
+        nbrs.extend_from_slice(&row.slots);
+        nbrs.push(to);
+        let spill = Spill {
+            head: row.inline_head() as u32,
+            nbrs,
+        };
+        let at = match self.free_spills.pop() {
+            Some(at) => {
+                self.spills[at as usize] = spill;
+                at
+            }
+            None => {
+                self.spills.push(spill);
+                (self.spills.len() - 1) as u32
+            }
+        };
+        row.slots[0] = VertexId(at);
+        row.meta = SPILLED | (row.meta & WIRE_SPILLED);
     }
 
     /// Record an arrived edge (both directions), growing the vertex
@@ -725,8 +775,8 @@ impl OnlineAdjacency {
     }
 
     fn insert(&mut self, e: &StreamEdge) {
-        self.row_mut_grow(e.src).push(e.dst);
-        self.row_mut_grow(e.dst).push(e.src);
+        self.push(e.src, e.dst);
+        self.push(e.dst, e.src);
         self.live += 2;
         self.ever += 2;
         if self.horizon.is_some() {
@@ -745,18 +795,22 @@ impl OnlineAdjacency {
         }
         let (u, v) = self.recent.pop_front().expect("ring longer than horizon");
         for (from, to) in [(u, v), (v, u)] {
-            let row = &mut self.rows[from.0 as usize];
+            let row = self.rows[from.index()];
+            let (entries, head) = self.resident(&row);
             debug_assert_eq!(
-                row.entries().get(row.head as usize),
+                entries.get(head),
                 Some(&to),
                 "adjacency aged out of arrival order at {from:?}"
             );
-            if row.head == 0 {
+            if head == 0 {
                 // First dead entry since the last compaction: remember
                 // the row (head > 0 ⇔ recorded once in `aged_rows`).
                 self.aged_rows.push(from.0);
             }
-            row.head += 1;
+            match row.spill() {
+                Some(at) => self.spills[at].head += 1,
+                None => self.rows[from.index()].meta += 1 << HEAD_SHIFT,
+            }
         }
         self.live -= 2;
         self.dead += 2;
@@ -776,38 +830,39 @@ impl OnlineAdjacency {
             return;
         }
         for idx in std::mem::take(&mut self.aged_rows) {
-            let row = self.row_mut(VertexId(idx));
-            debug_assert!(row.head > 0, "aged row recorded without a dead prefix");
-            let head = row.head as usize;
-            if row.inline_len != ROW_SPILLED {
+            let row = &mut self.rows[idx as usize];
+            let Some(at) = row.spill() else {
                 // Inline row: slide the retained suffix to the front.
-                let len = row.inline_len as usize;
-                row.inline.copy_within(head..len, 0);
-                row.inline_len = (len - head) as u32;
-            } else if head == row.nbrs.len() {
-                // An idle vertex whose whole neighbourhood aged out:
-                // release the allocation entirely and return to the
-                // inline regime.
-                row.nbrs = Vec::new();
-                row.inline_len = 0;
-            } else {
-                row.nbrs.drain(..head);
-                if row.nbrs.len() <= INLINE_ROW {
-                    // Cooled back below the inline threshold: move the
-                    // survivors home and free the spill.
-                    row.inline[..row.nbrs.len()].copy_from_slice(&row.nbrs);
-                    row.inline_len = row.nbrs.len() as u32;
-                    row.nbrs = Vec::new();
-                } else {
-                    // A once-hot row keeps its peak capacity forever
-                    // otherwise; give back the overhang.
-                    let want = row.nbrs.len().max(4) * 2;
-                    if row.nbrs.capacity() > want * 2 {
-                        row.nbrs.shrink_to(want);
-                    }
-                }
+                let (len, head) = (row.inline_len(), row.inline_head());
+                debug_assert!(head > 0, "aged row recorded without a dead prefix");
+                row.slots.copy_within(head..len, 0);
+                row.meta = (len - head) as u32;
+                continue;
+            };
+            let spill = &mut self.spills[at];
+            debug_assert!(spill.head > 0, "aged row recorded without a dead prefix");
+            spill.nbrs.drain(..spill.head as usize);
+            spill.head = 0;
+            let len = spill.nbrs.len();
+            if len <= INLINE_ROW {
+                // Cooled back to the inline slots (or emptied by an
+                // idle vertex whose whole neighbourhood aged out): move
+                // the survivors home and free the slab slot.
+                row.slots[..len].copy_from_slice(&spill.nbrs);
+                row.meta = len as u32;
+                spill.nbrs = Vec::new();
+                self.free_spills.push(at as u32);
+                continue;
             }
-            row.head = 0;
+            if len <= WIRE_INLINE {
+                row.meta &= !WIRE_SPILLED;
+            }
+            // A once-hot row keeps its peak capacity forever otherwise;
+            // give back the overhang.
+            let want = 2 * len;
+            if spill.nbrs.capacity() > want * 2 {
+                spill.nbrs.shrink_to(want);
+            }
         }
         self.dead = 0;
         self.generation += 1;
@@ -823,7 +878,13 @@ impl OnlineAdjacency {
     /// unseen vertices; every neighbour ever seen in unbounded mode).
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.row(v).map_or(&[], AdjacencyRow::retained)
+        match self.rows.get(v.index()) {
+            Some(row) => {
+                let (entries, head) = self.resident(row);
+                &entries[head..]
+            }
+            None => &[],
+        }
     }
 
     /// Degree of `v` within the retention horizon.
@@ -845,25 +906,26 @@ impl OnlineAdjacency {
 
     /// Serialize the adjacency for a crash-recovery checkpoint
     /// (DESIGN.md §15). Rows are written *exactly* as resident —
-    /// dead prefixes, spill state and the aged-row worklist included —
-    /// because compaction triggers off resident populations: a
-    /// "cleaned" reload would compact at different edges than the
-    /// uninterrupted run and break bit-identity of the generation
-    /// counter. Config (the horizon) is not written.
+    /// dead prefixes, the encoding's spill flag ([`WIRE_SPILLED`]) and
+    /// the aged-row worklist included — because compaction triggers off
+    /// resident populations: a "cleaned" reload would compact at
+    /// different edges than the uninterrupted run and break
+    /// bit-identity of the generation counter. The slab is layout and
+    /// is not written. Config (the horizon) is not written.
     pub fn wal_save(&self, w: &mut ByteWriter) {
         w.u64(self.rows.len() as u64);
         for row in &self.rows {
-            w.u32(row.inline_len);
-            w.u32(row.head);
-            if row.inline_len == ROW_SPILLED {
-                w.u64(row.nbrs.len() as u64);
-                for &v in &row.nbrs {
-                    w.u32(v.0);
-                }
+            let (entries, head) = self.resident(row);
+            if row.meta & WIRE_SPILLED != 0 {
+                w.u32(ROW_SPILLED);
+                w.u32(head as u32);
+                w.u64(entries.len() as u64);
             } else {
-                for &v in &row.inline[..row.inline_len as usize] {
-                    w.u32(v.0);
-                }
+                w.u32(entries.len() as u32);
+                w.u32(head as u32);
+            }
+            for &v in entries {
+                w.u32(v.0);
             }
         }
         w.u64(self.recent.len() as u64);
@@ -882,41 +944,46 @@ impl OnlineAdjacency {
     }
 
     /// Inverse of [`OnlineAdjacency::wal_save`], applied to a freshly
-    /// constructed adjacency with the same config.
+    /// constructed adjacency with the same config. The slab is rebuilt
+    /// from the rows' entry counts, in row order, with no free slots.
     pub fn wal_load(&mut self, r: &mut ByteReader) -> Result<(), WalError> {
         let nrows = r.len_prefix(8)?;
         let mut rows = Vec::with_capacity(nrows);
+        let mut spills = Vec::new();
         for i in 0..nrows {
             let inline_len = r.u32()?;
             let head = r.u32()?;
-            let mut row = AdjacencyRow {
-                inline_len,
-                head,
-                ..AdjacencyRow::default()
-            };
-            if inline_len == ROW_SPILLED {
-                let n = r.len_prefix(4)?;
-                row.nbrs = (0..n)
-                    .map(|_| r.u32().map(VertexId))
-                    .collect::<Result<_, _>>()?;
-            } else if inline_len as usize > INLINE_ROW {
+            let (len, wire) = if inline_len == ROW_SPILLED {
+                (r.len_prefix(4)?, WIRE_SPILLED)
+            } else if inline_len as usize > WIRE_INLINE {
                 return Err(WalError::Corrupt(format!(
-                    "adjacency row {i}: inline length {inline_len} exceeds {INLINE_ROW}"
+                    "adjacency row {i}: inline length {inline_len} exceeds {WIRE_INLINE}"
                 )));
             } else {
-                for slot in 0..inline_len as usize {
-                    row.inline[slot] = VertexId(r.u32()?);
-                }
-            }
-            if head as usize > row.entries().len() {
+                (inline_len as usize, 0)
+            };
+            let nbrs = (0..len)
+                .map(|_| r.u32().map(VertexId))
+                .collect::<Result<Vec<_>, _>>()?;
+            if head as usize > len {
                 return Err(WalError::Corrupt(format!(
-                    "adjacency row {i}: head {head} past its {} entries",
-                    row.entries().len()
+                    "adjacency row {i}: head {head} past its {len} entries"
                 )));
+            }
+            let mut row = AdjacencyRow::EMPTY;
+            if len <= INLINE_ROW {
+                row.slots[..len].copy_from_slice(&nbrs);
+                row.meta = len as u32 | head << HEAD_SHIFT | wire;
+            } else {
+                row.slots[0] = VertexId(spills.len() as u32);
+                row.meta = SPILLED | wire;
+                spills.push(Spill { head, nbrs });
             }
             rows.push(row);
         }
         self.rows = rows;
+        self.spills = spills;
+        self.free_spills = Vec::new();
         let nrecent = r.len_prefix(8)?;
         self.recent = (0..nrecent)
             .map(|_| Ok::<_, WalError>((VertexId(r.u32()?), VertexId(r.u32()?))))

@@ -851,3 +851,102 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The adjacency's differential oracle: the inline-first rows and
+    /// their spill slab against a plain per-vertex deque of retained
+    /// neighbours. Hub-skewed ids carry rows across the 3 inline slots
+    /// and the checkpoint encoding's 8-entry threshold, the horizon
+    /// bites, and every sequence runs past the first compaction
+    /// (2 048 edges fill the 4 096-entry floor). At every step
+    /// `neighbors(v)`, the expired edge and `occupancy()` equal the
+    /// model's, and the checkpoint bytes survive save → load → save.
+    #[test]
+    fn adjacency_equals_deque_model(
+        horizon in 1u64..25,
+        edges in 2_048usize..4_400,
+        hubs in 1u32..4,
+        seed in any::<u64>(),
+    ) {
+        use loom_partition::AdjacencyOccupancy;
+        use loom_wal::{ByteReader, ByteWriter};
+        use std::collections::VecDeque;
+        let n = 40u32;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut adjacency = OnlineAdjacency::bounded(horizon);
+        // The model: each vertex's retained neighbours, oldest first,
+        // the ring of retained edges, and the store's compaction rule
+        // (dead entries outnumber live ones, 4 096 resident at least).
+        let mut model: Vec<VecDeque<VertexId>> = vec![VecDeque::new(); n as usize];
+        let mut ring: VecDeque<(VertexId, VertexId)> = VecDeque::new();
+        let (mut dead, mut generation) = (0usize, 0u64);
+        let mut expired = Vec::new();
+        let save = |adjacency: &OnlineAdjacency| {
+            let mut w = ByteWriter::new();
+            adjacency.wal_save(&mut w);
+            w.into_bytes()
+        };
+        for i in 0..edges {
+            let mut endpoint = || {
+                VertexId(if rng.gen_bool(0.4) {
+                    rng.gen_range(0..hubs)
+                } else {
+                    rng.gen_range(0..n)
+                })
+            };
+            let (src, dst) = (endpoint(), endpoint());
+            let e = StreamEdge {
+                id: EdgeId(i as u32),
+                src,
+                dst,
+                src_label: Label(0),
+                dst_label: Label(0),
+            };
+            expired.clear();
+            adjacency.add_expiring_into(&e, &mut expired);
+            model[src.index()].push_back(dst);
+            model[dst.index()].push_back(src);
+            ring.push_back((src, dst));
+            let mut want_expired = Vec::new();
+            if ring.len() as u64 > horizon {
+                let (u, v) = ring.pop_front().unwrap();
+                for (from, to) in [(u, v), (v, u)] {
+                    prop_assert_eq!(model[from.index()].pop_front(), Some(to));
+                }
+                want_expired.push((u, v));
+                dead += 2;
+                let live = 2 * ring.len();
+                if dead > live && live + dead >= 4_096 {
+                    dead = 0;
+                    generation += 1;
+                }
+            }
+            prop_assert_eq!(&expired, &want_expired, "expired edge at {}", i);
+            for v in 0..n {
+                let v = VertexId(v);
+                prop_assert!(
+                    adjacency.neighbors(v).iter().eq(model[v.index()].iter()),
+                    "neighbors({:?}) diverged at edge {}", v, i
+                );
+            }
+            let live = 2 * ring.len();
+            prop_assert_eq!(
+                adjacency.occupancy(),
+                AdjacencyOccupancy {
+                    live_entries: live,
+                    resident_entries: live + dead,
+                    entries_ever: 2 * (i as u64 + 1),
+                    generation,
+                },
+                "occupancy at edge {}", i
+            );
+            let bytes = save(&adjacency);
+            let mut back = OnlineAdjacency::bounded(horizon);
+            back.wal_load(&mut ByteReader::new(&bytes)).unwrap();
+            prop_assert!(save(&back) == bytes, "save -> load -> save differs at edge {}", i);
+        }
+        prop_assert!(generation >= 1);
+    }
+}
