@@ -10,10 +10,16 @@
 //! `VERSION`) to land.
 
 use loom_core::engine::{EngineConfig, OnlineEngine};
-use loom_core::graph::{DatasetKind, SyntheticEdgeSource};
+use loom_core::graph::io as graph_io;
+use loom_core::graph::{datasets, DatasetKind, Scale, SyntheticEdgeSource, TextEdgeSource};
 use loom_core::partition::{CapacityModel, EoParams, LoomConfig, LoomPartitioner};
 use loom_core::query::workload_for;
-use loom_core::wal::{list_checkpoints, list_segments, segment_name, MemBackend};
+use loom_core::wal::{
+    checkpoint_name, list_checkpoints, list_segments, segment_name, MemBackend, StorageBackend,
+    WalFile,
+};
+use std::io;
+use std::sync::{Arc, Mutex};
 
 const FP: &str = "system=Loom k=4 seed=42 window=1024 test=wal-golden";
 
@@ -102,4 +108,94 @@ fn seeded_run_leaves_the_recorded_bytes() {
             "{name}: (length, FNV-1a) of the bytes on disk changed"
         );
     }
+}
+
+/// Records the `(name, length, FNV-1a)` of every file written whole —
+/// every checkpoint, including those pruning deletes later.
+#[derive(Clone, Default)]
+struct Recording {
+    inner: MemBackend,
+    written: Arc<Mutex<Vec<(String, usize, u64)>>>,
+}
+
+impl StorageBackend for Recording {
+    fn open_append(&self, name: &str) -> io::Result<Box<dyn WalFile>> {
+        self.inner.open_append(name)
+    }
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(name)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let entry = (name.to_string(), bytes.len(), fnv1a(bytes));
+        self.written.lock().unwrap().push(entry);
+        self.inner.write_atomic(name, bytes)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.inner.list()
+    }
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+}
+
+/// The ProvGen-small feed as `loom generate --dataset provgen | loom
+/// stream --system loom --k 8 --window 256 --checkpoint-every 3000`
+/// ingests it: the `.lg` text through the text source, the CLI's
+/// engine and Loom config, and the fingerprint that command stamps,
+/// so these are the bytes it leaves in its `--wal` directory. The
+/// feed's late-registered vertex ids make the length of Loom's
+/// neighbour-count block depend on exactly which vertices were ever
+/// credited — a vertex whose partner is placed, at arrival or later —
+/// not merely seen, which the first test's synthetic source (its whole
+/// id range registered early) cannot tell apart. The values were
+/// recorded at the commit before Loom stopped storing the counters.
+#[test]
+fn provgen_checkpoints_keep_the_recorded_bytes() {
+    let fp = "loom-stream v1 system=loom k=8 seed=42 window=256 threshold=0.4 \
+              adjacency=default labels=4 snapshot-every=5000 checkpoint-every=3000 source=text";
+    let graph = datasets::generate(DatasetKind::ProvGen, Scale::Small, 42);
+    let mut text = Vec::new();
+    graph_io::write_graph(&graph, &mut text).unwrap();
+    let config = LoomConfig {
+        window_size: 256,
+        seed: 42,
+        ..LoomConfig::evaluation_defaults(8)
+    };
+    let partitioner = LoomPartitioner::new(&config, &workload_for(DatasetKind::ProvGen), 4);
+    let mut engine = OnlineEngine::new(
+        Box::new(partitioner),
+        EngineConfig {
+            snapshot_every: 5_000,
+            ..EngineConfig::default()
+        },
+    );
+    let backend = Recording::default();
+    engine
+        .attach_wal(Box::new(backend.clone()), 3_000, fp)
+        .unwrap();
+    engine
+        .run(&mut TextEdgeSource::new(&text[..]), None, |_| {})
+        .unwrap();
+    engine.flush_wal().unwrap();
+    assert_eq!(engine.edges_ingested(), 12_450);
+
+    // Checkpoints 1 to 4, at edges 3 000 to 12 000.
+    let want = [
+        (381_864, 6_420_352_292_076_957_047),
+        (477_085, 9_798_570_300_020_790_870),
+        (573_960, 15_151_092_522_664_293_218),
+        (921_894, 2_798_821_851_126_240_088),
+    ];
+    let want: Vec<(String, usize, u64)> = (1..)
+        .zip(want)
+        .map(|(seq, (len, hash))| (checkpoint_name(seq), len, hash))
+        .collect();
+    assert_eq!(
+        *backend.written.lock().unwrap(),
+        want,
+        "(name, length, FNV-1a) of each checkpoint as written changed"
+    );
 }
