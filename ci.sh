@@ -188,6 +188,27 @@ for seed in 1 2 3 4 5 6 7 8; do
 done
 echo "adjacency oracle: 8 master seeds passed"
 
+stage "checkpoint bytes"
+# The checkpoint-format goldens, by name: the seeded WAL runs'
+# checkpoint and journal bytes (wal_golden, including the ProvGen-small
+# run that pins Loom's neighbour-count block) and the bounded
+# adjacency's encoding under a biting horizon (adjacency_golden). Also
+# in tier-1 above; a byte drift names itself here. A filter that
+# matches no test fails the stage.
+for golden in "loom-core wal_golden 2" "loom-partition adjacency_golden 1"; do
+  read -r pkg suite count <<< "$golden"
+  GOLDEN_OUT=$(cargo test -q --offline -p "$pkg" --test "$suite" 2>&1) || {
+    echo "$GOLDEN_OUT"
+    exit 1
+  }
+  if ! grep -q "^test result: ok. $count passed" <<< "$GOLDEN_OUT"; then
+    echo "$GOLDEN_OUT"
+    echo "checkpoint bytes: $suite ran other than its $count test(s)" >&2
+    exit 1
+  fi
+done
+echo "checkpoint bytes: wal_golden and adjacency_golden passed"
+
 stage "recovery suite (kill/resume matrix)"
 # The crash-recovery contract, by name: a run killed at any point —
 # mid-batch, exactly at a checkpoint, one past it — and resumed from

@@ -65,8 +65,8 @@ impl Default for FennelParams {
 /// placed on arrival, like the LDG variant).
 ///
 /// Like [`crate::ldg::LdgPartitioner`], the edge-stream form scores
-/// through the degenerate one-hot case of the
-/// [`crate::state::NeighborCounts`] invariant: an unassigned endpoint
+/// through the degenerate one-hot case of the adjacency scan
+/// ([`crate::state::OnlineAdjacency::partition_counts_into`]): an unassigned endpoint
 /// is always a first-sighted vertex whose seen neighbourhood is
 /// exactly the other endpoint, so no adjacency or counter table is
 /// maintained at all — O(k) per decision, flat in stream length

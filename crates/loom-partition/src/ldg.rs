@@ -7,8 +7,6 @@
 //! edges that match no motif. The scoring function is therefore
 //! exported standalone.
 
-#[allow(unused_imports)] // doc link target
-use crate::state::NeighborCounts;
 use crate::state::{Assignment, CapacityModel, OnlineAdjacency, PartitionState};
 use crate::traits::StreamPartitioner;
 use loom_graph::{PartitionId, StreamEdge, VertexId};
@@ -19,20 +17,13 @@ use loom_graph::{PartitionId, StreamEdge, VertexId};
 /// (no placed neighbours) the least-loaded partition wins, which keeps
 /// the early stream balanced.
 ///
-/// This is the **reference** O(deg) form — it scans the *retained*
-/// adjacency on every call (everything ever seen in unbounded mode;
-/// the recent neighbourhood under a retention horizon, DESIGN.md §11).
-/// The production partitioners score through a maintained
-/// [`NeighborCounts`] row instead (same integers, so bit-identical
-/// decisions; see the counter-equivalence suite in
-/// `tests/properties.rs`).
+/// The counts are [`OnlineAdjacency::partition_counts_into`]'s scan of
+/// the *retained* adjacency (everything ever seen in unbounded mode;
+/// the recent neighbourhood under a retention horizon, DESIGN.md §11),
+/// the same row Loom scores its bypass placements by.
 pub fn ldg_choose(state: &PartitionState, adjacency: &OnlineAdjacency, v: VertexId) -> PartitionId {
     let mut counts = vec![0u32; state.k()];
-    for &w in adjacency.neighbors(v) {
-        if let Some(p) = state.partition_of(w) {
-            counts[p.index()] += 1;
-        }
-    }
+    adjacency.partition_counts_into(v, state, &mut counts);
     choose_weighted(state, &counts)
 }
 
@@ -69,15 +60,15 @@ pub fn choose_weighted(state: &PartitionState, counts: &[u32]) -> PartitionId {
 /// vertex or edge streams").
 ///
 /// The edge-stream variant admits a degenerate, allocation-free form
-/// of the [`NeighborCounts`] invariant: every endpoint of every seen
-/// edge is assigned before `on_edge` returns, so an *unassigned*
-/// vertex is being seen for the first time and its accumulated
-/// neighbourhood is exactly the other endpoint of the current edge —
-/// its counter row is a one-hot of that endpoint's partition (or all
-/// zeros when both arrive together). No adjacency, no counter table,
-/// no O(deg) anything: the per-edge cost is O(k) flat, independent of
-/// stream length. Bit-equivalence with the scan-based [`ldg_choose`]
-/// reference is property-tested in `tests/properties.rs`.
+/// of the adjacency scan: every endpoint of every seen edge is
+/// assigned before `on_edge` returns, so an *unassigned* vertex is
+/// being seen for the first time and its accumulated neighbourhood is
+/// exactly the other endpoint of the current edge — its count row is a
+/// one-hot of that endpoint's partition (or all zeros when both arrive
+/// together). No adjacency, no counter table, no O(deg) anything: the
+/// per-edge cost is O(k) flat, independent of stream length.
+/// Bit-equivalence with the scan-based [`ldg_choose`] reference is
+/// property-tested in `tests/properties.rs`.
 #[derive(Clone, Debug)]
 pub struct LdgPartitioner {
     state: PartitionState,

@@ -13,11 +13,9 @@
 
 use crate::equal_opportunism::{auction_with_scratch, AuctionMatch, EoParams};
 use crate::ldg::choose_weighted;
-use crate::state::{
-    AdjacencyHorizon, Assignment, CapacityModel, NeighborCounts, OnlineAdjacency, PartitionState,
-};
+use crate::state::{AdjacencyHorizon, Assignment, CapacityModel, OnlineAdjacency, PartitionState};
 use crate::traits::StreamPartitioner;
-use loom_graph::{StreamEdge, VertexId, Workload};
+use loom_graph::{PartitionId, StreamEdge, VertexId, Workload};
 use loom_matcher::MatchId;
 use loom_matcher::{EdgeFate, MotifMatcher, SlidingWindow};
 use loom_motif::{LabelRandomizer, TpsTrie};
@@ -94,13 +92,24 @@ impl LoomConfig {
 }
 
 /// The Loom streaming partitioner.
+///
+/// The LDG bypass placements and the zero-bid auction fallback score
+/// by `|N(v) ∩ S_i|` rows scanned from the retained adjacency when
+/// they decide ([`OnlineAdjacency::partition_counts_into`]); no
+/// per-vertex counter table is kept. The bypass scores only unassigned
+/// vertices, whose retained edges are all still in the window, so its
+/// scans stay short.
 pub struct LoomPartitioner {
     state: PartitionState,
     adjacency: OnlineAdjacency,
-    /// Maintained `|N(v) ∩ S_i|` rows: the LDG bypass placements and
-    /// the zero-bid auction fallback both read these in O(k) instead
-    /// of rescanning the (hub-heavy) adjacency per decision.
-    counts: NeighborCounts,
+    /// Rows in the checkpoint's neighbour-count block: one past the
+    /// largest vertex whose count row was ever credited — a vertex
+    /// whose partner was placed, either before their edge arrived or
+    /// after, while the edge was retained — and at least the prescient
+    /// vertex count. The block is scanned from the adjacency on save
+    /// and checked against it on load; this watermark is the only
+    /// state it holds.
+    counts_extent: usize,
     window: SlidingWindow,
     matcher: MotifMatcher,
     eo: EoParams,
@@ -115,7 +124,6 @@ pub struct LoomPartitioner {
     scratch_keys: Vec<(f64, usize, usize)>,
     scratch_counts: Vec<u32>,
     scratch_edges: Vec<StreamEdge>,
-    scratch_expired: Vec<(VertexId, VertexId)>,
     view_pool: Vec<AuctionMatch>,
 }
 
@@ -147,7 +155,7 @@ pub struct PhaseBreakdown {
     /// auctions (support ordering, bids, assignment, match kills).
     pub partitioner_ns: u64,
     /// Window and adjacency upkeep: buffer push/evict bookkeeping,
-    /// adjacency growth, counter maintenance.
+    /// adjacency growth and expiry.
     pub window_ns: u64,
 }
 
@@ -163,20 +171,14 @@ impl LoomPartitioner {
         let horizon = config
             .adjacency_horizon
             .resolve(config.window_size, &config.capacity);
-        let (adjacency, counts) = match config.capacity {
-            CapacityModel::Prescient { num_vertices, .. } => (
-                OnlineAdjacency::with_retention(horizon, num_vertices),
-                NeighborCounts::with_capacity(config.k, num_vertices),
-            ),
-            CapacityModel::Adaptive => (
-                OnlineAdjacency::with_retention(horizon, 0),
-                NeighborCounts::new(config.k),
-            ),
+        let num_vertices = match config.capacity {
+            CapacityModel::Prescient { num_vertices, .. } => num_vertices,
+            CapacityModel::Adaptive => 0,
         };
         LoomPartitioner {
             state: PartitionState::new(config.k, config.capacity, config.capacity_slack),
-            adjacency,
-            counts,
+            adjacency: OnlineAdjacency::with_retention(horizon, num_vertices),
+            counts_extent: num_vertices,
             window: SlidingWindow::new(config.window_size),
             matcher: MotifMatcher::new(motifs, rand),
             eo: config.eo,
@@ -187,7 +189,6 @@ impl LoomPartitioner {
             scratch_keys: Vec::new(),
             scratch_counts: Vec::new(),
             scratch_edges: Vec::new(),
-            scratch_expired: Vec::new(),
             view_pool: Vec::new(),
         }
     }
@@ -254,11 +255,73 @@ impl LoomPartitioner {
     fn ldg_assign_edge(&mut self, e: &StreamEdge) {
         for v in [e.src, e.dst] {
             if !self.state.is_assigned(v) {
-                let p = choose_weighted(&self.state, self.counts.counts(v));
-                self.state.assign(v, p);
-                self.counts.on_assign(v, p, &self.adjacency);
+                let row = &mut self.scratch_counts;
+                row.clear();
+                row.resize(self.state.k(), 0);
+                self.adjacency.partition_counts_into(v, &self.state, row);
+                let p = choose_weighted(&self.state, row);
+                self.place(v, p);
             }
         }
+    }
+
+    /// Assign `v` to `p`. Placing `v` credits it to the count row of
+    /// every retained neighbour, so the checkpoint's count block must
+    /// cover them.
+    fn place(&mut self, v: VertexId, p: PartitionId) {
+        self.state.assign(v, p);
+        if let Some(w) = self.adjacency.neighbors(v).iter().max() {
+            self.counts_extent = self.counts_extent.max(w.index() + 1);
+        }
+    }
+
+    /// Write the checkpoint's neighbour-count block: `counts_extent`
+    /// rows of `k` cells, each the scan of the retained adjacency.
+    fn save_counts(&self, w: &mut loom_wal::ByteWriter) {
+        let k = self.state.k();
+        w.u64((self.counts_extent * k) as u64);
+        let mut row = vec![0u32; k];
+        for v in 0..self.counts_extent {
+            row.fill(0);
+            self.adjacency
+                .partition_counts_into(VertexId(v as u32), &self.state, &mut row);
+            for &c in &row {
+                w.u32(c);
+            }
+        }
+    }
+
+    /// Read the neighbour-count block [`LoomPartitioner::save_counts`]
+    /// wrote, after the partition state and the adjacency it was
+    /// scanned from. Every row must equal the scan of what was just
+    /// loaded: a row that does not would steer placements the
+    /// uninterrupted run never made.
+    fn load_counts(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
+        use loom_wal::WalError;
+        let k = self.state.k();
+        let n = r.len_prefix(4)?;
+        if n % k != 0 {
+            return Err(WalError::Corrupt(format!(
+                "neighbor counts: {n} cells is not a whole number of k = {k} rows"
+            )));
+        }
+        let mut row = vec![0u32; k];
+        for v in 0..n / k {
+            row.fill(0);
+            self.adjacency
+                .partition_counts_into(VertexId(v as u32), &self.state, &mut row);
+            for (p, &want) in row.iter().enumerate() {
+                let got = r.u32()?;
+                if got != want {
+                    return Err(WalError::Corrupt(format!(
+                        "neighbor counts row {v}: partition {p} holds {got}, \
+                         the adjacency scan gives {want}"
+                    )));
+                }
+            }
+        }
+        self.counts_extent = n / k;
+        Ok(())
     }
 
     /// Auction the evicted edge's matches and place the winners (§4).
@@ -363,20 +426,14 @@ impl LoomPartitioner {
             // is then co-located there as a unit, so cold-start motifs
             // stay whole instead of being placed edge-by-edge.
             self.stats.fallback_auctions += 1;
-            // Sum the maintained counter rows of the top match's
-            // vertices — bit-identical to the old per-vertex adjacency
-            // scans (each row *is* that vertex's scan result), but
-            // O(match · k) instead of O(match · deg): this was the
-            // LDG-fallback hub-scan cost ROADMAP pinned as the next
-            // perf lever. (`scratch_counts` is free again: the auction
-            // that filled it has already produced `outcome`.)
+            // Sum the scanned rows of the top match's vertices.
+            // (`scratch_counts` is free again: the auction that filled
+            // it has already produced `outcome`.)
             let counts = &mut self.scratch_counts;
             counts.clear();
             counts.resize(self.state.k(), 0);
-            for v in &view[0].vertices {
-                for (acc, &c) in counts.iter_mut().zip(self.counts.counts(*v)) {
-                    *acc += c;
-                }
+            for &v in &view[0].vertices {
+                self.adjacency.partition_counts_into(v, &self.state, counts);
             }
             outcome.winner = choose_weighted(&self.state, counts);
             outcome.take = 1;
@@ -402,8 +459,7 @@ impl LoomPartitioner {
         for edge in edges.drain(..) {
             for v in [edge.src, edge.dst] {
                 if !self.state.is_assigned(v) {
-                    self.state.assign(v, outcome.winner);
-                    self.counts.on_assign(v, outcome.winner, &self.adjacency);
+                    self.place(v, outcome.winner);
                 }
             }
             if edge.id != e.id {
@@ -456,15 +512,13 @@ impl StreamPartitioner for LoomPartitioner {
 
     fn on_edge(&mut self, e: &StreamEdge) {
         let t = self.clock();
-        self.scratch_expired.clear();
-        self.adjacency
-            .add_expiring_into(e, &mut self.scratch_expired);
-        self.counts.on_edge_arrival(e, &self.state);
-        // Edges that just aged out of the retention horizon leave the
-        // scored neighbourhood: debit them so every counter row stays
-        // equal to a scan of the *retained* adjacency.
-        for &(u, v) in &self.scratch_expired {
-            self.counts.on_edge_expired(u, v, &self.state);
+        self.adjacency.add(e);
+        // The checkpoint's count block must cover an endpoint whose
+        // partner is already placed: its row holds that placement now.
+        for (v, other) in [(e.src, e.dst), (e.dst, e.src)] {
+            if v.index() >= self.counts_extent && self.state.is_assigned(other) {
+                self.counts_extent = v.index() + 1;
+            }
         }
         self.lap(t, |p| &mut p.window_ns);
         let t = self.clock();
@@ -517,16 +571,16 @@ impl StreamPartitioner for LoomPartitioner {
     }
 
     /// Checkpoint everything a resumed Loom needs to continue
-    /// bit-identically: partition columns, streaming adjacency,
-    /// counter rows, the sliding window (tombstones included), the
-    /// match arena with its compaction watermark, and the stats the
+    /// bit-identically: partition columns, streaming adjacency, the
+    /// neighbour-count block, the sliding window (tombstones included),
+    /// the match arena with its compaction watermark, and the stats the
     /// evaluation reads back. Motif tables, the LUT and eo/allocation
     /// parameters are config — the checkpoint fingerprint guarantees
     /// they match on resume.
     fn save_state(&self, w: &mut loom_wal::ByteWriter) -> Result<(), loom_wal::WalError> {
         self.state.wal_save(w);
         self.adjacency.wal_save(w);
-        self.counts.wal_save(w);
+        self.save_counts(w);
         self.window.wal_save(w);
         self.matcher.wal_save(w);
         w.u64(self.stats.bypassed);
@@ -540,7 +594,7 @@ impl StreamPartitioner for LoomPartitioner {
     fn load_state(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
         self.state.wal_load(r)?;
         self.adjacency.wal_load(r)?;
-        self.counts.wal_load(r)?;
+        self.load_counts(r)?;
         self.window.wal_load(r)?;
         self.matcher.wal_load(r)?;
         self.stats = LoomStats {

@@ -752,26 +752,14 @@ impl OnlineAdjacency {
 
     /// Record an arrived edge (both directions), growing the vertex
     /// range as needed. In bounded mode the edge that falls off the
-    /// horizon (if any) is aged out silently; callers that maintain
-    /// derived state from the adjacency (see [`NeighborCounts`]) must
-    /// use [`OnlineAdjacency::add_expiring_into`] instead, so they can
-    /// observe the expiry.
-    pub fn add(&mut self, e: &StreamEdge) {
+    /// horizon, if any, ages out and is returned.
+    pub fn add(&mut self, e: &StreamEdge) -> Option<(VertexId, VertexId)> {
         self.insert(e);
-        if self.expire_oldest().is_some() {
+        let expired = self.expire_oldest();
+        if expired.is_some() {
             self.maybe_compact();
         }
-    }
-
-    /// [`OnlineAdjacency::add`], pushing the edge (if any) that aged
-    /// out of the horizon onto `expired` — the hook point for keeping
-    /// [`NeighborCounts`] rows equal to the *retained* scan.
-    pub fn add_expiring_into(&mut self, e: &StreamEdge, expired: &mut Vec<(VertexId, VertexId)>) {
-        self.insert(e);
-        if let Some(old) = self.expire_oldest() {
-            expired.push(old);
-            self.maybe_compact();
-        }
+        expired
     }
 
     fn insert(&mut self, e: &StreamEdge) {
@@ -887,6 +875,19 @@ impl OnlineAdjacency {
         }
     }
 
+    /// Add `v`'s retained neighbours to `acc` by partition: `acc[p]`
+    /// gains `|N(v) ∩ S_p|`, counted with multiplicity, unassigned
+    /// neighbours skipped. LDG's affinity row, the one scan every
+    /// scorer over this store shares. `acc` holds `state.k()` cells.
+    #[inline]
+    pub fn partition_counts_into(&self, v: VertexId, state: &PartitionState, acc: &mut [u32]) {
+        for &w in self.neighbors(v) {
+            if let Some(p) = state.partition_of(w) {
+                acc[p.index()] += 1;
+            }
+        }
+    }
+
     /// Degree of `v` within the retention horizon.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -906,7 +907,7 @@ impl OnlineAdjacency {
 
     /// Serialize the adjacency for a crash-recovery checkpoint
     /// (DESIGN.md §15). Rows are written *exactly* as resident —
-    /// dead prefixes, the encoding's spill flag ([`WIRE_SPILLED`]) and
+    /// dead prefixes, the encoding's spill flag (`WIRE_SPILLED`) and
     /// the aged-row worklist included — because compaction triggers off
     /// resident populations: a "cleaned" reload would compact at
     /// different edges than the uninterrupted run and break
@@ -998,41 +999,20 @@ impl OnlineAdjacency {
     }
 }
 
-/// Incrementally maintained per-vertex partition-neighbour counters —
-/// the O(k)-per-decision replacement for the O(deg) adjacency scans
-/// (DESIGN.md §10).
+/// Incrementally maintained per-vertex partition-neighbour counters,
+/// the O(k)-per-decision form of the O(deg) adjacency scan
+/// ([`OnlineAdjacency::partition_counts_into`]) for the passes that
+/// re-score vertices whose neighbourhood they already know: the
+/// restream pass and the vertex-stream variants (DESIGN.md §10). Loom
+/// keeps no table; it scans the retained adjacency when it scores.
 ///
-/// Invariant (restated against retention, DESIGN.md §11): `counts(v)[p]`
-/// equals the number of entries `w` in the companion
-/// [`OnlineAdjacency`]'s **retained** `neighbors(v)` with `w` assigned
-/// to partition `p` (counted with multiplicity, exactly as a scan of
-/// the retained row would). In unbounded mode "retained" is "ever
-/// seen" and this is the original invariant. It is maintained by three
-/// O(1)/O(deg) hooks:
-///
-/// - [`NeighborCounts::on_edge_arrival`], called right after the edge
-///   is added to the adjacency: each endpoint whose *other* endpoint
-///   is already assigned gains one count — the scan would now see that
-///   neighbour too;
-/// - [`NeighborCounts::on_assign`], called when a vertex is
-///   permanently placed: one walk over the assignee's current
-///   *retained* adjacency credits the new placement to every
-///   neighbour's row;
-/// - [`NeighborCounts::on_edge_expired`], called for each edge the
-///   bounded adjacency ages out: each endpoint whose other endpoint is
-///   assigned *now* loses one count — the retained scan no longer sees
-///   that neighbour.
-///
-/// Every (adjacency entry, assignment) pair is thus counted exactly
-/// once while both are in effect — credited at whichever of the two
-/// events happens second, debited when the entry ages out. The debit
-/// mirrors the credit exactly: expiry processing is eager (it runs
-/// inside every add, before any decision reads a row), so an entry
-/// that aged out before its endpoint was assigned was never credited
-/// and is never debited. Reads are therefore bit-identical to the
-/// verbatim retained scan (property-tested in `tests/properties.rs`
-/// against reference implementations, including under
-/// arrival/assignment/expiry interleavings).
+/// Invariant: `counts(v)[p]` equals the number of `v`'s neighbours
+/// credited to partition `p`, with multiplicity. The restream pass
+/// keeps it equal to the scan of its adjacency against the
+/// current-or-prior placement by seeding rows with
+/// [`NeighborCounts::credit`] and moving them with
+/// [`NeighborCounts::on_reassign`]; the vertex streams credit each
+/// arrival's placement to its listed neighbours.
 #[derive(Clone, Debug)]
 pub struct NeighborCounts {
     k: usize,
@@ -1044,25 +1024,18 @@ pub struct NeighborCounts {
 }
 
 impl NeighborCounts {
-    /// Empty counter table for `k` partitions.
+    /// Counter table for `k` partitions, pre-sized for `num_vertices`
+    /// vertices; rows past them register on first credit.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
+    pub fn with_capacity(k: usize, num_vertices: usize) -> Self {
         assert!(k > 0, "k must be positive");
         NeighborCounts {
             k,
-            counts: Vec::new(),
+            counts: vec![0; num_vertices * k],
             zeros: vec![0; k],
         }
-    }
-
-    /// Counter table pre-sized for `num_vertices` vertices (a capacity
-    /// hint for prescient runs; behaviour is identical).
-    pub fn with_capacity(k: usize, num_vertices: usize) -> Self {
-        let mut c = Self::new(k);
-        c.counts = vec![0; num_vertices * k];
-        c
     }
 
     #[inline]
@@ -1091,53 +1064,6 @@ impl NeighborCounts {
         }
     }
 
-    /// Record an arrived edge *after* it was added to the adjacency:
-    /// if an endpoint is already assigned, the other endpoint's row
-    /// gains that placement (the scan would now see the new entry).
-    #[inline]
-    pub fn on_edge_arrival(&mut self, e: &StreamEdge, state: &PartitionState) {
-        if let Some(p) = state.partition_of(e.dst) {
-            *self.cell_mut(e.src, p) += 1;
-        }
-        if let Some(p) = state.partition_of(e.src) {
-            *self.cell_mut(e.dst, p) += 1;
-        }
-    }
-
-    /// Record the permanent placement of `v` on `p`: every currently
-    /// *retained* neighbour's row gains the placement, with
-    /// multiplicity. One O(deg(v)) walk per *assignment* (each vertex
-    /// is assigned once), in exchange for O(k) *decisions* forever
-    /// after. Adjacency entries of `v` that already aged out are
-    /// correctly skipped: their reverse entries aged out at the same
-    /// instant, so the retained scan of a neighbour's row must not see
-    /// the placement either.
-    pub fn on_assign(&mut self, v: VertexId, p: PartitionId, adjacency: &OnlineAdjacency) {
-        for &w in adjacency.neighbors(v) {
-            *self.cell_mut(w, p) += 1;
-        }
-    }
-
-    /// Record that the edge `(u, v)` aged out of the bounded
-    /// adjacency: each endpoint whose other endpoint is currently
-    /// assigned loses that placement from its row — the retained scan
-    /// no longer sees the entry. Exact mirror of
-    /// [`NeighborCounts::on_edge_arrival`]; call it with every pair
-    /// drained by [`OnlineAdjacency::add_expiring_into`].
-    #[inline]
-    pub fn on_edge_expired(&mut self, u: VertexId, v: VertexId, state: &PartitionState) {
-        if let Some(p) = state.partition_of(v) {
-            let cell = self.cell_mut(u, p);
-            debug_assert!(*cell > 0, "expiry debit without a matching credit");
-            *cell -= 1;
-        }
-        if let Some(p) = state.partition_of(u) {
-            let cell = self.cell_mut(v, p);
-            debug_assert!(*cell > 0, "expiry debit without a matching credit");
-            *cell -= 1;
-        }
-    }
-
     /// Move a previously credited placement of `v` from partition
     /// `from` to `to` in every neighbour's row — the restream pass uses
     /// this when the current pass overrides a prior-pass placement.
@@ -1162,31 +1088,6 @@ impl NeighborCounts {
     #[inline]
     pub fn credit(&mut self, v: VertexId, p: PartitionId) {
         *self.cell_mut(v, p) += 1;
-    }
-
-    /// Serialize the counter table for a crash-recovery checkpoint
-    /// (DESIGN.md §15): the flat `[vertex][partition]` cells, verbatim
-    /// — registration extent included, since `counts.len()` is itself
-    /// observable state (which vertices have registered rows).
-    pub fn wal_save(&self, w: &mut ByteWriter) {
-        w.u64(self.counts.len() as u64);
-        for &c in &self.counts {
-            w.u32(c);
-        }
-    }
-
-    /// Inverse of [`NeighborCounts::wal_save`], applied to a freshly
-    /// constructed table for the same `k`.
-    pub fn wal_load(&mut self, r: &mut ByteReader) -> Result<(), WalError> {
-        let n = r.len_prefix(4)?;
-        if n % self.k != 0 {
-            return Err(WalError::Corrupt(format!(
-                "neighbor counts: {n} cells is not a whole number of k = {} rows",
-                self.k
-            )));
-        }
-        self.counts = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-        Ok(())
     }
 }
 
@@ -1315,21 +1216,20 @@ mod tests {
     #[test]
     fn bounded_adjacency_reports_expired_edges() {
         let mut adj = OnlineAdjacency::bounded(1);
-        let mut expired = Vec::new();
-        adj.add_expiring_into(&edge(0, 3, 4), &mut expired);
-        assert!(expired.is_empty(), "nothing beyond the horizon yet");
-        adj.add_expiring_into(&edge(1, 4, 5), &mut expired);
-        assert_eq!(expired, vec![(VertexId(3), VertexId(4))]);
+        assert_eq!(
+            adj.add(&edge(0, 3, 4)),
+            None,
+            "nothing beyond the horizon yet"
+        );
+        assert_eq!(adj.add(&edge(1, 4, 5)), Some((VertexId(3), VertexId(4))));
     }
 
     #[test]
     fn unbounded_adjacency_never_expires() {
         let mut adj = OnlineAdjacency::new();
-        let mut expired = Vec::new();
         for i in 0..100u32 {
-            adj.add_expiring_into(&edge(i, 0, i + 1), &mut expired);
+            assert_eq!(adj.add(&edge(i, 0, i + 1)), None);
         }
-        assert!(expired.is_empty());
         assert_eq!(adj.degree(VertexId(0)), 100);
         let occ = adj.occupancy();
         assert_eq!(occ.live_entries, 200);
@@ -1430,34 +1330,6 @@ mod tests {
             AdjacencyHorizon::default(),
             AdjacencyHorizon::Windows(AdjacencyHorizon::DEFAULT_WINDOW_MULTIPLE)
         );
-    }
-
-    #[test]
-    fn expiry_hook_keeps_counts_equal_to_retained_scan() {
-        let k = 3;
-        let mut state = PartitionState::new(k, CapacityModel::Adaptive, 1.1);
-        let mut adj = OnlineAdjacency::bounded(3);
-        let mut counts = NeighborCounts::new(k);
-        let mut expired = Vec::new();
-        state.assign(VertexId(1), PartitionId(0));
-        state.assign(VertexId(2), PartitionId(1));
-        for (i, (u, v)) in [(0, 1), (0, 2), (0, 1), (0, 2), (0, 1)].iter().enumerate() {
-            let e = edge(i as u32, *u, *v);
-            expired.clear();
-            adj.add_expiring_into(&e, &mut expired);
-            counts.on_edge_arrival(&e, &state);
-            for &(a, b) in &expired {
-                counts.on_edge_expired(a, b, &state);
-            }
-            // Row 0 must equal a scan of the retained adjacency.
-            let mut scan = vec![0u32; k];
-            for &w in adj.neighbors(VertexId(0)) {
-                if let Some(p) = state.partition_of(w) {
-                    scan[p.index()] += 1;
-                }
-            }
-            assert_eq!(counts.counts(VertexId(0)), scan.as_slice(), "edge {i}");
-        }
     }
 
     #[test]

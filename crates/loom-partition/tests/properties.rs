@@ -5,7 +5,7 @@ use loom_graph::{EdgeId, Label, PartitionId, StreamEdge, VertexId};
 use loom_partition::{
     auction, choose_weighted, fennel_choose, ldg_choose, ration, AdjacencyHorizon, AuctionMatch,
     CapacityModel, EoParams, FennelParams, FennelPartitioner, HashPartitioner, LdgPartitioner,
-    NeighborCounts, OnlineAdjacency, PartitionState, StreamPartitioner,
+    OnlineAdjacency, PartitionState, StreamPartitioner,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -297,9 +297,9 @@ proptest! {
 }
 
 /// Verbatim scan-based reference partitioners — the pre-counter code,
-/// kept as behavioural oracles: the production partitioners now score
-/// through maintained `NeighborCounts` rows, and these re-derive every
-/// score by scanning `OnlineAdjacency::neighbors` at decision time.
+/// kept as behavioural oracles: the edge-stream baselines score through
+/// one-hot first-sight rows, and these re-derive every score by
+/// scanning `OnlineAdjacency::neighbors` at decision time.
 /// The counter suite below asserts bit-equality of the resulting
 /// assignments on random streams under both capacity models.
 mod scan_reference {
@@ -512,64 +512,6 @@ proptest! {
         }
     }
 
-    /// The `NeighborCounts` invariant itself, under an arbitrary
-    /// interleaving of edge arrivals and (possibly late) assignments —
-    /// the Loom pattern, where window-buffered vertices accumulate
-    /// adjacency long before they are placed: every row always equals
-    /// the verbatim scan of the companion adjacency.
-    #[test]
-    fn neighbor_counts_match_scan_under_interleaving(
-        k in 2usize..6,
-        ops in 1usize..120,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let n = 24u32;
-        let mut state = PartitionState::new(k, CapacityModel::Adaptive, 1.1);
-        let mut adjacency = OnlineAdjacency::new();
-        let mut counts = NeighborCounts::new(k);
-        let mut next_edge = 0u32;
-        for _ in 0..ops {
-            if rng.gen_bool(0.6) {
-                // An edge arrives (self-loops allowed on purpose).
-                let e = StreamEdge {
-                    id: EdgeId(next_edge),
-                    src: VertexId(rng.gen_range(0..n)),
-                    dst: VertexId(rng.gen_range(0..n)),
-                    src_label: Label(0),
-                    dst_label: Label(0),
-                };
-                next_edge += 1;
-                adjacency.add(&e);
-                counts.on_edge_arrival(&e, &state);
-            } else {
-                // A (so far unassigned) vertex is permanently placed —
-                // possibly long after its adjacency accumulated.
-                let v = VertexId(rng.gen_range(0..n));
-                if !state.is_assigned(v) {
-                    let p = PartitionId(rng.gen_range(0..k) as u32);
-                    state.assign(v, p);
-                    counts.on_assign(v, p, &adjacency);
-                }
-            }
-            // Invariant: every row equals the scan.
-            for v in 0..n {
-                let v = VertexId(v);
-                let mut scan = vec![0u32; k];
-                for &w in adjacency.neighbors(v) {
-                    if let Some(p) = state.partition_of(w) {
-                        scan[p.index()] += 1;
-                    }
-                }
-                prop_assert_eq!(
-                    counts.counts(v),
-                    scan.as_slice(),
-                    "counter row diverged from scan at {:?}", v
-                );
-            }
-        }
-    }
-
     /// Restream: the counter-seeded pass is bit-identical to one driven
     /// by the scan-based reference chooser.
     #[test]
@@ -701,81 +643,6 @@ proptest! {
         prop_assert_eq!(occ.entries_ever, 2 * extent);
     }
 
-    /// The restated `NeighborCounts` invariant under arbitrary
-    /// interleavings of edge arrivals, (possibly late) assignments and
-    /// horizon evictions: every counter row always equals a scan of
-    /// the *retained* adjacency, recomputed here from an independent
-    /// shadow log of the stream (not from the store under test).
-    #[test]
-    fn neighbor_counts_match_retained_scan_under_eviction(
-        k in 2usize..6,
-        horizon in 1u64..24,
-        ops in 1usize..140,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let n = 20u32;
-        let mut state = PartitionState::new(k, CapacityModel::Adaptive, 1.1);
-        let mut adjacency = OnlineAdjacency::bounded(horizon);
-        let mut counts = NeighborCounts::new(k);
-        let mut expired = Vec::new();
-        // The shadow: every edge ever, in arrival order. Retained =
-        // the last `horizon` of them.
-        let mut log: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut next_edge = 0u32;
-        for _ in 0..ops {
-            if rng.gen_bool(0.6) {
-                let e = StreamEdge {
-                    id: EdgeId(next_edge),
-                    src: VertexId(rng.gen_range(0..n)),
-                    dst: VertexId(rng.gen_range(0..n)),
-                    src_label: Label(0),
-                    dst_label: Label(0),
-                };
-                next_edge += 1;
-                log.push((e.src, e.dst));
-                expired.clear();
-                adjacency.add_expiring_into(&e, &mut expired);
-                counts.on_edge_arrival(&e, &state);
-                for &(u, v) in &expired {
-                    counts.on_edge_expired(u, v, &state);
-                }
-            } else {
-                let v = VertexId(rng.gen_range(0..n));
-                if !state.is_assigned(v) {
-                    let p = PartitionId(rng.gen_range(0..k) as u32);
-                    state.assign(v, p);
-                    counts.on_assign(v, p, &adjacency);
-                }
-            }
-            // Oracle: scan the retained suffix of the shadow log.
-            let retained_from = log.len().saturating_sub(horizon as usize);
-            let mut scan = vec![vec![0u32; k]; n as usize];
-            for &(u, w) in &log[retained_from..] {
-                if let Some(p) = state.partition_of(w) {
-                    scan[u.index()][p.index()] += 1;
-                }
-                if let Some(p) = state.partition_of(u) {
-                    scan[w.index()][p.index()] += 1;
-                }
-            }
-            for v in 0..n {
-                let v = VertexId(v);
-                prop_assert_eq!(
-                    counts.counts(v),
-                    scan[v.index()].as_slice(),
-                    "counter row diverged from the retained scan at {:?}", v
-                );
-                // The store's own retained view agrees with the shadow.
-                let mut from_log = 0usize;
-                for &(u, w) in &log[retained_from..] {
-                    from_log += (u == v) as usize + (w == v) as usize;
-                }
-                prop_assert_eq!(adjacency.degree(v), from_log);
-            }
-        }
-    }
-
     /// Vertex-stream variants: counter-credited scoring equals the
     /// scan of each arrival's own neighbour list.
     #[test]
@@ -882,7 +749,6 @@ proptest! {
         let mut model: Vec<VecDeque<VertexId>> = vec![VecDeque::new(); n as usize];
         let mut ring: VecDeque<(VertexId, VertexId)> = VecDeque::new();
         let (mut dead, mut generation) = (0usize, 0u64);
-        let mut expired = Vec::new();
         let save = |adjacency: &OnlineAdjacency| {
             let mut w = ByteWriter::new();
             adjacency.wal_save(&mut w);
@@ -904,18 +770,17 @@ proptest! {
                 src_label: Label(0),
                 dst_label: Label(0),
             };
-            expired.clear();
-            adjacency.add_expiring_into(&e, &mut expired);
+            let expired = adjacency.add(&e);
             model[src.index()].push_back(dst);
             model[dst.index()].push_back(src);
             ring.push_back((src, dst));
-            let mut want_expired = Vec::new();
+            let mut want_expired = None;
             if ring.len() as u64 > horizon {
                 let (u, v) = ring.pop_front().unwrap();
                 for (from, to) in [(u, v), (v, u)] {
                     prop_assert_eq!(model[from.index()].pop_front(), Some(to));
                 }
-                want_expired.push((u, v));
+                want_expired = Some((u, v));
                 dead += 2;
                 let live = 2 * ring.len();
                 if dead > live && live + dead >= 4_096 {
@@ -923,7 +788,7 @@ proptest! {
                     generation += 1;
                 }
             }
-            prop_assert_eq!(&expired, &want_expired, "expired edge at {}", i);
+            prop_assert_eq!(expired, want_expired, "expired edge at {}", i);
             for v in 0..n {
                 let v = VertexId(v);
                 prop_assert!(
