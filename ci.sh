@@ -191,7 +191,7 @@ echo "adjacency oracle: 8 master seeds passed"
 stage "checkpoint bytes"
 # The checkpoint-format goldens, by name: the seeded WAL runs'
 # checkpoint and journal bytes (wal_golden, including the ProvGen-small
-# run that pins Loom's neighbour-count block) and the bounded
+# run that pins every checkpoint it writes) and the bounded
 # adjacency's encoding under a biting horizon (adjacency_golden). Also
 # in tier-1 above; a byte drift names itself here. A filter that
 # matches no test fails the stage.
@@ -456,6 +456,23 @@ if [ "$MODE" = full ]; then
   fi
   if [ "$CKPT_FILES" -gt 2 ] || [ "$JOURNAL_BYTES" -gt "$JOURNAL_CEILING" ]; then
     echo "recovery smoke: WAL directory over its ceiling (${CKPT_FILES} checkpoints > 2, or ${JOURNAL_BYTES} journal bytes > ${JOURNAL_CEILING})" >&2
+    exit 1
+  fi
+  # The checkpoint-size ceiling: the newest checkpoint, at edge 1M,
+  # read 4 587 118 bytes in format 2 (10 517 330 in format 1, which
+  # also wrote a derivable neighbour-count block, an empty accumulator
+  # and a zero row per vertex); the ceiling is that + 15%, so a
+  # derivable block that comes back fails here.
+  NEWEST_CKPT=$(find "$WAL_DIR" -maxdepth 1 -type f -name 'ckpt-*' ! -name '*.tmp' | sort | tail -n 1)
+  if [ -z "$NEWEST_CKPT" ]; then
+    echo "recovery smoke: no checkpoint in $WAL_DIR — the checkpoint-size ceiling measured nothing" >&2
+    exit 1
+  fi
+  CKPT_BYTES=$(stat -c %s "$NEWEST_CKPT")
+  CKPT_CEILING=$((4587118 * 115 / 100))
+  echo "recovery smoke ceiling: newest checkpoint $(basename "$NEWEST_CKPT") ${CKPT_BYTES} bytes (ceiling ${CKPT_CEILING})"
+  if [ "$CKPT_BYTES" -gt "$CKPT_CEILING" ]; then
+    echo "recovery smoke: newest checkpoint ${CKPT_BYTES} bytes > ${CKPT_CEILING}: is a derivable block back in the checkpoint?" >&2
     exit 1
   fi
   echo "recovery smoke: disk ceiling holds"

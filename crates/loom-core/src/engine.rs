@@ -549,8 +549,11 @@ impl OnlineEngine {
     /// journal's first edge (a corrupt or missing newest falls back to
     /// the one before it; none at all means full replay from edge 0 —
     /// possible only while the journal still starts there, before the
-    /// first rotation), load its engine + partitioner state, read the
-    /// journal's segments in order — truncating a torn tail after the
+    /// first rotation; a checkpoint in another format version is passed
+    /// over likewise, and is the error, [`WalError::FormatVersion`],
+    /// when it leaves nothing to replay from), load its engine +
+    /// partitioner state, read the journal's segments in order —
+    /// truncating a torn tail after the
     /// last checksummed record of the last segment — and replay the
     /// durable edges past the checkpoint through the normal ingest
     /// path, re-firing cadence snapshots into `on_snapshot` as they are
@@ -582,8 +585,11 @@ impl OnlineEngine {
         // Newest readable checkpoint the journal still reaches wins;
         // Io/Corrupt fall back to the previous one (atomic writes mean
         // at most the newest is torn, but degraded media can lose any
-        // of them).
+        // of them). A checkpoint in another format version is passed
+        // over the same way, and remembered: it, not rotation, is why
+        // nothing may be left to resume from.
         let mut ckpt: Option<Checkpoint> = None;
+        let mut other_format = None;
         for (_, name) in list_checkpoints(&*backend)?.iter().rev() {
             match read_checkpoint(&*backend, name) {
                 Ok(c) if c.edges >= journal_first => {
@@ -593,11 +599,17 @@ impl OnlineEngine {
                 // Older ones start further before the journal.
                 Ok(_) => break,
                 Err(WalError::Io(_)) | Err(WalError::Corrupt(_)) => continue,
+                Err(e @ WalError::FormatVersion { .. }) => {
+                    other_format.get_or_insert(e);
+                }
                 Err(e) => return Err(e),
             }
         }
         match &ckpt {
             None if journal_first > 0 => {
+                if let Some(e) = other_format {
+                    return Err(e);
+                }
                 return Err(WalError::Corrupt(format!(
                     "no readable checkpoint at or after stream edge {journal_first}, where \
                      the journal starts (rotation deleted the segments before it): \

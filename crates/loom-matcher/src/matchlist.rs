@@ -840,12 +840,18 @@ impl MatchList {
             w.u16(m.len);
             w.u128(m.edge_fp);
         }
-        // One row per vertex id the slot column covers, in vertex
-        // order, an unrowed vertex as length 0: slab order and free
-        // rows are capacity, not state.
-        w.u64(self.by_vertex.slot.len() as u64);
-        for v in 0..self.by_vertex.slot.len() {
-            let row = self.by_vertex.get(VertexId(v as u32));
+        // The rowed vertices only, ascending, each as its id and row:
+        // the slot column, slab order and free rows are layout, not
+        // state. Free rows are exactly the empty ones.
+        let by_vertex = &self.by_vertex;
+        w.u64((by_vertex.rows.len() - by_vertex.free.len()) as u64);
+        for (v, &s) in by_vertex.slot.iter().enumerate() {
+            if s == NO_ROW {
+                continue;
+            }
+            let row = &by_vertex.rows[s as usize];
+            debug_assert!(!row.is_empty(), "vertex {v} owns an empty row");
+            w.u32(v as u32);
             w.u64(row.len() as u64);
             for &(id, deg) in row {
                 w.u32(id.0);
@@ -924,28 +930,51 @@ impl MatchList {
             }
             Ok(MatchId(id))
         };
-        let nrows = r.len_prefix(8)?;
+        // A row is at least its vertex, its length and one entry. The
+        // slot column is sized by the last rowed vertex, never by a
+        // stored length.
+        let nrows = r.len_prefix(4 + 8 + 5)?;
         self.by_vertex = VertexRows::default();
-        self.by_vertex.slot = vec![NO_ROW; nrows];
-        for v in 0..nrows {
-            let n = r.len_prefix(5)?;
-            if n == 0 {
-                continue;
+        for i in 0..nrows {
+            let v = VertexId(r.u32()?);
+            let corrupt = |what: String| {
+                WalError::Corrupt(format!(
+                    "match arena: vertex row {i} (vertex {}) {what}",
+                    v.0
+                ))
+            };
+            if let Some(&prev) = self.by_vertex.owner.last() {
+                if prev >= v {
+                    return Err(corrupt(format!("does not ascend past vertex {}", prev.0)));
+                }
             }
+            let n = r.u64()?;
+            if n == 0 {
+                return Err(corrupt("is empty".to_string()));
+            }
+            if n > (r.remaining() / 5) as u64 {
+                return Err(corrupt(format!(
+                    "claims {n} entries, past the {} remaining bytes",
+                    r.remaining()
+                )));
+            }
+            let n = n as usize;
             let mut row = Row::with_capacity(n);
             for _ in 0..n {
                 let id = match_id(r, "a vertex row")?;
                 if row.last().is_some_and(|&(prev, _)| prev >= id) {
-                    return Err(WalError::Corrupt(format!(
-                        "match arena: vertex {v}'s row is not ascending at match {}",
-                        id.0
-                    )));
+                    return Err(corrupt(format!("is not ascending at match {}", id.0)));
                 }
                 row.push((id, r.u8()?));
             }
-            self.by_vertex.slot[v] = self.by_vertex.rows.len() as u32;
             self.by_vertex.rows.push(row);
-            self.by_vertex.owner.push(VertexId(v as u32));
+            self.by_vertex.owner.push(v);
+        }
+        if let Some(last) = self.by_vertex.owner.last() {
+            self.by_vertex.slot = vec![NO_ROW; last.index() + 1];
+        }
+        for (s, v) in self.by_vertex.owner.iter().enumerate() {
+            self.by_vertex.slot[v.index()] = s as u32;
         }
         let nedges = r.len_prefix(12)?;
         self.by_edge = FxHashMap::default();
@@ -1196,17 +1225,17 @@ mod tests {
 
     #[test]
     fn wal_load_rejects_index_ids_outside_the_arena() {
-        // One match over edge 0 = (1, 2): vertex rows 0, 1, 2, and row
-        // 1 holds the match's id. Byte layout up to that id: the cell
-        // count and one cell (parent u32 + a 16-byte edge), the match
-        // count and one `Meta` (u32, u32, u16, u128), the row count,
-        // row 0's length (0) and row 1's length (1).
+        // One match over edge 0 = (1, 2): vertices 1 and 2 are rowed,
+        // and vertex 1's row holds the match's id. Byte layout up to
+        // that id: the cell count and one cell (parent u32 + a 16-byte
+        // edge), the match count and one `Meta` (u32, u32, u16, u128),
+        // the row count, vertex 1's id and its row's length (1).
         let mut ml = MatchList::new();
         ml.insert_single(se(0, 1, 2), MotifId(0));
         let mut w = loom_wal::ByteWriter::new();
         ml.wal_save(&mut w);
         let good = w.into_bytes();
-        let row1_id = (8 + 20) + (8 + 26) + 8 + 8 + 8;
+        let row1_id = (8 + 20) + (8 + 26) + 8 + 4 + 8;
         assert_eq!(good[row1_id..row1_id + 4], 0u32.to_le_bytes());
         assert!(MatchList::new()
             .wal_load(&mut loom_wal::ByteReader::new(&good))

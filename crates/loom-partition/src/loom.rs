@@ -15,7 +15,7 @@ use crate::equal_opportunism::{auction_with_scratch, AuctionMatch, EoParams};
 use crate::ldg::choose_weighted;
 use crate::state::{AdjacencyHorizon, Assignment, CapacityModel, OnlineAdjacency, PartitionState};
 use crate::traits::StreamPartitioner;
-use loom_graph::{PartitionId, StreamEdge, VertexId, Workload};
+use loom_graph::{StreamEdge, Workload};
 use loom_matcher::MatchId;
 use loom_matcher::{EdgeFate, MotifMatcher, SlidingWindow};
 use loom_motif::{LabelRandomizer, TpsTrie};
@@ -102,14 +102,6 @@ impl LoomConfig {
 pub struct LoomPartitioner {
     state: PartitionState,
     adjacency: OnlineAdjacency,
-    /// Rows in the checkpoint's neighbour-count block: one past the
-    /// largest vertex whose count row was ever credited — a vertex
-    /// whose partner was placed, either before their edge arrived or
-    /// after, while the edge was retained — and at least the prescient
-    /// vertex count. The block is scanned from the adjacency on save
-    /// and checked against it on load; this watermark is the only
-    /// state it holds.
-    counts_extent: usize,
     window: SlidingWindow,
     matcher: MotifMatcher,
     eo: EoParams,
@@ -178,7 +170,6 @@ impl LoomPartitioner {
         LoomPartitioner {
             state: PartitionState::new(config.k, config.capacity, config.capacity_slack),
             adjacency: OnlineAdjacency::with_retention(horizon, num_vertices),
-            counts_extent: num_vertices,
             window: SlidingWindow::new(config.window_size),
             matcher: MotifMatcher::new(motifs, rand),
             eo: config.eo,
@@ -260,68 +251,9 @@ impl LoomPartitioner {
                 row.resize(self.state.k(), 0);
                 self.adjacency.partition_counts_into(v, &self.state, row);
                 let p = choose_weighted(&self.state, row);
-                self.place(v, p);
+                self.state.assign(v, p);
             }
         }
-    }
-
-    /// Assign `v` to `p`. Placing `v` credits it to the count row of
-    /// every retained neighbour, so the checkpoint's count block must
-    /// cover them.
-    fn place(&mut self, v: VertexId, p: PartitionId) {
-        self.state.assign(v, p);
-        if let Some(w) = self.adjacency.neighbors(v).iter().max() {
-            self.counts_extent = self.counts_extent.max(w.index() + 1);
-        }
-    }
-
-    /// Write the checkpoint's neighbour-count block: `counts_extent`
-    /// rows of `k` cells, each the scan of the retained adjacency.
-    fn save_counts(&self, w: &mut loom_wal::ByteWriter) {
-        let k = self.state.k();
-        w.u64((self.counts_extent * k) as u64);
-        let mut row = vec![0u32; k];
-        for v in 0..self.counts_extent {
-            row.fill(0);
-            self.adjacency
-                .partition_counts_into(VertexId(v as u32), &self.state, &mut row);
-            for &c in &row {
-                w.u32(c);
-            }
-        }
-    }
-
-    /// Read the neighbour-count block [`LoomPartitioner::save_counts`]
-    /// wrote, after the partition state and the adjacency it was
-    /// scanned from. Every row must equal the scan of what was just
-    /// loaded: a row that does not would steer placements the
-    /// uninterrupted run never made.
-    fn load_counts(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
-        use loom_wal::WalError;
-        let k = self.state.k();
-        let n = r.len_prefix(4)?;
-        if n % k != 0 {
-            return Err(WalError::Corrupt(format!(
-                "neighbor counts: {n} cells is not a whole number of k = {k} rows"
-            )));
-        }
-        let mut row = vec![0u32; k];
-        for v in 0..n / k {
-            row.fill(0);
-            self.adjacency
-                .partition_counts_into(VertexId(v as u32), &self.state, &mut row);
-            for (p, &want) in row.iter().enumerate() {
-                let got = r.u32()?;
-                if got != want {
-                    return Err(WalError::Corrupt(format!(
-                        "neighbor counts row {v}: partition {p} holds {got}, \
-                         the adjacency scan gives {want}"
-                    )));
-                }
-            }
-        }
-        self.counts_extent = n / k;
-        Ok(())
     }
 
     /// Auction the evicted edge's matches and place the winners (§4).
@@ -459,7 +391,7 @@ impl LoomPartitioner {
         for edge in edges.drain(..) {
             for v in [edge.src, edge.dst] {
                 if !self.state.is_assigned(v) {
-                    self.place(v, outcome.winner);
+                    self.state.assign(v, outcome.winner);
                 }
             }
             if edge.id != e.id {
@@ -513,13 +445,6 @@ impl StreamPartitioner for LoomPartitioner {
     fn on_edge(&mut self, e: &StreamEdge) {
         let t = self.clock();
         self.adjacency.add(e);
-        // The checkpoint's count block must cover an endpoint whose
-        // partner is already placed: its row holds that placement now.
-        for (v, other) in [(e.src, e.dst), (e.dst, e.src)] {
-            if v.index() >= self.counts_extent && self.state.is_assigned(other) {
-                self.counts_extent = v.index() + 1;
-            }
-        }
         self.lap(t, |p| &mut p.window_ns);
         let t = self.clock();
         let fate = self.matcher.on_edge(*e);
@@ -572,15 +497,15 @@ impl StreamPartitioner for LoomPartitioner {
 
     /// Checkpoint everything a resumed Loom needs to continue
     /// bit-identically: partition columns, streaming adjacency, the
-    /// neighbour-count block, the sliding window (tombstones included),
-    /// the match arena with its compaction watermark, and the stats the
-    /// evaluation reads back. Motif tables, the LUT and eo/allocation
-    /// parameters are config — the checkpoint fingerprint guarantees
-    /// they match on resume.
+    /// sliding window (tombstones included), the match arena with its
+    /// compaction watermark, and the stats the evaluation reads back.
+    /// No `|N(v) ∩ S_i|` row is written: each is the scan of the
+    /// adjacency and the columns. Motif tables, the LUT and
+    /// eo/allocation parameters are config — the checkpoint fingerprint
+    /// guarantees they match on resume.
     fn save_state(&self, w: &mut loom_wal::ByteWriter) -> Result<(), loom_wal::WalError> {
         self.state.wal_save(w);
         self.adjacency.wal_save(w);
-        self.save_counts(w);
         self.window.wal_save(w);
         self.matcher.wal_save(w);
         w.u64(self.stats.bypassed);
@@ -594,7 +519,6 @@ impl StreamPartitioner for LoomPartitioner {
     fn load_state(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
         self.state.wal_load(r)?;
         self.adjacency.wal_load(r)?;
-        self.load_counts(r)?;
         self.window.wal_load(r)?;
         self.matcher.wal_load(r)?;
         self.stats = LoomStats {

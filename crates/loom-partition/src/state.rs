@@ -278,9 +278,6 @@ impl PartitionState {
     /// checkpoint fingerprint guarantees it matches. The aggregates
     /// are written alongside the column they derive from, so
     /// [`PartitionState::wal_load`] can check one against the other.
-    /// The trailing block — a count of 1, then `k + 1` zeros — is the
-    /// empty per-shard accumulator the checkpoint format (version 1)
-    /// has always carried; it keeps the bytes unchanged.
     pub fn wal_save(&self, w: &mut ByteWriter) {
         w.u64(self.assignment.len() as u64);
         for &cell in &self.assignment {
@@ -290,17 +287,12 @@ impl PartitionState {
         for &s in &self.sizes {
             w.u64(s as u64);
         }
-        w.u64(1);
-        for _ in 0..=self.k {
-            w.u64(0);
-        }
     }
 
     /// Inverse of [`PartitionState::wal_save`], applied to a freshly
     /// constructed state with the same config. The sizes and the
     /// assigned count are derived from the column; stored aggregates
-    /// that disagree with it, or a trailing block other than the empty
-    /// accumulator, are [`WalError::Corrupt`].
+    /// that disagree with it are [`WalError::Corrupt`].
     pub fn wal_load(&mut self, r: &mut ByteReader) -> Result<(), WalError> {
         let n = r.len_prefix(4)?;
         let mut assignment = Vec::with_capacity(n);
@@ -333,17 +325,6 @@ impl PartitionState {
                      the column holds {size}"
                 )));
             }
-        }
-        let accums = r.u64()?;
-        let mut nonzero = 0;
-        for _ in 0..=self.k {
-            nonzero += (r.u64()? != 0) as usize;
-        }
-        if accums != 1 || nonzero != 0 {
-            return Err(WalError::Corrupt(format!(
-                "partition state: trailing block holds {accums} accumulators and \
-                 {nonzero} nonzero counts, not the empty accumulator"
-            )));
         }
         self.assignment = assignment;
         self.sizes = sizes;
@@ -519,16 +500,6 @@ const ADJACENCY_RECLAIM_MIN_ENTRIES: usize = 4_096;
 /// to the spill slab.
 const INLINE_ROW: usize = 3;
 
-/// The inline threshold of the checkpoint encoding (version 1), which
-/// predates the 3-slot row: the encoding writes a row as its length
-/// and its entries, or as [`ROW_SPILLED`] once it outgrew this many
-/// (see [`WIRE_SPILLED`]).
-const WIRE_INLINE: usize = 8;
-
-/// Sentinel written in place of the inline length for a row the
-/// checkpoint encoding records as spilled.
-const ROW_SPILLED: u32 = u32::MAX;
-
 /// [`AdjacencyRow::meta`] bits 0–1: the entry count while inline.
 const LEN_MASK: u32 = 0b11;
 /// Bits 2–3: the head while inline.
@@ -536,14 +507,6 @@ const HEAD_SHIFT: u32 = 2;
 const HEAD_MASK: u32 = 0b11 << HEAD_SHIFT;
 /// Bit 4: the entries live in the spill slab at index `slots[0]`.
 const SPILLED: u32 = 1 << 4;
-/// Bit 5: the checkpoint encoding writes this row as [`ROW_SPILLED`].
-/// It keeps the encoding's own spill rule apart from the physical one:
-/// set when a row that the encoding writes inline gets its 9th entry,
-/// cleared by compaction unless more than [`WIRE_INLINE`] entries
-/// survive. On every reachable state it equals "more than 8 resident
-/// entries"; a flag rather than that rule makes save the exact inverse
-/// of load for every row the encoding accepts.
-const WIRE_SPILLED: u32 = 1 << 5;
 
 /// One vertex's neighbour list. Entries are appended in arrival order
 /// and age out in the same order, so the retained neighbourhood is
@@ -560,7 +523,7 @@ struct AdjacencyRow {
     /// The entries while inline; `slots[0]` is the slab index once
     /// spilled.
     slots: [VertexId; INLINE_ROW],
-    /// Inline length, inline head, [`SPILLED`] and [`WIRE_SPILLED`].
+    /// Inline length, inline head and [`SPILLED`].
     meta: u32,
 }
 
@@ -715,11 +678,7 @@ impl OnlineAdjacency {
         }
         let row = &mut self.rows[idx];
         if let Some(at) = row.spill() {
-            let nbrs = &mut self.spills[at].nbrs;
-            if nbrs.len() == WIRE_INLINE {
-                row.meta |= WIRE_SPILLED;
-            }
-            nbrs.push(to);
+            self.spills[at].nbrs.push(to);
             return;
         }
         let len = row.inline_len();
@@ -747,7 +706,7 @@ impl OnlineAdjacency {
             }
         };
         row.slots[0] = VertexId(at);
-        row.meta = SPILLED | (row.meta & WIRE_SPILLED);
+        row.meta = SPILLED;
     }
 
     /// Record an arrived edge (both directions), growing the vertex
@@ -842,9 +801,6 @@ impl OnlineAdjacency {
                 self.free_spills.push(at as u32);
                 continue;
             }
-            if len <= WIRE_INLINE {
-                row.meta &= !WIRE_SPILLED;
-            }
             // A once-hot row keeps its peak capacity forever otherwise;
             // give back the overhang.
             let want = 2 * len;
@@ -906,25 +862,19 @@ impl OnlineAdjacency {
     }
 
     /// Serialize the adjacency for a crash-recovery checkpoint
-    /// (DESIGN.md §15). Rows are written *exactly* as resident —
-    /// dead prefixes, the encoding's spill flag (`WIRE_SPILLED`) and
-    /// the aged-row worklist included — because compaction triggers off
-    /// resident populations: a "cleaned" reload would compact at
-    /// different edges than the uninterrupted run and break
-    /// bit-identity of the generation counter. The slab is layout and
-    /// is not written. Config (the horizon) is not written.
+    /// (DESIGN.md §15). Rows are written *exactly* as resident, each as
+    /// its length, head and entries — dead prefixes and the aged-row
+    /// worklist included — because compaction triggers off resident
+    /// populations: a "cleaned" reload would compact at different edges
+    /// than the uninterrupted run and break bit-identity of the
+    /// generation counter. Whether a row is inline or spilled is layout
+    /// and is not written; nor is the slab or the config (the horizon).
     pub fn wal_save(&self, w: &mut ByteWriter) {
         w.u64(self.rows.len() as u64);
         for row in &self.rows {
             let (entries, head) = self.resident(row);
-            if row.meta & WIRE_SPILLED != 0 {
-                w.u32(ROW_SPILLED);
-                w.u32(head as u32);
-                w.u64(entries.len() as u64);
-            } else {
-                w.u32(entries.len() as u32);
-                w.u32(head as u32);
-            }
+            w.u32(entries.len() as u32);
+            w.u32(head as u32);
             for &v in entries {
                 w.u32(v.0);
             }
@@ -945,39 +895,37 @@ impl OnlineAdjacency {
     }
 
     /// Inverse of [`OnlineAdjacency::wal_save`], applied to a freshly
-    /// constructed adjacency with the same config. The slab is rebuilt
-    /// from the rows' entry counts, in row order, with no free slots.
+    /// constructed adjacency with the same config. A row of more than
+    /// `INLINE_ROW` entries goes to the slab, which is rebuilt in row
+    /// order with no free slots.
     pub fn wal_load(&mut self, r: &mut ByteReader) -> Result<(), WalError> {
         let nrows = r.len_prefix(8)?;
         let mut rows = Vec::with_capacity(nrows);
         let mut spills = Vec::new();
         for i in 0..nrows {
-            let inline_len = r.u32()?;
+            let len = r.u32()? as usize;
             let head = r.u32()?;
-            let (len, wire) = if inline_len == ROW_SPILLED {
-                (r.len_prefix(4)?, WIRE_SPILLED)
-            } else if inline_len as usize > WIRE_INLINE {
+            if len > r.remaining() / 4 {
                 return Err(WalError::Corrupt(format!(
-                    "adjacency row {i}: inline length {inline_len} exceeds {WIRE_INLINE}"
+                    "adjacency row {i}: {len} entries exceed the {} remaining bytes",
+                    r.remaining()
                 )));
-            } else {
-                (inline_len as usize, 0)
-            };
-            let nbrs = (0..len)
-                .map(|_| r.u32().map(VertexId))
-                .collect::<Result<Vec<_>, _>>()?;
+            }
             if head as usize > len {
                 return Err(WalError::Corrupt(format!(
                     "adjacency row {i}: head {head} past its {len} entries"
                 )));
             }
+            let nbrs = (0..len)
+                .map(|_| r.u32().map(VertexId))
+                .collect::<Result<Vec<_>, _>>()?;
             let mut row = AdjacencyRow::EMPTY;
             if len <= INLINE_ROW {
                 row.slots[..len].copy_from_slice(&nbrs);
-                row.meta = len as u32 | head << HEAD_SHIFT | wire;
+                row.meta = len as u32 | head << HEAD_SHIFT;
             } else {
                 row.slots[0] = VertexId(spills.len() as u32);
-                row.meta = SPILLED | wire;
+                row.meta = SPILLED;
                 spills.push(Spill { head, nbrs });
             }
             rows.push(row);
@@ -1381,17 +1329,11 @@ mod tests {
         t.wal_load(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(t.sizes(), s.sizes());
         assert_eq!(t.assigned_count(), 10);
-        // Layout: column length, 10 cells, assigned, 3 sizes, then the
-        // accumulator block (a count and 4 zeros).
+        // Layout: column length, 10 cells, assigned, 3 sizes.
         let assigned_at = 8 + 4 * 10;
         let size1_at = assigned_at + 8 + 8;
-        let block_at = assigned_at + 8 + 8 * 3;
-        for (what, at) in [
-            ("assigned", assigned_at),
-            ("size of partition 1", size1_at),
-            ("accumulator count", block_at),
-            ("accumulator size", block_at + 8 * 2),
-        ] {
+        assert_eq!(bytes.len(), assigned_at + 8 + 8 * 3);
+        for (what, at) in [("assigned", assigned_at), ("size of partition 1", size1_at)] {
             let mut doctored = bytes.clone();
             doctored[at] ^= 1;
             let err = fresh().wal_load(&mut ByteReader::new(&doctored));

@@ -7,9 +7,9 @@
 //! instead: rows cross 3, 8 and 9 entries, age, spill, cool back below
 //! the spill threshold and empty out, and compaction fires many times.
 //! The `(length, FNV-1a)` pairs of `wal_save` at five points were
-//! recorded with the 64-byte row layout (8 inline slots and a spill
-//! `Vec` per row), before the rows shrank to 16 bytes; the row layout
-//! must not change a single checkpoint byte.
+//! recorded when the checkpoint format went to version 2, which writes
+//! every row one way (length, head, entries) whether it is inline or
+//! spilled; the row layout must not change a single checkpoint byte.
 
 use loom_graph::{EdgeId, Label, StreamEdge, VertexId};
 use loom_partition::OnlineAdjacency;
@@ -86,16 +86,16 @@ fn save(adj: &OnlineAdjacency) -> Vec<u8> {
 #[test]
 fn bounded_adjacency_leaves_the_recorded_checkpoint_bytes() {
     let want: [(u32, usize, u64); 5] = [
-        (4_000, 77_068, 17_120_112_795_053_420_484),
-        (8_000, 74_924, 7_396_536_186_072_689_372),
-        (12_000, 72_864, 794_504_774_866_201_505),
-        (16_000, 70_596, 13_375_591_480_453_489_107),
-        (20_000, 68_308, 9_237_894_225_589_757_883),
+        (4_000, 76_588, 9_579_363_557_016_304_100),
+        (8_000, 74_620, 9_090_777_700_183_413_444),
+        (12_000, 72_616, 8_310_435_687_124_970_893),
+        (16_000, 70_500, 1_885_554_586_027_289_275),
+        (20_000, 68_252, 3_359_766_479_493_340_863),
     ];
     let mut adj = OnlineAdjacency::bounded(HORIZON);
     // Highest retained degree each vertex reached: the stream must
-    // carry rows past 3 (the 16-byte row's inline slots), 8 and 9 (the
-    // v1 wire format's inline threshold and its first spilled length).
+    // carry rows past 3 (the 16-byte row's inline slots), and past 8
+    // and at 9, where format 1 switched row encodings.
     let mut peak = vec![0usize; 6_304];
     let mut got = Vec::new();
     for (i, e) in hub_heavy_stream(42).iter().enumerate() {

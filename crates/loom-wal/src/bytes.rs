@@ -31,6 +31,14 @@ pub enum WalError {
     /// at write time: the wrapped length would be a header every later
     /// read rejects.
     TooLarge { what: &'static str, bytes: usize },
+    /// A checkpoint in a format version other than the one this build
+    /// reads. Resume passes over it as over a damaged checkpoint, and
+    /// names it when nothing else is left to resume from.
+    FormatVersion {
+        checkpoint: String,
+        found: u32,
+        reads: u32,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -49,6 +57,14 @@ impl fmt::Display for WalError {
                 "wal frame too large: a {what} of {bytes} bytes does not fit the frame's \
                  u32 length field (limit {} bytes)",
                 u32::MAX
+            ),
+            WalError::FormatVersion {
+                checkpoint,
+                found,
+                reads,
+            } => write!(
+                f,
+                "wal format: checkpoint {checkpoint} is format {found}, this build reads format {reads}"
             ),
         }
     }

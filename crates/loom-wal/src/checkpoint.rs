@@ -16,7 +16,10 @@ use crate::bytes::{crc32, frame_len, ByteReader, ByteWriter, WalError};
 use crate::journal::StorageBackend;
 
 const MAGIC: u32 = 0x4C4F_4F4D; // "LOOM"
-const VERSION: u32 = 1;
+/// The checkpoint format. Format 2 writes only state: format 1's
+/// neighbour-count block, empty accumulator and zero-length vertex
+/// rows are gone (DESIGN.md §15).
+const VERSION: u32 = 2;
 /// Magic, version, checksum and length: the bytes before the payload.
 const HEADER_BYTES: usize = 16;
 
@@ -102,9 +105,11 @@ pub fn read_checkpoint(backend: &dyn StorageBackend, name: &str) -> Result<Check
     }
     let version = r.u32()?;
     if version != VERSION {
-        return Err(WalError::Corrupt(format!(
-            "checkpoint {name}: unsupported version {version} (this build reads {VERSION})"
-        )));
+        return Err(WalError::FormatVersion {
+            checkpoint: name.to_string(),
+            found: version,
+            reads: VERSION,
+        });
     }
     let crc = r.u32()?;
     let len = r.u32()? as usize;
@@ -234,6 +239,24 @@ mod tests {
             assert_eq!(back.fingerprint, ckpt.fingerprint);
             assert_eq!(back.edges, ckpt.edges);
             assert_eq!(back.state, ckpt.state);
+        }
+    }
+
+    #[test]
+    fn another_format_version_is_named_not_corrupt() {
+        let backend = MemBackend::new();
+        write_checkpoint(&backend, &sample(5)).unwrap();
+        let name = checkpoint_name(5);
+        let mut bytes = backend.contents(&name).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        backend.set_contents(&name, bytes);
+        match read_checkpoint(&backend, &name) {
+            Err(WalError::FormatVersion {
+                checkpoint,
+                found: 1,
+                reads: VERSION,
+            }) => assert_eq!(checkpoint, name),
+            other => panic!("a format-1 checkpoint read as {other:?}"),
         }
     }
 
