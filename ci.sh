@@ -192,22 +192,28 @@ stage "checkpoint bytes"
 # The checkpoint-format goldens, by name: the seeded WAL runs'
 # checkpoint and journal bytes (wal_golden, including the ProvGen-small
 # run that pins every checkpoint it writes) and the bounded
-# adjacency's encoding under a biting horizon (adjacency_golden). Also
-# in tier-1 above; a byte drift names itself here. A filter that
-# matches no test fails the stage.
-for golden in "loom-core wal_golden 2" "loom-partition adjacency_golden 1"; do
-  read -r pkg suite count <<< "$golden"
-  GOLDEN_OUT=$(cargo test -q --offline -p "$pkg" --test "$suite" 2>&1) || {
+# adjacency's encoding under a biting horizon (adjacency_golden). And
+# the kill/resume matrix, which is what lets a checkpoint hold live
+# content only: a resume one edge past every checkpoint boundary
+# rebuilds all four stores compacted at an edge the uninterrupted run
+# does not compact at, and every placement, digest and count must
+# still match (DESIGN.md §15). Also in tier-1 above; a byte drift or a
+# placement that reads layout names itself here. A filter that matches
+# no test fails the stage.
+for golden in "loom-core wal_golden 2" "loom-partition adjacency_golden 1" \
+    "loom-core recovery_equivalence 1 loom_kill_resume_matrix_is_bit_identical"; do
+  read -r pkg suite count name <<< "$golden"
+  GOLDEN_OUT=$(cargo test -q --offline -p "$pkg" --test "$suite" -- ${name:+--exact "$name"} 2>&1) || {
     echo "$GOLDEN_OUT"
     exit 1
   }
   if ! grep -q "^test result: ok. $count passed" <<< "$GOLDEN_OUT"; then
     echo "$GOLDEN_OUT"
-    echo "checkpoint bytes: $suite ran other than its $count test(s)" >&2
+    echo "checkpoint bytes: $suite${name:+ $name} ran other than its $count test(s)" >&2
     exit 1
   fi
 done
-echo "checkpoint bytes: wal_golden and adjacency_golden passed"
+echo "checkpoint bytes: wal_golden, adjacency_golden and the kill/resume matrix passed"
 
 stage "recovery suite (kill/resume matrix)"
 # The crash-recovery contract, by name: a run killed at any point —
@@ -459,20 +465,22 @@ if [ "$MODE" = full ]; then
     exit 1
   fi
   # The checkpoint-size ceiling: the newest checkpoint, at edge 1M,
-  # read 4 587 118 bytes in format 2 (10 517 330 in format 1, which
-  # also wrote a derivable neighbour-count block, an empty accumulator
-  # and a zero row per vertex); the ceiling is that + 15%, so a
-  # derivable block that comes back fails here.
+  # reads 2 817 226 bytes in format 3, which writes live content only
+  # (4 587 118 in format 2, which also wrote each store's compaction
+  # layout and an empty row per adjacency vertex id; 10 517 330 in
+  # format 1, which also wrote a derivable neighbour-count block); the
+  # ceiling is that + 15%, so dead entries or a derivable block that
+  # come back fail here.
   NEWEST_CKPT=$(find "$WAL_DIR" -maxdepth 1 -type f -name 'ckpt-*' ! -name '*.tmp' | sort | tail -n 1)
   if [ -z "$NEWEST_CKPT" ]; then
     echo "recovery smoke: no checkpoint in $WAL_DIR — the checkpoint-size ceiling measured nothing" >&2
     exit 1
   fi
   CKPT_BYTES=$(stat -c %s "$NEWEST_CKPT")
-  CKPT_CEILING=$((4587118 * 115 / 100))
+  CKPT_CEILING=$((2817226 * 115 / 100))
   echo "recovery smoke ceiling: newest checkpoint $(basename "$NEWEST_CKPT") ${CKPT_BYTES} bytes (ceiling ${CKPT_CEILING})"
   if [ "$CKPT_BYTES" -gt "$CKPT_CEILING" ]; then
-    echo "recovery smoke: newest checkpoint ${CKPT_BYTES} bytes > ${CKPT_CEILING}: is a derivable block back in the checkpoint?" >&2
+    echo "recovery smoke: newest checkpoint ${CKPT_BYTES} bytes > ${CKPT_CEILING}: is layout or a derivable block back in the checkpoint?" >&2
     exit 1
   fi
   echo "recovery smoke: disk ceiling holds"

@@ -557,9 +557,11 @@ impl OnlineEngine {
     /// last checksummed record of the last segment — and replay the
     /// durable edges past the checkpoint through the normal ingest
     /// path, re-firing cadence snapshots into `on_snapshot` as they are
-    /// crossed. Because every structure was serialized verbatim (dead
-    /// entries and all), the resumed engine is bit-identical to one
-    /// that never stopped.
+    /// crossed. A checkpoint holds live content only, so each store
+    /// comes back compacted; placements read live content alone, so
+    /// the resumed engine places, counts and digests bit-identically
+    /// to one that never stopped. Only its resident totals and
+    /// compaction generations follow the resume.
     ///
     /// Returns the number of durable edges recovered; the caller skips
     /// that many edges of its source before continuing the stream.
@@ -776,12 +778,12 @@ impl OnlineEngine {
         r.expect_end()
     }
 
-    /// Deep-equality digest of the recoverable state: the engine's
+    /// Content digest of the recoverable state: the engine's
     /// counters, pending cut-tracking deque, and the partitioner's
-    /// full `save_state` dump, as one byte string. Two engines whose
-    /// digests are equal are bit-identical in every recoverable
-    /// respect — the oracle the kill/resume suite and the bench's
-    /// recovery drill compare. Excludes the batch counter (a chunking
+    /// `save_state` dump of its live content, as one byte string. Two
+    /// engines whose digests are equal place every later edge the same
+    /// whatever their stores' compaction layout — the oracle the
+    /// kill/resume suite and the bench's recovery drill compare. Excludes the batch counter (a chunking
     /// detail that legitimately differs across replay) and the WAL
     /// bookkeeping itself (observability, not state). Works with or
     /// without a WAL attached.

@@ -7,9 +7,9 @@
 //! * the partitioner layer — `StreamPartitioner::on_batch` vs a twin
 //!   driven through `on_edge`, compared on final assignments, every
 //!   `LoomStats` counter, window occupancy, and the arena/adjacency
-//!   occupancy structs (so eviction auctions, `on_edge_expired`
-//!   debits and reclaim generations that fire *inside* a batch are
-//!   all observed); Hash rides along on final assignments;
+//!   occupancy structs (so eviction auctions, adjacency expiry and
+//!   reclaim generations that fire *inside* a batch are all
+//!   observed); Hash rides along on final assignments;
 //! * the engine layer — `OnlineEngine::run` pulling batches vs pulling
 //!   one edge at a time, compared on the *complete* periodic snapshot
 //!   sequence (every field, floats by bit pattern) plus the final
@@ -19,7 +19,7 @@
 //! The streams are hub-heavy shuffled motif soups: a–b–c chains (each
 //! a path-motif match), a high-degree hub that keeps re-entering the
 //! matcher, and non-motif bypass edges — with a small window and a
-//! biting adjacency horizon so evictions and expiry debits straddle
+//! biting adjacency horizon so evictions and adjacency expiry straddle
 //! batch boundaries constantly.
 
 mod common;

@@ -1,12 +1,14 @@
 //! The checkpoint format on resume (DESIGN.md §15): a checkpoint of
 //! another format version is named, never decoded, and a well-framed
-//! checkpoint whose matcher vertex rows are malformed is refused.
+//! checkpoint whose adjacency rows or match cells are malformed is
+//! refused.
 //!
-//! Format 2 writes the matcher's per-vertex index sparsely, as
-//! `(vertex, row)` pairs in ascending vertex order, every row
-//! non-empty. The frame's checksum cannot tell a hostile or miswritten
-//! row list from a good one, so load checks each row and names the one
-//! that breaks the layout.
+//! Format 3 writes live content only: the adjacency's non-empty rows
+//! as `(vertex, retained neighbours)` in ascending vertex order, and
+//! the live match cells in compaction order, every parent before its
+//! child. The frame's checksum cannot tell a hostile or miswritten
+//! list from a good one, so load checks each row and cell and names
+//! the one that breaks the layout.
 
 mod common;
 
@@ -52,79 +54,95 @@ fn wal_run(
     (backend, digest)
 }
 
-/// Every checkpoint of `from`, its header's version word set to 1,
-/// written into `to`.
-fn plant_format_1(from: &MemBackend, to: &MemBackend) -> Vec<String> {
+/// The formats before this build's: what an upgrade finds on disk.
+const OLDER_FORMATS: [u32; 2] = [1, 2];
+
+/// Every checkpoint of `from`, its header's version word set to
+/// `version`, written into `to`.
+fn plant_format(from: &MemBackend, to: &MemBackend, version: u32) -> Vec<String> {
     let mut names = Vec::new();
     for (_, name) in list_checkpoints(from).unwrap() {
         let mut bytes = from.contents(&name).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
         to.set_contents(&name, bytes);
         names.push(name);
     }
     names
 }
 
-/// A format-1 directory whose journal still starts at edge 0 resumes
-/// by full replay, digest-identical to the run that never stopped, and
-/// the checkpoints the replay writes replace the format-1 ones.
+/// A format-1 or format-2 directory whose journal still starts at
+/// edge 0 resumes by full replay, digest-identical to the run that
+/// never stopped, and the checkpoints the replay writes replace the
+/// older ones.
 #[test]
 fn format_1_checkpoints_beside_a_journal_from_edge_0_resume_by_full_replay() {
     let (edges, workload) = hub_stream(300, 0xc0de);
-    let (checkpointed, digest) = wal_run(&edges, &workload, 300, 1000);
-    let (journal_only, journal_digest) = wal_run(&edges, &workload, 0, 1000);
-    assert_eq!(journal_digest, digest, "the cadence is not state");
-    assert_eq!(list_segments(&journal_only).unwrap()[0].0, 0);
-    let planted = plant_format_1(&checkpointed, &journal_only);
-    assert_eq!(planted.len(), 2, "pruning kept the newest two");
+    for version in OLDER_FORMATS {
+        let (checkpointed, digest) = wal_run(&edges, &workload, 300, 1000);
+        let (journal_only, journal_digest) = wal_run(&edges, &workload, 0, 1000);
+        assert_eq!(journal_digest, digest, "the cadence is not state");
+        assert_eq!(list_segments(&journal_only).unwrap()[0].0, 0);
+        let planted = plant_format(&checkpointed, &journal_only, version);
+        assert_eq!(planted.len(), 2, "pruning kept the newest two");
 
-    let mut resumed = engine(&workload);
-    let durable = resumed
-        .resume_from_wal(Box::new(journal_only.clone()), 300, FP, |_| {})
-        .unwrap();
-    assert_eq!(durable, 1000);
-    assert_eq!(resumed.recovery_stats().unwrap().replayed_edges, 1000);
-    assert_eq!(
-        resumed.state_digest().unwrap(),
-        digest,
-        "full-replay digest"
-    );
-    let kept = list_checkpoints(&journal_only).unwrap();
-    assert_eq!(kept.len(), 2, "the replay's own checkpoints, pruned");
-    for (_, name) in kept {
-        read_checkpoint(&journal_only, &name).expect("the replay wrote format 2");
+        let mut resumed = engine(&workload);
+        let durable = resumed
+            .resume_from_wal(Box::new(journal_only.clone()), 300, FP, |_| {})
+            .unwrap();
+        assert_eq!(durable, 1000);
+        assert_eq!(resumed.recovery_stats().unwrap().replayed_edges, 1000);
+        assert_eq!(
+            resumed.state_digest().unwrap(),
+            digest,
+            "format {version}: full-replay digest"
+        );
+        let kept = list_checkpoints(&journal_only).unwrap();
+        assert_eq!(kept.len(), 2, "the replay's own checkpoints, pruned");
+        for (_, name) in kept {
+            read_checkpoint(&journal_only, &name).expect("the replay wrote format 3");
+        }
     }
 }
 
-/// Once rotation has deleted the journal's start, a format-1 directory
-/// has nothing this build can resume from: resume refuses with the
-/// error naming both versions, not a rotation story, and never panics.
+/// Once rotation has deleted the journal's start, a format-1 or
+/// format-2 directory has nothing this build can resume from: resume
+/// refuses with the error naming both versions, not a rotation story,
+/// and never panics.
 #[test]
 fn format_1_checkpoints_beside_a_rotated_journal_are_refused_by_name() {
     let (edges, workload) = hub_stream(300, 0xc0de);
-    let (backend, _) = wal_run(&edges, &workload, 300, 1000);
-    assert_eq!(list_segments(&backend).unwrap()[0].0, 600);
-    let newest = plant_format_1(&backend, &backend).pop().unwrap();
+    for version in OLDER_FORMATS {
+        let (backend, _) = wal_run(&edges, &workload, 300, 1000);
+        assert_eq!(list_segments(&backend).unwrap()[0].0, 600);
+        let newest = plant_format(&backend, &backend, version).pop().unwrap();
 
-    let err = engine(&workload)
-        .resume_from_wal(Box::new(backend), 300, FP, |_| {})
-        .expect_err("a format-1 directory resumed");
-    let m = err.to_string();
-    assert!(m.contains("format 1") && m.contains("format 2"), "{m}");
-    match err {
-        WalError::FormatVersion {
-            checkpoint,
-            found,
-            reads,
-        } => assert_eq!((checkpoint.as_str(), found, reads), (newest.as_str(), 1, 2)),
-        other => panic!("expected FormatVersion, got {other:?}"),
+        let err = engine(&workload)
+            .resume_from_wal(Box::new(backend), 300, FP, |_| {})
+            .expect_err("an older-format directory resumed");
+        let m = err.to_string();
+        assert!(
+            m.contains(&format!("format {version}")) && m.contains("format 3"),
+            "{m}"
+        );
+        match err {
+            WalError::FormatVersion {
+                checkpoint,
+                found,
+                reads,
+            } => assert_eq!(
+                (checkpoint.as_str(), found, reads),
+                (newest.as_str(), version, 3)
+            ),
+            other => panic!("expected FormatVersion, got {other:?}"),
+        }
     }
 }
 
-/// The matcher's vertex row list in the newest checkpoint, doctored
-/// three ways with the frame re-checksummed: a vertex out of order, a
-/// row length past the payload, an empty row. Each resume is `Corrupt`
-/// and names the row.
+/// The newest checkpoint doctored with the frame re-checksummed: the
+/// adjacency's vertex rows three ways (a vertex out of order, a row
+/// length past the payload, an empty row) and the first match cell's
+/// parent pointing at itself. Each resume is `Corrupt` and names the
+/// row or the cell.
 #[test]
 fn doctored_vertex_rows_refuse_resume() {
     let (edges, workload) = hub_stream(300, 0xc0de);
@@ -132,10 +150,10 @@ fn doctored_vertex_rows_refuse_resume() {
     let (_, newest) = list_checkpoints(&backend).unwrap().pop().unwrap();
     let clean = read_checkpoint(&backend, &newest).unwrap();
 
-    // Walk to the row list: the engine's four counters and its pending
-    // edges (16 bytes each), the partitioner's name, Loom's partition
-    // state, adjacency and window, then the match arena's cells (20
-    // bytes each) and matches (26 bytes each).
+    // Walk to the adjacency rows: the engine's four counters and its
+    // pending edges (16 bytes each), the partitioner's name and Loom's
+    // partition state. Then past the adjacency and the window to the
+    // match cells.
     let state = &clean.state;
     let mut r = ByteReader::new(state);
     for _ in 0..4 {
@@ -148,42 +166,50 @@ fn doctored_vertex_rows_refuse_resume() {
     PartitionState::new(K, CapacityModel::Adaptive, 1.1)
         .wal_load(&mut r)
         .unwrap();
-    OnlineAdjacency::new().wal_load(&mut r).unwrap();
-    SlidingWindow::new(WINDOW).wal_load(&mut r).unwrap();
-    for width in [20, 26] {
-        for _ in 0..width * r.u64().unwrap() {
-            r.u8().unwrap();
-        }
-    }
     let rows_at = state.len() - r.remaining();
     let nrows = r.u64().unwrap();
-    assert!(nrows >= 2, "{nrows} vertex rows");
+    assert!(nrows >= 2, "{nrows} adjacency rows");
     let row0_vertex = r.u32().unwrap();
-    let row0_len = r.u64().unwrap() as usize;
+    let row0_len = r.u32().unwrap() as usize;
     // Row 1: its vertex, then its length.
-    let row1_at = rows_at + 8 + 4 + 8 + 5 * row0_len;
+    let row1_at = rows_at + 8 + 4 + 4 + 4 * row0_len;
     let row1_len_at = row1_at + 4;
+    let mut r = ByteReader::new(&state[rows_at..]);
+    OnlineAdjacency::bounded(64).wal_load(&mut r).unwrap();
+    SlidingWindow::new(WINDOW).wal_load(&mut r).unwrap();
+    let cells_at = state.len() - r.remaining();
+    assert!(r.u64().unwrap() >= 1, "no live match cell");
 
     let doctor = |at: usize, bytes: &[u8]| {
         let mut state = clean.state.clone();
         state[at..at + bytes.len()].copy_from_slice(bytes);
         state
     };
-    for (what, state, want) in [
+    let row1 = "adjacency row 1 (vertex";
+    for (what, state, whose, want) in [
         (
             "vertex out of order",
             doctor(row1_at, &row0_vertex.to_le_bytes()),
+            row1,
             "does not ascend",
         ),
         (
             "length past the payload",
-            doctor(row1_len_at, &(u64::MAX / 2).to_le_bytes()),
+            doctor(row1_len_at, &u32::MAX.to_le_bytes()),
+            row1,
             "past the",
         ),
         (
             "empty row",
-            doctor(row1_len_at, &0u64.to_le_bytes()),
+            doctor(row1_len_at, &0u32.to_le_bytes()),
+            row1,
             "is empty",
+        ),
+        (
+            "a cell's parent pointing forward",
+            doctor(cells_at + 8, &0u32.to_le_bytes()),
+            "match arena: cell 0",
+            "points forward to parent 0",
         ),
     ] {
         let doctored = MemBackend::new();
@@ -196,10 +222,9 @@ fn doctored_vertex_rows_refuse_resume() {
         };
         write_checkpoint(&doctored, &ckpt).unwrap();
         match engine(&workload).resume_from_wal(Box::new(doctored), 300, FP, |_| {}) {
-            Err(WalError::Corrupt(m)) => assert!(
-                m.contains("vertex row 1 ") && m.contains(want),
-                "{what}: {m}"
-            ),
+            Err(WalError::Corrupt(m)) => {
+                assert!(m.contains(whose) && m.contains(want), "{what}: {m}")
+            }
             other => panic!("{what}: resumed as {other:?}"),
         }
     }

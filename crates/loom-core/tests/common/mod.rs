@@ -5,7 +5,15 @@
 //!
 //! "Bit-identical" is defined here once: [`assert_snap_eq`] for engine
 //! snapshots, [`assert_partitioners_identical`] for two Loom
-//! partitioners. A suite that needs a laxer notion does not get one.
+//! partitioners. A suite that needs a laxer notion does not get one,
+//! with one exception, [`assert_snap_content_eq`], for a resumed run
+//! against the run that never stopped: a checkpoint holds live content
+//! only, so a resume rebuilds every store compacted, and the resident
+//! totals and compaction generations after it follow the resume, not
+//! the stream. Placements read live content alone, so the resumed run
+//! is compared on everything else and on the live occupancy. Every
+//! on/off twin (batch size, WAL, serving) ingests one stream in one
+//! process and keeps the full [`assert_snap_eq`].
 
 #![allow(dead_code)]
 
@@ -26,9 +34,21 @@ pub const C: Label = Label(2);
 /// chains (path-motif matches), hub→b edges that pile matches onto one
 /// high-degree vertex, and non-motif c–c edges (bypass traffic),
 /// shuffled into a seed-determined arrival order. With a small window
-/// and a biting adjacency horizon, evictions and expiry debits (and, on
+/// and a biting adjacency horizon, evictions and adjacency expiry (and, on
 /// long streams, arena compactions) straddle every batch boundary.
 pub fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
+    chains_at_a_hub(n_chains, seed, false)
+}
+
+/// [`hub_stream`] plus, per chain, the edge from its `c` back to the
+/// hub, which closes the triangle hub–b–c, and a triangle query beside
+/// the path: closing edges join two multi-edge matches at the hub, so
+/// the arena holds longer chains that share their tails.
+pub fn hub_cycle_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
+    chains_at_a_hub(n_chains, seed, true)
+}
+
+fn chains_at_a_hub(n_chains: usize, seed: u64, cycles: bool) -> (Vec<StreamEdge>, Workload) {
     let hub = 0u32; // label A, endpoint of many motif edges
     let mut edges = Vec::new();
     for i in 0..n_chains as u32 {
@@ -42,6 +62,9 @@ pub fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
         if i > 0 {
             // Cross-chain c–c edge: matches nothing, bypasses the window.
             edges.push((c, C, c - 3, C));
+        }
+        if cycles {
+            edges.push((c, C, hub, A));
         }
     }
     // Seeded Fisher–Yates (the rand shim has no shuffle helper).
@@ -60,14 +83,17 @@ pub fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
             dst_label: dl,
         })
         .collect();
-    let workload = Workload::new(vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)]);
-    (stream, workload)
+    let mut queries = vec![(PatternGraph::path("q", vec![A, B, C]), 1.0)];
+    if cycles {
+        queries.push((PatternGraph::cycle("tri", vec![A, B, C]), 1.0));
+    }
+    (stream, Workload::new(queries))
 }
 
 /// The Loom fixture under the adversarial ingest setting: adaptive
-/// capacity (so `on_edge_expired` debits actually fire), a biting
-/// adjacency horizon, seed 7, the evaluation defaults otherwise, over
-/// the three-label alphabet of [`hub_stream`].
+/// capacity (the online setting, where `C` follows the running count),
+/// a biting adjacency horizon, seed 7, the evaluation defaults
+/// otherwise, over the three-label alphabet of [`hub_stream`].
 pub fn loom(k: usize, window: usize, horizon: u64, workload: &Workload) -> LoomPartitioner {
     let config = LoomConfig {
         k,
@@ -158,6 +184,16 @@ pub fn engine_run(
 /// bookkeeping) and `serving` (query counters) — observation, not
 /// state, and each is present on one side of its twin only.
 pub fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
+    assert_snap_content_eq(a, b, ctx);
+    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
+    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
+}
+
+/// [`assert_snap_eq`] for a resumed run against its uninterrupted twin
+/// (see the module doc): every field, but of the arena and adjacency
+/// occupancy only the content — live matches and cells, live entries
+/// and entries ever.
+pub fn assert_snap_content_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     assert_eq!(a.seq, b.seq, "{ctx}: seq");
     assert_eq!(a.edges, b.edges, "{ctx}: edges");
     assert_eq!(a.vertices, b.vertices, "{ctx}: vertices");
@@ -170,8 +206,14 @@ pub fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     }
     assert_eq!(a.cut_edges, b.cut_edges, "{ctx}: cut_edges");
     assert_eq!(a.resolved_edges, b.resolved_edges, "{ctx}: resolved_edges");
-    assert_eq!(a.arena, b.arena, "{ctx}: arena occupancy");
-    assert_eq!(a.adjacency, b.adjacency, "{ctx}: adjacency occupancy");
+    let arena = |s: &Snapshot| s.arena.map(|o| (o.live_matches, o.live_cells));
+    assert_eq!(arena(a), arena(b), "{ctx}: live arena (matches, cells)");
+    let adjacency = |s: &Snapshot| s.adjacency.map(|o| (o.live_entries, o.entries_ever));
+    assert_eq!(
+        adjacency(a),
+        adjacency(b),
+        "{ctx}: live adjacency (entries, entries ever)"
+    );
 }
 
 /// Two snapshot sequences of the same length, pairwise

@@ -18,9 +18,11 @@
 //! journal flush has made the whole batch durable.
 //!
 //! Bit-identity is judged by [`OnlineEngine::state_digest`] — the
-//! serialized engine + partitioner state, dead entries and all — plus
-//! the replayed snapshot sequence (matched by `seq` against the
-//! uninterrupted run) and the final assignment of every vertex.
+//! engine + partitioner state as a checkpoint writes it, live content
+//! only — plus the replayed snapshot sequence (matched by `seq`
+//! against the uninterrupted run, with the occupancy compared by
+//! content: a resume rebuilds every store compacted) and the final
+//! assignment of every vertex.
 
 mod common;
 
@@ -96,78 +98,90 @@ fn kill_and_resume(
     }
 }
 
-/// The headline matrix: Loom at batch {1, 256}, each killed exactly
-/// at a checkpoint boundary, one edge past it, mid-batch, and after
-/// pruning has dropped the early checkpoints — every resumed run bit-identical to the uninterrupted twin in state
-/// digest, snapshot sequence, and final assignment.
+/// The headline matrix: Loom at batch {1, 256} on the hub stream and
+/// on the hub-plus-cycle stream, each killed exactly at a checkpoint
+/// boundary, one edge past every boundary, mid-batch, and after
+/// pruning has dropped the early checkpoints. A resume rebuilds all
+/// four stores compacted at the kill's checkpoint, an edge the
+/// uninterrupted run compacts nowhere near, so this is also the
+/// oracle that placements never read compaction layout: every resumed
+/// run equals the uninterrupted twin in state digest (which encodes
+/// the five `LoomStats` counters and the window's live edges in
+/// order), snapshot sequence, and final assignment.
 #[test]
 fn loom_kill_resume_matrix_is_bit_identical() {
-    let (edges, workload) = hub_stream(600, 0x0dd);
-    let n = edges.len() as u64;
     let (ckpt_every, cadence) = (500u64, 150usize);
-    let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
-    for batch in [1usize, 256] {
-        let make = || -> Box<dyn StreamPartitioner> { Box::new(loom(3, 16, 96, &workload)) };
-        // Uninterrupted reference, WAL attached so both runs
-        // take the identical ingest path.
-        let mut reference = engine_with(make(), batch, cadence);
-        reference
-            .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
-            .unwrap();
-        let mut ref_snaps = Vec::new();
-        reference
-            .run(&mut VecSource::new(&edges), None, |s| {
-                ref_snaps.push(s.clone())
-            })
-            .unwrap();
-        let ref_digest = reference.state_digest().unwrap();
-        let ref_fin = reference.finish();
-        let ref_assignment = reference.into_assignment();
+    for (input, (edges, workload)) in [
+        ("hub", hub_stream(600, 0x0dd)),
+        ("hub-plus-cycle", hub_cycle_stream(480, 0x0dd)),
+    ] {
+        let n = edges.len() as u64;
+        let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
+        let mut kills = vec![ckpt_every, 777, 1950];
+        kills.extend((ckpt_every..n).step_by(ckpt_every as usize).map(|b| b + 1));
+        for batch in [1usize, 256] {
+            let make = || -> Box<dyn StreamPartitioner> { Box::new(loom(3, 16, 96, &workload)) };
+            // Uninterrupted reference, WAL attached so both runs
+            // take the identical ingest path.
+            let mut reference = engine_with(make(), batch, cadence);
+            reference
+                .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
+                .unwrap();
+            let mut ref_snaps = Vec::new();
+            reference
+                .run(&mut VecSource::new(&edges), None, |s| {
+                    ref_snaps.push(s.clone())
+                })
+                .unwrap();
+            let ref_digest = reference.state_digest().unwrap();
+            let ref_fin = reference.finish();
+            let ref_assignment = reference.into_assignment();
 
-        for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
-            assert!(kill < n, "kill point must interrupt the stream");
-            let ctx = format!("batch {batch}, kill {kill}");
-            let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
-            assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
+            for &kill in &kills {
+                assert!(kill < n, "kill point must interrupt the stream");
+                let ctx = format!("{input}, batch {batch}, kill {kill}");
+                let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
+                assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
 
-            // Recovery observability: replay spans newest
-            // checkpoint -> durable.
-            let newest_ckpt = kill / ckpt_every * ckpt_every;
-            let stats = run.engine.recovery_stats().expect("wal attached");
-            assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
-            assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
+                // Recovery observability: replay spans newest
+                // checkpoint -> durable.
+                let newest_ckpt = kill / ckpt_every * ckpt_every;
+                let stats = run.engine.recovery_stats().expect("wal attached");
+                assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
+                assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
 
-            // Bit-identity: full recoverable state...
-            assert_eq!(
-                run.engine.state_digest().unwrap(),
-                ref_digest,
-                "{ctx}: state digest diverged"
-            );
-            // ...every re-fired and post-resume snapshot,
-            // matched by seq against the uninterrupted run...
-            assert_eq!(
-                run.snaps.last().map(|s| s.seq),
-                ref_snaps.last().map(|s| s.seq),
-                "{ctx}: snapshot sequence ends at the same seq"
-            );
-            for s in &run.snaps {
-                let twin = ref_snaps
-                    .iter()
-                    .find(|r| r.seq == s.seq)
-                    .unwrap_or_else(|| panic!("{ctx}: no reference snapshot seq {}", s.seq));
-                assert_snap_eq(s, twin, &ctx);
-            }
-            // ...and the final assignment after the drain.
-            let mut resumed = run.engine;
-            let fin = resumed.finish();
-            assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
-            let assignment = resumed.into_assignment();
-            for v in 0..=max_v {
+                // Bit-identity: full recoverable state...
                 assert_eq!(
-                    ref_assignment.partition_of(VertexId(v)),
-                    assignment.partition_of(VertexId(v)),
-                    "{ctx}: assignment diverged at vertex {v}"
+                    run.engine.state_digest().unwrap(),
+                    ref_digest,
+                    "{ctx}: state digest diverged"
                 );
+                // ...every re-fired and post-resume snapshot,
+                // matched by seq against the uninterrupted run...
+                assert_eq!(
+                    run.snaps.last().map(|s| s.seq),
+                    ref_snaps.last().map(|s| s.seq),
+                    "{ctx}: snapshot sequence ends at the same seq"
+                );
+                for s in &run.snaps {
+                    let twin = ref_snaps
+                        .iter()
+                        .find(|r| r.seq == s.seq)
+                        .unwrap_or_else(|| panic!("{ctx}: no reference snapshot seq {}", s.seq));
+                    assert_snap_content_eq(s, twin, &ctx);
+                }
+                // ...and the final assignment after the drain.
+                let mut resumed = run.engine;
+                let fin = resumed.finish();
+                assert_snap_content_eq(&fin, &ref_fin, &format!("{ctx}, final"));
+                let assignment = resumed.into_assignment();
+                for v in 0..=max_v {
+                    assert_eq!(
+                        ref_assignment.partition_of(VertexId(v)),
+                        assignment.partition_of(VertexId(v)),
+                        "{ctx}: assignment diverged at vertex {v}"
+                    );
+                }
             }
         }
     }

@@ -2,7 +2,8 @@
 //! leave exactly these bytes on disk. The journal's row is per
 //! segment, recorded when the journal was split into segments; the
 //! checkpoints' lengths and FNV-1a hashes were recorded when the
-//! checkpoint format went to version 2, which writes only state. A
+//! checkpoint format went to version 3, which writes live content
+//! only. A
 //! change to how the bytes are produced must not change a single one
 //! of them, and a deliberate format change has to edit this file (and
 //! bump the checkpoint `VERSION`) to land.
@@ -77,13 +78,13 @@ fn seeded_run_leaves_the_recorded_bytes() {
         ),
         (
             "ckpt-00000000000000000002",
-            1_173_237,
-            9_947_365_836_380_752_478,
+            804_403,
+            7_676_261_981_078_450_891,
         ),
         (
             "ckpt-00000000000000000003",
-            1_559_417,
-            15_780_801_600_792_968_831,
+            1_174_819,
+            13_325_773_122_990_315_015,
         ),
     ];
     let kept: Vec<String> = list_checkpoints(&backend)
@@ -147,9 +148,9 @@ impl StorageBackend for Recording {
 /// ingests it: the `.lg` text through the text source, the CLI's
 /// engine and Loom config, and the fingerprint that command stamps,
 /// so these are the bytes it leaves in its `--wal` directory. The
-/// feed registers vertex ids late and its match index holds rows for
-/// few of them, which the first test's synthetic source (its whole id
-/// range registered early) does not exercise. Every checkpoint the run
+/// feed registers vertex ids late and its stores hold rows for few of
+/// them, which the first test's synthetic source (its whole id range
+/// registered early) does not exercise. Every checkpoint the run
 /// writes is pinned, including those pruning deletes later.
 #[test]
 fn provgen_checkpoints_keep_the_recorded_bytes() {
@@ -183,10 +184,10 @@ fn provgen_checkpoints_keep_the_recorded_bytes() {
 
     // Checkpoints 1 to 4, at edges 3 000 to 12 000.
     let want = [
-        (307_152, 5_535_033_069_492_773_436),
-        (301_741, 113_167_453_047_772_742),
-        (297_044, 14_756_354_224_061_109_855),
-        (582_042, 16_701_222_646_981_270_343),
+        (99_108, 1_586_090_202_415_409_651),
+        (174_476, 8_486_519_632_365_095_581),
+        (249_976, 18_244_198_224_353_157_807),
+        (325_056, 18_183_287_511_284_061_798),
     ];
     let want: Vec<(String, usize, u64)> = (1..)
         .zip(want)

@@ -457,22 +457,18 @@ impl MotifMatcher {
         self.dead_at_last_compact = self.matches.dead();
     }
 
-    /// Serialize the matcher's mutable state for a crash-recovery
-    /// checkpoint (DESIGN.md §15): the match arena plus the compaction
-    /// watermark (which gates the deterministic compaction cadence).
-    /// The motif index, LUT, supports and cap are config; scratch is
-    /// capacity.
+    /// Serialize the matcher's live matches for a crash-recovery
+    /// checkpoint (DESIGN.md §15). The motif index, LUT, supports and
+    /// cap are config; the compaction watermark is layout, like the
+    /// dead matches it counts; scratch is capacity.
     pub fn wal_save(&self, w: &mut loom_wal::ByteWriter) {
         self.matches.wal_save(w);
-        w.u64(self.dead_at_last_compact as u64);
     }
 
     /// Inverse of [`MotifMatcher::wal_save`], applied to a freshly
     /// constructed matcher over the same motif index.
     pub fn wal_load(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
-        self.matches.wal_load(r)?;
-        self.dead_at_last_compact = r.u64()? as usize;
-        Ok(())
+        self.matches.wal_load(r, self.motifs.len())
     }
 }
 

@@ -80,7 +80,10 @@ fn mix_edge(e: EdgeId) -> u128 {
 /// neither bound is ever approached in practice.
 #[inline]
 fn pack_info(motif: MotifId, len: u16) -> u32 {
-    debug_assert!(len > 0 && len <= 0xff, "match length {len} out of range");
+    debug_assert!(
+        len > 0 && len <= MAX_MATCH_LEN,
+        "match length {len} out of range"
+    );
     debug_assert!(motif.0 < (1 << 24), "motif id {} out of range", motif.0);
     (motif.0 << 8) | len as u32
 }
@@ -231,6 +234,10 @@ pub struct ArenaOccupancy {
     /// How many generational compactions have run (the epoch).
     pub generation: u64,
 }
+
+/// The most edges a match can hold: `MatchList::live_info` packs the
+/// length into 8 bits.
+const MAX_MATCH_LEN: u16 = 0xff;
 
 /// Minimum arena population before a generational compaction is worth
 /// the copy (below this the arena is too small to matter).
@@ -748,59 +755,35 @@ impl MatchList {
     /// Generational compaction: rebuild the arena from the live
     /// matches only, freeing every dead `Meta` and every unreachable
     /// cell, and remap all index entries through a dense old→new id
-    /// table. Live matches are copied in ascending id order, so the
-    /// remap is **monotone**: relative id order — which the recency
-    /// cap and every index walk depend on — is preserved exactly, and
-    /// shared cell tails stay shared (each old cell is copied at most
-    /// once). O(arena matches + arena cells + index entries): the
-    /// vertex index is walked by its slab, the vertices holding an
-    /// entry, never by every vertex id seen.
+    /// table. Live matches are copied in ascending id order
+    /// (`walk_live`), so the remap is **monotone**: relative id order
+    /// — which the recency cap and every index walk depend on — is
+    /// preserved exactly, and shared cell tails stay shared. O(arena
+    /// matches + arena cells + index entries): the vertex index is
+    /// walked by its slab, the vertices holding an entry, never by
+    /// every vertex id seen.
     ///
     /// All previously returned [`MatchId`]s are invalidated.
     pub fn reclaim(&mut self) {
-        let old_matches = std::mem::take(&mut self.matches);
-        let old_live_info = std::mem::take(&mut self.live_info);
-        let old_cells = std::mem::take(&mut self.cells);
-        // NO_CELL doubles as the "not copied yet" sentinel: cell ids
-        // are always < old_cells.len() < u32::MAX, so no collision.
-        let mut cell_remap = vec![NO_CELL; old_cells.len()];
-        let mut match_remap = vec![NO_CELL; old_matches.len()];
-        self.matches.reserve(self.live);
-        let mut stack: Vec<u32> = Vec::new();
-        for (old_id, meta) in old_matches.iter().enumerate() {
-            if old_live_info[old_id] == 0 {
-                continue;
-            }
-            // Copy the cell chain bottom-up, stopping at the first
-            // already-copied cell so shared tails are copied once.
-            stack.clear();
-            let mut cur = meta.cell;
-            while cur != NO_CELL && cell_remap[cur as usize] == NO_CELL {
-                stack.push(cur);
-                cur = old_cells[cur as usize].parent;
-            }
-            let mut parent = if cur == NO_CELL {
-                NO_CELL
-            } else {
-                cell_remap[cur as usize]
-            };
-            for &c in stack.iter().rev() {
-                let idx = self.cells.len() as u32;
-                self.cells.push(Cell {
-                    parent,
-                    edge: old_cells[c as usize].edge,
+        let mut cells = Vec::new();
+        let mut matches = Vec::with_capacity(self.live);
+        let mut live_info = Vec::with_capacity(self.live);
+        let mut match_remap = vec![NO_CELL; self.matches.len()];
+        self.walk_live(
+            |parent, edge| cells.push(Cell { parent, edge }),
+            |old_id, cell| {
+                match_remap[old_id] = matches.len() as u32;
+                matches.push(Meta {
+                    cell,
+                    ..self.matches[old_id]
                 });
-                cell_remap[c as usize] = idx;
-                parent = idx;
-            }
-            match_remap[old_id] = self.matches.len() as u32;
-            self.matches.push(Meta {
-                cell: parent,
-                ..*meta
-            });
-            self.live_info.push(old_live_info[old_id]);
-        }
-        debug_assert_eq!(self.matches.len(), self.live);
+                live_info.push(self.live_info[old_id]);
+            },
+        );
+        debug_assert_eq!(matches.len(), self.live);
+        self.cells = cells;
+        self.matches = matches;
+        self.live_info = live_info;
         // Remap the indices in place; dead ids drop out. The per-list
         // order is preserved and the remap is monotone, so every list
         // stays ascending-by-id (append order).
@@ -818,197 +801,129 @@ impl MatchList {
         self.generation += 1;
     }
 
-    /// Serialize the arena and its indices for a crash-recovery
-    /// checkpoint (DESIGN.md §15). Everything resident is written
-    /// *verbatim* — dead matches, dead index entries, cell garbage —
-    /// because compaction and row pruning trigger off resident sizes
-    /// (arena dead count, power-of-two row lengths): a cleaned reload
-    /// would compact at different edges than the uninterrupted run.
-    /// The two hash collections are rewritten in sorted order (their
-    /// content is deterministic; iteration order is not). Scratch and
-    /// the list pool are capacity, not state.
+    /// The live arena in compaction order, the one walk
+    /// [`MatchList::reclaim`] and [`MatchList::wal_save`] share: the
+    /// live matches in ascending id order, each preceded by the cells
+    /// of its chain that no earlier live match reached, bottom-up, so
+    /// a shared tail comes once and every parent before its child.
+    /// `cell` receives each such cell as its parent's position in this
+    /// order (`NO_CELL` at a chain root) and its edge; `matched` each
+    /// live match's id and its head cell's position.
+    fn walk_live(
+        &self,
+        mut cell: impl FnMut(u32, StreamEdge),
+        mut matched: impl FnMut(usize, u32),
+    ) {
+        // NO_CELL doubles as the "not copied yet" sentinel: cell ids
+        // are always < cells.len() < u32::MAX, so no collision.
+        let mut cell_remap = vec![NO_CELL; self.cells.len()];
+        let mut copied = 0u32;
+        let mut stack: Vec<u32> = Vec::new();
+        for (id, meta) in self.matches.iter().enumerate() {
+            if self.live_info[id] == 0 {
+                continue;
+            }
+            // Climb to the first already-copied cell, then copy down.
+            stack.clear();
+            let mut cur = meta.cell;
+            while cur != NO_CELL && cell_remap[cur as usize] == NO_CELL {
+                stack.push(cur);
+                cur = self.cells[cur as usize].parent;
+            }
+            let mut parent = if cur == NO_CELL {
+                NO_CELL
+            } else {
+                cell_remap[cur as usize]
+            };
+            for &c in stack.iter().rev() {
+                cell(parent, self.cells[c as usize].edge);
+                cell_remap[c as usize] = copied;
+                parent = copied;
+                copied += 1;
+            }
+            matched(id, parent);
+        }
+    }
+
+    /// Serialize the live arena for a crash-recovery checkpoint
+    /// (DESIGN.md §15): the cells [`MatchList::walk_live`] reaches, in
+    /// its order, as (parent, edge), then each live match as its head
+    /// cell and motif. Dead matches and cells, the indices, the dedup
+    /// set, the liveness words and the generation are not written:
+    /// [`MatchList::wal_load`] rebuilds them through the registration
+    /// path, and every read filters on liveness and keeps relative id
+    /// order, so a compacted reload answers every read the same.
     pub(crate) fn wal_save(&self, w: &mut loom_wal::ByteWriter) {
-        w.u64(self.cells.len() as u64);
-        for c in &self.cells {
+        let (mut cells, mut heads) = (Vec::new(), Vec::with_capacity(self.live));
+        self.walk_live(
+            |parent, edge| cells.push(Cell { parent, edge }),
+            |id, head| heads.push((head, self.matches[id].motif)),
+        );
+        w.u64(cells.len() as u64);
+        for c in &cells {
             w.u32(c.parent);
             c.edge.wal_encode(w);
         }
-        w.u64(self.matches.len() as u64);
-        for m in &self.matches {
-            w.u32(m.cell);
-            w.u32(m.motif.0);
-            w.u16(m.len);
-            w.u128(m.edge_fp);
+        w.u64(heads.len() as u64);
+        for (head, motif) in heads {
+            w.u32(head);
+            w.u32(motif.0);
         }
-        // The rowed vertices only, ascending, each as its id and row:
-        // the slot column, slab order and free rows are layout, not
-        // state. Free rows are exactly the empty ones.
-        let by_vertex = &self.by_vertex;
-        w.u64((by_vertex.rows.len() - by_vertex.free.len()) as u64);
-        for (v, &s) in by_vertex.slot.iter().enumerate() {
-            if s == NO_ROW {
-                continue;
-            }
-            let row = &by_vertex.rows[s as usize];
-            debug_assert!(!row.is_empty(), "vertex {v} owns an empty row");
-            w.u32(v as u32);
-            w.u64(row.len() as u64);
-            for &(id, deg) in row {
-                w.u32(id.0);
-                w.u8(deg);
-            }
-        }
-        let mut by_edge: Vec<(EdgeId, &Vec<MatchId>)> =
-            self.by_edge.iter().map(|(&e, ids)| (e, ids)).collect();
-        by_edge.sort_unstable_by_key(|(e, _)| *e);
-        w.u64(by_edge.len() as u64);
-        for (e, ids) in by_edge {
-            w.u32(e.0);
-            w.u64(ids.len() as u64);
-            for id in ids {
-                w.u32(id.0);
-            }
-        }
-        let mut dedup: Vec<u128> = self.dedup.iter().copied().collect();
-        dedup.sort_unstable();
-        w.u64(dedup.len() as u64);
-        for key in dedup {
-            w.u128(key);
-        }
-        w.u64(self.live_info.len() as u64);
-        for &info in &self.live_info {
-            w.u32(info);
-        }
-        w.u64(self.live as u64);
-        w.u64(self.generation);
     }
 
-    /// Inverse of [`MatchList::wal_save`], applied to a fresh list.
+    /// Inverse of [`MatchList::wal_save`], applied to a fresh list over
+    /// `motifs` motifs: the cells as written, then each match
+    /// registered as an insert registers it, its length and
+    /// fingerprint from its chain. A cell whose parent does not
+    /// precede it, a head past the cells, a motif past `motifs`, a
+    /// chain past [`MAX_MATCH_LEN`] edges and a multi-edge match that
+    /// repeats a live one are refused.
     pub(crate) fn wal_load(
         &mut self,
         r: &mut loom_wal::ByteReader,
+        motifs: usize,
     ) -> Result<(), loom_wal::WalError> {
         use loom_wal::WalError;
         let ncells = r.len_prefix(20)?;
-        self.cells = (0..ncells)
-            .map(|i| {
-                let parent = r.u32()?;
-                if parent != NO_CELL && parent as usize >= i {
-                    return Err(WalError::Corrupt(format!(
-                        "match arena: cell {i} points forward to parent {parent}"
-                    )));
-                }
-                let edge = StreamEdge::wal_decode(r)?;
-                Ok(Cell { parent, edge })
-            })
-            .collect::<Result<_, _>>()?;
-        let nmatches = r.len_prefix(30)?;
-        self.matches = (0..nmatches)
-            .map(|i| {
-                let cell = r.u32()?;
-                if cell as usize >= ncells {
-                    return Err(WalError::Corrupt(format!(
-                        "match arena: match {i} roots at cell {cell}, only {ncells} cells"
-                    )));
-                }
-                Ok(Meta {
-                    cell,
-                    motif: MotifId(r.u32()?),
-                    len: r.u16()?,
-                    edge_fp: r.u128()?,
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        // Every index id must name an arena slot: reads index
-        // `live_info` with it unchecked.
-        let match_id = |r: &mut loom_wal::ByteReader, what: &str| {
-            let id = r.u32()?;
-            if id as usize >= nmatches {
+        for i in 0..ncells {
+            let parent = r.u32()?;
+            if parent != NO_CELL && parent as usize >= i {
                 return Err(WalError::Corrupt(format!(
-                    "match arena: {what} names match {id}, only {nmatches} matches"
+                    "match arena: cell {i} points forward to parent {parent}"
                 )));
             }
-            Ok(MatchId(id))
-        };
-        // A row is at least its vertex, its length and one entry. The
-        // slot column is sized by the last rowed vertex, never by a
-        // stored length.
-        let nrows = r.len_prefix(4 + 8 + 5)?;
-        self.by_vertex = VertexRows::default();
-        for i in 0..nrows {
-            let v = VertexId(r.u32()?);
-            let corrupt = |what: String| {
-                WalError::Corrupt(format!(
-                    "match arena: vertex row {i} (vertex {}) {what}",
-                    v.0
-                ))
-            };
-            if let Some(&prev) = self.by_vertex.owner.last() {
-                if prev >= v {
-                    return Err(corrupt(format!("does not ascend past vertex {}", prev.0)));
-                }
-            }
-            let n = r.u64()?;
-            if n == 0 {
-                return Err(corrupt("is empty".to_string()));
-            }
-            if n > (r.remaining() / 5) as u64 {
+            let edge = StreamEdge::wal_decode(r)?;
+            self.cells.push(Cell { parent, edge });
+        }
+        let nmatches = r.len_prefix(8)?;
+        for i in 0..nmatches {
+            let (head, motif) = (r.u32()?, r.u32()?);
+            let corrupt =
+                |what: String| WalError::Corrupt(format!("match arena: match {i} {what}"));
+            if head as usize >= ncells {
                 return Err(corrupt(format!(
-                    "claims {n} entries, past the {} remaining bytes",
-                    r.remaining()
+                    "roots at cell {head}, only {ncells} cells"
                 )));
             }
-            let n = n as usize;
-            let mut row = Row::with_capacity(n);
-            for _ in 0..n {
-                let id = match_id(r, "a vertex row")?;
-                if row.last().is_some_and(|&(prev, _)| prev >= id) {
-                    return Err(corrupt(format!("is not ascending at match {}", id.0)));
-                }
-                row.push((id, r.u8()?));
+            if motif as usize >= motifs {
+                return Err(corrupt(format!("is motif {motif}, only {motifs} motifs")));
             }
-            self.by_vertex.rows.push(row);
-            self.by_vertex.owner.push(v);
+            let (mut len, mut edge_fp, mut cur) = (0u16, 0u128, head);
+            while cur != NO_CELL {
+                if len == MAX_MATCH_LEN {
+                    return Err(corrupt(format!("runs past {MAX_MATCH_LEN} edges")));
+                }
+                let c = self.cells[cur as usize];
+                len += 1;
+                edge_fp ^= mix_edge(c.edge.id);
+                cur = c.parent;
+            }
+            let motif = MotifId(motif);
+            if len > 1 && !self.dedup.insert(dedup_key(motif, edge_fp)) {
+                return Err(corrupt("repeats a live match".to_string()));
+            }
+            self.register(head, motif, len, edge_fp);
         }
-        if let Some(last) = self.by_vertex.owner.last() {
-            self.by_vertex.slot = vec![NO_ROW; last.index() + 1];
-        }
-        for (s, v) in self.by_vertex.owner.iter().enumerate() {
-            self.by_vertex.slot[v.index()] = s as u32;
-        }
-        let nedges = r.len_prefix(12)?;
-        self.by_edge = FxHashMap::default();
-        self.by_edge.reserve(nedges);
-        for _ in 0..nedges {
-            let e = EdgeId(r.u32()?);
-            let n = r.len_prefix(4)?;
-            let ids = (0..n)
-                .map(|_| match_id(r, "an edge row"))
-                .collect::<Result<Vec<_>, _>>()?;
-            self.by_edge.insert(e, ids);
-        }
-        let ndedup = r.len_prefix(16)?;
-        self.dedup = FxHashSet::default();
-        self.dedup.reserve(ndedup);
-        for _ in 0..ndedup {
-            self.dedup.insert(r.u128()?);
-        }
-        let ninfo = r.len_prefix(4)?;
-        if ninfo != nmatches {
-            return Err(WalError::Corrupt(format!(
-                "match arena: {ninfo} liveness words for {nmatches} matches"
-            )));
-        }
-        self.live_info = (0..ninfo).map(|_| r.u32()).collect::<Result<_, _>>()?;
-        self.live = r.u64()? as usize;
-        let alive = self.live_info.iter().filter(|&&i| i != 0).count();
-        if alive != self.live {
-            return Err(WalError::Corrupt(format!(
-                "match arena: live count {} disagrees with {alive} live slots",
-                self.live
-            )));
-        }
-        self.generation = r.u64()?;
         Ok(())
     }
 
@@ -1223,48 +1138,119 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wal_load_rejects_index_ids_outside_the_arena() {
-        // One match over edge 0 = (1, 2): vertices 1 and 2 are rowed,
-        // and vertex 1's row holds the match's id. Byte layout up to
-        // that id: the cell count and one cell (parent u32 + a 16-byte
-        // edge), the match count and one `Meta` (u32, u32, u16, u128),
-        // the row count, vertex 1's id and its row's length (1).
-        let mut ml = MatchList::new();
-        ml.insert_single(se(0, 1, 2), MotifId(0));
+    fn saved(ml: &MatchList) -> Vec<u8> {
         let mut w = loom_wal::ByteWriter::new();
         ml.wal_save(&mut w);
-        let good = w.into_bytes();
-        let row1_id = (8 + 20) + (8 + 26) + 8 + 4 + 8;
-        assert_eq!(good[row1_id..row1_id + 4], 0u32.to_le_bytes());
-        assert!(MatchList::new()
-            .wal_load(&mut loom_wal::ByteReader::new(&good))
-            .is_ok());
+        w.into_bytes()
+    }
 
-        let mut bad = good.clone();
-        bad[row1_id..row1_id + 4].copy_from_slice(&1u32.to_le_bytes());
-        let err = MatchList::new().wal_load(&mut loom_wal::ByteReader::new(&bad));
-        assert!(
-            matches!(err, Err(loom_wal::WalError::Corrupt(_))),
-            "an id past the match count must fail typed, got {err:?}"
-        );
+    fn loaded(bytes: &[u8], motifs: usize) -> Result<MatchList, loom_wal::WalError> {
+        let mut ml = MatchList::new();
+        ml.wal_load(&mut loom_wal::ByteReader::new(bytes), motifs)?;
+        Ok(ml)
     }
 
     #[test]
-    fn wal_load_rejects_a_vertex_row_out_of_order() {
-        // Two matches at vertex 1; swap the row's two ids in place.
+    fn wal_load_equals_a_reclaimed_list() {
+        // Shared tails (an extension and a join on one base), a dead
+        // single under a live extension, and dead matches in between.
+        let mut ml = MatchList::new();
+        let a = ml.insert_single(se(0, 1, 2), MotifId(0));
+        let b = ml.insert_extension(a, se(1, 2, 3), MotifId(1)).unwrap();
+        let c = ml.insert_single(se(2, 3, 4), MotifId(0));
+        ml.insert_join(b, &[se(2, 3, 4), se(3, 4, 5)], MotifId(2));
+        ml.insert_extension(c, se(4, 4, 6), MotifId(1)).unwrap();
+        ml.kill(a);
+        ml.kill(c);
+        let bytes = saved(&ml);
+        let back = loaded(&bytes, 3).unwrap();
+        assert_eq!(saved(&back), bytes, "save -> load -> save");
+        ml.reclaim();
+        assert_eq!(saved(&ml), bytes, "reclaim leaves the content as it was");
+        assert_eq!(back.cells.len(), ml.cells.len());
+        assert_eq!(back.len(), 3);
+        for v in 1..=6 {
+            let v = VertexId(v);
+            assert_eq!(back.matches_at_vertex(v), ml.matches_at_vertex(v), "{v:?}");
+        }
+        for e in 0..5 {
+            let e = EdgeId(e);
+            assert_eq!(back.matches_at_edge(e), ml.matches_at_edge(e), "{e:?}");
+        }
+        // The dedup set came back: neither the live join nor the live
+        // extension of the dead single c can be inserted again.
+        let mut back = back;
+        let b = back.matches_at_edge(EdgeId(1))[0];
+        assert!(back
+            .insert_join(b, &[se(2, 3, 4), se(3, 4, 5)], MotifId(2))
+            .is_none());
+        let c = back.insert_single(se(2, 3, 4), MotifId(0));
+        assert!(back.insert_extension(c, se(4, 4, 6), MotifId(1)).is_none());
+    }
+
+    #[test]
+    fn wal_load_rejects_index_ids_outside_the_arena() {
+        // One match over edge 0: the cell count and one cell (parent
+        // u32 + a 16-byte edge), the match count, then the match's
+        // head cell and motif.
         let mut ml = MatchList::new();
         ml.insert_single(se(0, 1, 2), MotifId(0));
-        ml.insert_single(se(1, 1, 3), MotifId(0));
-        let s = ml.by_vertex.slot[1] as usize;
-        ml.by_vertex.rows[s].swap(0, 1);
-        let mut w = loom_wal::ByteWriter::new();
-        ml.wal_save(&mut w);
-        let err = MatchList::new().wal_load(&mut loom_wal::ByteReader::new(w.as_bytes()));
-        assert!(
-            matches!(err, Err(loom_wal::WalError::Corrupt(_))),
-            "a row out of id order must fail typed, got {err:?}"
-        );
+        let good = saved(&ml);
+        let head_at = 8 + 20 + 8;
+        assert_eq!(good.len(), head_at + 8);
+        assert!(loaded(&good, 1).is_ok());
+        for (what, at, want) in [
+            ("head cell", head_at, "roots at cell 1"),
+            ("motif", head_at + 4, "is motif 1"),
+        ] {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+            match loaded(&bad, 1) {
+                Err(loom_wal::WalError::Corrupt(m)) => assert!(m.contains(want), "{what}: {m}"),
+                other => panic!(
+                    "{what} past the arena loaded as {:?}",
+                    other.map(|l| l.len())
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn wal_load_refuses_matches_the_live_list_cannot_hold() {
+        // Hand-built arenas: one chain of `cells` cells, then `heads`
+        // matches (motif 0) at the given cells.
+        let arena = |cells: u32, heads: &[u32]| {
+            let mut w = loom_wal::ByteWriter::new();
+            w.u64(cells as u64);
+            for i in 0..cells {
+                w.u32(if i == 0 { NO_CELL } else { i - 1 });
+                se(i, i, i + 1).wal_encode(&mut w);
+            }
+            w.u64(heads.len() as u64);
+            for &head in heads {
+                w.u32(head);
+                w.u32(0);
+            }
+            w.into_bytes()
+        };
+        assert!(loaded(&arena(255, &[1, 254]), 1).is_ok());
+        for (what, bytes, want) in [
+            (
+                "a repeated match",
+                arena(2, &[1, 1]),
+                "match 1 repeats a live match",
+            ),
+            (
+                "a 256-edge chain",
+                arena(256, &[255]),
+                "match 0 runs past 255 edges",
+            ),
+        ] {
+            match loaded(&bytes, 1) {
+                Err(loom_wal::WalError::Corrupt(m)) => assert!(m.contains(want), "{what}: {m}"),
+                other => panic!("{what} loaded as {:?}", other.map(|l| l.len())),
+            }
+        }
     }
 
     #[test]

@@ -124,43 +124,32 @@ impl SlidingWindow {
         self.edges.iter().filter(|e| self.present.contains(&e.id))
     }
 
-    /// Serialize the window for a crash-recovery checkpoint (DESIGN.md
-    /// §15). The queue is written *verbatim, tombstones included*:
-    /// eviction fires on the live count but pop order walks the raw
-    /// queue, so a tombstone-stripped reload would be observationally
-    /// identical — the verbatim form is kept because the saved bytes
-    /// double as a deep-equality digest in the recovery tests.
-    /// `present` is rewritten sorted (hash-set iteration order is not
-    /// deterministic; its *content* is). Capacity is config.
+    /// Serialize the window's live edges, in arrival order, for a
+    /// crash-recovery checkpoint (DESIGN.md §15). Tombstones are
+    /// layout: eviction fires on the live count and pops skip them, so
+    /// a window without them behaves the same. Capacity is config.
     pub fn wal_save(&self, w: &mut loom_wal::ByteWriter) {
-        w.u64(self.edges.len() as u64);
-        for e in &self.edges {
+        w.u64(self.present.len() as u64);
+        for e in self.iter() {
             e.wal_encode(w);
-        }
-        let mut present: Vec<u32> = self.present.iter().map(|id| id.0).collect();
-        present.sort_unstable();
-        w.u64(present.len() as u64);
-        for id in present {
-            w.u32(id);
         }
     }
 
     /// Inverse of [`SlidingWindow::wal_save`], applied to a freshly
-    /// constructed window of the same capacity.
+    /// constructed window of the same capacity; `present` is rebuilt
+    /// from the edges, and an edge written twice is refused.
     pub fn wal_load(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
         let n = r.len_prefix(16)?;
-        self.edges = (0..n)
-            .map(|_| StreamEdge::wal_decode(r))
-            .collect::<Result<_, _>>()?;
-        let np = r.len_prefix(4)?;
-        if np > n {
-            return Err(loom_wal::WalError::Corrupt(format!(
-                "sliding window: {np} live edges in a queue of {n}"
-            )));
+        for _ in 0..n {
+            let e = StreamEdge::wal_decode(r)?;
+            if !self.present.insert(e.id) {
+                return Err(loom_wal::WalError::Corrupt(format!(
+                    "sliding window: edge {} written twice",
+                    e.id.0
+                )));
+            }
+            self.edges.push_back(e);
         }
-        self.present = (0..np)
-            .map(|_| r.u32().map(EdgeId))
-            .collect::<Result<_, _>>()?;
         Ok(())
     }
 }

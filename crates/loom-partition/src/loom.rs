@@ -495,12 +495,13 @@ impl StreamPartitioner for LoomPartitioner {
         Some(self.adjacency.occupancy())
     }
 
-    /// Checkpoint everything a resumed Loom needs to continue
-    /// bit-identically: partition columns, streaming adjacency, the
-    /// sliding window (tombstones included), the match arena with its
-    /// compaction watermark, and the stats the evaluation reads back.
-    /// No `|N(v) ∩ S_i|` row is written: each is the scan of the
-    /// adjacency and the columns. Motif tables, the LUT and
+    /// Checkpoint everything a resumed Loom needs to place as the
+    /// uninterrupted run would: partition columns, the retained
+    /// adjacency, the window's live edges, the live matches, and the
+    /// stats the evaluation reads back — live content only; each store
+    /// rebuilds its compaction layout on load. No `|N(v) ∩ S_i|` row
+    /// is written: each is the scan of the adjacency and the columns.
+    /// Motif tables, the LUT and
     /// eo/allocation parameters are config — the checkpoint fingerprint
     /// guarantees they match on resume.
     fn save_state(&self, w: &mut loom_wal::ByteWriter) -> Result<(), loom_wal::WalError> {

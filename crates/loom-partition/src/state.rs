@@ -861,22 +861,25 @@ impl OnlineAdjacency {
         }
     }
 
-    /// Serialize the adjacency for a crash-recovery checkpoint
-    /// (DESIGN.md §15). Rows are written *exactly* as resident, each as
-    /// its length, head and entries — dead prefixes and the aged-row
-    /// worklist included — because compaction triggers off resident
-    /// populations: a "cleaned" reload would compact at different edges
-    /// than the uninterrupted run and break bit-identity of the
-    /// generation counter. Whether a row is inline or spilled is layout
-    /// and is not written; nor is the slab or the config (the horizon).
+    /// Serialize the adjacency's live content for a crash-recovery
+    /// checkpoint (DESIGN.md §15): each non-empty row as its vertex and
+    /// retained neighbours, ascending by vertex, then the expiry ring
+    /// and the entries-ever count. Dead prefixes, the aged-row
+    /// worklist, inline or spilled, and the generation are layout:
+    /// placements read only the retained neighbourhoods, and load
+    /// rebuilds a compacted store. The horizon is config.
     pub fn wal_save(&self, w: &mut ByteWriter) {
-        w.u64(self.rows.len() as u64);
-        for row in &self.rows {
-            let (entries, head) = self.resident(row);
-            w.u32(entries.len() as u32);
-            w.u32(head as u32);
-            for &v in entries {
-                w.u32(v.0);
+        let rowed = || {
+            (0..self.rows.len() as u32)
+                .map(|v| (v, self.neighbors(VertexId(v))))
+                .filter(|(_, nbrs)| !nbrs.is_empty())
+        };
+        w.u64(rowed().count() as u64);
+        for (v, nbrs) in rowed() {
+            w.u32(v);
+            w.u32(nbrs.len() as u32);
+            for &u in nbrs {
+                w.u32(u.0);
             }
         }
         w.u64(self.recent.len() as u64);
@@ -884,36 +887,36 @@ impl OnlineAdjacency {
             w.u32(u.0);
             w.u32(v.0);
         }
-        w.u64(self.aged_rows.len() as u64);
-        for &i in &self.aged_rows {
-            w.u32(i);
-        }
-        w.u64(self.live as u64);
-        w.u64(self.dead as u64);
         w.u64(self.ever);
-        w.u64(self.generation);
     }
 
     /// Inverse of [`OnlineAdjacency::wal_save`], applied to a freshly
-    /// constructed adjacency with the same config. A row of more than
-    /// `INLINE_ROW` entries goes to the slab, which is rebuilt in row
-    /// order with no free slots.
+    /// constructed adjacency with the same config: a compacted store,
+    /// a row of more than `INLINE_ROW` entries in the slab, in vertex
+    /// order with no free slots. Rows must ascend by vertex, be
+    /// non-empty and fit the payload, and a bounded store's rows must
+    /// hold exactly its ring's entries; a refusal names the row.
     pub fn wal_load(&mut self, r: &mut ByteReader) -> Result<(), WalError> {
-        let nrows = r.len_prefix(8)?;
-        let mut rows = Vec::with_capacity(nrows);
-        let mut spills = Vec::new();
+        let nrows = r.len_prefix(4 + 4 + 4)?;
+        let (mut rows, mut spills, mut live) = (Vec::new(), Vec::new(), 0);
         for i in 0..nrows {
-            let len = r.u32()? as usize;
-            let head = r.u32()?;
-            if len > r.remaining() / 4 {
-                return Err(WalError::Corrupt(format!(
-                    "adjacency row {i}: {len} entries exceed the {} remaining bytes",
-                    r.remaining()
+            let v = r.u32()?;
+            let corrupt =
+                |what: String| WalError::Corrupt(format!("adjacency row {i} (vertex {v}) {what}"));
+            if rows.len() > v as usize {
+                return Err(corrupt(format!(
+                    "does not ascend past vertex {}",
+                    rows.len() - 1
                 )));
             }
-            if head as usize > len {
-                return Err(WalError::Corrupt(format!(
-                    "adjacency row {i}: head {head} past its {len} entries"
+            let len = r.u32()? as usize;
+            if len == 0 {
+                return Err(corrupt("is empty".to_string()));
+            }
+            if len > r.remaining() / 4 {
+                return Err(corrupt(format!(
+                    "claims {len} entries, past the {} remaining bytes",
+                    r.remaining()
                 )));
             }
             let nbrs = (0..len)
@@ -922,27 +925,35 @@ impl OnlineAdjacency {
             let mut row = AdjacencyRow::EMPTY;
             if len <= INLINE_ROW {
                 row.slots[..len].copy_from_slice(&nbrs);
-                row.meta = len as u32 | head << HEAD_SHIFT;
+                row.meta = len as u32;
             } else {
                 row.slots[0] = VertexId(spills.len() as u32);
                 row.meta = SPILLED;
-                spills.push(Spill { head, nbrs });
+                spills.push(Spill { head: 0, nbrs });
             }
+            rows.resize(v as usize, AdjacencyRow::EMPTY);
             rows.push(row);
+            live += len;
         }
-        self.rows = rows;
-        self.spills = spills;
-        self.free_spills = Vec::new();
         let nrecent = r.len_prefix(8)?;
-        self.recent = (0..nrecent)
+        let recent: VecDeque<_> = (0..nrecent)
             .map(|_| Ok::<_, WalError>((VertexId(r.u32()?), VertexId(r.u32()?))))
             .collect::<Result<_, _>>()?;
-        let naged = r.len_prefix(4)?;
-        self.aged_rows = (0..naged).map(|_| r.u32()).collect::<Result<_, _>>()?;
-        self.live = r.u64()? as usize;
-        self.dead = r.u64()? as usize;
-        self.ever = r.u64()?;
-        self.generation = r.u64()?;
+        if self.horizon.is_some() && live != 2 * recent.len() {
+            return Err(WalError::Corrupt(format!(
+                "adjacency: the rows hold {live} entries, the ring's {} edges hold {}",
+                recent.len(),
+                2 * recent.len()
+            )));
+        }
+        *self = OnlineAdjacency {
+            rows,
+            spills,
+            recent,
+            live,
+            ever: r.u64()?,
+            ..OnlineAdjacency::with_retention(self.horizon, 0)
+        };
         Ok(())
     }
 }
@@ -1341,6 +1352,30 @@ mod tests {
                 matches!(err, Err(WalError::Corrupt(_))),
                 "{what} flipped: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn adjacency_wal_load_rejects_rows_the_ring_does_not_hold() {
+        let mut adj = OnlineAdjacency::bounded(2);
+        for i in 0..3 {
+            adj.add(&edge(i, i, i + 1));
+        }
+        let mut w = ByteWriter::new();
+        adj.wal_save(&mut w);
+        let bytes = w.into_bytes();
+        // Rows 1, 2 and 3, one or two entries each, then the ring's
+        // length: 2 edges, 4 entries.
+        let ring_at = 8 + (8 + 4) + (8 + 8) + (8 + 4);
+        assert_eq!(bytes[ring_at..ring_at + 8], 2u64.to_le_bytes());
+        let mut back = OnlineAdjacency::bounded(2);
+        back.wal_load(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back.neighbors(VertexId(2)), adj.neighbors(VertexId(2)));
+        let mut doctored = bytes.clone();
+        doctored[ring_at] = 1;
+        match OnlineAdjacency::bounded(2).wal_load(&mut ByteReader::new(&doctored)) {
+            Err(WalError::Corrupt(m)) => assert!(m.contains("the rows hold 4 entries"), "{m}"),
+            other => panic!("a short ring loaded: {other:?}"),
         }
     }
 

@@ -7,9 +7,11 @@
 //! instead: rows cross 3, 8 and 9 entries, age, spill, cool back below
 //! the spill threshold and empty out, and compaction fires many times.
 //! The `(length, FNV-1a)` pairs of `wal_save` at five points were
-//! recorded when the checkpoint format went to version 2, which writes
-//! every row one way (length, head, entries) whether it is inline or
-//! spilled; the row layout must not change a single checkpoint byte.
+//! recorded when the checkpoint format went to version 3, which writes
+//! only the non-empty rows' retained entries, whether a row is inline
+//! or spilled and whatever dead prefix it carries; neither the row
+//! layout nor the compaction state may change a single checkpoint
+//! byte.
 
 use loom_graph::{EdgeId, Label, StreamEdge, VertexId};
 use loom_partition::OnlineAdjacency;
@@ -86,11 +88,11 @@ fn save(adj: &OnlineAdjacency) -> Vec<u8> {
 #[test]
 fn bounded_adjacency_leaves_the_recorded_checkpoint_bytes() {
     let want: [(u32, usize, u64); 5] = [
-        (4_000, 76_588, 9_579_363_557_016_304_100),
-        (8_000, 74_620, 9_090_777_700_183_413_444),
-        (12_000, 72_616, 8_310_435_687_124_970_893),
-        (16_000, 70_500, 1_885_554_586_027_289_275),
-        (20_000, 68_252, 3_359_766_479_493_340_863),
+        (4_000, 22_432, 14_888_462_524_548_660_545),
+        (8_000, 22_152, 7_827_894_928_744_821_962),
+        (12_000, 22_072, 12_555_871_096_619_126_944),
+        (16_000, 22_400, 18_109_206_113_094_980_110),
+        (20_000, 22_200, 9_643_644_579_740_929_448),
     ];
     let mut adj = OnlineAdjacency::bounded(HORIZON);
     // Highest retained degree each vertex reached: the stream must

@@ -16,10 +16,10 @@ use crate::bytes::{crc32, frame_len, ByteReader, ByteWriter, WalError};
 use crate::journal::StorageBackend;
 
 const MAGIC: u32 = 0x4C4F_4F4D; // "LOOM"
-/// The checkpoint format. Format 2 writes only state: format 1's
-/// neighbour-count block, empty accumulator and zero-length vertex
-/// rows are gone (DESIGN.md §15).
-const VERSION: u32 = 2;
+/// The checkpoint format. Format 3 writes live content only: each
+/// store's compaction layout, which format 2 wrote verbatim, is
+/// rebuilt on load (DESIGN.md §15).
+const VERSION: u32 = 3;
 /// Magic, version, checksum and length: the bytes before the payload.
 const HEADER_BYTES: usize = 16;
 
