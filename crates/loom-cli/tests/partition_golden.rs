@@ -1,8 +1,10 @@
 //! Golden digests of `loom partition` rows: one FNV-1a digest per
 //! system on a fixed input (ProvGen at tiny scale, seed 7, k 4,
-//! breadth-first order), plus Loom on a random order. A change to how
-//! a system is built or driven that moves a single placement moves
-//! its digest.
+//! breadth-first order), plus Loom on a random order, two restream
+//! passes over a random-order LDG run, and three TAPER refinement
+//! rounds over a breadth-first Loom run. A change to how a system is
+//! built or driven, restreamed or refined that moves a single
+//! placement moves its digest.
 
 use std::process::Command;
 
@@ -42,14 +44,16 @@ fn partition_rows_match_their_golden_digests() {
     ]);
     loom(&["workload", "--dataset", "provgen", "--out", wl]);
 
-    for (system, order, want) in [
-        ("hash", "bfs", 0xfa81_357b_2187_2db7u64),
-        ("ldg", "bfs", 0xe1d2_a386_16cc_8126),
-        ("fennel", "bfs", 0xe62a_5330_da32_94f6),
-        ("loom", "bfs", 0x0bcf_8699_4328_9d7a),
-        ("loom", "random", 0x3e89_eeb6_df64_095d),
+    for (system, order, extra, want) in [
+        ("hash", "bfs", &[][..], 0xfa81_357b_2187_2db7u64),
+        ("ldg", "bfs", &[], 0xe1d2_a386_16cc_8126),
+        ("fennel", "bfs", &[], 0xe62a_5330_da32_94f6),
+        ("loom", "bfs", &[], 0x0bcf_8699_4328_9d7a),
+        ("loom", "random", &[], 0x3e89_eeb6_df64_095d),
+        ("ldg", "random", &["--restream", "2"], 0xfa91_ec70_9a9a_3630),
+        ("loom", "bfs", &["--refine", "3"], 0x20b1_d62c_1566_7e10),
     ] {
-        let rows = loom(&[
+        let mut args = vec![
             "partition",
             "--graph",
             g,
@@ -63,9 +67,16 @@ fn partition_rows_match_their_golden_digests() {
             order,
             "--system",
             system,
-        ]);
+        ];
+        args.extend_from_slice(extra);
+        let rows = loom(&args);
         assert_eq!(rows.iter().filter(|&&b| b == b'\n').count(), 1238);
-        assert_eq!(fnv1a(&rows), want, "{system} over the {order} order");
+        assert_eq!(
+            fnv1a(&rows),
+            want,
+            "{system} over the {order} order {extra:?}: {:#x}",
+            fnv1a(&rows)
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
