@@ -236,7 +236,7 @@ fn partition(args: &Args) -> Result<()> {
         .ok_or(LOOM_NEEDS_WORKLOAD)?;
     let (mut assignment, _) = drive(p, &stream);
     for _ in 0..restream {
-        assignment = loom_core::partition::restream_pass(&stream, &assignment, 1.1);
+        assignment = loom_core::partition::restream_pass(&stream, &assignment);
     }
     if refine > 0 {
         let workload = workload

@@ -409,7 +409,7 @@ pub fn ablations(opts: &SuiteOptions) -> String {
         let refined = loom_core::partition::taper_refine(&graph, &loom_a, &weights, 8, 1.1);
         let tapered =
             count_ipt(&graph, &refined.assignment, &workload, cfg.limit_per_query).weighted_ipt;
-        let restreamed = loom_core::partition::restream_pass(&stream, &loom_a, 1.1);
+        let restreamed = loom_core::partition::restream_pass(&stream, &loom_a);
         let re = count_ipt(&graph, &restreamed, &workload, cfg.limit_per_query).weighted_ipt;
         body.push(vec![
             dataset.name().to_string(),

@@ -71,11 +71,10 @@ fn partition_rows_match_their_golden_digests() {
         args.extend_from_slice(extra);
         let rows = loom(&args);
         assert_eq!(rows.iter().filter(|&&b| b == b'\n').count(), 1238);
+        let got = fnv1a(&rows);
         assert_eq!(
-            fnv1a(&rows),
-            want,
-            "{system} over the {order} order {extra:?}: {:#x}",
-            fnv1a(&rows)
+            got, want,
+            "{system} over the {order} order {extra:?}: {got:#x}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -29,10 +29,10 @@ pub use hash::HashPartitioner;
 pub use ldg::{choose_weighted, ldg_choose, LdgPartitioner};
 pub use loom::{AllocationPolicy, LoomConfig, LoomPartitioner, LoomStats, PhaseBreakdown};
 pub use metrics::PartitionMetrics;
-pub use restream::{restream_pass, restreamed_ldg};
+pub use restream::restream_pass;
 pub use state::{
-    AdjacencyHorizon, AdjacencyOccupancy, Assignment, CapacityModel, NeighborCounts,
-    OnlineAdjacency, PartitionState,
+    AdjacencyHorizon, AdjacencyOccupancy, Assignment, CapacityModel, OnlineAdjacency,
+    PartitionState,
 };
 pub use taper::{taper_refine, weighted_cut, RefinementResult, TraversalWeights};
 pub use traits::{partition_stream, IngestError, StreamPartitioner};

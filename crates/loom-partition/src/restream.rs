@@ -10,12 +10,13 @@
 //! one but fully informed on pass two.
 
 use crate::ldg::choose_weighted;
-use crate::state::{Assignment, CapacityModel, NeighborCounts, OnlineAdjacency, PartitionState};
-use loom_graph::{GraphStream, VertexId};
+use crate::state::{Assignment, OnlineAdjacency, PartitionState};
+use loom_graph::GraphStream;
 
 /// One restream pass: replay `stream`, assigning each vertex on first
 /// sight by LDG scoring against (current-pass placements) ∪ (prior
-/// placements of not-yet-replaced vertices).
+/// placements of not-yet-replaced vertices), under the evaluation's
+/// capacity slack (1.1, as [`crate::LdgPartitioner::new`] fixes it).
 ///
 /// Unlike the first pass, the *full* adjacency is already known (the
 /// stream was seen once), so every vertex is scored with its complete
@@ -24,86 +25,54 @@ use loom_graph::{GraphStream, VertexId};
 /// adjacency unbounded: a restream replays a *materialised* stream of
 /// known extent, which is precisely the setting where the retention
 /// horizon must not bite (the same rule the window-tied default
-/// applies to prescient runs, DESIGN.md §11); the seeding and the
-/// `on_reassign` credit moves below walk whatever
-/// [`OnlineAdjacency::neighbors`] retains, so a deliberately bounded
-/// adjacency would degrade gracefully rather than corrupt rows.
-/// Scoring reads maintained
-/// [`NeighborCounts`] rows seeded from the prior placement: a full
-/// pre-pass over the edges credits every neighbour's prior partition,
-/// and each current-pass placement *moves* the assignee's credit from
-/// its prior partition to the new one — so a row always equals the
-/// scan `cur(w).or(prior(w))` would produce, at O(k) per decision
-/// instead of O(deg) (the hub rows used to be rescanned once per
-/// incident vertex, per pass).
-pub fn restream_pass(stream: &GraphStream, prior: &Assignment, slack: f64) -> Assignment {
+/// applies to prescient runs, DESIGN.md §11). Each vertex is scored
+/// once, by a scan of its adjacency row into one reused k-row, so a
+/// pass costs O(|E|) (DESIGN.md §10).
+pub fn restream_pass(stream: &GraphStream, prior: &Assignment) -> Assignment {
     let k = prior.k();
-    let mut state = PartitionState::prescient(k, stream.num_vertices(), slack);
+    let mut state = PartitionState::prescient(k, stream.num_vertices(), 1.1);
     let mut adjacency = OnlineAdjacency::with_capacity(stream.num_vertices());
     for e in stream.iter() {
         adjacency.add(e);
     }
-    let mut counts = NeighborCounts::with_capacity(k, stream.num_vertices());
-    for e in stream.iter() {
-        if let Some(p) = prior.partition_of(e.dst) {
-            counts.credit(e.src, p);
-        }
-        if let Some(p) = prior.partition_of(e.src) {
-            counts.credit(e.dst, p);
-        }
-    }
+    let mut counts = vec![0u32; k];
     for e in stream.iter() {
         for v in [e.src, e.dst] {
             if !state.is_assigned(v) {
-                let p = choose_weighted(&state, counts.counts(v));
+                counts.fill(0);
+                for &w in adjacency.neighbors(v) {
+                    // Current pass wins; fall back to where the previous
+                    // pass put the neighbour (it will land nearby unless
+                    // the restream has found something better).
+                    if let Some(p) = state.partition_of(w).or(prior.partition_of(w)) {
+                        counts[p.index()] += 1;
+                    }
+                }
+                let p = choose_weighted(&state, &counts);
                 state.assign(v, p);
-                counts.on_reassign(v, prior.partition_of(v), p, &adjacency);
             }
         }
     }
     state.into_assignment()
 }
 
-/// The scan-based reference scorer the counter rows replace — kept for
-/// the bit-equivalence property test (`tests/properties.rs`).
-#[doc(hidden)]
-pub fn reference_restream_choose(
-    state: &PartitionState,
-    adjacency: &OnlineAdjacency,
-    prior: &Assignment,
-    v: VertexId,
-) -> loom_graph::PartitionId {
-    let mut counts = vec![0u32; state.k()];
-    for &w in adjacency.neighbors(v) {
-        // Current pass wins; fall back to where the previous pass put
-        // the neighbour (it will land nearby unless the restream has
-        // found something better).
-        let p = state.partition_of(w).or_else(|| prior.partition_of(w));
-        if let Some(p) = p {
-            counts[p.index()] += 1;
-        }
-    }
-    choose_weighted(state, &counts)
-}
-
-/// Run an initial LDG pass followed by `passes` restream passes.
-pub fn restreamed_ldg(stream: &GraphStream, k: usize, passes: usize, slack: f64) -> Assignment {
-    use crate::ldg::LdgPartitioner;
-    use crate::traits::StreamPartitioner;
-    let mut first = LdgPartitioner::new(k, CapacityModel::for_stream(stream));
-    crate::traits::partition_stream(&mut first, stream);
-    let mut assignment = Box::new(first).into_assignment();
-    for _ in 0..passes {
-        assignment = restream_pass(stream, &assignment, slack);
-    }
-    assignment
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::CapacityModel;
     use crate::traits::StreamPartitioner;
     use loom_graph::{Label, LabeledGraph, StreamOrder};
+
+    /// An initial LDG pass followed by `passes` restream passes.
+    fn restreamed_ldg(stream: &GraphStream, k: usize, passes: usize) -> Assignment {
+        let mut first = crate::ldg::LdgPartitioner::new(k, CapacityModel::for_stream(stream));
+        crate::traits::partition_stream(&mut first, stream);
+        let mut assignment = Box::new(first).into_assignment();
+        for _ in 0..passes {
+            assignment = restream_pass(stream, &assignment);
+        }
+        assignment
+    }
 
     /// A ring of cliques: communities that random-order streaming
     /// scatters but restreaming can re-gather.
@@ -134,8 +103,8 @@ mod tests {
     fn restreaming_improves_random_order_ldg() {
         let g = ring_of_cliques(16, 6);
         let stream = loom_graph::GraphStream::from_graph(&g, StreamOrder::Random, 9);
-        let one_pass = restreamed_ldg(&stream, 4, 0, 1.1);
-        let three_pass = restreamed_ldg(&stream, 4, 2, 1.1);
+        let one_pass = restreamed_ldg(&stream, 4, 0);
+        let three_pass = restreamed_ldg(&stream, 4, 2);
         let cut1 = edge_cut(&g, &one_pass);
         let cut3 = edge_cut(&g, &three_pass);
         assert!(
@@ -153,7 +122,7 @@ mod tests {
     fn every_vertex_assigned_after_restream() {
         let g = ring_of_cliques(5, 4);
         let stream = loom_graph::GraphStream::from_graph(&g, StreamOrder::Random, 2);
-        let a = restreamed_ldg(&stream, 3, 2, 1.1);
+        let a = restreamed_ldg(&stream, 3, 2);
         for v in g.vertices() {
             assert!(a.partition_of(v).is_some(), "{v:?} unassigned");
         }
@@ -163,7 +132,7 @@ mod tests {
     fn restream_respects_capacity() {
         let g = ring_of_cliques(10, 5);
         let stream = loom_graph::GraphStream::from_graph(&g, StreamOrder::BreadthFirst, 3);
-        let a = restreamed_ldg(&stream, 5, 3, 1.1);
+        let a = restreamed_ldg(&stream, 5, 3);
         let sizes = a.sizes();
         let cap = 1.1 * g.num_vertices() as f64 / 5.0;
         for &s in &sizes {
@@ -175,7 +144,7 @@ mod tests {
     fn zero_passes_is_plain_ldg() {
         let g = ring_of_cliques(4, 4);
         let stream = loom_graph::GraphStream::from_graph(&g, StreamOrder::BreadthFirst, 7);
-        let via_restream = restreamed_ldg(&stream, 2, 0, 1.1);
+        let via_restream = restreamed_ldg(&stream, 2, 0);
         let mut ldg = crate::ldg::LdgPartitioner::new(2, CapacityModel::for_stream(&stream));
         crate::traits::partition_stream(&mut ldg, &stream);
         let direct = Box::new(ldg).into_assignment();

@@ -560,10 +560,14 @@ struct Spill {
 }
 
 /// Streaming adjacency: the neighbourhood each vertex has accumulated
-/// *within the retention horizon*. LDG, Fennel and Loom's fallback all
-/// score against this view — "the local neighbourhood of each new
-/// element *at the time it arrives*" (§1.2). Growable: vertices
-/// register on the first edge that touches them.
+/// *within the retention horizon*. Loom scores its bypass placements
+/// and its LDG fallback against this view — "the local neighbourhood
+/// of each new element *at the time it arrives*" (§1.2) — and the
+/// restream pass scores against an unbounded one. The edge-stream LDG
+/// and Fennel keep none: a vertex they place is seen for the first
+/// time, so its neighbourhood is the other endpoint of the current
+/// edge. Growable: vertices register on the first edge that touches
+/// them.
 ///
 /// With a bounded horizon the store is generational (DESIGN.md §11):
 /// edges older than the horizon age out of both endpoints' rows in
@@ -955,98 +959,6 @@ impl OnlineAdjacency {
             ..OnlineAdjacency::with_retention(self.horizon, 0)
         };
         Ok(())
-    }
-}
-
-/// Incrementally maintained per-vertex partition-neighbour counters,
-/// the O(k)-per-decision form of the O(deg) adjacency scan
-/// ([`OnlineAdjacency::partition_counts_into`]) for the passes that
-/// re-score vertices whose neighbourhood they already know: the
-/// restream pass and the vertex-stream variants (DESIGN.md §10). Loom
-/// keeps no table; it scans the retained adjacency when it scores.
-///
-/// Invariant: `counts(v)[p]` equals the number of `v`'s neighbours
-/// credited to partition `p`, with multiplicity. The restream pass
-/// keeps it equal to the scan of its adjacency against the
-/// current-or-prior placement by seeding rows with
-/// [`NeighborCounts::credit`] and moving them with
-/// [`NeighborCounts::on_reassign`]; the vertex streams credit each
-/// arrival's placement to its listed neighbours.
-#[derive(Clone, Debug)]
-pub struct NeighborCounts {
-    k: usize,
-    /// One flat vertex-indexed `[vertex][partition]` table.
-    counts: Vec<u32>,
-    /// All-zero row returned for vertices never seen (keeps reads
-    /// allocation-free without forcing registration on read).
-    zeros: Vec<u32>,
-}
-
-impl NeighborCounts {
-    /// Counter table for `k` partitions, pre-sized for `num_vertices`
-    /// vertices; rows past them register on first credit.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn with_capacity(k: usize, num_vertices: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        NeighborCounts {
-            k,
-            counts: vec![0; num_vertices * k],
-            zeros: vec![0; k],
-        }
-    }
-
-    #[inline]
-    fn ensure(&mut self, v: VertexId) {
-        let need = (v.0 as usize + 1) * self.k;
-        if self.counts.len() < need {
-            self.counts.resize(need, 0);
-        }
-    }
-
-    /// Mutable counter cell for `(v, p)`, registering `v` as needed.
-    #[inline]
-    fn cell_mut(&mut self, v: VertexId, p: PartitionId) -> &mut u32 {
-        self.ensure(v);
-        &mut self.counts[v.0 as usize * self.k + p.index()]
-    }
-
-    /// The per-partition assigned-neighbour counts of `v` — the
-    /// `|N(v) ∩ S_i|` row, read in O(k).
-    #[inline]
-    pub fn counts(&self, v: VertexId) -> &[u32] {
-        let start = v.0 as usize * self.k;
-        match self.counts.get(start..start + self.k) {
-            Some(row) => row,
-            None => &self.zeros,
-        }
-    }
-
-    /// Move a previously credited placement of `v` from partition
-    /// `from` to `to` in every neighbour's row — the restream pass uses
-    /// this when the current pass overrides a prior-pass placement.
-    pub fn on_reassign(
-        &mut self,
-        v: VertexId,
-        from: Option<PartitionId>,
-        to: PartitionId,
-        adjacency: &OnlineAdjacency,
-    ) {
-        for &w in adjacency.neighbors(v) {
-            if let Some(q) = from {
-                *self.cell_mut(w, q) -= 1;
-            }
-            *self.cell_mut(w, to) += 1;
-        }
-    }
-
-    /// Credit `v`'s row directly (the vertex-stream variants maintain
-    /// rows from each arrival's own neighbour list instead of a shared
-    /// adjacency).
-    #[inline]
-    pub fn credit(&mut self, v: VertexId, p: PartitionId) {
-        *self.cell_mut(v, p) += 1;
     }
 }
 

@@ -13,7 +13,7 @@
 //! edge-stream LDG runs at its cap instead (see EXPERIMENTS.md).
 
 use crate::fennel::fennel_choose;
-use crate::state::{Assignment, NeighborCounts, PartitionState};
+use crate::state::{Assignment, PartitionState};
 use loom_graph::{GraphStream, LabeledGraph, StreamOrder, VertexId};
 
 /// One element of a vertex stream: a vertex and its neighbours.
@@ -59,28 +59,23 @@ pub fn vertex_stream(g: &LabeledGraph, order: StreamOrder, seed: u64) -> Vec<Ver
 /// `argmax |N(v) ∩ S_i| · (1 - |S_i|/C)` over its *full* neighbourhood
 /// (only already-placed neighbours count, as in the original).
 ///
-/// Scoring reads a maintained [`NeighborCounts`] row per arrival:
-/// because each vertex is placed exactly once — at its arrival, which
-/// carries its full neighbour list — crediting the placement to every
-/// listed neighbour keeps each future arrival's row equal to the scan
-/// of its own list (the graph is undirected, so `w ∈ N(v)` iff
-/// `v ∈ N(w)`, with the same multiplicity).
+/// Each arrival is scored by a scan of its own neighbour list into one
+/// reused k-row: the arrival carries its full neighbourhood, so the
+/// scan sees every neighbour already placed.
 pub fn ldg_vertex_stream(stream: &[VertexArrival], k: usize, num_vertices: usize) -> Assignment {
     let mut state = PartitionState::prescient(k, num_vertices, 1.0);
-    let mut counts = NeighborCounts::with_capacity(k, num_vertices);
+    let mut counts = vec![0u32; k];
     for arrival in stream {
-        let p = crate::ldg::choose_weighted(&state, counts.counts(arrival.vertex));
+        placed_neighbour_counts(&state, &arrival.neighbors, &mut counts);
+        let p = crate::ldg::choose_weighted(&state, &counts);
         state.assign(arrival.vertex, p);
-        for &w in &arrival.neighbors {
-            counts.credit(w, p);
-        }
     }
     state.into_assignment()
 }
 
-/// Vertex-stream Fennel \[31\] with γ = 1.5, ν = 1.1. Scores through
-/// the same maintained counter rows as [`ldg_vertex_stream`] and the
-/// same [`fennel_choose`] arithmetic as the edge-stream partitioner.
+/// Vertex-stream Fennel \[31\] with γ = 1.5, ν = 1.1. Scores by the
+/// same neighbour-list scan as [`ldg_vertex_stream`] and the same
+/// [`fennel_choose`] arithmetic as the edge-stream partitioner.
 pub fn fennel_vertex_stream(
     stream: &[VertexArrival],
     k: usize,
@@ -94,15 +89,23 @@ pub fn fennel_vertex_stream(
     let alpha = m * (k as f64).powf(gamma - 1.0) / n.powf(gamma);
     let cap = nu * n / k as f64;
     let mut state = PartitionState::prescient(k, num_vertices, nu);
-    let mut counts = NeighborCounts::with_capacity(k, num_vertices);
+    let mut counts = vec![0u32; k];
     for arrival in stream {
-        let p = fennel_choose(&state, counts.counts(arrival.vertex), alpha, gamma, cap);
+        placed_neighbour_counts(&state, &arrival.neighbors, &mut counts);
+        let p = fennel_choose(&state, &counts, alpha, gamma, cap);
         state.assign(arrival.vertex, p);
-        for &w in &arrival.neighbors {
-            counts.credit(w, p);
-        }
     }
     state.into_assignment()
+}
+
+/// Fill `counts` with `|N(v) ∩ S_i|` for an arrival's neighbour list.
+fn placed_neighbour_counts(state: &PartitionState, neighbors: &[VertexId], counts: &mut [u32]) {
+    counts.fill(0);
+    for &w in neighbors {
+        if let Some(p) = state.partition_of(w) {
+            counts[p.index()] += 1;
+        }
+    }
 }
 
 #[cfg(test)]

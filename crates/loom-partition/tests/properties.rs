@@ -3,9 +3,9 @@
 
 use loom_graph::{EdgeId, Label, PartitionId, StreamEdge, VertexId};
 use loom_partition::{
-    auction, choose_weighted, fennel_choose, ldg_choose, ration, AdjacencyHorizon, AuctionMatch,
-    CapacityModel, EoParams, FennelParams, FennelPartitioner, HashPartitioner, LdgPartitioner,
-    OnlineAdjacency, PartitionState, StreamPartitioner,
+    auction, fennel_choose, ldg_choose, ration, AdjacencyHorizon, AuctionMatch, CapacityModel,
+    EoParams, FennelParams, FennelPartitioner, HashPartitioner, LdgPartitioner, OnlineAdjacency,
+    PartitionState, StreamPartitioner,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -296,12 +296,13 @@ proptest! {
     }
 }
 
-/// Verbatim scan-based reference partitioners — the pre-counter code,
-/// kept as behavioural oracles: the edge-stream baselines score through
-/// one-hot first-sight rows, and these re-derive every score by
-/// scanning `OnlineAdjacency::neighbors` at decision time.
-/// The counter suite below asserts bit-equality of the resulting
-/// assignments on random streams under both capacity models.
+/// Verbatim scan-based reference partitioners, kept as behavioural
+/// oracles: the edge-stream baselines score through one-hot
+/// first-sight rows, and these re-derive every score by scanning
+/// `OnlineAdjacency::neighbors` at decision time.
+/// `one_hot_scoring_equals_scan_reference` below asserts bit-equality
+/// of the resulting assignments on random streams under both capacity
+/// models.
 mod scan_reference {
     use super::*;
 
@@ -467,12 +468,13 @@ fn chain_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, usize, loom_gra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Tentpole contract: counter-scored LDG and Fennel are
-    /// bit-identical to the verbatim scan references, edge by edge, on
-    /// random hub-heavy streams (with repeated pairs) under both
-    /// capacity models.
+    /// LDG and Fennel keep no counters and no adjacency: they score an
+    /// unassigned endpoint at first sight by a one-hot row of the other
+    /// endpoint's partition. That is bit-identical to the verbatim
+    /// adjacency-scan references, edge by edge, on random hub-heavy
+    /// streams (with repeated pairs) under both capacity models.
     #[test]
-    fn counter_scoring_equals_scan_reference(
+    fn one_hot_scoring_equals_scan_reference(
         k in 2usize..8,
         n_edges in 1usize..160,
         prescient in any::<bool>(),
@@ -509,62 +511,6 @@ proptest! {
                     "Fennel diverged from scan reference at {:?} (edge {:?})", v, e.id
                 );
             }
-        }
-    }
-
-    /// Restream: the counter-seeded pass is bit-identical to one driven
-    /// by the scan-based reference chooser.
-    #[test]
-    fn restream_counters_equal_scan_reference(
-        k in 2usize..6,
-        n_edges in 2usize..100,
-        seed in any::<u64>(),
-    ) {
-        use loom_partition::restream::reference_restream_choose;
-        let n = 32usize;
-        let edges = hubby_edges(n, n_edges, seed);
-        let graph_stream = {
-            // Materialise via a LabeledGraph so both passes see the
-            // same stream object.
-            let mut g = loom_graph::LabeledGraph::with_anonymous_labels(1);
-            for _ in 0..n {
-                g.add_vertex(Label(0));
-            }
-            for e in &edges {
-                g.add_edge_checked(e.src, e.dst);
-            }
-            loom_graph::GraphStream::from_graph(&g, loom_graph::StreamOrder::Random, seed)
-        };
-        // A prior assignment from a plain LDG pass.
-        let mut first = LdgPartitioner::new(k, CapacityModel::Adaptive);
-        for e in graph_stream.iter() {
-            first.on_edge(e);
-        }
-        let prior = Box::new(first).into_assignment();
-
-        // Reference pass: scan-based chooser, same protocol.
-        let mut ref_state = PartitionState::prescient(k, graph_stream.num_vertices(), 1.1);
-        let mut ref_adj = OnlineAdjacency::with_capacity(graph_stream.num_vertices());
-        for e in graph_stream.iter() {
-            ref_adj.add(e);
-        }
-        for e in graph_stream.iter() {
-            for v in [e.src, e.dst] {
-                if !ref_state.is_assigned(v) {
-                    let p = reference_restream_choose(&ref_state, &ref_adj, &prior, v);
-                    ref_state.assign(v, p);
-                }
-            }
-        }
-        let reference = ref_state.into_assignment();
-
-        let counter = loom_partition::restream_pass(&graph_stream, &prior, 1.1);
-        for v in 0..graph_stream.num_vertices() as u32 {
-            prop_assert_eq!(
-                counter.partition_of(VertexId(v)),
-                reference.partition_of(VertexId(v)),
-                "restream diverged at vertex {}", v
-            );
         }
     }
 
@@ -641,81 +587,6 @@ proptest! {
             bound
         );
         prop_assert_eq!(occ.entries_ever, 2 * extent);
-    }
-
-    /// Vertex-stream variants: counter-credited scoring equals the
-    /// scan of each arrival's own neighbour list.
-    #[test]
-    fn vertex_stream_counters_equal_scan_reference(
-        k in 2usize..6,
-        n in 4usize..48,
-        extra_edges in 0usize..64,
-        seed in any::<u64>(),
-    ) {
-        use loom_partition::{fennel_vertex_stream, ldg_vertex_stream, vertex_stream};
-        let mut g = loom_graph::LabeledGraph::with_anonymous_labels(1);
-        for _ in 0..n {
-            g.add_vertex(Label(0));
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for i in 0..(n - 1 + extra_edges) {
-            let (u, v) = if i < n - 1 {
-                (i as u32, i as u32 + 1) // spanning path keeps it connected
-            } else {
-                (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32)
-            };
-            if u != v {
-                g.add_edge_checked(VertexId(u), VertexId(v));
-            }
-        }
-        let stream = vertex_stream(&g, loom_graph::StreamOrder::Random, seed);
-
-        // Scan references: score each arrival by scanning its own list.
-        let mut ldg_state = PartitionState::prescient(k, n, 1.0);
-        for a in &stream {
-            let mut counts = vec![0u32; k];
-            for &w in &a.neighbors {
-                if let Some(p) = ldg_state.partition_of(w) {
-                    counts[p.index()] += 1;
-                }
-            }
-            let p = choose_weighted(&ldg_state, &counts);
-            ldg_state.assign(a.vertex, p);
-        }
-        let ldg_ref = ldg_state.into_assignment();
-        let ldg_counter = ldg_vertex_stream(&stream, k, n);
-
-        let gamma = 1.5f64;
-        let nu = 1.1f64;
-        let alpha = (g.num_edges().max(1) as f64) * (k as f64).powf(gamma - 1.0)
-            / (n.max(1) as f64).powf(gamma);
-        let cap = nu * n.max(1) as f64 / k as f64;
-        let mut fennel_state = PartitionState::prescient(k, n, nu);
-        for a in &stream {
-            let mut counts = vec![0u32; k];
-            for &w in &a.neighbors {
-                if let Some(p) = fennel_state.partition_of(w) {
-                    counts[p.index()] += 1;
-                }
-            }
-            let p = fennel_choose(&fennel_state, &counts, alpha, gamma, cap);
-            fennel_state.assign(a.vertex, p);
-        }
-        let fennel_ref = fennel_state.into_assignment();
-        let fennel_counter = fennel_vertex_stream(&stream, k, n, g.num_edges());
-
-        for v in 0..n as u32 {
-            prop_assert_eq!(
-                ldg_counter.partition_of(VertexId(v)),
-                ldg_ref.partition_of(VertexId(v)),
-                "vertex-stream LDG diverged at {}", v
-            );
-            prop_assert_eq!(
-                fennel_counter.partition_of(VertexId(v)),
-                fennel_ref.partition_of(VertexId(v)),
-                "vertex-stream Fennel diverged at {}", v
-            );
-        }
     }
 }
 

@@ -64,7 +64,7 @@ fn main() {
     let refined = taper_refine(&graph, &loom, &weights, 8, 1.1);
     serve("Loom+TAPER", &graph, &refined.assignment, &workload, limit);
 
-    let restreamed = restream_pass(&stream, &loom, 1.1);
+    let restreamed = restream_pass(&stream, &loom);
     serve("Loom+restream", &graph, &restreamed, &workload, limit);
 
     println!(

@@ -66,7 +66,7 @@ fn taper_respects_balance() {
 fn restream_preserves_assignment_completeness() {
     let (graph, workload, stream, cfg) = setup(DatasetKind::Dblp);
     let loom = loom_assignment(&cfg, &stream, &workload);
-    let re = restream_pass(&stream, &loom, 1.1);
+    let re = restream_pass(&stream, &loom);
     for e in stream.iter() {
         assert!(re.partition_of(e.src).is_some());
         assert!(re.partition_of(e.dst).is_some());
